@@ -13,9 +13,9 @@ from .errors import (
     ShapeError,
     UnsupportedVersionError,
 )
-from .gating import GateOutput, GatingMode, GatingParams, gate_cross_modal, gate_unimodal, refine
+from .gating import GatingMode, GatingParams
 from .model import ForwardResult, FusionModel, ModelConfig, Prediction
-from .sequence import MaskedSequence, pad_batch, pool_sequence, unpad_batch
+from .sequence import MaskedSequence, pad_batch
 from .synth import Corpus, OracleReport, Sample, SynthSpec, bayes_oracle_accuracy, generate, model_inputs
 from .tensor import GradcheckReport, Parameter, Tape, Tensor, gradcheck
 from .trainer import TrainConfig, TrainResult, evaluate, train
@@ -24,10 +24,9 @@ __all__ = [
     "BoundsError", "ChecksumError", "ConfigError", "CorpusFormatError",
     "EmptySequenceError", "GatedFusionError", "LabelError", "ManifestError",
     "NonFiniteError", "ShapeError", "UnsupportedVersionError",
-    "GateOutput", "GatingMode", "GatingParams", "gate_cross_modal",
-    "gate_unimodal", "refine",
+    "GatingMode", "GatingParams",
     "ForwardResult", "FusionModel", "ModelConfig", "Prediction",
-    "MaskedSequence", "pad_batch", "pool_sequence", "unpad_batch",
+    "MaskedSequence", "pad_batch",
     "Corpus", "OracleReport", "Sample", "SynthSpec", "bayes_oracle_accuracy",
     "generate", "model_inputs",
     "GradcheckReport", "Parameter", "Tape", "Tensor", "gradcheck",

@@ -16,12 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ChecksumError, ManifestError, UnsupportedVersionError
+from .corpus_io import _need
+from .errors import ChecksumError, ConfigError, ManifestError, UnsupportedVersionError, from_dict
 from .model import FusionModel, ModelConfig
 
 MAGIC = b"GFCK"
 FORMAT_VERSION = 1
-_DTYPES = {"<f4", "<f8"}
+_DTYPES = ("<f4", "<f8")
 
 
 @dataclass
@@ -64,35 +65,52 @@ def load_checkpoint(path) -> Checkpoint:
         raw = f.read()
     if raw[:4] != MAGIC:
         raise ManifestError(f"{path}: not a checkpoint file (bad magic)")
+    if len(raw) < 8:
+        raise ManifestError(f"{path}: checkpoint ends inside the header length")
     (head_len,) = struct.unpack("<I", raw[4:8])
     try:
         header = json.loads(raw[8 : 8 + head_len].decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ManifestError(f"{path}: corrupt checkpoint header: {e}") from e
+    if not isinstance(header, dict):
+        raise ManifestError(f"{path}: checkpoint header must be a JSON object")
     version = header.get("format_version")
     if version != FORMAT_VERSION:
         raise UnsupportedVersionError(f"{path}: unsupported checkpoint version {version}")
     dtype = header.get("dtype")
     if dtype not in _DTYPES:
         raise ManifestError(f"{path}: unsupported dtype {dtype!r}")
+    label = f"{path}: header"
+    blob_length = _need(header, "blob_length", int, label)
+    declared_sha = _need(header, "blob_sha256", str, label)
+    config = _need(header, "config", dict, label)
+    records = _need(header, "arrays", list, label)
+    meta = _need(header, "meta", dict, label)
     blob = raw[8 + head_len :]
-    if len(blob) != header["blob_length"]:
-        raise ChecksumError(f"{path}: blob length {len(blob)} != declared {header['blob_length']}")
+    if len(blob) != blob_length:
+        raise ChecksumError(f"{path}: blob length {len(blob)} != declared {blob_length}")
     digest = hashlib.sha256(blob).hexdigest()
-    if digest != header["blob_sha256"]:
+    if digest != declared_sha:
         raise ChecksumError(f"{path}: blob checksum mismatch")
     itemsize = np.dtype(dtype).itemsize
     arrays = {}
     offset = 0
-    for rec in header["arrays"]:
-        count = rec["rows"] * rec["cols"]
-        end = offset + count * itemsize
+    for i, rec in enumerate(records):
+        rec_label = f"{path}: arrays[{i}]"
+        if not isinstance(rec, dict):
+            raise ManifestError(f"{rec_label}: record must be an object")
+        name = _need(rec, "name", str, rec_label)
+        rows = _need(rec, "rows", int, rec_label)
+        cols = _need(rec, "cols", int, rec_label)
+        if rows < 0 or cols < 0:
+            raise ManifestError(f"{rec_label}: negative shape ({rows}, {cols})")
+        end = offset + rows * cols * itemsize
         if end > len(blob):
-            raise ChecksumError(f"{path}: array {rec['name']!r} exceeds blob bounds")
+            raise ChecksumError(f"{path}: array {name!r} exceeds blob bounds")
         arr = np.frombuffer(blob[offset:end], dtype=dtype).astype(np.float64)
-        arrays[rec["name"]] = arr.reshape(rec["rows"], rec["cols"])
+        arrays[name] = arr.reshape(rows, cols)
         offset = end
-    return Checkpoint(header["config"], arrays, header.get("meta", {}), dtype)
+    return Checkpoint(config, arrays, meta, dtype)
 
 
 def save_model(model: FusionModel, path, optimizer_state: dict[str, np.ndarray] | None = None,
@@ -105,7 +123,11 @@ def save_model(model: FusionModel, path, optimizer_state: dict[str, np.ndarray] 
 
 def load_model(path) -> tuple[FusionModel, Checkpoint]:
     ckpt = load_checkpoint(path)
-    model = FusionModel(ModelConfig(**ckpt.config))
+    try:
+        cfg = from_dict(ModelConfig, ckpt.config, "model config")
+    except ConfigError as e:
+        raise ManifestError(f"{path}: {e}") from e
+    model = FusionModel(cfg)
     for p in model.parameters():
         if p.name not in ckpt.arrays:
             raise ManifestError(f"{path}: checkpoint missing parameter {p.name!r}")

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import os
 import sys
@@ -27,7 +26,7 @@ from .analysis import (
 from .checkpoint import load_model, save_model
 from .corpus_io import read_corpus, write_corpus
 from .diagnostics import full_model_gradcheck
-from .errors import ConfigError, GatedFusionError
+from .errors import ConfigError, GatedFusionError, from_dict
 from .gating import GatingMode
 from .model import FusionModel, ModelConfig
 from .plots import export_trace_plot
@@ -48,14 +47,6 @@ def _load_json(path: str) -> dict:
     return data
 
 
-def _from_dict(cls, data: dict, label: str):
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(data) - known)
-    if unknown:
-        raise ConfigError(f"{label}: unknown keys {unknown}; known keys: {sorted(known)}")
-    return cls(**data)
-
-
 def _write_json(path: str, payload: dict) -> None:
     with open(path, "w") as f:
         json.dump(payload, f, indent=1, sort_keys=True)
@@ -73,7 +64,7 @@ def cmd_generate(args) -> int:
     spec_dict = _load_json(args.spec) if args.spec else {}
     if args.seed is not None:
         spec_dict["seed"] = args.seed
-    spec = _from_dict(SynthSpec, spec_dict, "synth spec")
+    spec = from_dict(SynthSpec, spec_dict, "synth spec")
     corpus = generate(spec)
     os.makedirs(args.out, exist_ok=True)
     write_corpus(corpus, args.out)
@@ -97,17 +88,15 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _split_config(args) -> tuple[dict, dict]:
+def _configs(args, corpus) -> tuple[ModelConfig, TrainConfig]:
+    """Model and train configs: the --config file, the corpus widths, then flag overrides."""
     cfg = _load_json(args.config) if args.config else {}
     unknown = sorted(set(cfg) - {"model", "train"})
     if unknown:
         raise ConfigError(f"config file: unknown top-level keys {unknown}; expected 'model'/'train'")
-    return cfg.get("model", {}), cfg.get("train", {})
-
-
-def cmd_train(args) -> int:
-    corpus = read_corpus(args.corpus)
-    model_dict, train_dict = _split_config(args)
+    model_dict, train_dict = cfg.get("model", {}), cfg.get("train", {})
+    if not (isinstance(model_dict, dict) and isinstance(train_dict, dict)):
+        raise ConfigError("config file: 'model' and 'train' must be JSON objects")
     model_dict.setdefault("d_a", corpus.d_a)
     model_dict.setdefault("d_t", corpus.d_t)
     model_dict.setdefault("n_classes", corpus.n_classes)
@@ -116,14 +105,23 @@ def cmd_train(args) -> int:
     if args.seed is not None:
         model_dict["seed"] = args.seed
         train_dict["seed"] = args.seed
-    model_cfg = _from_dict(ModelConfig, model_dict, "model config")
-    train_cfg = _from_dict(TrainConfig, train_dict, "train config")
+    return (from_dict(ModelConfig, model_dict, "model config"),
+            from_dict(TrainConfig, train_dict, "train config"))
+
+
+def cmd_train(args) -> int:
+    corpus = read_corpus(args.corpus)
+    model_cfg, train_cfg = _configs(args, corpus)
 
     start_epoch = 0
     if args.resume:
         model, ckpt = load_model(args.resume)
         if model.cfg.to_dict() != model_cfg.to_dict():
             raise ConfigError("resume checkpoint config does not match requested config")
+        saved = ckpt.meta.get("train")
+        if isinstance(saved, dict) and saved.get("optimizer", train_cfg.optimizer) != train_cfg.optimizer:
+            raise ConfigError(f"resume checkpoint was trained with optimizer {saved['optimizer']!r}, "
+                              f"not {train_cfg.optimizer!r}")
         optimizer = make_optimizer(model, train_cfg)
         opt_state = {k[len("opt."):]: v for k, v in ckpt.arrays.items() if k.startswith("opt.")}
         if opt_state:
@@ -157,17 +155,7 @@ def cmd_evaluate(args) -> int:
     corpus = read_corpus(args.corpus)
     os.makedirs(args.out, exist_ok=True)
     if args.kfold:
-        model_dict, train_dict = _split_config(args)
-        model_dict.setdefault("d_a", corpus.d_a)
-        model_dict.setdefault("d_t", corpus.d_t)
-        model_dict.setdefault("n_classes", corpus.n_classes)
-        if args.gating_mode:
-            model_dict["gating_mode"] = args.gating_mode
-        if args.seed is not None:
-            model_dict["seed"] = args.seed
-            train_dict["seed"] = args.seed
-        model_cfg = _from_dict(ModelConfig, model_dict, "model config")
-        train_cfg = _from_dict(TrainConfig, train_dict, "train config")
+        model_cfg, train_cfg = _configs(args, corpus)
         report = kfold(corpus, args.kfold, train_cfg, model_cfg)
         _write_json(os.path.join(args.out, "report.json"), report.to_dict())
         _write_csv(
@@ -252,8 +240,6 @@ def cmd_gradcheck(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="gatedfusion")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker cap (current implementation is serial)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="generate a synthetic corpus")

@@ -150,12 +150,14 @@ def read_corpus(path: str) -> Corpus:
     if hashlib.sha256(blob).hexdigest() != declared_sha:
         raise ChecksumError(f"{blob_path}: blob checksum mismatch")
 
+    regions: list[tuple[int, int]] = []
+
     def region_array(rec, key, count, label) -> np.ndarray:
         start, length = _region(rec, key, count, blob_length, label)
+        regions.append((start, length))
         return np.frombuffer(blob[start : start + length], dtype="<f4").astype(np.float64)
 
     samples = []
-    regions: list[tuple[int, int]] = []
     for i, rec in enumerate(records):
         label_str = f"sample[{i}]"
         if not isinstance(rec, dict):
@@ -171,8 +173,6 @@ def read_corpus(path: str) -> Corpus:
 
         feats_a = region_array(rec, "offset_a", t_a * d_a, label_str).reshape(t_a, d_a)
         feats_t = region_array(rec, "offset_t", t_t * d_t, label_str).reshape(t_t, d_t)
-        regions.append(_region(rec, "offset_a", t_a * d_a, blob_length, label_str))
-        regions.append(_region(rec, "offset_t", t_t * d_t, blob_length, label_str))
 
         channels = {}
         for name, count, as_int in (
@@ -186,7 +186,6 @@ def read_corpus(path: str) -> Corpus:
                 raise ManifestError(f"{label_str}: has_{name} must be a boolean")
             if has:
                 arr = region_array(rec, f"offset_{name}", count, label_str)
-                regions.append(_region(rec, f"offset_{name}", count, blob_length, label_str))
                 if as_int:
                     if not np.all(np.isin(arr, (0.0, 1.0))):
                         raise ManifestError(f"{label_str}: {name} values must be 0 or 1")

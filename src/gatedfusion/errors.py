@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the config-object builder that raises it."""
+
+import dataclasses
 
 
 class GatedFusionError(Exception):
@@ -43,3 +45,17 @@ class BoundsError(CorpusFormatError):
 
 class ManifestError(CorpusFormatError):
     """Manifest is structurally invalid (missing/ill-typed fields)."""
+
+
+def from_dict(cls, data: dict, label: str):
+    """Build dataclass `cls` from a JSON object, rejecting unknown and missing keys."""
+    fields = dataclasses.fields(cls)
+    known = {f.name for f in fields}
+    unknown = sorted(set(data) - known)
+    if unknown:
+        raise ConfigError(f"{label}: unknown keys {unknown}; known keys: {sorted(known)}")
+    missing = [f.name for f in fields if f.name not in data
+               and f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING]
+    if missing:
+        raise ConfigError(f"{label}: missing keys {missing}")
+    return cls(**data)

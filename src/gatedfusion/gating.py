@@ -17,7 +17,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ShapeError
-from .sequence import MaskedSequence, expand_context, masked_mean_pool
+from .sequence import expand_context, masked_mean_pool
 
 
 class GatingMode(str, Enum):
@@ -55,17 +55,6 @@ class GatingParams:
         return [self.w_a, self.w_t, self.b_a, self.b_t]
 
 
-@dataclass(frozen=True)
-class GateOutput:
-    """Per-frame gate column (padded positions 0) and the refined sequence."""
-
-    gates: np.ndarray
-    refined: MaskedSequence
-
-    def valid_gates(self) -> np.ndarray:
-        return self.gates[: self.refined.valid_count, 0]
-
-
 def gate_sequence(
     features: T.Tensor,
     mask: np.ndarray,
@@ -92,35 +81,3 @@ def gate_sequence(
 def refine_sequence(features: T.Tensor, gates: T.Tensor) -> T.Tensor:
     """Taped feature refinement: row i scaled by its gate scalar."""
     return T.row_scale(features, gates)
-
-
-def _run_gate(seq: MaskedSequence, ctx: MaskedSequence, w: T.Parameter, b: T.Parameter) -> GateOutput:
-    if seq.width != ctx.width:
-        raise ShapeError(f"modality widths differ: {seq.width} vs {ctx.width}")
-    tape = T.Tape()
-    feats = tape.constant(seq.features)
-    gates = gate_sequence(feats, seq.mask, tape.constant(ctx.features), ctx.mask, tape.leaf(w), tape.leaf(b))
-    refined = refine_sequence(feats, gates)
-    return GateOutput(gates.data, MaskedSequence(refined.data, seq.mask))
-
-
-def gate_cross_modal(
-    seq_a: MaskedSequence, seq_t: MaskedSequence, params: GatingParams
-) -> tuple[GateOutput, GateOutput]:
-    """Gate each modality using the other modality's pooled context."""
-    out_a = _run_gate(seq_a, seq_t, params.w_a, params.b_a)
-    out_t = _run_gate(seq_t, seq_a, params.w_t, params.b_t)
-    return out_a, out_t
-
-
-def gate_unimodal(seq: MaskedSequence, w: T.Parameter, b: T.Parameter) -> GateOutput:
-    """Gate a modality using its own pooled context."""
-    return _run_gate(seq, seq, w, b)
-
-
-def refine(seq: MaskedSequence, gates: np.ndarray) -> MaskedSequence:
-    """Row-wise rescale of a sequence by a T x 1 gate column; mask unchanged."""
-    gates = np.asarray(gates, dtype=np.float64)
-    if gates.shape != (seq.length, 1):
-        raise ShapeError(f"gates must be ({seq.length}, 1), got {gates.shape}")
-    return MaskedSequence(seq.features * gates * seq.mask.reshape(-1, 1), seq.mask)

@@ -33,16 +33,30 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        self.gating_mode = GatingMode(self.gating_mode)
+        try:
+            self.gating_mode = GatingMode(self.gating_mode)
+        except ValueError:
+            raise ConfigError(f"gating_mode must be one of {[m.value for m in GatingMode]}, "
+                              f"got {self.gating_mode!r}") from None
+        for name in ("d_a", "d_t", "d_model", "n_heads", "n_layers", "ff_mult", "n_classes", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if isinstance(self.dropout_rate, bool) or not isinstance(self.dropout_rate, (int, float)):
+            raise ConfigError(f"dropout_rate must be a number, got {self.dropout_rate!r}")
+        if not isinstance(self.use_positions, bool):
+            raise ConfigError(f"use_positions must be a boolean, got {self.use_positions!r}")
+        for name in ("d_a", "d_t", "d_model", "n_heads", "n_layers", "ff_mult"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
         if self.d_model % self.n_heads != 0:
             raise ConfigError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.n_classes < 2:
             raise ConfigError(f"n_classes must be >= 2, got {self.n_classes}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
-        for name in ("d_a", "d_t", "d_model", "n_heads", "n_layers", "ff_mult"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
 
     def to_dict(self) -> dict:
         d = asdict(self)

@@ -92,13 +92,6 @@ def expand_context(ctx: T.Tensor, length: int) -> T.Tensor:
     return T.matmul(ones, ctx)
 
 
-def pool_sequence(seq: MaskedSequence) -> np.ndarray:
-    """Untaped masked mean pool, for callers outside a forward pass."""
-    tape = T.Tape()
-    out = masked_mean_pool(tape.constant(seq.features), seq.mask)
-    return out.data
-
-
 def pad_batch(seqs: list[MaskedSequence]) -> tuple[np.ndarray, np.ndarray]:
     """Stack sequences into (B x T_max x d) features and (B x T_max) masks."""
     if not seqs:
@@ -115,12 +108,3 @@ def pad_batch(seqs: list[MaskedSequence]) -> tuple[np.ndarray, np.ndarray]:
         feats[i] = p.features
         masks[i] = p.mask
     return feats, masks
-
-
-def unpad_batch(feats: np.ndarray, masks: np.ndarray) -> list[MaskedSequence]:
-    """Inverse of pad_batch: recover each sequence at its own valid length."""
-    out = []
-    for f, m in zip(feats, masks):
-        n = int(m.sum())
-        out.append(MaskedSequence.from_valid(f[:n]))
-    return out

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, NonFiniteError
+from .errors import ConfigError, ManifestError, NonFiniteError
 from .model import FusionModel
 from .sequence import MaskedSequence
 
@@ -57,7 +57,7 @@ class SGD:
             p.data -= self.lr * g
 
     def state_arrays(self) -> dict[str, np.ndarray]:
-        return {"t": np.zeros((1, 1))}
+        return {}
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
         pass
@@ -93,7 +93,16 @@ class Adam:
         return out
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        self.t = int(arrays["t"][0, 0])
+        shapes = {"t": (1, 1)}
+        for p in self.params:
+            shapes[f"m.{p.name}"] = shapes[f"v.{p.name}"] = p.data.shape
+        for key, shape in shapes.items():
+            if key not in arrays or arrays[key].shape != shape:
+                raise ManifestError(f"optimizer state {key!r} is missing or not of shape {shape}")
+        t = arrays["t"][0, 0]
+        if not (np.isfinite(t) and t >= 0):
+            raise ManifestError(f"optimizer state 't' must be a finite step count, got {t}")
+        self.t = int(t)
         for name in self.m:
             self.m[name] = arrays[f"m.{name}"].copy()
             self.v[name] = arrays[f"v.{name}"].copy()
@@ -133,16 +142,15 @@ def train(
     val_pairs: list[SamplePair] | None = None,
     start_epoch: int = 0,
     optimizer=None,
-    epoch_callback=None,
 ) -> TrainResult:
     if not train_pairs:
         raise ConfigError("training set is empty")
     opt = optimizer or make_optimizer(model, cfg)
     weights = np.ones(model.cfg.n_classes)
     if cfg.use_class_weights:
-        counts = np.bincount([l for _, _, l in train_pairs], minlength=model.cfg.n_classes).astype(float)
-        counts[counts == 0] = 1.0
-        weights = (1.0 / counts) * counts.sum() / model.cfg.n_classes
+        counts = np.bincount([l for _, _, l in train_pairs], minlength=model.cfg.n_classes)
+        # total / (C * count_c); a class absent from training gets the weight of a singleton
+        weights = len(train_pairs) / (model.cfg.n_classes * np.maximum(counts, 1))
 
     result = TrainResult()
     n = len(train_pairs)
@@ -175,8 +183,6 @@ def train(
             entry["val_loss"] = val_loss
             entry["val_acc"] = val_acc
         result.history.append(entry)
-        if epoch_callback is not None:
-            epoch_callback(epoch, model, opt, entry)
     return result
 
 

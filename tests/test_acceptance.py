@@ -26,7 +26,7 @@ from gatedfusion.cli import main as cli_main
 from gatedfusion.corpus_io import MANIFEST_NAME, read_corpus, write_corpus
 from gatedfusion.diagnostics import full_model_gradcheck
 from gatedfusion.errors import CorpusFormatError
-from gatedfusion.gating import GatingMode, GatingParams, gate_cross_modal, gate_unimodal
+from gatedfusion.gating import GatingMode, GatingParams
 from gatedfusion.model import FusionModel, ModelConfig
 from gatedfusion.sequence import MaskedSequence
 from gatedfusion.synth import SynthSpec, bayes_oracle_accuracy, generate
@@ -79,6 +79,10 @@ class TestCriterion1Gradcheck:
 
 class TestCriterion2GatingOracle:
     def test_100_random_instances(self):
+        """The gates `FusionModel.forward` computes, in both gating modes, against the scalar loop.
+
+        Input projections are the identity, so the gates see the raw sequences.
+        """
         worst = 0.0
         for seed in range(100):
             rng = np.random.default_rng([29, seed])
@@ -88,17 +92,23 @@ class TestCriterion2GatingOracle:
                 p.data[...] = rng.normal(size=p.data.shape)
             seq_a = MaskedSequence.from_valid(rng.normal(size=(int(rng.integers(1, 14)), d)))
             seq_t = MaskedSequence.from_valid(rng.normal(size=(int(rng.integers(1, 14)), d)))
-            out_a, out_t = gate_cross_modal(seq_a, seq_t, params)
-            for out, seq, ctx, w, b in (
-                (out_a, seq_a, seq_t, params.w_a, params.b_a),
-                (out_t, seq_t, seq_a, params.w_t, params.b_t),
-            ):
-                expected = _scalar_loop(seq, ctx, w.data, b.data[0, 0])
-                worst = max(worst, float(np.abs(out.gates - expected).max()))
-            uni = gate_unimodal(seq_a, params.w_a, params.b_a)
-            expected = _scalar_loop(seq_a, seq_a, params.w_a.data, params.b_a.data[0, 0])
-            worst = max(worst, float(np.abs(uni.gates - expected).max()))
-        report("2 gating vs scalar-loop oracle (100x)", worst < 1e-12,
+            model = FusionModel(ModelConfig(d_a=d, d_t=d, d_model=d, n_heads=1, n_layers=1,
+                                            ff_mult=1, n_classes=2, dropout_rate=0.0))
+            for w, b in ((model.proj_a_w, model.proj_a_b), (model.proj_t_w, model.proj_t_b)):
+                w.data[...] = np.eye(d)
+                b.data[...] = 0.0
+            model.gating = params
+            for mode, ctx_a, ctx_t in ((GatingMode.CROSS_MODAL, seq_t, seq_a),
+                                       (GatingMode.UNIMODAL, seq_a, seq_t)):
+                model.cfg.gating_mode = mode
+                result = model.forward(seq_a, seq_t)
+                for gates, seq, ctx, w, b in (
+                    (result.gates_a, seq_a, ctx_a, params.w_a, params.b_a),
+                    (result.gates_t, seq_t, ctx_t, params.w_t, params.b_t),
+                ):
+                    expected = _scalar_loop(seq, ctx, w.data, b.data[0, 0])
+                    worst = max(worst, float(np.abs(gates - expected).max()))
+        report("2 model gates vs scalar-loop oracle (100x)", worst < 1e-12,
                f"worst abs deviation {worst:.2e} (tol 1e-12)")
         assert worst < 1e-12
 

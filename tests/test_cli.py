@@ -113,6 +113,22 @@ class TestTrain:
                      "--out", str(tmp_path / "b")]) == 1
         assert "does not match" in capsys.readouterr().err
 
+    def test_resume_with_other_optimizer_rejected(self, tmp_path, corpus_dir, capsys):
+        sgd = write_json(tmp_path / "sgd.json",
+                         {**CONFIG, "train": {**CONFIG["train"], "optimizer": "sgd"}})
+        assert main(["train", "--corpus", corpus_dir, "--config", sgd, "--out", str(tmp_path / "a")]) == 0
+        adam = write_json(tmp_path / "adam.json", {**CONFIG, "train": {**CONFIG["train"], "epochs": 4}})
+        assert main(["train", "--corpus", corpus_dir, "--config", adam,
+                     "--resume", str(tmp_path / "a" / "checkpoint.gfck"),
+                     "--out", str(tmp_path / "b")]) == 1
+        assert "optimizer 'sgd'" in capsys.readouterr().err
+
+    def test_unknown_gating_mode_in_config_is_typed_error(self, tmp_path, corpus_dir, capsys):
+        cfg = write_json(tmp_path / "cfg.json", {"model": {"gating_mode": "nope"}})
+        assert main(["train", "--corpus", corpus_dir, "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_gating_mode_flag(self, tmp_path, corpus_dir):
         cfg = write_json(tmp_path / "cfg.json", CONFIG)
         main(["train", "--corpus", corpus_dir, "--config", cfg,

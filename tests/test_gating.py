@@ -1,4 +1,8 @@
-"""Gating semantics: scalar-loop oracle equivalence, locality, padding."""
+"""Gating semantics: scalar-loop oracle equivalence, locality, padding.
+
+Gates are read from `FusionModel.forward` with identity input projections, so
+these tests check the same mode dispatch and gate the model trains with.
+"""
 
 import math
 
@@ -7,14 +11,8 @@ import pytest
 
 from gatedfusion import tensor as T
 from gatedfusion.errors import ShapeError
-from gatedfusion.gating import (
-    GatingParams,
-    gate_cross_modal,
-    gate_sequence,
-    gate_unimodal,
-    refine,
-    refine_sequence,
-)
+from gatedfusion.gating import GatingMode, GatingParams, gate_sequence, refine_sequence
+from gatedfusion.model import FusionModel, ModelConfig
 from gatedfusion.sequence import MaskedSequence
 
 
@@ -48,6 +46,19 @@ def random_seq(rng, t_len, d, pad=0):
     return MaskedSequence.from_valid(rng.normal(size=(t_len, d))).padded_to(t_len + pad)
 
 
+def model_gates(seq_a, seq_t, params, mode=GatingMode.CROSS_MODAL):
+    """(gates_a, gates_t) from forward, with identity projections so the gates see the inputs."""
+    d = params.d
+    model = FusionModel(ModelConfig(d_a=d, d_t=d, d_model=d, n_heads=1, n_layers=1, ff_mult=1,
+                                    n_classes=2, gating_mode=mode, dropout_rate=0.0))
+    for w, b in ((model.proj_a_w, model.proj_a_b), (model.proj_t_w, model.proj_t_b)):
+        w.data[...] = np.eye(d)
+        b.data[...] = 0.0
+    model.gating = params
+    result = model.forward(seq_a, seq_t)
+    return result.gates_a, result.gates_t
+
+
 class TestCrossModal:
     def test_zero_weights_give_half_gates(self):
         rng = np.random.default_rng(0)
@@ -56,10 +67,9 @@ class TestCrossModal:
         for p in params.parameters():
             p.data[...] = 0.0
         seq_a, seq_t = random_seq(rng, 5, d), random_seq(rng, 3, d)
-        out_a, out_t = gate_cross_modal(seq_a, seq_t, params)
-        np.testing.assert_allclose(out_a.gates, 0.5)
-        np.testing.assert_allclose(out_t.gates, 0.5)
-        np.testing.assert_allclose(out_a.refined.features, 0.5 * seq_a.features)
+        gates_a, gates_t = model_gates(seq_a, seq_t, params)
+        np.testing.assert_allclose(gates_a, 0.5)
+        np.testing.assert_allclose(gates_t, 0.5)
 
     def test_identical_frames_get_identical_gates(self):
         rng = np.random.default_rng(1)
@@ -67,27 +77,21 @@ class TestCrossModal:
         params = make_params(rng, d)
         seq_a = MaskedSequence.from_valid(np.tile(rng.normal(size=(1, d)), (6, 1)))
         seq_t = random_seq(rng, 4, d)
-        out_a, _ = gate_cross_modal(seq_a, seq_t, params)
-        np.testing.assert_allclose(out_a.gates, out_a.gates[0, 0], atol=1e-14)
+        gates_a, _ = model_gates(seq_a, seq_t, params)
+        np.testing.assert_allclose(gates_a, gates_a[0, 0], atol=1e-14)
 
     def test_two_frame_hand_oracle(self):
         rng = np.random.default_rng(2)
         d = 3
         params = make_params(rng, d)
         seq_a, seq_t = random_seq(rng, 2, d), random_seq(rng, 2, d)
-        out_a, out_t = gate_cross_modal(seq_a, seq_t, params)
+        gates_a, gates_t = model_gates(seq_a, seq_t, params)
         expected_a = scalar_loop_gates(seq_a.features, seq_a.mask, seq_t.features,
                                        seq_t.mask, params.w_a.data, params.b_a.data[0, 0])
         expected_t = scalar_loop_gates(seq_t.features, seq_t.mask, seq_a.features,
                                        seq_a.mask, params.w_t.data, params.b_t.data[0, 0])
-        np.testing.assert_allclose(out_a.gates, expected_a, atol=1e-12)
-        np.testing.assert_allclose(out_t.gates, expected_t, atol=1e-12)
-
-    def test_width_mismatch(self):
-        rng = np.random.default_rng(3)
-        params = make_params(rng, 3)
-        with pytest.raises(ShapeError):
-            gate_cross_modal(random_seq(rng, 2, 3), random_seq(rng, 2, 4), params)
+        np.testing.assert_allclose(gates_a, expected_a, atol=1e-12)
+        np.testing.assert_allclose(gates_t, expected_t, atol=1e-12)
 
 
 class TestUnimodal:
@@ -96,70 +100,75 @@ class TestUnimodal:
         d = 5
         params = make_params(rng, d)
         frame = rng.normal(size=(1, d))
-        out = gate_unimodal(MaskedSequence.from_valid(frame), params.w_a, params.b_a)
+        gates_a, _ = model_gates(MaskedSequence.from_valid(frame), random_seq(rng, 3, d), params,
+                                 GatingMode.UNIMODAL)
         z = np.concatenate([frame[0], frame[0]]) @ params.w_a.data[:, 0] + params.b_a.data[0, 0]
-        assert out.gates[0, 0] == pytest.approx(1.0 / (1.0 + np.exp(-z)), abs=1e-14)
+        assert gates_a[0, 0] == pytest.approx(1.0 / (1.0 + np.exp(-z)), abs=1e-14)
 
     def test_zero_weights(self):
         rng = np.random.default_rng(5)
         params = GatingParams.init(4, rng)
-        params.w_a.data[...] = 0.0
-        params.b_a.data[...] = 0.0
-        out = gate_unimodal(random_seq(rng, 7, 4), params.w_a, params.b_a)
-        np.testing.assert_allclose(out.gates, 0.5)
+        for p in params.parameters():
+            p.data[...] = 0.0
+        gates_a, gates_t = model_gates(random_seq(rng, 7, 4), random_seq(rng, 3, 4), params,
+                                       GatingMode.UNIMODAL)
+        np.testing.assert_allclose(gates_a, 0.5)
+        np.testing.assert_allclose(gates_t, 0.5)
 
     def test_random_vs_scalar_loop(self):
         rng = np.random.default_rng(6)
         d = 4
         params = make_params(rng, d)
-        seq = random_seq(rng, 9, d, pad=3)
-        out = gate_unimodal(seq, params.w_a, params.b_a)
-        expected = scalar_loop_gates(seq.features, seq.mask, seq.features, seq.mask,
-                                     params.w_a.data, params.b_a.data[0, 0])
-        np.testing.assert_allclose(out.gates, expected, atol=1e-12)
+        seq_a, seq_t = random_seq(rng, 9, d, pad=3), random_seq(rng, 5, d, pad=1)
+        gates_a, gates_t = model_gates(seq_a, seq_t, params, GatingMode.UNIMODAL)
+        expected_a = scalar_loop_gates(seq_a.features, seq_a.mask, seq_a.features, seq_a.mask,
+                                       params.w_a.data, params.b_a.data[0, 0])
+        expected_t = scalar_loop_gates(seq_t.features, seq_t.mask, seq_t.features, seq_t.mask,
+                                       params.w_t.data, params.b_t.data[0, 0])
+        np.testing.assert_allclose(gates_a, expected_a, atol=1e-12)
+        np.testing.assert_allclose(gates_t, expected_t, atol=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(100))
 def test_oracle_equivalence_both_modes(seed):
-    """Vectorized gating equals the per-frame scalar loop, 100 instances."""
+    """The model's gates equal the per-frame scalar loop in both modes, 100 instances."""
     rng = np.random.default_rng(seed)
     d = int(rng.integers(2, 7))
     params = make_params(rng, d)
     seq_a = random_seq(rng, int(rng.integers(1, 12)), d, pad=int(rng.integers(0, 4)))
     seq_t = random_seq(rng, int(rng.integers(1, 12)), d, pad=int(rng.integers(0, 4)))
 
-    out_a, out_t = gate_cross_modal(seq_a, seq_t, params)
-    exp_a = scalar_loop_gates(seq_a.features, seq_a.mask, seq_t.features, seq_t.mask,
-                              params.w_a.data, params.b_a.data[0, 0])
-    exp_t = scalar_loop_gates(seq_t.features, seq_t.mask, seq_a.features, seq_a.mask,
-                              params.w_t.data, params.b_t.data[0, 0])
-    np.testing.assert_allclose(out_a.gates, exp_a, atol=1e-12)
-    np.testing.assert_allclose(out_t.gates, exp_t, atol=1e-12)
-
-    uni = gate_unimodal(seq_a, params.w_a, params.b_a)
-    exp_u = scalar_loop_gates(seq_a.features, seq_a.mask, seq_a.features, seq_a.mask,
-                              params.w_a.data, params.b_a.data[0, 0])
-    np.testing.assert_allclose(uni.gates, exp_u, atol=1e-12)
+    for mode, ctx_a, ctx_t in ((GatingMode.CROSS_MODAL, seq_t, seq_a),
+                               (GatingMode.UNIMODAL, seq_a, seq_t)):
+        gates_a, gates_t = model_gates(seq_a, seq_t, params, mode)
+        exp_a = scalar_loop_gates(seq_a.features, seq_a.mask, ctx_a.features, ctx_a.mask,
+                                  params.w_a.data, params.b_a.data[0, 0])
+        exp_t = scalar_loop_gates(seq_t.features, seq_t.mask, ctx_t.features, ctx_t.mask,
+                                  params.w_t.data, params.b_t.data[0, 0])
+        np.testing.assert_allclose(gates_a, exp_a, atol=1e-12)
+        np.testing.assert_allclose(gates_t, exp_t, atol=1e-12)
 
 
 class TestRefine:
     def test_all_ones_identity(self):
         rng = np.random.default_rng(7)
         seq = random_seq(rng, 5, 3, pad=2)
-        out = refine(seq, np.ones((7, 1)))
-        np.testing.assert_array_equal(out.features, seq.features)
+        tape = T.Tape()
+        out = refine_sequence(tape.constant(seq.features), tape.constant(np.ones((7, 1))))
+        np.testing.assert_array_equal(out.data, seq.features)
 
     def test_all_zeros(self):
         rng = np.random.default_rng(8)
         seq = random_seq(rng, 5, 3)
-        out = refine(seq, np.zeros((5, 1)))
-        np.testing.assert_array_equal(out.features, 0.0)
-        np.testing.assert_array_equal(out.mask, seq.mask)
+        tape = T.Tape()
+        out = refine_sequence(tape.constant(seq.features), tape.constant(np.zeros((5, 1))))
+        np.testing.assert_array_equal(out.data, 0.0)
 
     def test_length_mismatch(self):
         rng = np.random.default_rng(9)
+        tape = T.Tape()
         with pytest.raises(ShapeError):
-            refine(random_seq(rng, 5, 3), np.ones((4, 1)))
+            refine_sequence(tape.constant(random_seq(rng, 5, 3).features), tape.constant(np.ones((4, 1))))
 
     def test_gradcheck_through_gate_and_refine(self):
         rng = np.random.default_rng(10)
@@ -188,21 +197,22 @@ class TestStructuralInvariants:
         params = make_params(rng, d)
         params.w_a.data *= 100  # drive sigmoid toward saturation
         seq = random_seq(rng, 20, d, pad=5)
-        out = gate_unimodal(seq, params.w_a, params.b_a)
-        valid = out.valid_gates()
-        assert np.all(valid > 0.0) and np.all(valid < 1.0)
-        np.testing.assert_array_equal(out.gates[20:], 0.0)
-        np.testing.assert_array_equal(out.refined.features[20:], 0.0)
+        tape = T.Tape()
+        feats = tape.constant(seq.features)
+        gates = gate_sequence(feats, seq.mask, feats, seq.mask, tape.leaf(params.w_a), tape.leaf(params.b_a))
+        refined = refine_sequence(feats, gates)
+        assert np.all(gates.data[:20] > 0.0) and np.all(gates.data[:20] < 1.0)
+        np.testing.assert_array_equal(gates.data[20:], 0.0)
+        np.testing.assert_array_equal(refined.data[20:], 0.0)
 
     def test_unimodal_invariant_to_other_modality(self):
         rng = np.random.default_rng(12)
         d = 4
         params = make_params(rng, d)
         seq_a = random_seq(rng, 6, d)
-        out1 = gate_unimodal(seq_a, params.w_a, params.b_a)
-        # no dependence on any textual input by construction
-        out2 = gate_unimodal(seq_a, params.w_a, params.b_a)
-        np.testing.assert_array_equal(out1.gates, out2.gates)
+        g1, _ = model_gates(seq_a, random_seq(rng, 5, d), params, GatingMode.UNIMODAL)
+        g2, _ = model_gates(seq_a, random_seq(rng, 8, d, pad=2), params, GatingMode.UNIMODAL)
+        np.testing.assert_array_equal(g1, g2)
 
     def test_cross_modal_depends_on_other_context(self):
         rng = np.random.default_rng(13)
@@ -211,9 +221,9 @@ class TestStructuralInvariants:
         seq_a = random_seq(rng, 6, d)
         seq_t1 = random_seq(rng, 5, d)
         seq_t2 = MaskedSequence.from_valid(seq_t1.features + rng.normal(size=(5, d)))
-        g1, _ = gate_cross_modal(seq_a, seq_t1, params)
-        g2, _ = gate_cross_modal(seq_a, seq_t2, params)
-        assert not np.allclose(g1.gates, g2.gates)
+        g1, _ = model_gates(seq_a, seq_t1, params)
+        g2, _ = model_gates(seq_a, seq_t2, params)
+        assert not np.allclose(g1, g2)
 
     def test_zeroed_context_half_blocks_cross_dependence(self):
         rng = np.random.default_rng(14)
@@ -221,9 +231,9 @@ class TestStructuralInvariants:
         params = make_params(rng, d)
         params.w_a.data[d:, :] = 0.0  # kill the context half of the projection
         seq_a = random_seq(rng, 6, d)
-        g1, _ = gate_cross_modal(seq_a, random_seq(rng, 5, d), params)
-        g2, _ = gate_cross_modal(seq_a, random_seq(rng, 8, d), params)
-        np.testing.assert_allclose(g1.gates, g2.gates, atol=1e-14)
+        g1, _ = model_gates(seq_a, random_seq(rng, 5, d), params)
+        g2, _ = model_gates(seq_a, random_seq(rng, 8, d), params)
+        np.testing.assert_allclose(g1, g2, atol=1e-14)
 
     def test_frame_change_is_local_given_fixed_context(self):
         rng = np.random.default_rng(15)
@@ -231,11 +241,11 @@ class TestStructuralInvariants:
         params = make_params(rng, d)
         seq_t = random_seq(rng, 5, d)
         feats = rng.normal(size=(6, d))
-        g1, _ = gate_cross_modal(MaskedSequence.from_valid(feats), seq_t, params)
+        g1, _ = model_gates(MaskedSequence.from_valid(feats), seq_t, params)
         feats2 = feats.copy()
         feats2[2] += 1.0
-        g2, _ = gate_cross_modal(MaskedSequence.from_valid(feats2), seq_t, params)
-        changed = ~np.isclose(g1.gates[:, 0], g2.gates[:, 0], atol=1e-14)
+        g2, _ = model_gates(MaskedSequence.from_valid(feats2), seq_t, params)
+        changed = ~np.isclose(g1[:, 0], g2[:, 0], atol=1e-14)
         np.testing.assert_array_equal(changed, [False, False, True, False, False, False])
 
     @pytest.mark.parametrize("pad", [1, 8, 32])
@@ -245,9 +255,9 @@ class TestStructuralInvariants:
         params = make_params(rng, d)
         seq_a = random_seq(rng, 7, d)
         seq_t = random_seq(rng, 4, d)
-        base_a, base_t = gate_cross_modal(seq_a, seq_t, params)
-        padded_a, padded_t = gate_cross_modal(seq_a.padded_to(7 + pad),
-                                              seq_t.padded_to(4 + pad), params)
-        np.testing.assert_allclose(padded_a.gates[:7], base_a.gates[:7], atol=1e-15)
-        np.testing.assert_allclose(padded_t.gates[:4], base_t.gates[:4], atol=1e-15)
-        np.testing.assert_array_equal(padded_a.gates[7:], 0.0)
+        base_a, base_t = model_gates(seq_a, seq_t, params)
+        padded_a, padded_t = model_gates(seq_a.padded_to(7 + pad), seq_t.padded_to(4 + pad), params)
+        np.testing.assert_allclose(padded_a[:7], base_a, atol=1e-15)
+        np.testing.assert_allclose(padded_t[:4], base_t, atol=1e-15)
+        np.testing.assert_array_equal(padded_a[7:], 0.0)
+        np.testing.assert_array_equal(padded_t[4:], 0.0)

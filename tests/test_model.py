@@ -1,14 +1,25 @@
 """Classifier forward/train/predict contracts and checkpointing."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
+from gatedfusion import tensor as T
 from gatedfusion.checkpoint import load_checkpoint, load_model, save_checkpoint, save_model
-from gatedfusion.errors import ChecksumError, ConfigError, ManifestError, ShapeError, UnsupportedVersionError
+from gatedfusion.errors import (
+    ChecksumError,
+    ConfigError,
+    GatedFusionError,
+    ManifestError,
+    ShapeError,
+    UnsupportedVersionError,
+)
 from gatedfusion.gating import GatingMode
 from gatedfusion.model import FusionModel, ModelConfig
 from gatedfusion.sequence import MaskedSequence
-from gatedfusion.trainer import TrainConfig, evaluate, make_optimizer, train
+from gatedfusion.trainer import SGD, Adam, TrainConfig, evaluate, make_optimizer, train
 
 
 def tiny_cfg(**kw):
@@ -201,6 +212,51 @@ class TestTraining:
                                                  batch_size=2, optimizer="sgd"))
         assert len(result.history) == 5
 
+    def test_class_weights_scale_each_sample_gradient(self):
+        rng = np.random.default_rng(16)
+        cfg = tiny_cfg()
+        labels = [0, 0, 0, 1]
+        pairs = [(a, t, label) for (a, t, _), label in zip(make_training_pairs(rng, cfg, 4), labels)]
+        counts = np.bincount(labels, minlength=cfg.n_classes)
+        lr = 0.1
+
+        reference = FusionModel(cfg)
+        expected = [p.data.copy() for p in reference.parameters()]
+        for a, t, label in pairs:
+            reference.zero_grad()
+            loss, _ = reference.loss(a, t, label)
+            loss.tape.backward(loss)
+            weight = len(labels) / (cfg.n_classes * counts[label])
+            for e, p in zip(expected, reference.parameters()):
+                e -= lr * weight / len(pairs) * p.grad
+
+        model = FusionModel(cfg)
+        train(model, pairs, TrainConfig(learning_rate=lr, epochs=1, batch_size=len(pairs),
+                                        optimizer="sgd", use_class_weights=True))
+        for e, p in zip(expected, model.parameters()):
+            np.testing.assert_allclose(p.data, e, rtol=1e-10, atol=1e-14)
+
+    def test_sgd_weight_decay_with_zero_gradient(self):
+        p = T.Parameter("w", np.array([[1.5, -2.0], [0.25, 4.0]]))
+        before = p.data.copy()
+        lr, decay = 0.1, 0.01
+        SGD([p], lr, weight_decay=decay).step()
+        np.testing.assert_allclose(p.data, before - lr * decay * before, rtol=1e-15)
+
+    @pytest.mark.parametrize("key, replacement", [
+        ("t", None), ("m.proj_a.w", None), ("v.head.b2", None),
+        ("t", np.zeros((1, 2))), ("m.gate.w_a", np.zeros((3, 1))),
+    ])
+    def test_adam_load_state_rejects_missing_or_misshapen_arrays(self, key, replacement):
+        model = FusionModel(tiny_cfg())
+        state = dict(make_optimizer(model, TrainConfig()).state_arrays())
+        if replacement is None:
+            del state[key]
+        else:
+            state[key] = replacement
+        with pytest.raises(ManifestError):
+            Adam(model.parameters(), 1e-3).load_state(state)
+
     def test_evaluate_returns_predictions(self):
         rng = np.random.default_rng(15)
         cfg = tiny_cfg()
@@ -210,7 +266,59 @@ class TestTraining:
         assert len(preds) == 6 and 0.0 <= acc <= 1.0 and loss > 0
 
 
+def rewrite_header(raw: bytes, edit) -> bytes:
+    """Checkpoint bytes with the JSON header replaced by edit(header)."""
+    (hlen,) = struct.unpack("<I", raw[4:8])
+    header = edit(json.loads(raw[8 : 8 + hlen]))
+    head = json.dumps(header, sort_keys=True).encode()
+    return raw[:4] + struct.pack("<I", len(head)) + head + raw[8 + hlen:]
+
+
+def _set(section, key, value):
+    def edit(header):
+        (header[section] if section else header)[key] = value
+        return header
+    return edit
+
+
+def _drop(key):
+    def edit(header):
+        del header[key]
+        return header
+    return edit
+
+
+def _drop_cols(header):
+    del header["arrays"][0]["cols"]
+    return header
+
+
+def _negative_rows(header):
+    header["arrays"][0]["rows"] = -2
+    return header
+
+
+MALFORMED_CHECKPOINTS = {
+    "cut_to_6_bytes": lambda raw: raw[:6],
+    "no_blob_length": lambda raw: rewrite_header(raw, _drop("blob_length")),
+    "array_without_cols": lambda raw: rewrite_header(raw, _drop_cols),
+    "unknown_config_key": lambda raw: rewrite_header(raw, _set("config", "colour", 1)),
+    "string_d_model": lambda raw: rewrite_header(raw, _set("config", "d_model", "8")),
+    "negative_rows": lambda raw: rewrite_header(raw, _negative_rows),
+    "unknown_gating_mode": lambda raw: rewrite_header(raw, _set("config", "gating_mode", "nope")),
+    "header_is_a_list": lambda raw: rewrite_header(raw, lambda header: [header]),
+}
+
+
 class TestCheckpoint:
+    @pytest.mark.parametrize("name", sorted(MALFORMED_CHECKPOINTS))
+    def test_malformed_file_raises_typed_error(self, tmp_path, name):
+        path = tmp_path / "model.gfck"
+        save_model(FusionModel(tiny_cfg()), path)
+        path.write_bytes(MALFORMED_CHECKPOINTS[name](path.read_bytes()))
+        with pytest.raises(GatedFusionError):
+            load_model(path)
+
     def test_round_trip_identical_logits(self, tmp_path):
         rng = np.random.default_rng(20)
         cfg = tiny_cfg()
@@ -264,13 +372,7 @@ class TestCheckpoint:
     def test_unknown_version(self, tmp_path):
         path = tmp_path / "v.gfck"
         save_checkpoint(path, {"x": 1}, {"w": np.zeros((1, 1))})
-        import json, struct
-        raw = path.read_bytes()
-        (hlen,) = struct.unpack("<I", raw[4:8])
-        header = json.loads(raw[8 : 8 + hlen])
-        header["format_version"] = 99
-        new_head = json.dumps(header, sort_keys=True).encode()
-        path.write_bytes(raw[:4] + struct.pack("<I", len(new_head)) + new_head + raw[8 + hlen:])
+        path.write_bytes(rewrite_header(path.read_bytes(), _set(None, "format_version", 99)))
         with pytest.raises(UnsupportedVersionError):
             load_checkpoint(path)
 

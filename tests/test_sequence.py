@@ -10,14 +10,16 @@ from gatedfusion.sequence import (
     expand_context,
     masked_mean_pool,
     pad_batch,
-    pool_sequence,
-    unpad_batch,
 )
 
 
 def random_seq(rng, t_len, d, pad=0):
     feats = rng.normal(size=(t_len, d))
     return MaskedSequence.from_valid(feats).padded_to(t_len + pad)
+
+
+def pool_constant(seq):
+    return masked_mean_pool(T.Tape().constant(seq.features), seq.mask).data
 
 
 class TestMaskedSequence:
@@ -45,13 +47,13 @@ class TestMaskedSequence:
 class TestMaskedMeanPool:
     def test_plain_mean(self):
         seq = MaskedSequence.from_valid([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_allclose(pool_sequence(seq), [[2.0, 3.0]])
+        np.testing.assert_allclose(pool_constant(seq), [[2.0, 3.0]])
 
     def test_padding_does_not_shift_mean(self):
         seq = MaskedSequence(
             np.array([[1.0, 2.0], [3.0, 4.0], [0.0, 0.0]]), np.array([1.0, 1.0, 0.0])
         )
-        np.testing.assert_allclose(pool_sequence(seq), [[2.0, 3.0]])
+        np.testing.assert_allclose(pool_constant(seq), [[2.0, 3.0]])
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(42)
@@ -62,7 +64,7 @@ class TestMaskedMeanPool:
             if seq.mask[i]:
                 acc += seq.features[i]
         expected = acc / seq.valid_count
-        np.testing.assert_allclose(pool_sequence(seq)[0], expected, atol=1e-12)
+        np.testing.assert_allclose(pool_constant(seq)[0], expected, atol=1e-12)
 
     def test_gradient_zero_at_padded_rows(self):
         rng = np.random.default_rng(1)
@@ -125,13 +127,6 @@ class TestPadBatch:
         seq = random_seq(rng, 4, 2)
         feats, masks = pad_batch([seq])
         np.testing.assert_array_equal(feats[0], seq.features)
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(4)
-        seqs = [random_seq(rng, int(rng.integers(1, 9)), 5) for _ in range(6)]
-        back = unpad_batch(*pad_batch(seqs))
-        for orig, rec in zip(seqs, back):
-            np.testing.assert_array_equal(orig.features, rec.features)
 
     def test_mixed_widths_rejected(self):
         rng = np.random.default_rng(5)
