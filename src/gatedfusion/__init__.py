@@ -14,7 +14,7 @@ from .errors import (
     UnsupportedVersionError,
 )
 from .gating import GatingMode, GatingParams
-from .model import ForwardResult, FusionModel, ModelConfig, Prediction
+from .model import ForwardResult, FusionModel, ModelConfig
 from .sequence import MaskedSequence, pad_batch
 from .synth import Corpus, OracleReport, Sample, SynthSpec, bayes_oracle_accuracy, generate, model_inputs
 from .tensor import GradcheckReport, Parameter, Tape, Tensor, gradcheck
@@ -25,7 +25,7 @@ __all__ = [
     "EmptySequenceError", "GatedFusionError", "LabelError", "ManifestError",
     "NonFiniteError", "ShapeError", "UnsupportedVersionError",
     "GatingMode", "GatingParams",
-    "ForwardResult", "FusionModel", "ModelConfig", "Prediction",
+    "ForwardResult", "FusionModel", "ModelConfig",
     "MaskedSequence", "pad_batch",
     "Corpus", "OracleReport", "Sample", "SynthSpec", "bayes_oracle_accuracy",
     "generate", "model_inputs",

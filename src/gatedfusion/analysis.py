@@ -130,15 +130,15 @@ def collect_traces(model: FusionModel, samples: list[Sample]) -> list[GateTrace]
     traces = []
     for s in samples:
         a, t, _ = model_inputs(s)
-        pred = model.predict(a, t)
-        if pred.gates_a is None:
+        result = model.forward(a, t)
+        if result.gates_a is None:
             raise ConfigError("model has gating disabled; no gate traces to collect")
         traces.append(
             GateTrace(
                 sample_id=s.sample_id,
                 label=s.label,
-                gates_a=pred.gates_a[: a.valid_count, 0],
-                gates_t=pred.gates_t[: t.valid_count, 0],
+                gates_a=result.gates_a[: a.valid_count, 0],
+                gates_t=result.gates_t[: t.valid_count, 0],
                 energy=s.energy,
                 negative_flags=s.negative_token_flags,
                 diag_a=s.diagnostic_flags_a,

@@ -1,10 +1,11 @@
 """Versioned binary checkpoint container.
 
 Layout: 4-byte magic ``GFCK``, little-endian u32 header length, a UTF-8 JSON
-header, then one contiguous blob of little-endian reals. The header echoes the
-model config, lists every array's name/shape in blob order, records the blob
-dtype (``<f4`` or ``<f8``) and its SHA-256. Optimizer state rides along as
-extra arrays so training can resume exactly.
+header, then one contiguous blob of little-endian float64 (``<f8``) reals. The
+header echoes the model config, lists every array's name/shape in blob order,
+records the blob dtype (always ``<f8``; any other value is rejected) and its
+SHA-256. Optimizer state rides along as extra arrays so training can resume
+exactly.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .model import FusionModel, ModelConfig
 
 MAGIC = b"GFCK"
 FORMAT_VERSION = 1
-_DTYPES = ("<f4", "<f8")
+DTYPE = "<f8"
 
 
 @dataclass
@@ -30,7 +31,6 @@ class Checkpoint:
     config: dict
     arrays: dict[str, np.ndarray]
     meta: dict
-    dtype: str
 
 
 def save_checkpoint(
@@ -38,14 +38,11 @@ def save_checkpoint(
     config: dict,
     arrays: dict[str, np.ndarray],
     meta: dict | None = None,
-    dtype: str = "<f8",
 ) -> None:
-    if dtype not in _DTYPES:
-        raise ManifestError(f"unsupported checkpoint dtype {dtype!r}")
-    blob = b"".join(np.ascontiguousarray(a, dtype=dtype).tobytes() for a in arrays.values())
+    blob = b"".join(np.ascontiguousarray(a, dtype=DTYPE).tobytes() for a in arrays.values())
     header = {
         "format_version": FORMAT_VERSION,
-        "dtype": dtype,
+        "dtype": DTYPE,
         "config": config,
         "arrays": [{"name": n, "rows": a.shape[0], "cols": a.shape[1]} for n, a in arrays.items()],
         "blob_length": len(blob),
@@ -78,8 +75,8 @@ def load_checkpoint(path) -> Checkpoint:
     if version != FORMAT_VERSION:
         raise UnsupportedVersionError(f"{path}: unsupported checkpoint version {version}")
     dtype = header.get("dtype")
-    if dtype not in _DTYPES:
-        raise ManifestError(f"{path}: unsupported dtype {dtype!r}")
+    if dtype != DTYPE:
+        raise ManifestError(f"{path}: unsupported dtype {dtype!r}; checkpoints hold {DTYPE}")
     label = f"{path}: header"
     blob_length = _need(header, "blob_length", int, label)
     declared_sha = _need(header, "blob_sha256", str, label)
@@ -92,7 +89,7 @@ def load_checkpoint(path) -> Checkpoint:
     digest = hashlib.sha256(blob).hexdigest()
     if digest != declared_sha:
         raise ChecksumError(f"{path}: blob checksum mismatch")
-    itemsize = np.dtype(dtype).itemsize
+    itemsize = np.dtype(DTYPE).itemsize
     arrays = {}
     offset = 0
     for i, rec in enumerate(records):
@@ -107,18 +104,18 @@ def load_checkpoint(path) -> Checkpoint:
         end = offset + rows * cols * itemsize
         if end > len(blob):
             raise ChecksumError(f"{path}: array {name!r} exceeds blob bounds")
-        arr = np.frombuffer(blob[offset:end], dtype=dtype).astype(np.float64)
+        arr = np.frombuffer(blob[offset:end], dtype=DTYPE).astype(np.float64)
         arrays[name] = arr.reshape(rows, cols)
         offset = end
-    return Checkpoint(config, arrays, meta, dtype)
+    return Checkpoint(config, arrays, meta)
 
 
 def save_model(model: FusionModel, path, optimizer_state: dict[str, np.ndarray] | None = None,
-               meta: dict | None = None, dtype: str = "<f8") -> None:
+               meta: dict | None = None) -> None:
     arrays = {p.name: p.data for p in model.parameters()}
     if optimizer_state:
         arrays.update({f"opt.{k}": v for k, v in optimizer_state.items()})
-    save_checkpoint(path, model.cfg.to_dict(), arrays, meta, dtype)
+    save_checkpoint(path, model.cfg.to_dict(), arrays, meta)
 
 
 def load_model(path) -> tuple[FusionModel, Checkpoint]:

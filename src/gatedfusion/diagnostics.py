@@ -2,7 +2,8 @@
 
 Builds a deliberately tiny model (every parameter still present), a fixed
 2-sample batch, and runs the finite-difference gradcheck over all parameters
-with dropout off in float64.
+of the loss the trainer minimises (`trainer.batch_loss`), with dropout off in
+float64.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from . import tensor as T
 from .gating import GatingMode
 from .model import FusionModel, ModelConfig
 from .sequence import MaskedSequence
+from .trainer import batch_loss
 
 
 def tiny_config(gating_mode: GatingMode, seed: int = 3) -> ModelConfig:
@@ -40,23 +42,9 @@ def probe_batch(cfg: ModelConfig, seed: int = 11) -> list[tuple[MaskedSequence, 
     return batch
 
 
-def full_model_gradcheck(
-    gating_mode: GatingMode,
-    step: float = 1e-5,
-    tol: float = 1e-4,
-    grad_hook=None,
-) -> T.GradcheckReport:
+def full_model_gradcheck(gating_mode: GatingMode, step: float = 1e-5, tol: float = 1e-4) -> T.GradcheckReport:
+    """Gradcheck of the mean loss `batch_loss` gives the trainer, on the probe batch."""
     cfg = tiny_config(gating_mode)
     model = FusionModel(cfg)
     batch = probe_batch(cfg)
-
-    def loss_fn():
-        tape = T.Tape()
-        total = None
-        for a, t, label in batch:
-            loss, _ = model.loss(a, t, label, tape=tape)
-            part = T.scale(loss, 1.0 / len(batch))
-            total = part if total is None else T.add(total, part)
-        return total
-
-    return T.gradcheck(loss_fn, model.parameters(), step=step, tol=tol, grad_hook=grad_hook)
+    return T.gradcheck(lambda: batch_loss(model, batch)[0], model.parameters(), step=step, tol=tol)

@@ -1,6 +1,8 @@
 """Exception hierarchy shared across the package, and the config-object builder that raises it."""
 
 import dataclasses
+import enum
+import typing
 
 
 class GatedFusionError(Exception):
@@ -47,8 +49,23 @@ class ManifestError(CorpusFormatError):
     """Manifest is structurally invalid (missing/ill-typed fields)."""
 
 
+def _fits(value, kind) -> bool:
+    """Whether a JSON value fits a field type: an int is a float, a bool is not an
+    int, a string may name an enum member, a tuple field takes a list."""
+    if typing.get_origin(kind) is tuple:
+        kinds = typing.get_args(kind)
+        return (isinstance(value, (list, tuple)) and len(value) == len(kinds)
+                and all(_fits(v, k) for v, k in zip(value, kinds)))
+    if isinstance(value, bool):
+        return kind is bool
+    if issubclass(kind, enum.Enum):
+        return isinstance(value, (str, kind))
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
 def from_dict(cls, data: dict, label: str):
-    """Build dataclass `cls` from a JSON object, rejecting unknown and missing keys."""
+    """Build dataclass `cls` from a JSON object, rejecting unknown and missing keys
+    and values that do not fit their field's type."""
     fields = dataclasses.fields(cls)
     known = {f.name for f in fields}
     unknown = sorted(set(data) - known)
@@ -58,4 +75,10 @@ def from_dict(cls, data: dict, label: str):
                and f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING]
     if missing:
         raise ConfigError(f"{label}: missing keys {missing}")
+    kinds = typing.get_type_hints(cls)
+    for name, value in data.items():
+        kind = kinds[name]
+        if not _fits(value, kind):
+            shown = kind.__name__ if isinstance(kind, type) else kind
+            raise ConfigError(f"{label}: {name} must be {shown}, got {value!r}")
     return cls(**data)

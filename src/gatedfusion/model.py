@@ -38,14 +38,6 @@ class ModelConfig:
         except ValueError:
             raise ConfigError(f"gating_mode must be one of {[m.value for m in GatingMode]}, "
                               f"got {self.gating_mode!r}") from None
-        for name in ("d_a", "d_t", "d_model", "n_heads", "n_layers", "ff_mult", "n_classes", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if isinstance(self.dropout_rate, bool) or not isinstance(self.dropout_rate, (int, float)):
-            raise ConfigError(f"dropout_rate must be a number, got {self.dropout_rate!r}")
-        if not isinstance(self.use_positions, bool):
-            raise ConfigError(f"use_positions must be a boolean, got {self.use_positions!r}")
         for name in ("d_a", "d_t", "d_model", "n_heads", "n_layers", "ff_mult"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
@@ -67,22 +59,8 @@ class ModelConfig:
 @dataclass
 class ForwardResult:
     logits: T.Tensor
-    tape: T.Tape
     gates_a: np.ndarray | None
     gates_t: np.ndarray | None
-
-
-@dataclass
-class Prediction:
-    label: int
-    probabilities: np.ndarray
-    gates_a: np.ndarray | None
-    gates_t: np.ndarray | None
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    e = np.exp(logits - logits.max())
-    return e / e.sum()
 
 
 class FusionModel:
@@ -119,10 +97,10 @@ class FusionModel:
         self,
         seq_a: MaskedSequence,
         seq_t: MaskedSequence,
-        training: bool = False,
         dropout_rng: np.random.Generator | None = None,
         tape: T.Tape | None = None,
     ) -> ForwardResult:
+        """Logits and gates of one sample pair; dropout is on exactly when `dropout_rng` is given."""
         if seq_a.width != self.cfg.d_a or seq_t.width != self.cfg.d_t:
             raise ShapeError(
                 f"input widths ({seq_a.width}, {seq_t.width}) do not match "
@@ -130,8 +108,6 @@ class FusionModel:
             )
         if tape is None:
             tape = T.Tape()
-        rate = self.cfg.dropout_rate if training else 0.0
-        rng = dropout_rng if training else None
 
         xa = T.add(T.matmul(tape.constant(seq_a.features), tape.leaf(self.proj_a_w)), tape.leaf(self.proj_a_b))
         xt = T.add(T.matmul(tape.constant(seq_t.features), tape.leaf(self.proj_t_w)), tape.leaf(self.proj_t_b))
@@ -156,20 +132,15 @@ class FusionModel:
             xa = T.add(xa, tape.constant(sinusoidal_positions(seq_a.length, self.cfg.d_model)))
             xt = T.add(xt, tape.constant(sinusoidal_positions(seq_t.length, self.cfg.d_model)))
         for layer in self.enc_a:
-            xa = layer.forward(xa, seq_a.mask, rate, rng)
+            xa = layer.forward(xa, seq_a.mask, self.cfg.dropout_rate, dropout_rng)
         for layer in self.enc_t:
-            xt = layer.forward(xt, seq_t.mask, rate, rng)
+            xt = layer.forward(xt, seq_t.mask, self.cfg.dropout_rate, dropout_rng)
 
         pooled = T.concat_cols(masked_mean_pool(xa, seq_a.mask), masked_mean_pool(xt, seq_t.mask))
         hidden = T.relu(T.add(T.matmul(pooled, tape.leaf(self.head_w1)), tape.leaf(self.head_b1)))
         logits = T.add(T.matmul(hidden, tape.leaf(self.head_w2)), tape.leaf(self.head_b2))
-        return ForwardResult(logits, tape, gates_a, gates_t)
+        return ForwardResult(logits, gates_a, gates_t)
 
     def loss(self, seq_a: MaskedSequence, seq_t: MaskedSequence, label: int, **kw) -> tuple[T.Tensor, ForwardResult]:
         result = self.forward(seq_a, seq_t, **kw)
         return T.cross_entropy(result.logits, label), result
-
-    def predict(self, seq_a: MaskedSequence, seq_t: MaskedSequence) -> Prediction:
-        result = self.forward(seq_a, seq_t, training=False)
-        logits = result.logits.data[0]
-        return Prediction(int(np.argmax(logits)), softmax(logits), result.gates_a, result.gates_t)

@@ -65,6 +65,8 @@ class SynthSpec:
                 raise ConfigError(f"{name} must be >= n_classes + 1 to fit class and marker axes")
         if self.noise_sigma <= 0:
             raise ConfigError(f"noise_sigma must be > 0, got {self.noise_sigma}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def to_dict(self) -> dict:
         d = asdict(self)

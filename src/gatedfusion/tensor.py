@@ -3,8 +3,9 @@
 Every differentiable value is a `Tensor` tied to a `Tape`. Ops append a
 backward closure to the tape; `Tape.backward` replays the closures in exact
 reverse order, accumulating partials additively into operand `.grad` buffers.
-One tape serves one forward/backward pair; tensors are never mutated after
-construction.
+`backward` consumes the tape: it drops the recorded steps after the replay, so a
+tape serves one backward and leaves no reference cycle behind. Tensors are
+never mutated after construction.
 """
 
 from __future__ import annotations
@@ -99,6 +100,7 @@ class Tape:
         loss.grad[...] = 1.0
         for _, _, backward in reversed(self._steps):
             backward()
+        self._steps.clear()
 
 
 def _out(tape: Tape, name: str, data: np.ndarray, backward) -> Tensor:
@@ -368,21 +370,16 @@ class GradcheckReport:
         return "\n".join(lines)
 
 
-def gradcheck(loss_fn, params: list[Parameter], step: float = 1e-5, tol: float = 1e-4,
-              grad_hook=None) -> GradcheckReport:
+def gradcheck(loss_fn, params: list[Parameter], step: float = 1e-5, tol: float = 1e-4) -> GradcheckReport:
     """Compare analytic gradients of loss_fn against central finite differences.
 
     loss_fn must rebuild the forward pass on a fresh tape each call and return
     the scalar loss Tensor; it reads the current contents of `params`.
-    grad_hook(params), if given, runs after the analytic backward pass (test
-    hook for verifying that corrupted gradients are caught).
     """
     for p in params:
         p.zero_grad()
     loss = loss_fn()
     loss.tape.backward(loss)
-    if grad_hook is not None:
-        grad_hook(params)
     analytic = {p.name: p.grad.copy() for p in params}
 
     entries = []

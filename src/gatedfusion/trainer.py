@@ -1,5 +1,9 @@
 """Mini-batch training loop with SGD/Adam and exact-resume semantics.
 
+`batch_loss` is the one place a minibatch becomes a loss: one tape per
+minibatch, differentiated by one backward; the full-model gradcheck checks the
+same function.
+
 Shuffle and dropout RNGs are derived from (seed, epoch), so a run resumed at
 an epoch boundary from a float64 checkpoint (parameters + optimizer state)
 reproduces an unbroken run bit for bit.
@@ -38,6 +42,8 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.optimizer not in ("sgd", "adam"):
             raise ConfigError(f"optimizer must be 'sgd' or 'adam', got {self.optimizer!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def to_dict(self) -> dict:
         from dataclasses import asdict
@@ -126,6 +132,24 @@ def evaluate(model: FusionModel, pairs: list[SamplePair]) -> tuple[float, float,
     return total / n, correct / n, preds
 
 
+def batch_loss(model: FusionModel, batch: list[SamplePair], weights: np.ndarray | None = None,
+               dropout_rng: np.random.Generator | None = None) -> tuple[T.Tensor, list[float]]:
+    """Class-weighted mean loss of a minibatch on one tape, and each sample's unweighted loss.
+
+    The loss is sum_i weights[label_i] / B * loss_i, summed in batch order; no
+    weights means 1 for every class.
+    """
+    tape = T.Tape()
+    total, losses = None, []
+    for a, t, label in batch:
+        loss, _ = model.loss(a, t, label, dropout_rng=dropout_rng, tape=tape)
+        w = 1.0 if weights is None else weights[label]
+        part = T.scale(loss, w / len(batch))
+        total = part if total is None else T.add(total, part)
+        losses.append(loss.item())
+    return total, losses
+
+
 @dataclass
 class TrainResult:
     history: list[dict] = field(default_factory=list)
@@ -146,7 +170,7 @@ def train(
     if not train_pairs:
         raise ConfigError("training set is empty")
     opt = optimizer or make_optimizer(model, cfg)
-    weights = np.ones(model.cfg.n_classes)
+    weights = None
     if cfg.use_class_weights:
         counts = np.bincount([l for _, _, l in train_pairs], minlength=model.cfg.n_classes)
         # total / (C * count_c); a class absent from training gets the weight of a singleton
@@ -162,14 +186,12 @@ def train(
         epoch_loss = 0.0
         try:
             for lo in range(0, n, cfg.batch_size):
-                batch = order[lo : lo + cfg.batch_size]
+                batch = [train_pairs[i] for i in order[lo : lo + cfg.batch_size]]
                 model.zero_grad()
-                for idx in batch:
-                    a, t, label = train_pairs[idx]
-                    loss, _ = model.loss(a, t, label, training=True, dropout_rng=dropout_rng)
-                    scaled = T.scale(loss, weights[label] / len(batch))
-                    scaled.tape.backward(scaled)
-                    epoch_loss += loss.item()
+                loss, losses = batch_loss(model, batch, weights, dropout_rng)
+                loss.tape.backward(loss)
+                for sample_loss in losses:
+                    epoch_loss += sample_loss
                 opt.step()
         except NonFiniteError as e:
             for p, saved in zip(model.parameters(), snapshot):
