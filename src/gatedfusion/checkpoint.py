@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus_io import _need
-from .errors import ChecksumError, ConfigError, ManifestError, UnsupportedVersionError, from_dict
+from .errors import ChecksumError, ConfigError, ManifestError, UnsupportedVersionError, from_dict, need
 from .model import FusionModel, ModelConfig
 
 MAGIC = b"GFCK"
@@ -78,11 +77,11 @@ def load_checkpoint(path) -> Checkpoint:
     if dtype != DTYPE:
         raise ManifestError(f"{path}: unsupported dtype {dtype!r}; checkpoints hold {DTYPE}")
     label = f"{path}: header"
-    blob_length = _need(header, "blob_length", int, label)
-    declared_sha = _need(header, "blob_sha256", str, label)
-    config = _need(header, "config", dict, label)
-    records = _need(header, "arrays", list, label)
-    meta = _need(header, "meta", dict, label)
+    blob_length = need(header, "blob_length", int, label)
+    declared_sha = need(header, "blob_sha256", str, label)
+    config = need(header, "config", dict, label)
+    records = need(header, "arrays", list, label)
+    meta = need(header, "meta", dict, label)
     blob = raw[8 + head_len :]
     if len(blob) != blob_length:
         raise ChecksumError(f"{path}: blob length {len(blob)} != declared {blob_length}")
@@ -96,9 +95,9 @@ def load_checkpoint(path) -> Checkpoint:
         rec_label = f"{path}: arrays[{i}]"
         if not isinstance(rec, dict):
             raise ManifestError(f"{rec_label}: record must be an object")
-        name = _need(rec, "name", str, rec_label)
-        rows = _need(rec, "rows", int, rec_label)
-        cols = _need(rec, "cols", int, rec_label)
+        name = need(rec, "name", str, rec_label)
+        rows = need(rec, "rows", int, rec_label)
+        cols = need(rec, "cols", int, rec_label)
         if rows < 0 or cols < 0:
             raise ManifestError(f"{rec_label}: negative shape ({rows}, {cols})")
         end = offset + rows * cols * itemsize

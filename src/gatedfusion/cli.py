@@ -61,6 +61,8 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
 
 
 def cmd_generate(args) -> int:
+    if args.oracle < 0:
+        raise ConfigError(f"--oracle must be >= 0, got {args.oracle}")
     spec_dict = _load_json(args.spec) if args.spec else {}
     if args.seed is not None:
         spec_dict["seed"] = args.seed
@@ -191,6 +193,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_analyze_gating(args) -> int:
+    if args.samples < 0:
+        raise ConfigError(f"--samples must be >= 0, got {args.samples}")
     corpus = read_corpus(args.corpus)
     model, _ = load_model(args.checkpoint)
     os.makedirs(args.out, exist_ok=True)

@@ -21,7 +21,7 @@ import os
 
 import numpy as np
 
-from .errors import BoundsError, ChecksumError, ManifestError, UnsupportedVersionError
+from .errors import BoundsError, ChecksumError, ManifestError, UnsupportedVersionError, need
 from .sequence import MaskedSequence
 from .synth import Corpus, Sample
 
@@ -89,19 +89,8 @@ def write_corpus(corpus: Corpus, path: str) -> None:
         raise ManifestError(f"cannot write corpus at {path}: {e}") from e
 
 
-def _need(record: dict, key: str, kind, label: str):
-    if key not in record:
-        raise ManifestError(f"{label}: missing field {key!r}")
-    value = record[key]
-    if kind is int and isinstance(value, bool):
-        raise ManifestError(f"{label}: field {key!r} must be {kind.__name__}, got bool")
-    if not isinstance(value, kind):
-        raise ManifestError(f"{label}: field {key!r} must be {kind.__name__}, got {type(value).__name__}")
-    return value
-
-
 def _region(record: dict, key: str, count: int, blob_length: int, label: str) -> tuple[int, int]:
-    start = _need(record, key, int, label)
+    start = need(record, key, int, label)
     length = count * _ITEM
     if start < 0 or start + length > blob_length:
         raise BoundsError(
@@ -126,17 +115,17 @@ def read_corpus(path: str) -> Corpus:
     version = manifest.get("format_version")
     if version != FORMAT_VERSION:
         raise UnsupportedVersionError(f"{manifest_path}: unsupported format_version {version!r}")
-    n_samples = _need(manifest, "n_samples", int, "manifest")
-    d_a = _need(manifest, "d_a", int, "manifest")
-    d_t = _need(manifest, "d_t", int, "manifest")
+    n_samples = need(manifest, "n_samples", int, "manifest")
+    d_a = need(manifest, "d_a", int, "manifest")
+    d_t = need(manifest, "d_t", int, "manifest")
     if d_a < 1 or d_t < 1:
         raise ManifestError(f"{manifest_path}: feature widths must be >= 1, got {d_a}, {d_t}")
-    class_names = _need(manifest, "class_names", list, "manifest")
+    class_names = need(manifest, "class_names", list, "manifest")
     if not class_names or not all(isinstance(c, str) for c in class_names):
         raise ManifestError(f"{manifest_path}: class_names must be a non-empty list of strings")
-    blob_length = _need(manifest, "blob_length", int, "manifest")
-    declared_sha = _need(manifest, "blob_sha256", str, "manifest")
-    records = _need(manifest, "samples", list, "manifest")
+    blob_length = need(manifest, "blob_length", int, "manifest")
+    declared_sha = need(manifest, "blob_sha256", str, "manifest")
+    records = need(manifest, "samples", list, "manifest")
     if len(records) != n_samples:
         raise ManifestError(f"{manifest_path}: n_samples {n_samples} != {len(records)} records")
 
@@ -162,12 +151,12 @@ def read_corpus(path: str) -> Corpus:
         label_str = f"sample[{i}]"
         if not isinstance(rec, dict):
             raise ManifestError(f"{label_str}: record must be an object")
-        sample_id = _need(rec, "id", int, label_str)
-        label = _need(rec, "label", int, label_str)
+        sample_id = need(rec, "id", int, label_str)
+        label = need(rec, "label", int, label_str)
         if not 0 <= label < len(class_names):
             raise ManifestError(f"{label_str}: label {label} outside [0, {len(class_names)})")
-        t_a = _need(rec, "T_a", int, label_str)
-        t_t = _need(rec, "T_t", int, label_str)
+        t_a = need(rec, "T_a", int, label_str)
+        t_t = need(rec, "T_t", int, label_str)
         if t_a < 1 or t_t < 1:
             raise ManifestError(f"{label_str}: sequence lengths must be >= 1")
 

@@ -64,22 +64,22 @@ class EncoderLayer:
 
     def _attention(self, x: T.Tensor, mask: np.ndarray) -> T.Tensor:
         tape = x.tape
-        t_len = x.data.shape[0]
         dh = self.d_model // self.n_heads
         q = T.add(T.matmul(x, tape.leaf(self.wq)), tape.leaf(self.bq))
         # no key bias: a shared key offset cancels inside the row softmax
         k = T.matmul(x, tape.leaf(self.wk))
         v = T.add(T.matmul(x, tape.leaf(self.wv)), tape.leaf(self.bv))
-        key_mask = np.where(np.asarray(mask, dtype=np.float64) > 0.0, 0.0, _ATTN_MASK_VALUE)
-        mask_mat = tape.constant(np.broadcast_to(key_mask, (t_len, t_len)).copy())
+        # a 1 x T row, broadcast over the query rows of every head's scores
+        key_mask = tape.constant(np.where(np.asarray(mask, dtype=np.float64) > 0.0, 0.0, _ATTN_MASK_VALUE))
+        score_scale = tape.constant([[1.0 / np.sqrt(dh)]])
         heads = []
         for h in range(self.n_heads):
             lo, hi = h * dh, (h + 1) * dh
             qh = T.slice_cols(q, lo, hi)
             kh = T.slice_cols(k, lo, hi)
             vh = T.slice_cols(v, lo, hi)
-            scores = T.scale(T.matmul(qh, T.transpose(kh)), 1.0 / np.sqrt(dh))
-            attn = T.softmax_rows(T.add(scores, mask_mat))
+            scores = T.mul(T.matmul(qh, T.transpose(kh)), score_scale)
+            attn = T.softmax_rows(T.add(scores, key_mask))
             heads.append(T.matmul(attn, vh))
         merged = heads[0]
         for head in heads[1:]:
@@ -93,7 +93,7 @@ class EncoderLayer:
 
     def _ln(self, x: T.Tensor, gain: T.Parameter, bias: T.Parameter) -> T.Tensor:
         tape = x.tape
-        return T.add(T.row_broadcast_mul(T.layernorm_rows(x), tape.leaf(gain)), tape.leaf(bias))
+        return T.add(T.mul(T.layernorm_rows(x), tape.leaf(gain)), tape.leaf(bias))
 
     def forward(
         self,

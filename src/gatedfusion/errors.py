@@ -2,6 +2,7 @@
 
 import dataclasses
 import enum
+import sys
 import typing
 
 
@@ -50,8 +51,9 @@ class ManifestError(CorpusFormatError):
 
 
 def _fits(value, kind) -> bool:
-    """Whether a JSON value fits a field type: an int is a float, a bool is not an
-    int, a string may name an enum member, a tuple field takes a list."""
+    """Whether a JSON value fits a field type: a finite int is a float (NaN and
+    +-inf are not), a bool is not an int, a string may name an enum member, a
+    tuple field takes a list."""
     if typing.get_origin(kind) is tuple:
         kinds = typing.get_args(kind)
         return (isinstance(value, (list, tuple)) and len(value) == len(kinds)
@@ -60,7 +62,19 @@ def _fits(value, kind) -> bool:
         return kind is bool
     if issubclass(kind, enum.Enum):
         return isinstance(value, (str, kind))
-    return isinstance(value, (int, float) if kind is float else kind)
+    if kind is float:
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    return isinstance(value, kind)
+
+
+def need(record: dict, key: str, kind, label: str):
+    """`record[key]` if present and of type `kind` by the rules of `_fits`, else ManifestError."""
+    if key not in record:
+        raise ManifestError(f"{label}: missing field {key!r}")
+    value = record[key]
+    if not _fits(value, kind):
+        raise ManifestError(f"{label}: field {key!r} must be {kind.__name__}, got {type(value).__name__}")
+    return value
 
 
 def from_dict(cls, data: dict, label: str):

@@ -80,4 +80,4 @@ def gate_sequence(
 
 def refine_sequence(features: T.Tensor, gates: T.Tensor) -> T.Tensor:
     """Taped feature refinement: row i scaled by its gate scalar."""
-    return T.row_scale(features, gates)
+    return T.mul(features, gates)

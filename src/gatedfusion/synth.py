@@ -49,6 +49,8 @@ class SynthSpec:
             raise ConfigError(f"sparsity must be in (0, 1], got {self.sparsity}")
         if not 0.0 <= self.energy_coupling <= 1.0:
             raise ConfigError(f"energy_coupling must be in [0, 1], got {self.energy_coupling}")
+        if self.n_samples < 1:
+            raise ConfigError(f"n_samples must be >= 1, got {self.n_samples}")
         if self.n_classes < 2:
             raise ConfigError(f"n_classes must be >= 2, got {self.n_classes}")
         for name in ("len_range_a", "len_range_t"):

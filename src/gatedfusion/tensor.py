@@ -6,6 +6,10 @@ reverse order, accumulating partials additively into operand `.grad` buffers.
 `backward` consumes the tape: it drops the recorded steps after the replay, so a
 tape serves one backward and leaves no reference cycle behind. Tensors are
 never mutated after construction.
+
+`add(a, b)` and `mul(a, b)` broadcast `b` against an m x n `a`: `b` may be
+m x n, a 1 x n row, an m x 1 column or a 1 x 1 scalar, and the result has
+`a`'s shape. Any other pair of shapes raises `ShapeError`.
 """
 
 from __future__ import annotations
@@ -18,6 +22,8 @@ from .errors import NonFiniteError, ShapeError
 
 # exp() overflows beyond this in float64
 _EXP_CLAMP = 709.0
+# added to the row variance in layernorm_rows
+_LN_EPS = 1e-5
 
 
 class Tensor:
@@ -73,12 +79,6 @@ class Tape:
         """Enter a parameter; backward accumulates into its grad slot."""
         return Tensor(param.data, self, param.grad)
 
-    def tensor(self, data) -> Tensor:
-        arr = np.array(data, dtype=np.float64)
-        if arr.ndim == 1:
-            arr = arr.reshape(1, -1)
-        return Tensor(arr, self, np.zeros_like(arr))
-
     def constant(self, data) -> Tensor:
         arr = np.asarray(data, dtype=np.float64)
         if arr.ndim == 1:
@@ -124,68 +124,43 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
+def _check_broadcast(op: str, a: Tensor, b: Tensor) -> None:
+    (m, n), (p, q) = a.data.shape, b.data.shape
+    if p not in (1, m) or q not in (1, n):
+        raise ShapeError(f"{op} shapes incompatible: {a.data.shape} vs {b.data.shape}")
+
+
+def _unbroadcast(grad: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """Sum `grad` over the axes that `shape` broadcast along."""
+    axes = tuple(i for i in (0, 1) if shape[i] == 1 and grad.shape[i] != 1)
+    return grad.sum(axis=axes, keepdims=True) if axes else grad
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; b may also be a 1xN row broadcast over a's rows."""
-    if a.data.shape == b.data.shape:
-        row_bcast = False
-    elif b.data.shape == (1, a.data.shape[1]):
-        row_bcast = True
-    else:
-        raise ShapeError(f"add shapes incompatible: {a.data.shape} vs {b.data.shape}")
+    _check_broadcast("add", a, b)
     out_data = a.data + b.data
 
     def backward():
         if a.grad is not None:
             a.grad += out.grad
         if b.grad is not None:
-            if row_bcast:
-                b.grad += out.grad.sum(axis=0, keepdims=True)
-            else:
-                b.grad += out.grad
+            b.grad += _unbroadcast(out.grad, b.data.shape)
 
     out = _out(a.tape, "add", out_data, backward)
     return out
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"mul shapes differ: {a.data.shape} vs {b.data.shape}")
+    _check_broadcast("mul", a, b)
     out_data = a.data * b.data
 
     def backward():
         if a.grad is not None:
             a.grad += out.grad * b.data
         if b.grad is not None:
-            b.grad += out.grad * a.data
+            b.grad += _unbroadcast(out.grad * a.data, b.data.shape)
 
     out = _out(a.tape, "mul", out_data, backward)
-    return out
-
-
-def scale(a: Tensor, s: float) -> Tensor:
-    out_data = a.data * s
-
-    def backward():
-        if a.grad is not None:
-            a.grad += out.grad * s
-
-    out = _out(a.tape, "scale", out_data, backward)
-    return out
-
-
-def row_scale(h: Tensor, g: Tensor) -> Tensor:
-    """Scale row i of h by the scalar g[i, 0] (g is Tx1)."""
-    if g.data.shape != (h.data.shape[0], 1):
-        raise ShapeError(f"row_scale needs g of shape ({h.data.shape[0]}, 1), got {g.data.shape}")
-    out_data = h.data * g.data
-
-    def backward():
-        if h.grad is not None:
-            h.grad += out.grad * g.data
-        if g.grad is not None:
-            g.grad += (out.grad * h.data).sum(axis=1, keepdims=True)
-
-    out = _out(h.tape, "row_scale", out_data, backward)
     return out
 
 
@@ -268,13 +243,11 @@ def softmax_rows(x: Tensor) -> Tensor:
     return out
 
 
-def layernorm_rows(x: Tensor, eps: float = 1e-5) -> Tensor:
+def layernorm_rows(x: Tensor) -> Tensor:
     """Per-row standardization, pre-affine (apply gain/bias via mul/add)."""
-    if eps <= 0:
-        raise ShapeError(f"layernorm epsilon must be > 0, got {eps}")
     mu = x.data.mean(axis=1, keepdims=True)
     var = x.data.var(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + _LN_EPS)
     out_data = (x.data - mu) * inv
 
     def backward():
@@ -288,22 +261,6 @@ def layernorm_rows(x: Tensor, eps: float = 1e-5) -> Tensor:
             )
 
     out = _out(x.tape, "layernorm_rows", out_data, backward)
-    return out
-
-
-def row_broadcast_mul(x: Tensor, g: Tensor) -> Tensor:
-    """Multiply every row of x by the 1xd row g (layernorm gain)."""
-    if g.data.shape != (1, x.data.shape[1]):
-        raise ShapeError(f"row gain must be (1, {x.data.shape[1]}), got {g.data.shape}")
-    out_data = x.data * g.data
-
-    def backward():
-        if x.grad is not None:
-            x.grad += out.grad * g.data
-        if g.grad is not None:
-            g.grad += (out.grad * x.data).sum(axis=0, keepdims=True)
-
-    out = _out(x.tape, "row_broadcast_mul", out_data, backward)
     return out
 
 

@@ -69,27 +69,29 @@ class SGD:
         pass
 
 
+# moment decay rates and denominator epsilon (the defaults of Kingma & Ba)
+_ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 class Adam:
-    def __init__(self, params: list[T.Parameter], lr: float, weight_decay: float = 0.0,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: list[T.Parameter], lr: float, weight_decay: float = 0.0):
         self.params = params
         self.lr = lr
         self.weight_decay = weight_decay
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m = {p.name: np.zeros_like(p.data) for p in params}
         self.v = {p.name: np.zeros_like(p.data) for p in params}
 
     def step(self) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = _ADAM_BETA1, _ADAM_BETA2
         for p in self.params:
             g = p.grad + self.weight_decay * p.data
             m = self.m[p.name] = b1 * self.m[p.name] + (1 - b1) * g
             v = self.v[p.name] = b2 * self.v[p.name] + (1 - b2) * g * g
             m_hat = m / (1 - b1 ** self.t)
             v_hat = v / (1 - b2 ** self.t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         out = {"t": np.array([[float(self.t)]])}
@@ -144,7 +146,7 @@ def batch_loss(model: FusionModel, batch: list[SamplePair], weights: np.ndarray 
     for a, t, label in batch:
         loss, _ = model.loss(a, t, label, dropout_rng=dropout_rng, tape=tape)
         w = 1.0 if weights is None else weights[label]
-        part = T.scale(loss, w / len(batch))
+        part = T.mul(loss, tape.constant([[w / len(batch)]]))
         total = part if total is None else T.add(total, part)
         losses.append(loss.item())
     return total, losses

@@ -1,4 +1,5 @@
-"""The benchmark tracer still binds every package name it times, and restores each one.
+"""The benchmark tracer still binds every package name it times, restores each one,
+and sees only tape op kinds that the benchmark counts.
 
 `bench/smoke.py` catches a traced name that a refactor removed, but runs for
 minutes; this check runs in well under a second.
@@ -8,11 +9,19 @@ import importlib.util
 import sys
 from pathlib import Path
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+import numpy as np
+import pytest
+
+from gatedfusion.gating import GatingMode
+from gatedfusion.model import FusionModel, ModelConfig
+from gatedfusion.sequence import MaskedSequence
+from gatedfusion.trainer import batch_loss
+
+BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 
 
-def load_tracer_module():
-    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER_PATH)
+def load_bench_module(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH_DIR / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -26,7 +35,7 @@ def package_namespaces() -> dict:
 
 
 def test_install_then_uninstall_restores_every_patched_attribute():
-    tracer = load_tracer_module().Tracer()
+    tracer = load_bench_module("tracer").Tracer()
     before = package_namespaces()
     try:
         tracer.install()
@@ -41,3 +50,23 @@ def test_install_then_uninstall_restores_every_patched_attribute():
     after = package_namespaces()
     assert after.keys() == before.keys()
     assert all(after[k] is before[k] for k in before)
+
+
+@pytest.mark.parametrize("mode", list(GatingMode))
+def test_every_recorded_op_kind_is_counted(mode):
+    """A kernel op missing from `OP_KINDS` would drop out of the per-layer metrics."""
+    op_kinds = load_bench_module("run").OP_KINDS
+    rng = np.random.default_rng(3)
+    model = FusionModel(ModelConfig(d_a=5, d_t=4, d_model=8, n_heads=2, n_layers=1, ff_mult=2,
+                                    n_classes=2, gating_mode=mode, dropout_rate=0.1, seed=1))
+    batch = [(MaskedSequence.from_valid(rng.normal(size=(4, 5))).padded_to(6),
+              MaskedSequence.from_valid(rng.normal(size=(3, 4))), label) for label in (0, 1)]
+    tracer = load_bench_module("tracer").Tracer()
+    tracer.install()
+    try:
+        loss, _ = batch_loss(model, batch, np.array([0.5, 1.5]), np.random.default_rng(4))
+        loss.tape.backward(loss)
+    finally:
+        tracer.uninstall()
+    assert tracer.ops > 0
+    assert set(tracer.op_kinds) <= set(op_kinds), sorted(set(tracer.op_kinds) - set(op_kinds))

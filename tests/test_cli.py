@@ -69,7 +69,8 @@ class TestGenerate:
         assert main(["generate", "--spec", spec, "--out", str(tmp_path / "c")]) == 1
         assert "bogus" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("field, value", [("n_samples", "5"), ("seed", -1)])
+    @pytest.mark.parametrize("field, value", [("n_samples", "5"), ("seed", -1),
+                                              ("noise_sigma", float("nan")), ("n_samples", 0)])
     def test_bad_spec_field_is_typed_error(self, tmp_path, capsys, field, value):
         spec = write_json(tmp_path / "spec.json", {**SPEC, field: value})
         assert main(["generate", "--spec", spec, "--out", str(tmp_path / "c")]) == 1
@@ -80,6 +81,12 @@ class TestGenerate:
         spec = write_json(tmp_path / "spec.json", SPEC)
         main(["generate", "--spec", spec, "--out", str(tmp_path / "c"), "--oracle", "30"])
         assert "bayes oracle accuracy" in capsys.readouterr().out
+
+    def test_negative_oracle_is_typed_error(self, tmp_path, capsys):
+        spec = write_json(tmp_path / "spec.json", SPEC)
+        assert main(["generate", "--spec", spec, "--out", str(tmp_path / "c"), "--oracle", "-3"]) == 1
+        assert capsys.readouterr().err.startswith("error: --oracle")
+        assert not os.path.exists(tmp_path / "c")
 
 
 class TestTrain:
@@ -139,7 +146,8 @@ class TestTrain:
                      "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
-    @pytest.mark.parametrize("field, value", [("learning_rate", "x"), ("seed", -1)])
+    @pytest.mark.parametrize("field, value", [("learning_rate", "x"), ("seed", -1),
+                                              ("learning_rate", float("nan"))])
     def test_bad_train_field_is_typed_error(self, tmp_path, corpus_dir, capsys, field, value):
         cfg = write_json(tmp_path / "cfg.json", {**CONFIG, "train": {field: value}})
         assert main(["train", "--corpus", corpus_dir, "--config", cfg,
@@ -218,6 +226,14 @@ class TestAnalyzeGating:
         assert os.path.exists(os.path.join(out, "gate_alignment.json"))
         svgs = [f for f in os.listdir(out) if f.endswith(".svg")]
         assert len(svgs) == 2
+
+    def test_negative_samples_is_typed_error(self, tmp_path, corpus_dir, trained_dir, capsys):
+        out = tmp_path / "gates"
+        assert main(["analyze-gating", "--corpus", corpus_dir,
+                     "--checkpoint", os.path.join(trained_dir, "checkpoint.gfck"),
+                     "--out", str(out), "--samples", "-1"]) == 1
+        assert capsys.readouterr().err.startswith("error: --samples")
+        assert not os.path.exists(out)
 
     def test_byte_identical_reruns(self, tmp_path, corpus_dir, trained_dir):
         ckpt = os.path.join(trained_dir, "checkpoint.gfck")

@@ -81,18 +81,18 @@ class TestMaskedMeanPool:
 class TestExpandContext:
     def test_replicates(self):
         tape = T.Tape()
-        out = expand_context(tape.tensor([[1.0, 2.0]]), 3)
+        out = expand_context(tape.constant([[1.0, 2.0]]), 3)
         np.testing.assert_array_equal(out.data, [[1, 2], [1, 2], [1, 2]])
 
     def test_length_one_is_identity(self):
         tape = T.Tape()
-        out = expand_context(tape.tensor([[5.0, -1.0]]), 1)
+        out = expand_context(tape.constant([[5.0, -1.0]]), 1)
         np.testing.assert_array_equal(out.data, [[5.0, -1.0]])
 
     def test_invalid_length(self):
         tape = T.Tape()
         with pytest.raises(ShapeError):
-            expand_context(tape.tensor([[1.0]]), 0)
+            expand_context(tape.constant([[1.0]]), 0)
 
     def test_gradient_of_sum_is_t_times_ones(self):
         p = T.Parameter("ctx", np.array([[0.3, -0.8]]))
@@ -108,7 +108,7 @@ class TestExpandContext:
 
     def test_pool_of_expansion_round_trip(self):
         tape = T.Tape()
-        ctx = tape.tensor([[1.0, -2.0, 0.5]])
+        ctx = tape.constant([[1.0, -2.0, 0.5]])
         back = masked_mean_pool(expand_context(ctx, 6), np.ones(6))
         np.testing.assert_allclose(back.data, ctx.data, atol=1e-15)
 

@@ -1,5 +1,7 @@
 """Kernel primitives: forward semantics and finite-difference gradients."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -32,19 +34,19 @@ def fd_check(op, shapes, seed, step=1e-5, tol=1e-5):
 class TestMatmul:
     def test_identity(self):
         tape = T.Tape()
-        a = tape.tensor(np.eye(2))
-        b = tape.tensor([[1.0, 2.0], [3.0, 4.0]])
+        a = tape.constant(np.eye(2))
+        b = tape.constant([[1.0, 2.0], [3.0, 4.0]])
         assert np.array_equal(T.matmul(a, b).data, [[1, 2], [3, 4]])
 
     def test_hand_computed(self):
         tape = T.Tape()
-        out = T.matmul(tape.tensor([[1.0, 2.0]]), tape.tensor([[3.0], [4.0]]))
+        out = T.matmul(tape.constant([[1.0, 2.0]]), tape.constant([[3.0], [4.0]]))
         assert out.data[0, 0] == pytest.approx(11.0)
 
     def test_shape_error_names_operands(self):
         tape = T.Tape()
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
-            T.matmul(tape.tensor(np.zeros((2, 3))), tape.tensor(np.zeros((2, 3))))
+            T.matmul(tape.constant(np.zeros((2, 3))), tape.constant(np.zeros((2, 3))))
 
     def test_gradients_5x7_7x3(self):
         fd_check(lambda tape, ps: T.matmul(ps[0], ps[1]), [(5, 7), (7, 3)], seed=0, tol=1e-6)
@@ -53,18 +55,18 @@ class TestMatmul:
 class TestSigmoid:
     def test_zero_maps_to_half(self):
         tape = T.Tape()
-        assert T.sigmoid(tape.tensor([[0.0]])).data[0, 0] == 0.5
+        assert T.sigmoid(tape.constant([[0.0]])).data[0, 0] == 0.5
 
     def test_symmetry(self):
         tape = T.Tape()
         x = np.linspace(-20, 20, 17).reshape(1, -1)
-        s_pos = T.sigmoid(tape.tensor(x)).data
-        s_neg = T.sigmoid(tape.tensor(-x)).data
+        s_pos = T.sigmoid(tape.constant(x)).data
+        s_neg = T.sigmoid(tape.constant(-x)).data
         np.testing.assert_allclose(s_pos + s_neg, 1.0, atol=1e-15)
 
     def test_extreme_inputs_stay_finite_and_open(self):
         tape = T.Tape()
-        out = T.sigmoid(tape.tensor([[-1e6, -710.0, 710.0, 1e6]])).data
+        out = T.sigmoid(tape.constant([[-1e6, -710.0, 710.0, 1e6]])).data
         assert np.all(np.isfinite(out))
         assert np.all(out > 0.0) and np.all(out < 1.0)
 
@@ -84,38 +86,45 @@ class TestSigmoid:
 class TestElementwise:
     def test_concat_cols(self):
         tape = T.Tape()
-        out = T.concat_cols(tape.tensor([[1.0, 2.0]]), tape.tensor([[3.0]]))
+        out = T.concat_cols(tape.constant([[1.0, 2.0]]), tape.constant([[3.0]]))
         assert np.array_equal(out.data, [[1, 2, 3]])
 
     def test_softmax_uniform(self):
         tape = T.Tape()
-        out = T.softmax_rows(tape.tensor([[0.0, 0.0]]))
+        out = T.softmax_rows(tape.constant([[0.0, 0.0]]))
         np.testing.assert_allclose(out.data, [[0.5, 0.5]], atol=1e-15)
 
     def test_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(1)
         tape = T.Tape()
-        out = T.softmax_rows(tape.tensor(rng.normal(scale=30, size=(11, 7))))
+        out = T.softmax_rows(tape.constant(rng.normal(scale=30, size=(11, 7))))
         np.testing.assert_allclose(out.data.sum(axis=1), 1.0, atol=1e-9)
 
     def test_layernorm_constant_row_is_zero(self):
         tape = T.Tape()
-        out = T.layernorm_rows(tape.tensor([[3.0, 3.0, 3.0, 3.0]]))
+        out = T.layernorm_rows(tape.constant([[3.0, 3.0, 3.0, 3.0]]))
         np.testing.assert_allclose(out.data, 0.0)
 
     def test_layernorm_row_stats(self):
         rng = np.random.default_rng(2)
         tape = T.Tape()
-        out = T.layernorm_rows(tape.tensor(rng.normal(size=(9, 32)))).data
+        out = T.layernorm_rows(tape.constant(rng.normal(size=(9, 32)))).data
         np.testing.assert_allclose(out.mean(axis=1), 0.0, atol=1e-7)
         np.testing.assert_allclose(out.var(axis=1), 1.0, atol=1e-4)
 
     def test_shape_mismatch(self):
+        """b must be a's shape, a 1xn row, an mx1 column or 1x1; the error names both shapes."""
         tape = T.Tape()
-        with pytest.raises(ShapeError):
-            T.add(tape.tensor(np.zeros((2, 3))), tape.tensor(np.zeros((3, 2))))
-        with pytest.raises(ShapeError):
-            T.mul(tape.tensor(np.zeros((2, 3))), tape.tensor(np.zeros((2, 2))))
+        a = tape.constant(np.zeros((2, 3)))
+        for op in (T.add, T.mul):
+            for b_shape in [(3, 2), (2, 2), (1, 2), (3, 1), (3, 3)]:
+                with pytest.raises(ShapeError, match=re.escape(f"(2, 3) vs {b_shape}")):
+                    op(a, tape.constant(np.zeros(b_shape)))
+            # the first operand may not be the smaller one
+            with pytest.raises(ShapeError):
+                op(tape.constant(np.zeros((1, 3))), a)
+            with pytest.raises(ShapeError):
+                op(tape.constant(np.zeros((1, 1))), a)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -124,19 +133,17 @@ def test_randomized_primitive_gradients(seed):
     rng = np.random.default_rng(seed)
     m, k, n = rng.integers(1, 8, size=3)
     fd_check(lambda tape, ps: T.matmul(ps[0], ps[1]), [(m, k), (k, n)], seed)
-    fd_check(lambda tape, ps: T.add(ps[0], ps[1]), [(m, n), (m, n)], seed)
-    fd_check(lambda tape, ps: T.add(ps[0], ps[1]), [(m, n), (1, n)], seed)
-    fd_check(lambda tape, ps: T.mul(ps[0], ps[1]), [(m, n), (m, n)], seed)
+    # b of a's shape, then broadcast as a row, a column and a scalar
+    for b_shape in [(m, n), (1, n), (m, 1), (1, 1)]:
+        fd_check(lambda tape, ps: T.add(ps[0], ps[1]), [(m, n), b_shape], seed)
+        fd_check(lambda tape, ps: T.mul(ps[0], ps[1]), [(m, n), b_shape], seed)
     fd_check(lambda tape, ps: T.sigmoid(ps[0]), [(m, n)], seed)
     fd_check(lambda tape, ps: T.softmax_rows(ps[0]), [(m, n)], seed)
     # width >= 3: a 2-wide layernorm row is constant up to sign, a flat
     # direction where FD noise swamps the structurally-zero gradient
     fd_check(lambda tape, ps: T.layernorm_rows(ps[0]), [(m, max(n, 3))], seed)
     fd_check(lambda tape, ps: T.concat_cols(ps[0], ps[1]), [(m, k), (m, n)], seed)
-    fd_check(lambda tape, ps: T.row_scale(ps[0], ps[1]), [(m, n), (m, 1)], seed)
-    fd_check(lambda tape, ps: T.row_broadcast_mul(ps[0], ps[1]), [(m, n), (1, n)], seed)
     fd_check(lambda tape, ps: T.transpose(ps[0]), [(m, n)], seed)
-    fd_check(lambda tape, ps: T.scale(ps[0], 1.7), [(m, n)], seed)
     fd_check(lambda tape, ps: T.slice_cols(ps[0], 0, int(n)), [(m, n + 2)], seed)
 
 
@@ -180,7 +187,7 @@ class TestTapeSemantics:
 
         def run():
             tape = T.Tape()
-            out = T.softmax_rows(T.matmul(T.sigmoid(tape.tensor(a)), tape.tensor(b)))
+            out = T.softmax_rows(T.matmul(T.sigmoid(tape.constant(a)), tape.constant(b)))
             return out.data.copy()
 
         assert np.array_equal(run(), run())
@@ -201,17 +208,17 @@ class TestTapeSemantics:
 class TestCrossEntropy:
     def test_uniform_logits(self):
         tape = T.Tape()
-        loss = T.cross_entropy(tape.tensor([[1.0, 1.0, 1.0]]), 1)
+        loss = T.cross_entropy(tape.constant([[1.0, 1.0, 1.0]]), 1)
         assert loss.item() == pytest.approx(np.log(3.0), abs=1e-12)
 
     def test_confident_correct(self):
         tape = T.Tape()
-        assert T.cross_entropy(tape.tensor([[20.0, -20.0]]), 0).item() < 1e-9
+        assert T.cross_entropy(tape.constant([[20.0, -20.0]]), 0).item() < 1e-9
 
     def test_label_out_of_range(self):
         tape = T.Tape()
         with pytest.raises(LabelError):
-            T.cross_entropy(tape.tensor([[0.0, 0.0]]), 2)
+            T.cross_entropy(tape.constant([[0.0, 0.0]]), 2)
 
     def test_gradient(self):
         rng = np.random.default_rng(9)
