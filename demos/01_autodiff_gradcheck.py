@@ -1,10 +1,10 @@
 """Tape-based reverse-mode autodiff, verified against finite differences.
 
 Every training feature in this package rests on the little autodiff kernel in
-`gatedfusion.tensor`: 2-D float64 arrays, a tape of backward closures, and a
-central-difference gradient checker. This script builds a small expression by
-hand, checks its gradients, then runs the checker over the full fusion model
-in each gating mode.
+`gatedfusion.tensor`: float64 matrices and stacks of them, a tape of backward
+closures, and a central-difference gradient checker. This script builds a
+small expression by hand, checks its gradients, then runs the checker over the
+full fusion model in each gating mode.
 """
 
 import numpy as np

@@ -16,8 +16,9 @@ from scipy.stats import rankdata
 from .errors import ConfigError
 from .gating import GatingMode
 from .model import FusionModel, ModelConfig
+from .sequence import pad_batch
 from .synth import Corpus, Sample, model_inputs
-from .trainer import TrainConfig, train, evaluate
+from .trainer import EVAL_CHUNK, TrainConfig, train, evaluate
 
 
 @dataclass
@@ -128,23 +129,26 @@ def aligned_energy(trace: GateTrace) -> np.ndarray | None:
 
 def collect_traces(model: FusionModel, samples: list[Sample]) -> list[GateTrace]:
     traces = []
-    for s in samples:
-        a, t, _ = model_inputs(s)
-        result = model.forward(a, t)
+    for lo in range(0, len(samples), EVAL_CHUNK):
+        chunk = samples[lo : lo + EVAL_CHUNK]
+        seqs_a, seqs_t, _ = zip(*(model_inputs(s) for s in chunk))
+        result = model.forward(pad_batch(seqs_a), pad_batch(seqs_t))
+        result.logits.tape.discard()
         if result.gates_a is None:
             raise ConfigError("model has gating disabled; no gate traces to collect")
-        traces.append(
-            GateTrace(
-                sample_id=s.sample_id,
-                label=s.label,
-                gates_a=result.gates_a[: a.valid_count, 0],
-                gates_t=result.gates_t[: t.valid_count, 0],
-                energy=s.energy,
-                negative_flags=s.negative_token_flags,
-                diag_a=s.diagnostic_flags_a,
-                diag_t=s.diagnostic_flags_t,
+        for i, (s, a, t) in enumerate(zip(chunk, seqs_a, seqs_t)):
+            traces.append(
+                GateTrace(
+                    sample_id=s.sample_id,
+                    label=s.label,
+                    gates_a=result.gates_a[i, : a.valid_count, 0],
+                    gates_t=result.gates_t[i, : t.valid_count, 0],
+                    energy=s.energy,
+                    negative_flags=s.negative_token_flags,
+                    diag_a=s.diagnostic_flags_a,
+                    diag_t=s.diagnostic_flags_t,
+                )
             )
-        )
     return traces
 
 

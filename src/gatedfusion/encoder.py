@@ -2,7 +2,8 @@
 
 Post-norm layers: x = LN(x + MHA(x)); x = LN(x + FFN(x)). Attention logits at
 invalid key positions get an additive -1e9 mask so padding never leaks into
-valid rows. Dropout applies to sublayer outputs during training only.
+valid rows. Dropout applies to sublayer outputs during training only: the
+caller passes each layer its keep masks, already scaled by 1 / (1 - rate).
 """
 
 from __future__ import annotations
@@ -20,11 +21,13 @@ def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.nd
     return rng.uniform(-bound, bound, (fan_in, fan_out))
 
 
-def _dropout(x: T.Tensor, rate: float, rng: np.random.Generator | None) -> T.Tensor:
-    if rng is None or rate <= 0.0:
-        return x
-    keep = (rng.random(x.data.shape) >= rate) / (1.0 - rate)
-    return T.mul(x, x.tape.constant(keep))
+def dropout_keep(rng: np.random.Generator, rate: float, shape: tuple[int, int]) -> np.ndarray:
+    """Inverted-dropout keep mask: 0 with probability `rate`, else 1 / (1 - rate)."""
+    return (rng.random(shape) >= rate) / (1.0 - rate)
+
+
+def _dropout(x: T.Tensor, keep: np.ndarray | None) -> T.Tensor:
+    return x if keep is None else T.mul(x, x.tape.constant(keep))
 
 
 class EncoderLayer:
@@ -69,8 +72,8 @@ class EncoderLayer:
         # no key bias: a shared key offset cancels inside the row softmax
         k = T.matmul(x, tape.leaf(self.wk))
         v = T.add(T.matmul(x, tape.leaf(self.wv)), tape.leaf(self.bv))
-        # a 1 x T row, broadcast over the query rows of every head's scores
-        key_mask = tape.constant(np.where(np.asarray(mask, dtype=np.float64) > 0.0, 0.0, _ATTN_MASK_VALUE))
+        # one 1 x T row per sample, broadcast over the query rows of every head's scores
+        key_mask = tape.constant(np.expand_dims(np.where(np.asarray(mask) > 0.0, 0.0, _ATTN_MASK_VALUE), -2))
         score_scale = tape.constant([[1.0 / np.sqrt(dh)]])
         heads = []
         for h in range(self.n_heads):
@@ -95,16 +98,14 @@ class EncoderLayer:
         tape = x.tape
         return T.add(T.mul(T.layernorm_rows(x), tape.leaf(gain)), tape.leaf(bias))
 
-    def forward(
-        self,
-        x: T.Tensor,
-        mask: np.ndarray,
-        dropout_rate: float = 0.0,
-        dropout_rng: np.random.Generator | None = None,
-    ) -> T.Tensor:
-        attn = _dropout(self._attention(x, mask), dropout_rate, dropout_rng)
+    def forward(self, x: T.Tensor, mask: np.ndarray, keep: np.ndarray | None = None) -> T.Tensor:
+        """`x` is a (B, T, d) stack with (B, T) masks, or one T x d sequence with its
+        mask; `keep` stacks the attention and the feedforward dropout keep masks
+        (each of `x`'s shape), or is None for no dropout."""
+        attn_keep, ffn_keep = (None, None) if keep is None else keep
+        attn = _dropout(self._attention(x, mask), attn_keep)
         x = self._ln(T.add(x, attn), self.ln1_g, self.ln1_b)
-        ff = _dropout(self._ffn(x), dropout_rate, dropout_rng)
+        ff = _dropout(self._ffn(x), ffn_keep)
         return self._ln(T.add(x, ff), self.ln2_g, self.ln2_b)
 
 

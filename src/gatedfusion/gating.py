@@ -65,16 +65,18 @@ def gate_sequence(
 ) -> T.Tensor:
     """Taped gate computation: sigma(W [H || expanded context] + b), masked.
 
-    Returns a T x 1 gate column with padded entries forced to 0.
+    Takes a (B, T, d) stack with (B, T) masks, or one T x d sequence with its
+    length-T mask. Returns a (B, T, 1) gate stack (one T x 1 column) with
+    padded entries forced to 0.
     """
-    t_len, d = features.data.shape
+    t_len, d = features.data.shape[-2:]
     if w.data.shape != (2 * d, 1):
         raise ShapeError(f"gate projection must be ({2 * d}, 1), got {w.data.shape}")
     ctx = masked_mean_pool(context_features, context_mask)
     expanded = expand_context(ctx, t_len)
     pre = T.add(T.matmul(T.concat_cols(features, expanded), w), b)
     gates = T.sigmoid(pre)
-    mask_col = features.tape.constant(np.asarray(mask, dtype=np.float64).reshape(-1, 1))
+    mask_col = features.tape.constant(np.asarray(mask, dtype=np.float64)[..., None])
     return T.mul(gates, mask_col)
 
 

@@ -3,6 +3,8 @@
 Pipeline per sample pair: linear input projection to a shared width, adaptive
 gating (mode-dependent), sinusoidal positions, one transformer encoder per
 modality, masked mean pooling per branch, concatenation, two-layer MLP head.
+`forward` runs a padded minibatch of pairs as one op sequence on (B, T, d)
+stacks; every sample's result is independent of its batchmates and padding.
 """
 
 from __future__ import annotations
@@ -12,10 +14,10 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import tensor as T
-from .encoder import EncoderLayer, xavier_uniform, sinusoidal_positions
+from .encoder import EncoderLayer, dropout_keep, xavier_uniform, sinusoidal_positions
 from .errors import ConfigError, ShapeError
 from .gating import GatingMode, GatingParams, gate_sequence, refine_sequence
-from .sequence import MaskedSequence, masked_mean_pool
+from .sequence import MaskedSequence, PaddedBatch, masked_mean_pool, pad_batch
 
 
 @dataclass
@@ -58,6 +60,8 @@ class ModelConfig:
 
 @dataclass
 class ForwardResult:
+    """Logits (B, 1, C); gates (B, T, 1) per modality, or None without gating."""
+
     logits: T.Tensor
     gates_a: np.ndarray | None
     gates_t: np.ndarray | None
@@ -93,54 +97,85 @@ class FusionModel:
         for p in self.parameters():
             p.zero_grad()
 
+    def _dropout_keeps(self, batch_a: PaddedBatch, batch_t: PaddedBatch,
+                       rng: np.random.Generator | None) -> tuple[list, list]:
+        """Per branch and layer, the (attention, feedforward) keep masks: a (2, B, T, d) array.
+
+        Drawn sample by sample, then branch, layer and site, each at the sample's
+        valid length, so a sample's draws do not depend on its batchmates' or its
+        own padding. Padded rows keep 0.
+        """
+        cfg = self.cfg
+        if rng is None or cfg.dropout_rate <= 0.0:
+            return [None] * cfg.n_layers, [None] * cfg.n_layers
+        batches = (batch_a, batch_t)
+        stacks = [np.zeros((cfg.n_layers, 2, *b.masks.shape, cfg.d_model)) for b in batches]
+        valid = [b.masks.sum(axis=1).astype(int) for b in batches]
+        for i in range(len(batch_a.masks)):
+            for stack, counts in zip(stacks, valid):
+                n = counts[i]
+                for layer in range(cfg.n_layers):
+                    for site in range(2):
+                        stack[layer, site, i, :n] = dropout_keep(rng, cfg.dropout_rate, (n, cfg.d_model))
+        return list(stacks[0]), list(stacks[1])
+
     def forward(
         self,
-        seq_a: MaskedSequence,
-        seq_t: MaskedSequence,
+        batch_a: PaddedBatch,
+        batch_t: PaddedBatch,
         dropout_rng: np.random.Generator | None = None,
         tape: T.Tape | None = None,
     ) -> ForwardResult:
-        """Logits and gates of one sample pair; dropout is on exactly when `dropout_rng` is given."""
-        if seq_a.width != self.cfg.d_a or seq_t.width != self.cfg.d_t:
+        """Logits and gates of a padded minibatch of pairs.
+
+        Dropout is on exactly when `dropout_rng` is given.
+        """
+        (n_a, t_a, width_a), (n_t, t_t, width_t) = batch_a.features.shape, batch_t.features.shape
+        if width_a != self.cfg.d_a or width_t != self.cfg.d_t:
             raise ShapeError(
-                f"input widths ({seq_a.width}, {seq_t.width}) do not match "
+                f"input widths ({width_a}, {width_t}) do not match "
                 f"configured ({self.cfg.d_a}, {self.cfg.d_t})"
             )
+        if n_a != n_t:
+            raise ShapeError(f"batch sizes differ: {n_a} acoustic vs {n_t} textual")
+        keeps_a, keeps_t = self._dropout_keeps(batch_a, batch_t, dropout_rng)
         if tape is None:
             tape = T.Tape()
+        mask_a, mask_t = batch_a.masks, batch_t.masks
 
-        xa = T.add(T.matmul(tape.constant(seq_a.features), tape.leaf(self.proj_a_w)), tape.leaf(self.proj_a_b))
-        xt = T.add(T.matmul(tape.constant(seq_t.features), tape.leaf(self.proj_t_w)), tape.leaf(self.proj_t_b))
+        xa = T.add(T.matmul(tape.constant(batch_a.features), tape.leaf(self.proj_a_w)), tape.leaf(self.proj_a_b))
+        xt = T.add(T.matmul(tape.constant(batch_t.features), tape.leaf(self.proj_t_w)), tape.leaf(self.proj_t_b))
 
         gates_a = gates_t = None
         mode = self.cfg.gating_mode
         if mode is not GatingMode.NONE:
             g = self.gating
             if mode is GatingMode.CROSS_MODAL:
-                ctx_for_a, ctx_mask_a = xt, seq_t.mask
-                ctx_for_t, ctx_mask_t = xa, seq_a.mask
+                ctx_for_a, ctx_mask_a = xt, mask_t
+                ctx_for_t, ctx_mask_t = xa, mask_a
             else:
-                ctx_for_a, ctx_mask_a = xa, seq_a.mask
-                ctx_for_t, ctx_mask_t = xt, seq_t.mask
-            ga = gate_sequence(xa, seq_a.mask, ctx_for_a, ctx_mask_a, tape.leaf(g.w_a), tape.leaf(g.b_a))
-            gt = gate_sequence(xt, seq_t.mask, ctx_for_t, ctx_mask_t, tape.leaf(g.w_t), tape.leaf(g.b_t))
+                ctx_for_a, ctx_mask_a = xa, mask_a
+                ctx_for_t, ctx_mask_t = xt, mask_t
+            ga = gate_sequence(xa, mask_a, ctx_for_a, ctx_mask_a, tape.leaf(g.w_a), tape.leaf(g.b_a))
+            gt = gate_sequence(xt, mask_t, ctx_for_t, ctx_mask_t, tape.leaf(g.w_t), tape.leaf(g.b_t))
             xa = refine_sequence(xa, ga)
             xt = refine_sequence(xt, gt)
             gates_a, gates_t = ga.data.copy(), gt.data.copy()
 
         if self.cfg.use_positions:
-            xa = T.add(xa, tape.constant(sinusoidal_positions(seq_a.length, self.cfg.d_model)))
-            xt = T.add(xt, tape.constant(sinusoidal_positions(seq_t.length, self.cfg.d_model)))
-        for layer in self.enc_a:
-            xa = layer.forward(xa, seq_a.mask, self.cfg.dropout_rate, dropout_rng)
-        for layer in self.enc_t:
-            xt = layer.forward(xt, seq_t.mask, self.cfg.dropout_rate, dropout_rng)
+            xa = T.add(xa, tape.constant(sinusoidal_positions(t_a, self.cfg.d_model)))
+            xt = T.add(xt, tape.constant(sinusoidal_positions(t_t, self.cfg.d_model)))
+        for layer, keep in zip(self.enc_a, keeps_a):
+            xa = layer.forward(xa, mask_a, keep)
+        for layer, keep in zip(self.enc_t, keeps_t):
+            xt = layer.forward(xt, mask_t, keep)
 
-        pooled = T.concat_cols(masked_mean_pool(xa, seq_a.mask), masked_mean_pool(xt, seq_t.mask))
+        pooled = T.concat_cols(masked_mean_pool(xa, mask_a), masked_mean_pool(xt, mask_t))
         hidden = T.relu(T.add(T.matmul(pooled, tape.leaf(self.head_w1)), tape.leaf(self.head_b1)))
         logits = T.add(T.matmul(hidden, tape.leaf(self.head_w2)), tape.leaf(self.head_b2))
         return ForwardResult(logits, gates_a, gates_t)
 
-    def loss(self, seq_a: MaskedSequence, seq_t: MaskedSequence, label: int, **kw) -> tuple[T.Tensor, ForwardResult]:
-        result = self.forward(seq_a, seq_t, **kw)
-        return T.cross_entropy(result.logits, label), result
+    def loss(self, seq_a: MaskedSequence, seq_t: MaskedSequence, label: int) -> tuple[T.Tensor, ForwardResult]:
+        """Cross-entropy of one pair, run as a batch of one (dropout off)."""
+        result = self.forward(pad_batch([seq_a]), pad_batch([seq_t]))
+        return T.cross_entropy(result.logits, [label]), result

@@ -2,12 +2,14 @@
 
 Padding is tail-only: the mask is a run of ones followed by a run of zeros,
 and padded feature rows are zero. Pooling averages over valid rows only, so
-appending padding never changes downstream results.
+appending padding never changes downstream results. `pad_batch` stacks a
+minibatch into one `PaddedBatch`, which the model runs as one op sequence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,26 +76,47 @@ class MaskedSequence:
 def masked_mean_pool(features: T.Tensor, mask: np.ndarray) -> T.Tensor:
     """Mean of the valid rows of a taped T x d tensor: (1/N) sum_i m_i h_i.
 
+    A (B, T, d) stack with (B, T) masks pools each sample to a (B, 1, d) stack.
     Gradient flows only to valid rows; padded rows receive exactly zero.
     """
     mask = np.asarray(mask, dtype=np.float64)
-    n = mask.sum()
-    if n < 1:
+    n = mask.sum(axis=-1, keepdims=True)
+    if np.any(n < 1):
         raise EmptySequenceError("cannot pool a sequence with no valid positions")
-    weights = features.tape.constant((mask / n).reshape(1, -1))
+    weights = features.tape.constant(np.expand_dims(mask / n, -2))
     return T.matmul(weights, features)
 
 
 def expand_context(ctx: T.Tensor, length: int) -> T.Tensor:
-    """Replicate a 1 x d context row `length` times; backward sums rows back."""
+    """Replicate a 1 x d context row `length` times; backward sums rows back.
+
+    A (B, 1, d) stack of rows expands to (B, length, d).
+    """
     if length < 1:
         raise ShapeError(f"expansion length must be >= 1, got {length}")
     ones = ctx.tape.constant(np.ones((length, 1)))
     return T.matmul(ones, ctx)
 
 
-def pad_batch(seqs: list[MaskedSequence]) -> tuple[np.ndarray, np.ndarray]:
-    """Stack sequences into (B x T_max x d) features and (B x T_max) masks."""
+class PaddedBatch(NamedTuple):
+    """A minibatch of one modality: (B x T_max x d) features and (B x T_max) masks."""
+
+    features: np.ndarray
+    masks: np.ndarray
+
+    @property
+    def valid_count(self) -> int:
+        """Valid rows over the whole batch."""
+        return int(self.masks.sum())
+
+    @property
+    def length(self) -> int:
+        """Rows fed to the model, padding included."""
+        return self.masks.size
+
+
+def pad_batch(seqs: list[MaskedSequence]) -> PaddedBatch:
+    """Stack sequences, tail-padded with zero rows to the longest one."""
     if not seqs:
         raise ShapeError("cannot batch zero sequences")
     d = seqs[0].width
@@ -104,7 +127,6 @@ def pad_batch(seqs: list[MaskedSequence]) -> tuple[np.ndarray, np.ndarray]:
     feats = np.zeros((len(seqs), t_max, d))
     masks = np.zeros((len(seqs), t_max))
     for i, s in enumerate(seqs):
-        p = s.padded_to(t_max)
-        feats[i] = p.features
-        masks[i] = p.mask
-    return feats, masks
+        feats[i, : s.length] = s.features
+        masks[i, : s.length] = s.mask
+    return PaddedBatch(feats, masks)

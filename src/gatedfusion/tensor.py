@@ -1,24 +1,37 @@
-"""Minimal reverse-mode autodiff over 2-D float64 numpy arrays.
+"""Minimal reverse-mode autodiff over float64 matrices and stacks of them.
+
+A value is an m x n matrix or a (B, m, n) stack: B matrices that every op
+treats one by one, so a minibatch runs as one op sequence. Parameters are
+matrices; a matrix operand broadcasts across a stack, and its gradient sums
+over the stack.
 
 Every differentiable value is a `Tensor` tied to a `Tape`. Ops append a
 backward closure to the tape; `Tape.backward` replays the closures in exact
 reverse order, accumulating partials additively into operand `.grad` buffers.
 `backward` consumes the tape: it drops the recorded steps after the replay, so a
-tape serves one backward and leaves no reference cycle behind. Tensors are
+tape serves one backward and leaves no reference cycle behind; `discard` drops
+them without a replay, for a forward run only for its values. Tensors are
 never mutated after construction.
 
-`add(a, b)` and `mul(a, b)` broadcast `b` against an m x n `a`: `b` may be
-m x n, a 1 x n row, an m x 1 column or a 1 x 1 scalar, and the result has
+`add(a, b)` and `mul(a, b)` broadcast `b` against `a`, whose matrices are
+m x n: `b`'s matrices may be m x n, a 1 x n row, an m x 1 column or a 1 x 1
+scalar, and `b` is either a stack of `a`'s length or one matrix. The result has
 `a`'s shape. Any other pair of shapes raises `ShapeError`.
+
+`matmul` multiplies matrix by matrix, stack by matrix (one GEMM over the
+stacked rows), matrix by stack, or stack by stack. `transpose` swaps the last
+two axes; `slice_cols`, `concat_cols`, `softmax_rows` and `layernorm_rows`
+act on the last axis.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonFiniteError, ShapeError
+from .errors import ConfigError, LabelError, NonFiniteError, ShapeError
 
 # exp() overflows beyond this in float64
 _EXP_CLAMP = 709.0
@@ -27,7 +40,7 @@ _LN_EPS = 1e-5
 
 
 class Tensor:
-    """A 2-D array with an optional gradient buffer on a tape.
+    """A matrix or a stack of matrices, with an optional gradient buffer on a tape.
 
     grad is None for constants (no gradient is tracked through them).
     """
@@ -40,7 +53,7 @@ class Tensor:
         self.tape = tape
 
     @property
-    def shape(self) -> tuple[int, int]:
+    def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
     def item(self) -> float:
@@ -102,6 +115,11 @@ class Tape:
             backward()
         self._steps.clear()
 
+    def discard(self) -> None:
+        """Drop the recorded steps unreplayed; a tape left as it is would be a
+        reference cycle that holds every intermediate until the cycle collector runs."""
+        self._steps.clear()
+
 
 def _out(tape: Tape, name: str, data: np.ndarray, backward) -> Tensor:
     t = Tensor(data, tape, np.zeros_like(data))
@@ -109,31 +127,53 @@ def _out(tape: Tape, name: str, data: np.ndarray, backward) -> Tensor:
     return t
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"matmul inner dims differ: {a.data.shape} x {b.data.shape}")
-    out_data = a.data @ b.data
+def _swap(x: np.ndarray) -> np.ndarray:
+    return np.swapaxes(x, -1, -2)
 
-    def backward():
-        if a.grad is not None:
-            a.grad += out.grad @ b.data.T
-        if b.grad is not None:
-            b.grad += a.data.T @ out.grad
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    sa, sb = a.data.shape, b.data.shape
+    if sa[-1] != sb[-2] or (len(sa) == len(sb) == 3 and sa[0] != sb[0]):
+        raise ShapeError(f"matmul shapes incompatible: {sa} x {sb}")
+    if len(sa) == 3 and len(sb) == 2:
+        # a stack times a matrix: one GEMM over all stacked rows
+        rows = a.data.reshape(-1, sa[2])
+        out_data = (rows @ b.data).reshape(sa[0], sa[1], sb[1])
+
+        def backward():
+            g = out.grad.reshape(-1, sb[1])
+            if a.grad is not None:
+                a.grad += (g @ b.data.T).reshape(sa)
+            if b.grad is not None:
+                b.grad += rows.T @ g
+    else:
+        out_data = a.data @ b.data
+
+        def backward():
+            if a.grad is not None:
+                a.grad += _unbroadcast(out.grad @ _swap(b.data), sa)
+            if b.grad is not None:
+                b.grad += _unbroadcast(_swap(a.data) @ out.grad, sb)
 
     out = _out(a.tape, "matmul", out_data, backward)
     return out
 
 
 def _check_broadcast(op: str, a: Tensor, b: Tensor) -> None:
-    (m, n), (p, q) = a.data.shape, b.data.shape
-    if p not in (1, m) or q not in (1, n):
-        raise ShapeError(f"{op} shapes incompatible: {a.data.shape} vs {b.data.shape}")
+    sa, sb = a.data.shape, b.data.shape
+    (m, n), (p, q) = sa[-2:], sb[-2:]
+    # b is a stack of a's length or one matrix
+    if sb[:-2] not in ((), sa[:-2]) or p not in (1, m) or q not in (1, n):
+        raise ShapeError(f"{op} shapes incompatible: {sa} vs {sb}")
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """Sum `grad` over the axes that `shape` broadcast along."""
-    axes = tuple(i for i in (0, 1) if shape[i] == 1 and grad.shape[i] != 1)
-    return grad.sum(axis=axes, keepdims=True) if axes else grad
+def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Sum `grad` over the axes that `shape` broadcast along, the stack axis included."""
+    if grad.shape == shape:
+        return grad
+    lead = grad.ndim - len(shape)
+    axes = tuple(range(lead)) + tuple(i + lead for i, k in enumerate(shape) if k == 1)
+    return grad.sum(axis=axes).reshape(shape)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -190,53 +230,53 @@ def relu(x: Tensor) -> Tensor:
 
 
 def concat_cols(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape[0] != b.data.shape[0]:
+    if a.data.shape[:-1] != b.data.shape[:-1]:
         raise ShapeError(f"concat_cols row counts differ: {a.data.shape} vs {b.data.shape}")
-    na = a.data.shape[1]
-    out_data = np.concatenate([a.data, b.data], axis=1)
+    na = a.data.shape[-1]
+    out_data = np.concatenate([a.data, b.data], axis=-1)
 
     def backward():
         if a.grad is not None:
-            a.grad += out.grad[:, :na]
+            a.grad += out.grad[..., :na]
         if b.grad is not None:
-            b.grad += out.grad[:, na:]
+            b.grad += out.grad[..., na:]
 
     out = _out(a.tape, "concat_cols", out_data, backward)
     return out
 
 
 def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
-    if not (0 <= start < stop <= a.data.shape[1]):
+    if not (0 <= start < stop <= a.data.shape[-1]):
         raise ShapeError(f"slice_cols [{start}:{stop}] out of range for shape {a.data.shape}")
-    out_data = a.data[:, start:stop].copy()
+    out_data = a.data[..., start:stop].copy()
 
     def backward():
         if a.grad is not None:
-            a.grad[:, start:stop] += out.grad
+            a.grad[..., start:stop] += out.grad
 
     out = _out(a.tape, "slice_cols", out_data, backward)
     return out
 
 
 def transpose(a: Tensor) -> Tensor:
-    out_data = a.data.T.copy()
+    out_data = _swap(a.data).copy()
 
     def backward():
         if a.grad is not None:
-            a.grad += out.grad.T
+            a.grad += _swap(out.grad)
 
     out = _out(a.tape, "transpose", out_data, backward)
     return out
 
 
 def softmax_rows(x: Tensor) -> Tensor:
-    shifted = x.data - x.data.max(axis=1, keepdims=True)
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    out_data = e / e.sum(axis=1, keepdims=True)
+    out_data = e / e.sum(axis=-1, keepdims=True)
 
     def backward():
         if x.grad is not None:
-            dot = (out.grad * out_data).sum(axis=1, keepdims=True)
+            dot = (out.grad * out_data).sum(axis=-1, keepdims=True)
             x.grad += out_data * (out.grad - dot)
 
     out = _out(x.tape, "softmax_rows", out_data, backward)
@@ -245,19 +285,19 @@ def softmax_rows(x: Tensor) -> Tensor:
 
 def layernorm_rows(x: Tensor) -> Tensor:
     """Per-row standardization, pre-affine (apply gain/bias via mul/add)."""
-    mu = x.data.mean(axis=1, keepdims=True)
-    var = x.data.var(axis=1, keepdims=True)
+    mu = x.data.mean(axis=-1, keepdims=True)
+    var = x.data.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + _LN_EPS)
     out_data = (x.data - mu) * inv
 
     def backward():
         if x.grad is not None:
-            n = x.data.shape[1]
+            n = x.data.shape[-1]
             dy = out.grad
             x.grad += inv * (
                 dy
-                - dy.mean(axis=1, keepdims=True)
-                - out_data * (dy * out_data).sum(axis=1, keepdims=True) / n
+                - dy.mean(axis=-1, keepdims=True)
+                - out_data * (dy * out_data).sum(axis=-1, keepdims=True) / n
             )
 
     out = _out(x.tape, "layernorm_rows", out_data, backward)
@@ -275,25 +315,32 @@ def sum_all(x: Tensor) -> Tensor:
     return out
 
 
-def cross_entropy(logits: Tensor, label: int) -> Tensor:
-    """-log softmax(logits)[label] for a 1xC logit row."""
-    if logits.data.shape[0] != 1:
-        raise ShapeError(f"cross_entropy expects a 1xC row, got {logits.data.shape}")
-    n = logits.data.shape[1]
-    if not 0 <= label < n:
-        from .errors import LabelError
+def cross_entropy(logits: Tensor, labels) -> Tensor:
+    """-log softmax(row)[label] of each 1 x C logit row.
 
-        raise LabelError(f"label {label} outside [0, {n})")
-    shifted = logits.data - logits.data.max()
+    A 1 x C row with one label gives 1 x 1; a (B, 1, C) stack with B labels
+    gives (B, 1, 1).
+    """
+    shape = logits.data.shape
+    labels = np.asarray(labels, dtype=np.int64).reshape(-1)
+    if shape[-2] != 1 or labels.size != (shape[0] if len(shape) == 3 else 1):
+        raise ShapeError(f"cross_entropy expects 1xC rows and one label each, "
+                         f"got {shape} and {labels.size} labels")
+    n = shape[-1]
+    if labels.min() < 0 or labels.max() >= n:
+        raise LabelError(f"labels {labels.tolist()} outside [0, {n})")
+    rows = logits.data.reshape(-1, n)
+    shifted = rows - rows.max(axis=1, keepdims=True)
     e = np.exp(shifted)
-    p = e / e.sum()
-    out_data = np.array([[-np.log(p[0, label])]])
+    p = e / e.sum(axis=1, keepdims=True)
+    picked = np.arange(labels.size)
+    out_data = (-np.log(p[picked, labels])).reshape(shape[:-1] + (1,))
 
     def backward():
         if logits.grad is not None:
             d = p.copy()
-            d[0, label] -= 1.0
-            logits.grad += out.grad[0, 0] * d
+            d[picked, labels] -= 1.0
+            logits.grad += (out.grad.reshape(-1, 1) * d).reshape(shape)
 
     out = _out(logits.tape, "cross_entropy", out_data, backward)
     return out
@@ -317,7 +364,8 @@ class GradcheckReport:
 
     @property
     def worst(self) -> float:
-        return max(e.max_rel_err for e in self.entries)
+        # np.max keeps a NaN; the builtin max may drop it
+        return float(np.max([e.max_rel_err for e in self.entries]))
 
     def __str__(self) -> str:
         lines = [
@@ -331,29 +379,39 @@ def gradcheck(loss_fn, params: list[Parameter], step: float = 1e-5, tol: float =
     """Compare analytic gradients of loss_fn against central finite differences.
 
     loss_fn must rebuild the forward pass on a fresh tape each call and return
-    the scalar loss Tensor; it reads the current contents of `params`.
+    the scalar loss Tensor; it reads the current contents of `params`. A NaN
+    relative error fails its entry.
     """
+    if not (math.isfinite(step) and step > 0):
+        raise ConfigError(f"gradcheck step must be finite and > 0, got {step}")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ConfigError(f"gradcheck tol must be finite and >= 0, got {tol}")
     for p in params:
         p.zero_grad()
     loss = loss_fn()
     loss.tape.backward(loss)
     analytic = {p.name: p.grad.copy() for p in params}
 
+    def value() -> float:
+        probe = loss_fn()
+        probe.tape.discard()
+        return probe.item()
+
     entries = []
     for p in params:
         g_a = analytic[p.name]
-        max_rel = 0.0
+        rels = []
         flat = p.data.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + step
-            f_plus = loss_fn().item()
+            f_plus = value()
             flat[i] = orig - step
-            f_minus = loss_fn().item()
+            f_minus = value()
             flat[i] = orig
             g_n = (f_plus - f_minus) / (2.0 * step)
             g = g_a.reshape(-1)[i]
-            rel = abs(g - g_n) / max(abs(g), abs(g_n), 1e-8)
-            max_rel = max(max_rel, rel)
+            rels.append(abs(g - g_n) / max(abs(g), abs(g_n), 1e-8))
+        max_rel = float(np.max(rels))
         entries.append(GradcheckEntry(p.name, max_rel, max_rel <= tol))
     return GradcheckReport(entries, tol)

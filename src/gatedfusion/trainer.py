@@ -1,8 +1,9 @@
 """Mini-batch training loop with SGD/Adam and exact-resume semantics.
 
-`batch_loss` is the one place a minibatch becomes a loss: one tape per
-minibatch, differentiated by one backward; the full-model gradcheck checks the
-same function.
+`batch_loss` is the one place a minibatch becomes a loss: one forward of the
+padded minibatch on one tape, differentiated by one backward; the full-model
+gradcheck checks the same function. `evaluate` runs forwards of
+`EVAL_CHUNK` samples at a time.
 
 Shuffle and dropout RNGs are derived from (seed, epoch), so a run resumed at
 an epoch boundary from a float64 checkpoint (parameters + optimizer state)
@@ -18,9 +19,13 @@ import numpy as np
 from . import tensor as T
 from .errors import ConfigError, ManifestError, NonFiniteError
 from .model import FusionModel
-from .sequence import MaskedSequence
+from .sequence import MaskedSequence, pad_batch
 
 SamplePair = tuple[MaskedSequence, MaskedSequence, int]
+
+# samples per forward in `evaluate` (and `analysis.collect_traces`); results do
+# not depend on it, only the padding per forward does
+EVAL_CHUNK = 32
 
 
 @dataclass
@@ -124,12 +129,16 @@ def make_optimizer(model: FusionModel, cfg: TrainConfig):
 def evaluate(model: FusionModel, pairs: list[SamplePair]) -> tuple[float, float, list[int]]:
     """Mean loss, accuracy, and predictions over a sample list (dropout off)."""
     total, correct, preds = 0.0, 0, []
-    for a, t, label in pairs:
-        loss, result = model.loss(a, t, label)
-        total += loss.item()
-        pred = int(np.argmax(result.logits.data[0]))
-        preds.append(pred)
-        correct += pred == label
+    for lo in range(0, len(pairs), EVAL_CHUNK):
+        seqs_a, seqs_t, labels = zip(*pairs[lo : lo + EVAL_CHUNK])
+        logits = model.forward(pad_batch(seqs_a), pad_batch(seqs_t)).logits
+        losses = T.cross_entropy(logits, labels).data[:, 0, 0]
+        logits.tape.discard()
+        for loss, row, label in zip(losses, logits.data[:, 0], labels):
+            total += float(loss)
+            pred = int(np.argmax(row))
+            preds.append(pred)
+            correct += pred == label
     n = max(len(pairs), 1)
     return total / n, correct / n, preds
 
@@ -138,18 +147,15 @@ def batch_loss(model: FusionModel, batch: list[SamplePair], weights: np.ndarray 
                dropout_rng: np.random.Generator | None = None) -> tuple[T.Tensor, list[float]]:
     """Class-weighted mean loss of a minibatch on one tape, and each sample's unweighted loss.
 
-    The loss is sum_i weights[label_i] / B * loss_i, summed in batch order; no
-    weights means 1 for every class.
+    The loss is sum_i weights[label_i] / B * loss_i; no weights means 1 for
+    every class.
     """
-    tape = T.Tape()
-    total, losses = None, []
-    for a, t, label in batch:
-        loss, _ = model.loss(a, t, label, dropout_rng=dropout_rng, tape=tape)
-        w = 1.0 if weights is None else weights[label]
-        part = T.mul(loss, tape.constant([[w / len(batch)]]))
-        total = part if total is None else T.add(total, part)
-        losses.append(loss.item())
-    return total, losses
+    seqs_a, seqs_t, labels = zip(*batch)
+    result = model.forward(pad_batch(seqs_a), pad_batch(seqs_t), dropout_rng)
+    losses = T.cross_entropy(result.logits, labels)
+    w = np.ones(len(batch)) if weights is None else np.asarray(weights, dtype=np.float64)[list(labels)]
+    scale = losses.tape.constant((w / len(batch)).reshape(-1, 1, 1))
+    return T.sum_all(T.mul(losses, scale)), losses.data[:, 0, 0].tolist()
 
 
 @dataclass

@@ -28,7 +28,7 @@ from gatedfusion.diagnostics import full_model_gradcheck
 from gatedfusion.errors import CorpusFormatError
 from gatedfusion.gating import GatingMode, GatingParams
 from gatedfusion.model import FusionModel, ModelConfig
-from gatedfusion.sequence import MaskedSequence
+from gatedfusion.sequence import MaskedSequence, pad_batch
 from gatedfusion.synth import SynthSpec, bayes_oracle_accuracy, generate
 from gatedfusion.trainer import TrainConfig
 
@@ -101,10 +101,10 @@ class TestCriterion2GatingOracle:
             for mode, ctx_a, ctx_t in ((GatingMode.CROSS_MODAL, seq_t, seq_a),
                                        (GatingMode.UNIMODAL, seq_a, seq_t)):
                 model.cfg.gating_mode = mode
-                result = model.forward(seq_a, seq_t)
+                result = model.forward(pad_batch([seq_a]), pad_batch([seq_t]))
                 for gates, seq, ctx, w, b in (
-                    (result.gates_a, seq_a, ctx_a, params.w_a, params.b_a),
-                    (result.gates_t, seq_t, ctx_t, params.w_t, params.b_t),
+                    (result.gates_a[0], seq_a, ctx_a, params.w_a, params.b_a),
+                    (result.gates_t[0], seq_t, ctx_t, params.w_t, params.b_t),
                 ):
                     expected = _scalar_loop(seq, ctx, w.data, b.data[0, 0])
                     worst = max(worst, float(np.abs(gates - expected).max()))
@@ -143,9 +143,9 @@ class TestCriterion3PaddingInvariance:
             a = MaskedSequence.from_valid(rng.normal(size=(int(rng.integers(1, 10)), 6)))
             t = MaskedSequence.from_valid(rng.normal(size=(int(rng.integers(1, 10)), 5)))
             pad_a, pad_t = int(rng.integers(1, 33)), int(rng.integers(1, 33))
-            base = model.forward(a, t).logits.data
-            padded = model.forward(a.padded_to(a.length + pad_a),
-                                   t.padded_to(t.length + pad_t)).logits.data
+            base = model.forward(pad_batch([a]), pad_batch([t])).logits.data[0]
+            padded = model.forward(pad_batch([a.padded_to(a.length + pad_a)]),
+                                   pad_batch([t.padded_to(t.length + pad_t)])).logits.data[0]
             worst = max(worst, float(np.abs(padded - base).max()))
         report("3 padding invariance up to 32 frames (50x)", worst < 1e-10,
                f"worst logit deviation {worst:.2e} (tol 1e-10)")

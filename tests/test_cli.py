@@ -250,6 +250,13 @@ class TestGradcheck:
         out = capsys.readouterr().out
         assert "gradcheck PASSED" in out and "worst relative error" in out
 
+    @pytest.mark.parametrize("flag, value", [("--step", "nan"), ("--step", "0"), ("--step", "-1"),
+                                             ("--step", "inf"), ("--tol", "nan"), ("--tol", "-1")])
+    def test_bad_step_or_tol_is_an_error(self, capsys, flag, value):
+        assert main(["gradcheck", "--mode", "none", flag, value]) == 1
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and "PASSED" not in captured.out
+
     def test_corrupted_gradient_fails(self, monkeypatch, capsys):
         def relu_with_doubled_gradient(x):
             out_data = np.maximum(x.data, 0.0)

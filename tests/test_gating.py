@@ -13,7 +13,7 @@ from gatedfusion import tensor as T
 from gatedfusion.errors import ShapeError
 from gatedfusion.gating import GatingMode, GatingParams, gate_sequence, refine_sequence
 from gatedfusion.model import FusionModel, ModelConfig
-from gatedfusion.sequence import MaskedSequence
+from gatedfusion.sequence import MaskedSequence, pad_batch
 
 
 def scalar_loop_gates(features, mask, ctx_features, ctx_mask, w, b):
@@ -55,8 +55,8 @@ def model_gates(seq_a, seq_t, params, mode=GatingMode.CROSS_MODAL):
         w.data[...] = np.eye(d)
         b.data[...] = 0.0
     model.gating = params
-    result = model.forward(seq_a, seq_t)
-    return result.gates_a, result.gates_t
+    result = model.forward(pad_batch([seq_a]), pad_batch([seq_t]))
+    return result.gates_a[0], result.gates_t[0]
 
 
 class TestCrossModal:

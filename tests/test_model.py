@@ -19,7 +19,7 @@ from gatedfusion.errors import (
 )
 from gatedfusion.gating import GatingMode
 from gatedfusion.model import FusionModel, ModelConfig
-from gatedfusion.sequence import MaskedSequence
+from gatedfusion.sequence import MaskedSequence, pad_batch
 from gatedfusion.trainer import SGD, Adam, TrainConfig, batch_loss, evaluate, make_optimizer, train
 
 
@@ -56,9 +56,9 @@ class TestForward:
         cfg = tiny_cfg()
         model = FusionModel(cfg)
         a, t = random_pair(rng, cfg)
-        logits = model.forward(a, t).logits
-        assert logits.shape == (1, 3)
-        probabilities = T.softmax_rows(logits).data
+        logits = model.forward(pad_batch([a]), pad_batch([t])).logits
+        assert logits.shape == (1, 1, 3)
+        probabilities = T.softmax_rows(logits).data[0]
         assert np.all(np.isfinite(probabilities))
         assert probabilities.sum() == pytest.approx(1.0, abs=1e-9)
         assert np.all(probabilities >= 0)
@@ -68,8 +68,8 @@ class TestForward:
         cfg = tiny_cfg()
         model = FusionModel(cfg)
         a, t = random_pair(rng, cfg)
-        l1 = model.forward(a, t).logits.data
-        l2 = model.forward(a, t).logits.data
+        l1 = model.forward(pad_batch([a]), pad_batch([t])).logits.data[0]
+        l2 = model.forward(pad_batch([a]), pad_batch([t])).logits.data[0]
         np.testing.assert_array_equal(l1, l2)
 
     def test_width_mismatch(self):
@@ -78,7 +78,7 @@ class TestForward:
         model = FusionModel(cfg)
         a, t = random_pair(rng, cfg)
         with pytest.raises(ShapeError):
-            model.forward(t, a)
+            model.forward(pad_batch([t]), pad_batch([a]))
 
     def test_gates_returned_only_when_gating(self):
         rng = np.random.default_rng(3)
@@ -87,7 +87,7 @@ class TestForward:
             cfg = tiny_cfg(gating_mode=mode)
             model = FusionModel(cfg)
             a, t = random_pair(rng, cfg)
-            res = model.forward(a, t)
+            res = model.forward(pad_batch([a]), pad_batch([t]))
             assert (res.gates_a is not None) == expect
 
     def test_zero_gate_weights_match_halved_projection_baseline(self):
@@ -105,8 +105,8 @@ class TestForward:
         for p in (plain.proj_a_w, plain.proj_a_b, plain.proj_t_w, plain.proj_t_b):
             p.data *= 0.5
         a, t = random_pair(rng, cfg)
-        np.testing.assert_allclose(gated.forward(a, t).logits.data,
-                                   plain.forward(a, t).logits.data, atol=1e-12)
+        np.testing.assert_allclose(gated.forward(pad_batch([a]), pad_batch([t])).logits.data[0],
+                                   plain.forward(pad_batch([a]), pad_batch([t])).logits.data[0], atol=1e-12)
 
     @pytest.mark.parametrize("mode", list(GatingMode))
     @pytest.mark.parametrize("pad", [1, 16, 32])
@@ -115,11 +115,12 @@ class TestForward:
         cfg = tiny_cfg(gating_mode=mode)
         model = FusionModel(cfg)
         a, t = random_pair(rng, cfg)
-        base = model.forward(a, t)
-        padded = model.forward(a.padded_to(a.length + pad), t.padded_to(t.length + pad))
-        np.testing.assert_allclose(padded.logits.data, base.logits.data, atol=1e-10)
+        base = model.forward(pad_batch([a]), pad_batch([t]))
+        padded = model.forward(pad_batch([a.padded_to(a.length + pad)]),
+                               pad_batch([t.padded_to(t.length + pad)]))
+        np.testing.assert_allclose(padded.logits.data[0], base.logits.data[0], atol=1e-10)
         if mode is not GatingMode.NONE:
-            np.testing.assert_allclose(padded.gates_a[: a.length], base.gates_a, atol=1e-10)
+            np.testing.assert_allclose(padded.gates_a[0, : a.length], base.gates_a[0], atol=1e-10)
 
     def test_batch_independence(self):
         # per-sample forward passes share no state, so this is structural;
@@ -128,10 +129,11 @@ class TestForward:
         cfg = tiny_cfg()
         model = FusionModel(cfg)
         a, t = random_pair(rng, cfg)
-        before = model.forward(a, t).logits.data
+        before = model.forward(pad_batch([a]), pad_batch([t])).logits.data[0]
         for _ in range(3):
-            model.forward(*random_pair(rng, cfg))
-        np.testing.assert_array_equal(model.forward(a, t).logits.data, before)
+            other_a, other_t = random_pair(rng, cfg)
+            model.forward(pad_batch([other_a]), pad_batch([other_t]))
+        np.testing.assert_array_equal(model.forward(pad_batch([a]), pad_batch([t])).logits.data[0], before)
 
     def test_positions_break_permutation_symmetry(self):
         rng = np.random.default_rng(7)
@@ -140,8 +142,8 @@ class TestForward:
         a, t = random_pair(rng, cfg)
         perm = np.random.default_rng(0).permutation(a.valid_count)
         a_perm = MaskedSequence.from_valid(a.features[perm])
-        l1 = model.forward(a, t).logits.data
-        l2 = model.forward(a_perm, t).logits.data
+        l1 = model.forward(pad_batch([a]), pad_batch([t])).logits.data[0]
+        l2 = model.forward(pad_batch([a_perm]), pad_batch([t])).logits.data[0]
         assert not np.allclose(l1, l2)
 
     def test_no_positions_no_gating_permutation_invariant(self):
@@ -151,8 +153,44 @@ class TestForward:
         a, t = random_pair(rng, cfg)
         perm = np.random.default_rng(1).permutation(a.valid_count)
         a_perm = MaskedSequence.from_valid(a.features[perm])
-        np.testing.assert_allclose(model.forward(a_perm, t).logits.data,
-                                   model.forward(a, t).logits.data, atol=1e-10)
+        np.testing.assert_allclose(model.forward(pad_batch([a_perm]), pad_batch([t])).logits.data[0],
+                                   model.forward(pad_batch([a]), pad_batch([t])).logits.data[0], atol=1e-10)
+
+    @pytest.mark.parametrize("mode", list(GatingMode))
+    def test_batch_composition_invariance(self, mode):
+        """A sample's logits and gates do not depend on its batchmates, its place in
+        the batch, or its padding."""
+        rng = np.random.default_rng(9)
+        cfg = tiny_cfg(gating_mode=mode)
+        model = FusionModel(cfg)
+        for p in model.parameters():
+            p.data += 0.1 * rng.normal(size=p.data.shape)
+        pairs = [random_pair(rng, cfg, ta=int(rng.integers(1, 10)), tt=int(rng.integers(1, 10)),
+                             pad_a=int(rng.integers(0, 4)), pad_t=int(rng.integers(0, 4)))
+                 for _ in range(5)]
+        alone = [model.forward(pad_batch([MaskedSequence.from_valid(a.valid_features())]),
+                               pad_batch([MaskedSequence.from_valid(t.valid_features())]))
+                 for a, t in pairs]
+        for order in ([0, 1, 2, 3, 4], [4, 2, 0, 3, 1], [3, 3, 1]):
+            batch = model.forward(pad_batch([pairs[i][0] for i in order]),
+                                  pad_batch([pairs[i][1] for i in order]))
+            for pos, i in enumerate(order):
+                a, t = pairs[i]
+                np.testing.assert_allclose(batch.logits.data[pos], alone[i].logits.data[0], atol=1e-10)
+                if mode is GatingMode.NONE:
+                    continue
+                for gates, ref, n in ((batch.gates_a, alone[i].gates_a, a.valid_count),
+                                      (batch.gates_t, alone[i].gates_t, t.valid_count)):
+                    np.testing.assert_allclose(gates[pos, :n], ref[0], atol=1e-10)
+                    np.testing.assert_array_equal(gates[pos, n:], 0.0)
+
+    def test_batch_sizes_must_match(self):
+        rng = np.random.default_rng(10)
+        cfg = tiny_cfg()
+        model = FusionModel(cfg)
+        a, t = random_pair(rng, cfg)
+        with pytest.raises(ShapeError):
+            model.forward(pad_batch([a, a]), pad_batch([t]))
 
     def test_argmax_invariant_to_logit_shift(self):
         logits = np.array([0.2, -1.0, 0.9])
@@ -259,6 +297,18 @@ class TestTraining:
         with pytest.raises(ManifestError):
             Adam(model.parameters(), 1e-3).load_state(state)
 
+    def test_evaluate_matches_one_sample_at_a_time(self):
+        """Chunked evaluation gives each sample's own loss and prediction."""
+        rng = np.random.default_rng(21)
+        cfg = tiny_cfg()
+        model = FusionModel(cfg)
+        pairs = make_training_pairs(rng, cfg, 40)
+        loss, acc, preds = evaluate(model, pairs)
+        alone = [model.loss(a, t, label) for a, t, label in pairs]
+        assert preds == [int(np.argmax(result.logits.data[0, 0])) for _, result in alone]
+        assert acc == np.mean([p == label for p, (_, _, label) in zip(preds, pairs)])
+        assert loss == pytest.approx(np.mean([x.item() for x, _ in alone]), rel=1e-12)
+
     def test_evaluate_returns_predictions(self):
         rng = np.random.default_rng(15)
         cfg = tiny_cfg()
@@ -276,9 +326,43 @@ class TestBatchLoss:
         batch = make_training_pairs(rng, cfg, 4)
         weights = np.array([0.5, 2.0, 1.25])
         loss, losses = batch_loss(model, batch, weights)
-        assert losses == [model.loss(a, t, label)[0].item() for a, t, label in batch]
+        # a sample sums in another order alone than in the batch: 1 ulp apart
+        np.testing.assert_allclose(losses, [model.loss(a, t, label)[0].item() for a, t, label in batch],
+                                   rtol=1e-12)
         expected = sum(weights[label] * x for (_, _, label), x in zip(batch, losses)) / len(batch)
         assert loss.item() == pytest.approx(expected, rel=1e-12)
+
+    def test_dropout_draws_ignore_padding(self):
+        """Dropout masks are drawn at each sample's valid length, so pre-padded
+        inputs give the unpadded batch's loss and gradients."""
+        rng = np.random.default_rng(22)
+        cfg = tiny_cfg(dropout_rate=0.3)
+        model = FusionModel(cfg)
+        batch = make_training_pairs(rng, cfg, 4)
+        padded = [(a.padded_to(a.length + 3), t.padded_to(t.length + i), label)
+                  for i, (a, t, label) in enumerate(batch)]
+        runs = []
+        for pairs in (batch, padded):
+            model.zero_grad()
+            loss, losses = batch_loss(model, pairs, dropout_rng=np.random.default_rng(5))
+            loss.tape.backward(loss)
+            runs.append((loss.item(), losses, [p.grad.copy() for p in model.parameters()]))
+        (loss, losses, grads), (padded_loss, padded_losses, padded_grads) = runs
+        assert padded_loss == pytest.approx(loss, rel=1e-10)
+        np.testing.assert_allclose(padded_losses, losses, rtol=1e-10)
+        for g, pg in zip(grads, padded_grads):
+            np.testing.assert_allclose(pg, g, rtol=1e-8, atol=1e-12)
+
+    def test_one_op_sequence_per_minibatch(self):
+        """The tape records as many ops for 16 samples as for 2."""
+        rng = np.random.default_rng(23)
+        cfg = tiny_cfg(dropout_rate=0.1)
+        model = FusionModel(cfg)
+        counts = []
+        for n in (2, 16):
+            loss, _ = batch_loss(model, make_training_pairs(rng, cfg, n), dropout_rng=np.random.default_rng(0))
+            counts.append(len(loss.tape._steps))
+        assert counts[0] == counts[1] <= 120
 
     def test_gradcheck_with_class_weights(self):
         rng = np.random.default_rng(18)
@@ -300,6 +384,19 @@ class TestBatchLoss:
             loss, _ = batch_loss(model, batch)
             loss.tape.backward(loss)
             del loss
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_evaluate_leaves_nothing_for_the_cycle_collector(self):
+        rng = np.random.default_rng(24)
+        cfg = tiny_cfg()
+        model = FusionModel(cfg)
+        pairs = make_training_pairs(rng, cfg, 40)
+        gc.collect()
+        gc.disable()
+        try:
+            evaluate(model, pairs)
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -367,8 +464,8 @@ class TestCheckpoint:
         save_model(model, path)
         loaded, ckpt = load_model(path)
         a, t = random_pair(rng, cfg)
-        np.testing.assert_array_equal(loaded.forward(a, t).logits.data,
-                                      model.forward(a, t).logits.data)
+        np.testing.assert_array_equal(loaded.forward(pad_batch([a]), pad_batch([t])).logits.data[0],
+                                      model.forward(pad_batch([a]), pad_batch([t])).logits.data[0])
         assert ckpt.config == cfg.to_dict()
 
     def test_truncated_blob_detected(self, tmp_path):

@@ -9,6 +9,16 @@ from gatedfusion import tensor as T
 from gatedfusion.errors import LabelError, NonFiniteError, ShapeError
 
 
+def make_leaf(name, data):
+    """A parameter of any shape: a (B, m, n) stack stands in for a batch activation,
+    since a tape leaf needs only `data` and `grad`, while `Parameter` is always 2-D."""
+    if data.ndim == 2:
+        return T.Parameter(name, data)
+    p = T.Parameter(name, np.zeros((1, 1)))
+    p.data, p.grad = data, np.zeros_like(data)
+    return p
+
+
 def fd_check(op, shapes, seed, step=1e-5, tol=1e-5):
     """Finite-difference oracle for a composite scalar built from `op`.
 
@@ -16,7 +26,7 @@ def fd_check(op, shapes, seed, step=1e-5, tol=1e-5):
     every output entry contributes to the loss.
     """
     rng = np.random.default_rng(seed)
-    params = [T.Parameter(f"p{i}", rng.normal(size=s)) for i, s in enumerate(shapes)]
+    params = [make_leaf(f"p{i}", rng.normal(size=s)) for i, s in enumerate(shapes)]
     out_probe = {}
 
     def loss_fn():
@@ -47,6 +57,18 @@ class TestMatmul:
         tape = T.Tape()
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
             T.matmul(tape.constant(np.zeros((2, 3))), tape.constant(np.zeros((2, 3))))
+        with pytest.raises(ShapeError, match=r"\(2, 2, 3\).*\(4, 3, 1\)"):
+            T.matmul(tape.constant(np.zeros((2, 2, 3))), tape.constant(np.zeros((4, 3, 1))))
+
+    def test_stack_is_matrices_one_by_one(self):
+        rng = np.random.default_rng(1)
+        a, b, w = rng.normal(size=(3, 4, 5)), rng.normal(size=(3, 5, 2)), rng.normal(size=(5, 2))
+        tape = T.Tape()
+        by_stack = T.matmul(tape.constant(a), tape.constant(b)).data
+        by_matrix = T.matmul(tape.constant(a), tape.constant(w)).data
+        for i in range(3):
+            np.testing.assert_allclose(by_stack[i], a[i] @ b[i], rtol=1e-14)
+            np.testing.assert_allclose(by_matrix[i], a[i] @ w, rtol=1e-14)
 
     def test_gradients_5x7_7x3(self):
         fd_check(lambda tape, ps: T.matmul(ps[0], ps[1]), [(5, 7), (7, 3)], seed=0, tol=1e-6)
@@ -116,10 +138,16 @@ class TestElementwise:
         """b must be a's shape, a 1xn row, an mx1 column or 1x1; the error names both shapes."""
         tape = T.Tape()
         a = tape.constant(np.zeros((2, 3)))
+        stack = tape.constant(np.zeros((2, 2, 3)))
         for op in (T.add, T.mul):
-            for b_shape in [(3, 2), (2, 2), (1, 2), (3, 1), (3, 3)]:
+            # the last: b of higher rank than a
+            for b_shape in [(3, 2), (2, 2), (1, 2), (3, 1), (3, 3), (4, 2, 3)]:
                 with pytest.raises(ShapeError, match=re.escape(f"(2, 3) vs {b_shape}")):
                     op(a, tape.constant(np.zeros(b_shape)))
+            # a stack of another length
+            for b_shape in [(3, 2, 3), (1, 1, 3)]:
+                with pytest.raises(ShapeError, match=re.escape(f"(2, 2, 3) vs {b_shape}")):
+                    op(stack, tape.constant(np.zeros(b_shape)))
             # the first operand may not be the smaller one
             with pytest.raises(ShapeError):
                 op(tape.constant(np.zeros((1, 3))), a)
@@ -129,7 +157,8 @@ class TestElementwise:
 
 @pytest.mark.parametrize("seed", range(10))
 def test_randomized_primitive_gradients(seed):
-    """Each primitive against central finite differences, random shapes."""
+    """Each primitive against central finite differences, random shapes, on
+    matrices and on stacks."""
     rng = np.random.default_rng(seed)
     m, k, n = rng.integers(1, 8, size=3)
     fd_check(lambda tape, ps: T.matmul(ps[0], ps[1]), [(m, k), (k, n)], seed)
@@ -145,6 +174,26 @@ def test_randomized_primitive_gradients(seed):
     fd_check(lambda tape, ps: T.concat_cols(ps[0], ps[1]), [(m, k), (m, n)], seed)
     fd_check(lambda tape, ps: T.transpose(ps[0]), [(m, n)], seed)
     fd_check(lambda tape, ps: T.slice_cols(ps[0], 0, int(n)), [(m, n + 2)], seed)
+
+    # the same on (B, m, n) stacks
+    b = int(rng.integers(1, 5))
+    fd_check(lambda tape, ps: T.matmul(ps[0], ps[1]), [(b, m, k), (b, k, n)], seed)
+    # a stack times a matrix, and a column times a stack of rows (context expansion)
+    fd_check(lambda tape, ps: T.matmul(ps[0], ps[1]), [(b, m, k), (k, n)], seed)
+    fd_check(lambda tape, ps: T.matmul(ps[0], ps[1]), [(m, 1), (b, 1, n)], seed)
+    # b of the stack's shape, per-sample rows and columns, then one matrix for all samples
+    for b_shape in [(b, m, n), (b, 1, n), (b, m, 1), (m, n), (1, n), (m, 1), (1, 1)]:
+        fd_check(lambda tape, ps: T.add(ps[0], ps[1]), [(b, m, n), b_shape], seed)
+        fd_check(lambda tape, ps: T.mul(ps[0], ps[1]), [(b, m, n), b_shape], seed)
+    fd_check(lambda tape, ps: T.sigmoid(ps[0]), [(b, m, n)], seed)
+    fd_check(lambda tape, ps: T.relu(ps[0]), [(b, m, n)], seed)
+    fd_check(lambda tape, ps: T.softmax_rows(ps[0]), [(b, m, n)], seed)
+    fd_check(lambda tape, ps: T.layernorm_rows(ps[0]), [(b, m, max(n, 3))], seed)
+    fd_check(lambda tape, ps: T.concat_cols(ps[0], ps[1]), [(b, m, k), (b, m, n)], seed)
+    fd_check(lambda tape, ps: T.transpose(ps[0]), [(b, m, n)], seed)
+    fd_check(lambda tape, ps: T.slice_cols(ps[0], 1, int(n) + 1), [(b, m, n + 2)], seed)
+    labels = rng.integers(0, n + 1, size=b)
+    fd_check(lambda tape, ps: T.cross_entropy(ps[0], labels), [(b, 1, n + 1)], seed)
 
 
 @pytest.mark.parametrize("seed", range(100))
@@ -220,6 +269,18 @@ class TestCrossEntropy:
         with pytest.raises(LabelError):
             T.cross_entropy(tape.constant([[0.0, 0.0]]), 2)
 
+    def test_stack_gives_one_loss_per_row(self):
+        rng = np.random.default_rng(8)
+        logits, labels = rng.normal(size=(4, 1, 3)), [2, 0, 1, 2]
+        tape = T.Tape()
+        losses = T.cross_entropy(tape.constant(logits), labels).data
+        assert losses.shape == (4, 1, 1)
+        for i in range(4):
+            row = T.cross_entropy(tape.constant(logits[i]), labels[i]).data
+            np.testing.assert_array_equal(losses[i], row)
+        with pytest.raises(ShapeError):
+            T.cross_entropy(tape.constant(logits), [0, 1])
+
     def test_gradient(self):
         rng = np.random.default_rng(9)
         p = T.Parameter("logits", rng.normal(size=(1, 4)))
@@ -259,3 +320,17 @@ class TestGradcheckHarness:
             return T.sum_all(wrong_square(tape.leaf(p)))
 
         assert not T.gradcheck(loss_fn, [p]).passed
+
+    def test_nan_off_the_base_point_fails(self):
+        """A loss that turns NaN when the first entry moves fails that entry, and a
+        finite later entry does not hide it."""
+        p = T.Parameter("x", np.array([[3.0, 2.0]]))
+
+        def loss_fn():
+            tape = T.Tape()
+            x = tape.leaf(p)
+            shift = tape.constant([[0.0 if p.data[0, 0] == 3.0 else np.nan]])
+            return T.sum_all(T.mul(T.add(x, shift), x))
+
+        report = T.gradcheck(loss_fn, [p])
+        assert not report.passed and np.isnan(report.worst)
