@@ -115,16 +115,12 @@ class GateTrace:
     diag_t: np.ndarray | None = None
 
 
-def aligned_energy(trace: GateTrace) -> np.ndarray | None:
-    """Energy resampled to the gate frame count by linear interpolation."""
-    if trace.energy is None:
-        return None
-    n = len(trace.gates_a)
-    if len(trace.energy) == n:
-        return trace.energy
-    src = np.linspace(0.0, 1.0, len(trace.energy))
-    dst = np.linspace(0.0, 1.0, n)
-    return np.interp(dst, src, trace.energy)
+def trace_energy(trace: GateTrace) -> np.ndarray | None:
+    """The trace's energy channel, one value per acoustic gate; None if absent."""
+    if trace.energy is not None and len(trace.energy) != len(trace.gates_a):
+        raise ConfigError(f"sample {trace.sample_id}: {len(trace.energy)} energy values "
+                          f"for {len(trace.gates_a)} acoustic gates")
+    return trace.energy
 
 
 def collect_traces(model: FusionModel, samples: list[Sample]) -> list[GateTrace]:
@@ -167,7 +163,7 @@ class CorrelationReport:
 def gate_energy_correlation(traces: list[GateTrace]) -> CorrelationReport:
     gates, energies, labels = [], [], []
     for tr in traces:
-        e = aligned_energy(tr)
+        e = trace_energy(tr)
         if e is None:
             continue
         gates.append(tr.gates_a)
@@ -234,19 +230,6 @@ def gate_diagnostic_alignment(traces: list[GateTrace]) -> AlignmentReport:
     )
 
 
-def subject_level(preds: np.ndarray, labels: np.ndarray, subject_ids: list) -> tuple[np.ndarray, np.ndarray]:
-    """Majority-vote predictions per subject; ties broken by lowest class id."""
-    preds = np.asarray(preds)
-    labels = np.asarray(labels)
-    out_p, out_l = [], []
-    for sid in sorted(set(subject_ids)):
-        idx = [i for i, s in enumerate(subject_ids) if s == sid]
-        votes = np.bincount(preds[idx])
-        out_p.append(int(np.argmax(votes)))
-        out_l.append(int(labels[idx[0]]))
-    return np.array(out_p), np.array(out_l)
-
-
 @dataclass
 class FoldResult:
     fold: int
@@ -272,17 +255,13 @@ class KFoldReport:
 
 
 def make_folds(corpus: Corpus, k: int, seed: int) -> list[np.ndarray]:
-    """Deterministic fold index sets; subject-disjoint when subject ids exist."""
-    subjects = [s.subject_id for s in corpus.samples]
+    """Deterministic stratified fold index sets.
+
+    Each class's samples are dealt round-robin in a seeded random order, so
+    fold label mixes match the corpus (otherwise fold and training
+    composition anti-correlate).
+    """
     rng = np.random.default_rng([seed, 17])
-    if all(s is not None for s in subjects) and len(set(subjects)) >= k:
-        uniq = sorted(set(subjects))
-        order = rng.permutation(len(uniq))
-        assignment = {uniq[j]: i % k for i, j in enumerate(order)}
-        return [np.array([i for i, s in enumerate(subjects) if assignment[s] == f])
-                for f in range(k)]
-    # stratified: deal each class's samples round-robin so fold label mixes
-    # match the corpus (otherwise fold and training composition anti-correlate)
     folds: list[list[int]] = [[] for _ in range(k)]
     counter = 0
     labels = corpus.labels()
@@ -320,14 +299,9 @@ def kfold(
         train_pairs = [model_inputs(s) for s in train_samples]
         result = train(model, train_pairs, fold_train_cfg)
         _, _, preds = evaluate(model, [model_inputs(s) for s in eval_samples])
-        labels = [s.label for s in eval_samples]
-        sids = [s.subject_id for s in eval_samples]
-        if all(s is not None for s in sids):
-            p_arr, l_arr = subject_level(np.array(preds), np.array(labels), sids)
-        else:
-            p_arr, l_arr = np.array(preds), np.array(labels)
-        m = metrics(p_arr, l_arr, corpus.n_classes)
-        missing = [c for c in range(corpus.n_classes) if (l_arr == c).sum() == 0]
+        labels = np.array([s.label for s in eval_samples])
+        m = metrics(preds, labels, corpus.n_classes)
+        missing = [c for c in range(corpus.n_classes) if (labels == c).sum() == 0]
         for c in missing:
             m.warnings.append(f"fold {f}: class {c} missing from held-out labels")
         results.append(FoldResult(f, m, result.history))

@@ -123,6 +123,14 @@ def load_model(path) -> tuple[FusionModel, Checkpoint]:
         cfg = from_dict(ModelConfig, ckpt.config, "model config")
     except ConfigError as e:
         raise ManifestError(f"{path}: {e}") from e
+    # the config sizes the model: check them against the stored arrays first,
+    # so a forged header cannot make FusionModel allocate without bound
+    d = cfg.d_model
+    for name, shape in (("proj_a.w", (cfg.d_a, d)), ("proj_t.w", (cfg.d_t, d)),
+                        (f"enc_a.{cfg.n_layers - 1}.ffn_w1", (d, d * cfg.ff_mult)),
+                        ("head.w2", (d, cfg.n_classes))):
+        if name not in ckpt.arrays or ckpt.arrays[name].shape != shape:
+            raise ManifestError(f"{path}: model config needs array {name!r} of shape {shape}")
     model = FusionModel(cfg)
     for p in model.parameters():
         if p.name not in ckpt.arrays:

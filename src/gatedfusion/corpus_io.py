@@ -5,7 +5,9 @@ offsets into `features.bin`, which holds row-major little-endian float32
 regions in manifest order. Side channels (energy, negative flags, diagnostic
 flags) are optional per sample. The reader validates version, checksum and
 every region's bounds before touching the blob, so a corrupted manifest
-produces a typed error rather than an out-of-bounds read.
+produces a typed error rather than an out-of-bounds read. A record with a
+`subject_id` key is rejected: there is no subject-level protocol, and the
+key is not silently dropped.
 
 Byte layout of `features.bin`: concatenation of the regions referenced by the
 manifest; each region is `count * 4` bytes of `<f4`, where count is
@@ -64,8 +66,6 @@ def write_corpus(corpus: Corpus, path: str) -> None:
             rec[f"has_{name}"] = channel is not None
             if channel is not None:
                 rec[f"offset_{name}"], _ = put(np.asarray(channel, dtype=np.float64))
-        if s.subject_id is not None:
-            rec["subject_id"] = s.subject_id
         records.append(rec)
 
     blob = b"".join(chunks)
@@ -151,6 +151,8 @@ def read_corpus(path: str) -> Corpus:
         label_str = f"sample[{i}]"
         if not isinstance(rec, dict):
             raise ManifestError(f"{label_str}: record must be an object")
+        if "subject_id" in rec:
+            raise ManifestError(f"{label_str}: subject_id is not supported; folds are stratified by label")
         sample_id = need(rec, "id", int, label_str)
         label = need(rec, "label", int, label_str)
         if not 0 <= label < len(class_names):
@@ -184,9 +186,6 @@ def read_corpus(path: str) -> Corpus:
             else:
                 channels[name] = None
 
-        subject = rec.get("subject_id")
-        if subject is not None and not isinstance(subject, int):
-            raise ManifestError(f"{label_str}: subject_id must be an integer")
         samples.append(
             Sample(
                 sample_id=sample_id,
@@ -197,7 +196,6 @@ def read_corpus(path: str) -> Corpus:
                 negative_token_flags=channels["negative_flags"],
                 diagnostic_flags_a=channels["diag_a"],
                 diagnostic_flags_t=channels["diag_t"],
-                subject_id=subject,
             )
         )
 

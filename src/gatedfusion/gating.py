@@ -47,10 +47,6 @@ class GatingParams:
             b_t=T.Parameter("gate.b_t", np.zeros((1, 1))),
         )
 
-    @property
-    def d(self) -> int:
-        return self.w_a.data.shape[0] // 2
-
     def parameters(self) -> list[T.Parameter]:
         return [self.w_a, self.w_t, self.b_a, self.b_t]
 

@@ -124,7 +124,6 @@ class FusionModel:
         batch_a: PaddedBatch,
         batch_t: PaddedBatch,
         dropout_rng: np.random.Generator | None = None,
-        tape: T.Tape | None = None,
     ) -> ForwardResult:
         """Logits and gates of a padded minibatch of pairs.
 
@@ -139,8 +138,7 @@ class FusionModel:
         if n_a != n_t:
             raise ShapeError(f"batch sizes differ: {n_a} acoustic vs {n_t} textual")
         keeps_a, keeps_t = self._dropout_keeps(batch_a, batch_t, dropout_rng)
-        if tape is None:
-            tape = T.Tape()
+        tape = T.Tape()
         mask_a, mask_t = batch_a.masks, batch_t.masks
 
         xa = T.add(T.matmul(tape.constant(batch_a.features), tape.leaf(self.proj_a_w)), tape.leaf(self.proj_a_b))

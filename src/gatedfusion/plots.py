@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .analysis import GateTrace, aligned_energy
+from .analysis import GateTrace, trace_energy
 from .errors import ConfigError
 
 _W = 720
@@ -55,7 +55,7 @@ def render_trace_svg(trace: GateTrace) -> str:
     # acoustic panel
     x0, y0 = _PAD, 30
     xs = x0 + (np.arange(na) / max(na - 1, 1)) * (_W - 2 * _PAD)
-    energy = aligned_energy(trace)
+    energy = trace_energy(trace)
     if energy is not None:
         lo, hi = energy.min(), energy.max()
         span = hi - lo if hi > lo else 1.0

@@ -94,7 +94,6 @@ class Sample:
     negative_token_flags: np.ndarray | None = None
     diagnostic_flags_a: np.ndarray | None = None
     diagnostic_flags_t: np.ndarray | None = None
-    subject_id: int | None = None
 
 
 @dataclass
@@ -103,7 +102,6 @@ class Corpus:
     class_names: list[str]
     d_a: int
     d_t: int
-    spec: SynthSpec | None = None
 
     @property
     def n_classes(self) -> int:
@@ -169,7 +167,7 @@ def generate(spec: SynthSpec) -> Corpus:
             )
         )
     names = ["healthy"] + [f"severity_{i}" for i in range(1, spec.n_classes)]
-    return Corpus(samples, names, spec.d_a, spec.d_t, spec)
+    return Corpus(samples, names, spec.d_a, spec.d_t)
 
 
 @dataclass

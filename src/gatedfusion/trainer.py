@@ -188,6 +188,7 @@ def train(
     n = len(train_pairs)
     for epoch in range(start_epoch, cfg.epochs):
         snapshot = [p.data.copy() for p in model.parameters()]
+        opt_snapshot = {k: v.copy() for k, v in opt.state_arrays().items()}
         shuffle_rng = np.random.default_rng([cfg.seed, 7, epoch])
         dropout_rng = np.random.default_rng([cfg.seed, 11, epoch])
         order = shuffle_rng.permutation(n)
@@ -204,8 +205,10 @@ def train(
         except NonFiniteError as e:
             for p, saved in zip(model.parameters(), snapshot):
                 p.data[...] = saved
+            opt.load_state(opt_snapshot)
             raise NonFiniteError(
-                f"training diverged in epoch {epoch}; parameters restored to start of epoch: {e}"
+                f"training diverged in epoch {epoch}; parameters and optimizer state "
+                f"restored to start of epoch: {e}"
             ) from e
         entry = {"epoch": epoch, "train_loss": epoch_loss / n}
         if val_pairs is not None:

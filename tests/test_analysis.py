@@ -5,7 +5,6 @@ import pytest
 
 from gatedfusion.analysis import (
     GateTrace,
-    aligned_energy,
     auroc,
     collect_traces,
     gate_diagnostic_alignment,
@@ -14,11 +13,11 @@ from gatedfusion.analysis import (
     make_folds,
     metrics,
     pearson,
-    subject_level,
 )
 from gatedfusion.errors import ConfigError
 from gatedfusion.gating import GatingMode
 from gatedfusion.model import ModelConfig
+from gatedfusion.plots import render_trace_svg
 from gatedfusion.synth import SynthSpec, generate
 from gatedfusion.trainer import TrainConfig
 
@@ -140,17 +139,6 @@ class TestAuroc:
 
 
 class TestTraceUtilities:
-    def test_aligned_energy_identity_when_lengths_match(self):
-        tr = GateTrace(0, 0, np.zeros(4), np.zeros(3), energy=np.arange(4.0))
-        assert aligned_energy(tr) is tr.energy
-
-    def test_aligned_energy_interpolates(self):
-        tr = GateTrace(0, 0, np.zeros(3), np.zeros(3), energy=np.array([0.0, 1.0]))
-        np.testing.assert_allclose(aligned_energy(tr), [0.0, 0.5, 1.0])
-
-    def test_aligned_energy_none(self):
-        assert aligned_energy(GateTrace(0, 0, np.zeros(3), np.zeros(3))) is None
-
     def test_correlation_hand_case(self):
         # gates fall exactly where energy falls: r = -1 impossible, so plant r = +1
         tr = GateTrace(0, 1, np.array([0.1, 0.5, 0.9]), np.zeros(2),
@@ -163,6 +151,14 @@ class TestTraceUtilities:
         with pytest.raises(ConfigError):
             gate_energy_correlation([GateTrace(0, 0, np.zeros(3), np.zeros(3))])
 
+    @pytest.mark.parametrize("n_energy", [2, 4])
+    def test_energy_length_must_match_acoustic_gates(self, n_energy):
+        tr = GateTrace(0, 1, np.array([0.1, 0.5, 0.9]), np.zeros(2), energy=np.arange(float(n_energy)))
+        with pytest.raises(ConfigError, match="energy values"):
+            gate_energy_correlation([tr])
+        with pytest.raises(ConfigError, match="energy values"):
+            render_trace_svg(tr)
+
     def test_alignment_hand_case(self):
         tr = GateTrace(0, 1, np.array([0.9, 0.1, 0.1]), np.array([0.2, 0.8]),
                        diag_a=np.array([1, 0, 0]), diag_t=np.array([0, 1]))
@@ -170,17 +166,6 @@ class TestTraceUtilities:
         assert rep.auroc_a == 1.0 and rep.auroc_t == 1.0
         assert rep.mean_gate_diag_a == pytest.approx(0.9)
         assert rep.mean_gate_other_a == pytest.approx(0.1)
-
-    def test_subject_level_majority_and_tiebreak(self):
-        preds = np.array([0, 0, 1, 2, 2, 1])
-        labels = np.array([0, 0, 0, 2, 2, 2])
-        sids = [7, 7, 7, 9, 9, 9]
-        p, l = subject_level(preds, labels, sids)
-        np.testing.assert_array_equal(p, [0, 2])
-        np.testing.assert_array_equal(l, [0, 2])
-        # tie: classes 1 and 2 with one vote each -> lowest id wins
-        p2, _ = subject_level(np.array([1, 2]), np.array([0, 0]), [3, 3])
-        assert p2[0] == 1
 
 
 def tiny_corpus(n=16, seed=0):
@@ -202,17 +187,6 @@ class TestFolds:
         folds = make_folds(corpus, 4, seed=0)
         all_idx = np.sort(np.concatenate(folds))
         np.testing.assert_array_equal(all_idx, np.arange(16))
-
-    def test_subject_disjoint(self):
-        corpus = tiny_corpus()
-        for i, s in enumerate(corpus.samples):
-            s.subject_id = i // 2
-        folds = make_folds(corpus, 4, seed=0)
-        for f in folds:
-            subjects = {corpus.samples[i].subject_id for i in f}
-            for g in folds:
-                if g is not f:
-                    assert subjects.isdisjoint({corpus.samples[i].subject_id for i in g})
 
     def test_deterministic(self):
         corpus = tiny_corpus()

@@ -61,13 +61,6 @@ class TestRoundTrip:
         assert back.samples[0].diagnostic_flags_a is None
         assert back.samples[0].diagnostic_flags_t is not None
 
-    def test_subject_ids_preserved(self, tmp_path):
-        corpus = small_corpus(n=4)
-        for i, s in enumerate(corpus.samples):
-            s.subject_id = i // 2
-        write_corpus(corpus, str(tmp_path / "c"))
-        assert [s.subject_id for s in read_corpus(str(tmp_path / "c")).samples] == [0, 0, 1, 1]
-
     @pytest.mark.parametrize("seed", range(10))
     def test_randomized_round_trips(self, tmp_path, seed):
         corpus = small_corpus(seed=seed, n=5)
@@ -189,6 +182,12 @@ class TestCorruption:
         path = written(tmp_path)
         edit_manifest(path, lambda m: m["samples"][0].update(label=True))
         with pytest.raises(ManifestError):
+            read_corpus(path)
+
+    def test_subject_id_key_rejected(self, tmp_path):
+        path = written(tmp_path)
+        edit_manifest(path, lambda m: m["samples"][1].update(subject_id=0))
+        with pytest.raises(ManifestError, match="subject_id"):
             read_corpus(path)
 
     def test_record_count_mismatch(self, tmp_path):

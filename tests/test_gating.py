@@ -48,7 +48,7 @@ def random_seq(rng, t_len, d, pad=0):
 
 def model_gates(seq_a, seq_t, params, mode=GatingMode.CROSS_MODAL):
     """(gates_a, gates_t) from forward, with identity projections so the gates see the inputs."""
-    d = params.d
+    d = params.w_a.data.shape[0] // 2
     model = FusionModel(ModelConfig(d_a=d, d_t=d, d_model=d, n_heads=1, n_layers=1, ff_mult=1,
                                     n_classes=2, gating_mode=mode, dropout_rate=0.0))
     for w, b in ((model.proj_a_w, model.proj_a_b), (model.proj_t_w, model.proj_t_b)):

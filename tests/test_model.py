@@ -14,6 +14,7 @@ from gatedfusion.errors import (
     ConfigError,
     GatedFusionError,
     ManifestError,
+    NonFiniteError,
     ShapeError,
     UnsupportedVersionError,
 )
@@ -297,6 +298,34 @@ class TestTraining:
         with pytest.raises(ManifestError):
             Adam(model.parameters(), 1e-3).load_state(state)
 
+    @pytest.mark.parametrize("mode", list(GatingMode))
+    def test_divergence_restores_parameters_and_optimizer_state(self, mode):
+        rng = np.random.default_rng(23)
+        cfg = tiny_cfg(gating_mode=mode)
+        model = FusionModel(cfg)
+        pairs = make_training_pairs(rng, cfg, 6)
+        tc = TrainConfig(learning_rate=1e-3, epochs=2, batch_size=2, seed=4)
+        opt = make_optimizer(model, tc)
+        train(model, pairs, TrainConfig(learning_rate=1e-3, epochs=1, batch_size=2, seed=4),
+              optimizer=opt)
+        params = [p.data.copy() for p in model.parameters()]
+        state = {k: v.copy() for k, v in opt.state_arrays().items()}
+        # a NaN entry makes the loss non-finite in every mode (a huge finite one
+        # can be gated away); put it in epoch 1's last batch, after two steps
+        last = int(np.random.default_rng([tc.seed, 7, 1]).permutation(len(pairs))[-1])
+        a, t, label = pairs[last]
+        features = a.valid_features().copy()
+        features[0, 0] = np.nan
+        pairs[last] = (MaskedSequence.from_valid(features), t, label)
+        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError, match="epoch 1"):
+            train(model, pairs, tc, start_epoch=1, optimizer=opt)
+        for p, saved in zip(model.parameters(), params):
+            np.testing.assert_array_equal(p.data, saved)
+        after = opt.state_arrays()
+        assert after.keys() == state.keys()
+        for k in state:
+            np.testing.assert_array_equal(after[k], state[k])
+
     def test_evaluate_matches_one_sample_at_a_time(self):
         """Chunked evaluation gives each sample's own loss and prediction."""
         rng = np.random.default_rng(21)
@@ -455,6 +484,54 @@ class TestCheckpoint:
         path.write_bytes(MALFORMED_CHECKPOINTS[name](path.read_bytes()))
         with pytest.raises(GatedFusionError):
             load_model(path)
+
+    def test_header_sizes_checked_before_the_model_is_built(self, tmp_path):
+        path = tmp_path / "model.gfck"
+        save_model(FusionModel(tiny_cfg()), path)
+        edit = lambda header: _set("config", "d_model", 10**7)(_set("config", "d_a", 10**7)(header))
+        path.write_bytes(rewrite_header(path.read_bytes(), edit))
+        with pytest.raises(ManifestError, match="proj_a.w"):
+            load_model(path)
+
+    def test_1000_header_mutations_raise_typed_errors(self, tmp_path):
+        """Criterion 10b's manifest fuzz, applied to the checkpoint header."""
+        path = tmp_path / "model.gfck"
+        save_model(FusionModel(tiny_cfg()), path)
+        pristine = path.read_bytes()
+        (hlen,) = struct.unpack("<I", pristine[4:8])
+        junk = [None, True, False, -1, 0, 1, 3.5, "x", [], {}, [1], 10**15, -(10**15),
+                "offset", 2.0, float("inf")]
+        rng = np.random.default_rng(53)
+        typed, other = 0, []
+        for _ in range(1000):
+            header = json.loads(pristine[8 : 8 + hlen])
+            for _ in range(int(rng.integers(1, 4))):
+                target = header
+                if rng.random() >= 0.3:
+                    nested = [header.get("config")]
+                    if isinstance(header.get("arrays"), list):
+                        nested += header["arrays"]
+                    cand = nested[int(rng.integers(len(nested)))]
+                    if isinstance(cand, dict) and cand:  # prior edit may have junked it
+                        target = cand
+                keys = list(target.keys())
+                key = keys[int(rng.integers(len(keys)))]
+                roll = rng.random()
+                if roll < 0.2:
+                    del target[key]
+                elif roll < 0.4 and isinstance(target[key], int):
+                    target[key] = int(target[key] + rng.integers(-10**6, 10**6))
+                else:
+                    target[key] = junk[int(rng.integers(len(junk)))]
+            path.write_bytes(rewrite_header(pristine, lambda _: header))
+            try:
+                load_model(path)
+            except GatedFusionError:
+                typed += 1
+            except Exception as e:
+                other.append(repr(e))
+        assert other == []
+        assert typed >= 900
 
     def test_round_trip_identical_logits(self, tmp_path):
         rng = np.random.default_rng(20)
