@@ -27,9 +27,9 @@ def main():
 
     s = corpus.samples[0]
     print(f"\nsample 0 (class {s.label}):")
-    print(f"  acoustic {s.acoustic.valid_count} frames x {s.acoustic.width} dims, "
+    print(f"  acoustic {s.acoustic.shape[0]} frames x {s.acoustic.shape[1]} dims, "
           f"{int(s.diagnostic_flags_a.sum())} diagnostic")
-    print(f"  textual  {s.textual.valid_count} tokens x {s.textual.width} dims, "
+    print(f"  textual  {s.textual.shape[0]} tokens x {s.textual.shape[1]} dims, "
           f"{int(s.diagnostic_flags_t.sum())} diagnostic")
     diag_e = s.energy[s.diagnostic_flags_a == 1].mean()
     rest_e = s.energy[s.diagnostic_flags_a == 0].mean()

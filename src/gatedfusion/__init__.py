@@ -15,7 +15,7 @@ from .errors import (
 )
 from .gating import GatingMode, GatingParams
 from .model import ForwardResult, FusionModel, ModelConfig
-from .sequence import MaskedSequence, PaddedBatch, pad_batch
+from .sequence import PaddedBatch, pad_batch
 from .synth import Corpus, OracleReport, Sample, SynthSpec, bayes_oracle_accuracy, generate, model_inputs
 from .tensor import GradcheckReport, Parameter, Tape, Tensor, gradcheck
 from .trainer import TrainConfig, TrainResult, evaluate, train
@@ -26,7 +26,7 @@ __all__ = [
     "NonFiniteError", "ShapeError", "UnsupportedVersionError",
     "GatingMode", "GatingParams",
     "ForwardResult", "FusionModel", "ModelConfig",
-    "MaskedSequence", "PaddedBatch", "pad_batch",
+    "PaddedBatch", "pad_batch",
     "Corpus", "OracleReport", "Sample", "SynthSpec", "bayes_oracle_accuracy",
     "generate", "model_inputs",
     "GradcheckReport", "Parameter", "Tape", "Tensor", "gradcheck",

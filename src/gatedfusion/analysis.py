@@ -137,8 +137,8 @@ def collect_traces(model: FusionModel, samples: list[Sample]) -> list[GateTrace]
                 GateTrace(
                     sample_id=s.sample_id,
                     label=s.label,
-                    gates_a=result.gates_a[i, : a.valid_count, 0],
-                    gates_t=result.gates_t[i, : t.valid_count, 0],
+                    gates_a=result.gates_a[i, : len(a), 0],
+                    gates_t=result.gates_t[i, : len(t), 0],
                     energy=s.energy,
                     negative_flags=s.negative_token_flags,
                     diag_a=s.diagnostic_flags_a,
@@ -278,15 +278,18 @@ def kfold(
     k: int,
     train_cfg: TrainConfig,
     model_cfg: ModelConfig,
-    collect_gate_traces: bool = False,
 ) -> KFoldReport:
-    """Train k models from scratch on complementary folds and aggregate."""
+    """Train k models from scratch on complementary folds and aggregate.
+
+    Gate traces of every held-out sample are collected when the model gates.
+    """
     n = len(corpus.samples)
     if k < 2:
         raise ConfigError(f"k must be >= 2, got {k}")
     if n < 2 * k:
         raise ConfigError(f"corpus of {n} samples too small for k={k} (need >= {2 * k})")
     folds = make_folds(corpus, k, train_cfg.seed)
+    gating = model_cfg.gating_mode is not GatingMode.NONE
     results = []
     all_traces: list[GateTrace] = []
     for f, held_out in enumerate(folds):
@@ -305,7 +308,7 @@ def kfold(
         for c in missing:
             m.warnings.append(f"fold {f}: class {c} missing from held-out labels")
         results.append(FoldResult(f, m, result.history))
-        if collect_gate_traces and model_cfg.gating_mode is not GatingMode.NONE:
+        if gating:
             all_traces.extend(collect_traces(model, eval_samples))
     accs = np.array([r.metrics.accuracy for r in results])
     f1s = np.array([r.metrics.macro_f1 for r in results])
@@ -314,5 +317,5 @@ def kfold(
         mean_accuracy=float(accs.mean()),
         std_accuracy=float(accs.std()),
         mean_macro_f1=float(f1s.mean()),
-        traces=all_traces if collect_gate_traces else None,
+        traces=all_traces if gating else None,
     )

@@ -75,8 +75,8 @@ def cmd_generate(args) -> int:
     with open(os.path.join(args.out, "manifest.json")) as f:
         checksum = json.load(f)["blob_sha256"]
     counts = np.bincount(corpus.labels(), minlength=corpus.n_classes)
-    lens_a = [s.acoustic.valid_count for s in corpus.samples]
-    lens_t = [s.textual.valid_count for s in corpus.samples]
+    lens_a = [len(s.acoustic) for s in corpus.samples]
+    lens_t = [len(s.textual) for s in corpus.samples]
     print(f"wrote corpus of {len(corpus.samples)} samples to {args.out}")
     print(f"blob sha256: {checksum}")
     for name, c in zip(corpus.class_names, counts):

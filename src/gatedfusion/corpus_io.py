@@ -5,7 +5,9 @@ offsets into `features.bin`, which holds row-major little-endian float32
 regions in manifest order. Side channels (energy, negative flags, diagnostic
 flags) are optional per sample. The reader validates version, checksum and
 every region's bounds before touching the blob, so a corrupted manifest
-produces a typed error rather than an out-of-bounds read. A record with a
+produces a typed error rather than an out-of-bounds read; a NaN or infinite
+stored value is a `ManifestError` too. Each modality is written and read
+back as its (T, d) array of valid rows. A record with a
 `subject_id` key is rejected: there is no subject-level protocol, and the
 key is not silently dropped.
 
@@ -24,7 +26,6 @@ import os
 import numpy as np
 
 from .errors import BoundsError, ChecksumError, ManifestError, UnsupportedVersionError, need
-from .sequence import MaskedSequence
 from .synth import Corpus, Sample
 
 FORMAT_VERSION = 1
@@ -52,11 +53,11 @@ def write_corpus(corpus: Corpus, path: str) -> None:
         rec = {
             "id": s.sample_id,
             "label": s.label,
-            "T_a": s.acoustic.valid_count,
-            "T_t": s.textual.valid_count,
+            "T_a": len(s.acoustic),
+            "T_t": len(s.textual),
         }
-        rec["offset_a"], _ = put(s.acoustic.valid_features())
-        rec["offset_t"], _ = put(s.textual.valid_features())
+        rec["offset_a"], _ = put(s.acoustic)
+        rec["offset_t"], _ = put(s.textual)
         for name, channel in (
             ("energy", s.energy),
             ("negative_flags", s.negative_token_flags),
@@ -144,7 +145,10 @@ def read_corpus(path: str) -> Corpus:
     def region_array(rec, key, count, label) -> np.ndarray:
         start, length = _region(rec, key, count, blob_length, label)
         regions.append((start, length))
-        return np.frombuffer(blob[start : start + length], dtype="<f4").astype(np.float64)
+        arr = np.frombuffer(blob[start : start + length], dtype="<f4").astype(np.float64)
+        if not np.all(np.isfinite(arr)):
+            raise ManifestError(f"{label}: region {key!r} holds a non-finite value")
+        return arr
 
     samples = []
     for i, rec in enumerate(records):
@@ -190,8 +194,8 @@ def read_corpus(path: str) -> Corpus:
             Sample(
                 sample_id=sample_id,
                 label=label,
-                acoustic=MaskedSequence.from_valid(feats_a),
-                textual=MaskedSequence.from_valid(feats_t),
+                acoustic=feats_a,
+                textual=feats_t,
                 energy=channels["energy"],
                 negative_token_flags=channels["negative_flags"],
                 diagnostic_flags_a=channels["diag_a"],

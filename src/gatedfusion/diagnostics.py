@@ -13,7 +13,6 @@ import numpy as np
 from . import tensor as T
 from .gating import GatingMode
 from .model import FusionModel, ModelConfig
-from .sequence import MaskedSequence
 from .trainer import batch_loss
 
 
@@ -32,13 +31,11 @@ def tiny_config(gating_mode: GatingMode, seed: int = 3) -> ModelConfig:
     )
 
 
-def probe_batch(cfg: ModelConfig, seed: int = 11) -> list[tuple[MaskedSequence, MaskedSequence, int]]:
+def probe_batch(cfg: ModelConfig, seed: int = 11) -> list[tuple[np.ndarray, np.ndarray, int]]:
     rng = np.random.default_rng(seed)
     batch = []
     for label, (ta, tt) in zip((0, 2), ((5, 4), (3, 6))):
-        a = MaskedSequence.from_valid(rng.normal(size=(ta, cfg.d_a)))
-        t = MaskedSequence.from_valid(rng.normal(size=(tt, cfg.d_t)))
-        batch.append((a, t, label))
+        batch.append((rng.normal(size=(ta, cfg.d_a)), rng.normal(size=(tt, cfg.d_t)), label))
     return batch
 
 

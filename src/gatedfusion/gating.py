@@ -36,10 +36,9 @@ class GatingParams:
     b_t: T.Parameter
 
     @classmethod
-    def init(cls, d: int, rng: np.random.Generator) -> "GatingParams":
+    def init(cls, d: int) -> "GatingParams":
         # zero init: gates start exactly neutral (0.5) with no accidental
         # frame preference; a single output unit has no symmetry to break
-        del rng
         return cls(
             w_a=T.Parameter("gate.w_a", np.zeros((2 * d, 1))),
             w_t=T.Parameter("gate.w_t", np.zeros((2 * d, 1))),

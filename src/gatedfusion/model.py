@@ -17,7 +17,7 @@ from . import tensor as T
 from .encoder import EncoderLayer, dropout_keep, xavier_uniform, sinusoidal_positions
 from .errors import ConfigError, ShapeError
 from .gating import GatingMode, GatingParams, gate_sequence, refine_sequence
-from .sequence import MaskedSequence, PaddedBatch, masked_mean_pool, pad_batch
+from .sequence import PaddedBatch, masked_mean_pool, pad_batch
 
 
 @dataclass
@@ -77,7 +77,7 @@ class FusionModel:
         self.proj_a_b = p("proj_a.b", np.zeros((1, d)))
         self.proj_t_w = p("proj_t.w", xavier_uniform(rng, cfg.d_t, d))
         self.proj_t_b = p("proj_t.b", np.zeros((1, d)))
-        self.gating = GatingParams.init(d, rng)
+        self.gating = GatingParams.init(d)
         self.enc_a = [EncoderLayer(f"enc_a.{i}", d, cfg.n_heads, cfg.ff_mult, rng) for i in range(cfg.n_layers)]
         self.enc_t = [EncoderLayer(f"enc_t.{i}", d, cfg.n_heads, cfg.ff_mult, rng) for i in range(cfg.n_layers)]
         self.head_w1 = p("head.w1", xavier_uniform(rng, 2 * d, d))
@@ -173,7 +173,7 @@ class FusionModel:
         logits = T.add(T.matmul(hidden, tape.leaf(self.head_w2)), tape.leaf(self.head_b2))
         return ForwardResult(logits, gates_a, gates_t)
 
-    def loss(self, seq_a: MaskedSequence, seq_t: MaskedSequence, label: int) -> tuple[T.Tensor, ForwardResult]:
+    def loss(self, seq_a: np.ndarray, seq_t: np.ndarray, label: int) -> tuple[T.Tensor, ForwardResult]:
         """Cross-entropy of one pair, run as a batch of one (dropout off)."""
         result = self.forward(pad_batch([seq_a]), pad_batch([seq_t]))
         return T.cross_entropy(result.logits, [label]), result

@@ -1,8 +1,9 @@
 """Synthetic paired-sequence corpus with planted sparse diagnostic frames.
 
-Each sample is a pair of variable-length feature sequences and a class label.
-Only a small fraction of frames/tokens carry the label signal: those rows get
-a class-specific mean direction (scaled by signal_gain) plus a fixed
+Each sample is a pair of variable-length feature sequences, each a float64
+(T, d) array holding only its valid rows, and a class label. Only a small
+fraction of frames/tokens carry the label signal: those rows get a
+class-specific mean direction (scaled by signal_gain) plus a fixed
 class-independent marker direction that makes them *detectable* without
 revealing the class. All other rows are pure Gaussian noise. Two analysis-only
 side channels are attached: a per-frame energy proxy (diagnostic acoustic
@@ -19,7 +20,6 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .errors import ConfigError
-from .sequence import MaskedSequence
 
 _ENERGY_BASE = 1.0
 _ENERGY_DROP = 0.5
@@ -88,8 +88,8 @@ class SynthSpec:
 class Sample:
     sample_id: int
     label: int
-    acoustic: MaskedSequence
-    textual: MaskedSequence
+    acoustic: np.ndarray
+    textual: np.ndarray
     energy: np.ndarray | None = None
     negative_token_flags: np.ndarray | None = None
     diagnostic_flags_a: np.ndarray | None = None
@@ -111,7 +111,7 @@ class Corpus:
         return np.array([s.label for s in self.samples])
 
 
-def model_inputs(sample: Sample) -> tuple[MaskedSequence, MaskedSequence, int]:
+def model_inputs(sample: Sample) -> tuple[np.ndarray, np.ndarray, int]:
     """The only path from corpus samples to model input; drops side channels."""
     return sample.acoustic, sample.textual, sample.label
 
@@ -158,8 +158,8 @@ def generate(spec: SynthSpec) -> Corpus:
             Sample(
                 sample_id=idx,
                 label=label,
-                acoustic=MaskedSequence.from_valid(feats_a),
-                textual=MaskedSequence.from_valid(feats_t),
+                acoustic=feats_a,
+                textual=feats_t,
                 energy=energy,
                 negative_token_flags=negative,
                 diagnostic_flags_a=diag_a,
@@ -208,15 +208,14 @@ def bayes_oracle_accuracy(spec: SynthSpec, n_eval: int = 400) -> OracleReport:
     corpus = generate(eval_spec)
     correct_rev = correct_marg = 0
     for s in corpus.samples:
-        fa, ft = s.acoustic.valid_features(), s.textual.valid_features()
         k_a, k_t = int(s.diagnostic_flags_a.sum()), int(s.diagnostic_flags_t.sum())
         rev = [
-            _loglik_revealed(fa, s.diagnostic_flags_a, spec, c)
-            + _loglik_revealed(ft, s.diagnostic_flags_t, spec, c)
+            _loglik_revealed(s.acoustic, s.diagnostic_flags_a, spec, c)
+            + _loglik_revealed(s.textual, s.diagnostic_flags_t, spec, c)
             for c in range(spec.n_classes)
         ]
         marg = [
-            _loglik_marginalized(fa, k_a, spec, c) + _loglik_marginalized(ft, k_t, spec, c)
+            _loglik_marginalized(s.acoustic, k_a, spec, c) + _loglik_marginalized(s.textual, k_t, spec, c)
             for c in range(spec.n_classes)
         ]
         correct_rev += int(np.argmax(rev)) == s.label

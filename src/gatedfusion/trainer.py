@@ -5,6 +5,9 @@ padded minibatch on one tape, differentiated by one backward; the full-model
 gradcheck checks the same function. `evaluate` runs forwards of
 `EVAL_CHUNK` samples at a time.
 
+A non-finite loss or gradient raises `NonFiniteError` before the optimizer
+steps, with parameters and optimizer state restored to the start of the epoch.
+
 Shuffle and dropout RNGs are derived from (seed, epoch), so a run resumed at
 an epoch boundary from a float64 checkpoint (parameters + optimizer state)
 reproduces an unbroken run bit for bit.
@@ -19,9 +22,9 @@ import numpy as np
 from . import tensor as T
 from .errors import ConfigError, ManifestError, NonFiniteError
 from .model import FusionModel
-from .sequence import MaskedSequence, pad_batch
+from .sequence import pad_batch
 
-SamplePair = tuple[MaskedSequence, MaskedSequence, int]
+SamplePair = tuple[np.ndarray, np.ndarray, int]
 
 # samples per forward in `evaluate` (and `analysis.collect_traces`); results do
 # not depend on it, only the padding per forward does
@@ -186,8 +189,9 @@ def train(
 
     result = TrainResult()
     n = len(train_pairs)
+    params = model.parameters()
     for epoch in range(start_epoch, cfg.epochs):
-        snapshot = [p.data.copy() for p in model.parameters()]
+        snapshot = [p.data.copy() for p in params]
         opt_snapshot = {k: v.copy() for k, v in opt.state_arrays().items()}
         shuffle_rng = np.random.default_rng([cfg.seed, 7, epoch])
         dropout_rng = np.random.default_rng([cfg.seed, 11, epoch])
@@ -201,9 +205,12 @@ def train(
                 loss.tape.backward(loss)
                 for sample_loss in losses:
                     epoch_loss += sample_loss
+                for p in params:
+                    if not np.isfinite(p.grad).all():
+                        raise NonFiniteError(f"non-finite gradient of {p.name}")
                 opt.step()
         except NonFiniteError as e:
-            for p, saved in zip(model.parameters(), snapshot):
+            for p, saved in zip(params, snapshot):
                 p.data[...] = saved
             opt.load_state(opt_snapshot)
             raise NonFiniteError(

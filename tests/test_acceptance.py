@@ -28,9 +28,10 @@ from gatedfusion.diagnostics import full_model_gradcheck
 from gatedfusion.errors import CorpusFormatError
 from gatedfusion.gating import GatingMode, GatingParams
 from gatedfusion.model import FusionModel, ModelConfig
-from gatedfusion.sequence import MaskedSequence, pad_batch
+from gatedfusion.sequence import pad_batch
 from gatedfusion.synth import SynthSpec, bayes_oracle_accuracy, generate
 from gatedfusion.trainer import TrainConfig
+from padding import pad_extra
 
 # Frozen evaluation protocol for criteria 4-6: the pinned corpus parameters
 # (400 samples, 3 classes, sparsity 0.15, gain 2.0, sigma 1.0, coupling 1.0)
@@ -57,8 +58,7 @@ def ablation():
     runs = {}
     for mode in GatingMode:
         mc = ModelConfig(gating_mode=mode, **ABLATION_MODEL)
-        runs[mode] = kfold(corpus, 5, ABLATION_TRAIN, mc,
-                           collect_gate_traces=mode is not GatingMode.NONE)
+        runs[mode] = kfold(corpus, 5, ABLATION_TRAIN, mc)
     return corpus, runs, time.time() - t0
 
 
@@ -87,11 +87,11 @@ class TestCriterion2GatingOracle:
         for seed in range(100):
             rng = np.random.default_rng([29, seed])
             d = int(rng.integers(2, 9))
-            params = GatingParams.init(d, rng)
+            params = GatingParams.init(d)
             for p in params.parameters():
                 p.data[...] = rng.normal(size=p.data.shape)
-            seq_a = MaskedSequence.from_valid(rng.normal(size=(int(rng.integers(1, 14)), d)))
-            seq_t = MaskedSequence.from_valid(rng.normal(size=(int(rng.integers(1, 14)), d)))
+            seq_a = rng.normal(size=(int(rng.integers(1, 14)), d))
+            seq_t = rng.normal(size=(int(rng.integers(1, 14)), d))
             model = FusionModel(ModelConfig(d_a=d, d_t=d, d_model=d, n_heads=1, n_layers=1,
                                             ff_mult=1, n_classes=2, dropout_rate=0.0))
             for w, b in ((model.proj_a_w, model.proj_a_b), (model.proj_t_w, model.proj_t_b)):
@@ -114,15 +114,11 @@ class TestCriterion2GatingOracle:
 
 
 def _scalar_loop(seq, ctx_seq, w, b):
-    d = seq.width
-    n = ctx_seq.valid_count
-    ctx = [sum(ctx_seq.features[i][j] for i in range(n)) / n for j in range(d)]
+    n, d = ctx_seq.shape
+    ctx = [sum(ctx_seq[i][j] for i in range(n)) / n for j in range(d)]
     out = []
-    for i in range(seq.length):
-        if not seq.mask[i]:
-            out.append(0.0)
-            continue
-        concat = list(seq.features[i]) + ctx
+    for i in range(len(seq)):
+        concat = list(seq[i]) + ctx
         z = sum(w[k, 0] * concat[k] for k in range(2 * d)) + b
         out.append(1.0 / (1.0 + math.exp(-z)))
     return np.array(out).reshape(-1, 1)
@@ -140,12 +136,12 @@ class TestCriterion3PaddingInvariance:
                 p.data += 0.1 * rng.normal(size=p.data.shape)
             mode = list(GatingMode)[seed % 3]
             model.cfg.gating_mode = mode
-            a = MaskedSequence.from_valid(rng.normal(size=(int(rng.integers(1, 10)), 6)))
-            t = MaskedSequence.from_valid(rng.normal(size=(int(rng.integers(1, 10)), 5)))
+            a = rng.normal(size=(int(rng.integers(1, 10)), 6))
+            t = rng.normal(size=(int(rng.integers(1, 10)), 5))
             pad_a, pad_t = int(rng.integers(1, 33)), int(rng.integers(1, 33))
             base = model.forward(pad_batch([a]), pad_batch([t])).logits.data[0]
-            padded = model.forward(pad_batch([a.padded_to(a.length + pad_a)]),
-                                   pad_batch([t.padded_to(t.length + pad_t)])).logits.data[0]
+            padded = model.forward(pad_extra(pad_batch([a]), pad_a),
+                                   pad_extra(pad_batch([t]), pad_t)).logits.data[0]
             worst = max(worst, float(np.abs(padded - base).max()))
         report("3 padding invariance up to 32 frames (50x)", worst < 1e-10,
                f"worst logit deviation {worst:.2e} (tol 1e-10)")
@@ -327,10 +323,8 @@ class TestCriterion10CorpusIO:
                 assert orig.label == rec.label
                 worst = max(
                     worst,
-                    float(np.abs(rec.acoustic.features
-                                 - orig.acoustic.features.astype("<f4")).max()),
-                    float(np.abs(rec.textual.features
-                                 - orig.textual.features.astype("<f4")).max()),
+                    float(np.abs(rec.acoustic - orig.acoustic.astype("<f4")).max()),
+                    float(np.abs(rec.textual - orig.textual.astype("<f4")).max()),
                 )
                 np.testing.assert_array_equal(rec.diagnostic_flags_a, orig.diagnostic_flags_a)
                 np.testing.assert_array_equal(rec.negative_token_flags,

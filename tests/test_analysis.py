@@ -206,14 +206,14 @@ class TestKFold:
 
     def test_smoke_run_structure(self):
         mc, tc = tiny_cfgs()
-        report = kfold(tiny_corpus(), 2, tc, mc, collect_gate_traces=True)
+        report = kfold(tiny_corpus(), 2, tc, mc)
         assert len(report.folds) == 2
         assert 0.0 <= report.mean_accuracy <= 1.0
         assert len(report.traces) == 16  # every sample held out exactly once
         assert report.traces[0].gates_a.ndim == 1
 
-    def test_no_traces_by_default(self):
-        mc, tc = tiny_cfgs()
+    def test_no_traces_when_the_model_does_not_gate(self):
+        mc, tc = tiny_cfgs(mode=GatingMode.NONE)
         assert kfold(tiny_corpus(), 2, tc, mc).traces is None
 
     def test_deterministic(self):

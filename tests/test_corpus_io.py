@@ -29,8 +29,8 @@ def assert_corpora_close(a, b):
     assert len(a.samples) == len(b.samples)
     for sa, sb in zip(a.samples, b.samples):
         assert sa.sample_id == sb.sample_id and sa.label == sb.label
-        np.testing.assert_allclose(sb.acoustic.features, sa.acoustic.features, rtol=1e-6)
-        np.testing.assert_allclose(sb.textual.features, sa.textual.features, rtol=1e-6)
+        np.testing.assert_allclose(sb.acoustic, sa.acoustic, rtol=1e-6)
+        np.testing.assert_allclose(sb.textual, sa.textual, rtol=1e-6)
         np.testing.assert_allclose(sb.energy, sa.energy, atol=1e-6)
         np.testing.assert_array_equal(sb.negative_token_flags, sa.negative_token_flags)
         np.testing.assert_array_equal(sb.diagnostic_flags_a, sa.diagnostic_flags_a)
@@ -189,6 +189,16 @@ class TestCorruption:
         edit_manifest(path, lambda m: m["samples"][1].update(subject_id=0))
         with pytest.raises(ManifestError, match="subject_id"):
             read_corpus(path)
+
+    @pytest.mark.parametrize("channel, region, value", [
+        ("acoustic", "offset_a", np.nan), ("textual", "offset_t", np.inf), ("energy", "offset_energy", np.nan),
+    ])
+    def test_non_finite_value_rejected(self, tmp_path, channel, region, value):
+        corpus = small_corpus(n=4)
+        getattr(corpus.samples[2], channel).flat[3] = value
+        write_corpus(corpus, str(tmp_path / "c"))
+        with pytest.raises(ManifestError, match=rf"sample\[2\]: region '{region}' holds a non-finite value"):
+            read_corpus(str(tmp_path / "c"))
 
     def test_record_count_mismatch(self, tmp_path):
         path = written(tmp_path)

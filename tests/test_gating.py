@@ -13,20 +13,16 @@ from gatedfusion import tensor as T
 from gatedfusion.errors import ShapeError
 from gatedfusion.gating import GatingMode, GatingParams, gate_sequence, refine_sequence
 from gatedfusion.model import FusionModel, ModelConfig
-from gatedfusion.sequence import MaskedSequence, pad_batch
+from gatedfusion.sequence import pad_batch
+from padding import pad_extra
 
 
-def scalar_loop_gates(features, mask, ctx_features, ctx_mask, w, b):
+def scalar_loop_gates(features, ctx_features, w, b):
     """Per-frame oracle: sigmoid of an explicit scalar dot product."""
-    n = int(sum(ctx_mask))
-    d = features.shape[1]
-    ctx = [sum(ctx_features[i][j] for i in range(len(ctx_mask)) if ctx_mask[i]) / n
-           for j in range(d)]
+    n, d = ctx_features.shape
+    ctx = [sum(ctx_features[i][j] for i in range(n)) / n for j in range(d)]
     out = []
     for i in range(features.shape[0]):
-        if not mask[i]:
-            out.append(0.0)
-            continue
         concat = list(features[i]) + ctx
         z = sum(w[k, 0] * concat[k] for k in range(2 * d)) + b
         out.append(1.0 / (1.0 + math.exp(-z)))
@@ -34,7 +30,7 @@ def scalar_loop_gates(features, mask, ctx_features, ctx_mask, w, b):
 
 
 def make_params(rng, d):
-    params = GatingParams.init(d, rng)
+    params = GatingParams.init(d)
     params.w_a.data[...] = rng.normal(size=params.w_a.data.shape)
     params.w_t.data[...] = rng.normal(size=params.w_t.data.shape)
     params.b_a.data[...] = rng.normal(size=(1, 1))
@@ -42,12 +38,21 @@ def make_params(rng, d):
     return params
 
 
-def random_seq(rng, t_len, d, pad=0):
-    return MaskedSequence.from_valid(rng.normal(size=(t_len, d))).padded_to(t_len + pad)
+def random_seq(rng, t_len, d):
+    return rng.normal(size=(t_len, d))
 
 
-def model_gates(seq_a, seq_t, params, mode=GatingMode.CROSS_MODAL):
-    """(gates_a, gates_t) from forward, with identity projections so the gates see the inputs."""
+def assert_gates(gates, expected):
+    """Gates of the valid rows match `expected`; gates of padded rows are exactly 0."""
+    np.testing.assert_allclose(gates[: len(expected)], expected, atol=1e-12)
+    np.testing.assert_array_equal(gates[len(expected) :], 0.0)
+
+
+def model_gates(seq_a, seq_t, params, mode=GatingMode.CROSS_MODAL, pad_a=0, pad_t=0):
+    """(gates_a, gates_t) from forward, with identity projections so the gates see the inputs.
+
+    Each sequence runs with `pad_a`/`pad_t` extra padded rows, whose gates are returned too.
+    """
     d = params.w_a.data.shape[0] // 2
     model = FusionModel(ModelConfig(d_a=d, d_t=d, d_model=d, n_heads=1, n_layers=1, ff_mult=1,
                                     n_classes=2, gating_mode=mode, dropout_rate=0.0))
@@ -55,7 +60,7 @@ def model_gates(seq_a, seq_t, params, mode=GatingMode.CROSS_MODAL):
         w.data[...] = np.eye(d)
         b.data[...] = 0.0
     model.gating = params
-    result = model.forward(pad_batch([seq_a]), pad_batch([seq_t]))
+    result = model.forward(pad_extra(pad_batch([seq_a]), pad_a), pad_extra(pad_batch([seq_t]), pad_t))
     return result.gates_a[0], result.gates_t[0]
 
 
@@ -63,7 +68,7 @@ class TestCrossModal:
     def test_zero_weights_give_half_gates(self):
         rng = np.random.default_rng(0)
         d = 4
-        params = GatingParams.init(d, rng)
+        params = GatingParams.init(d)
         for p in params.parameters():
             p.data[...] = 0.0
         seq_a, seq_t = random_seq(rng, 5, d), random_seq(rng, 3, d)
@@ -75,7 +80,7 @@ class TestCrossModal:
         rng = np.random.default_rng(1)
         d = 3
         params = make_params(rng, d)
-        seq_a = MaskedSequence.from_valid(np.tile(rng.normal(size=(1, d)), (6, 1)))
+        seq_a = np.tile(rng.normal(size=(1, d)), (6, 1))
         seq_t = random_seq(rng, 4, d)
         gates_a, _ = model_gates(seq_a, seq_t, params)
         np.testing.assert_allclose(gates_a, gates_a[0, 0], atol=1e-14)
@@ -86,12 +91,8 @@ class TestCrossModal:
         params = make_params(rng, d)
         seq_a, seq_t = random_seq(rng, 2, d), random_seq(rng, 2, d)
         gates_a, gates_t = model_gates(seq_a, seq_t, params)
-        expected_a = scalar_loop_gates(seq_a.features, seq_a.mask, seq_t.features,
-                                       seq_t.mask, params.w_a.data, params.b_a.data[0, 0])
-        expected_t = scalar_loop_gates(seq_t.features, seq_t.mask, seq_a.features,
-                                       seq_a.mask, params.w_t.data, params.b_t.data[0, 0])
-        np.testing.assert_allclose(gates_a, expected_a, atol=1e-12)
-        np.testing.assert_allclose(gates_t, expected_t, atol=1e-12)
+        assert_gates(gates_a, scalar_loop_gates(seq_a, seq_t, params.w_a.data, params.b_a.data[0, 0]))
+        assert_gates(gates_t, scalar_loop_gates(seq_t, seq_a, params.w_t.data, params.b_t.data[0, 0]))
 
 
 class TestUnimodal:
@@ -100,14 +101,13 @@ class TestUnimodal:
         d = 5
         params = make_params(rng, d)
         frame = rng.normal(size=(1, d))
-        gates_a, _ = model_gates(MaskedSequence.from_valid(frame), random_seq(rng, 3, d), params,
-                                 GatingMode.UNIMODAL)
+        gates_a, _ = model_gates(frame, random_seq(rng, 3, d), params, GatingMode.UNIMODAL)
         z = np.concatenate([frame[0], frame[0]]) @ params.w_a.data[:, 0] + params.b_a.data[0, 0]
         assert gates_a[0, 0] == pytest.approx(1.0 / (1.0 + np.exp(-z)), abs=1e-14)
 
     def test_zero_weights(self):
         rng = np.random.default_rng(5)
-        params = GatingParams.init(4, rng)
+        params = GatingParams.init(4)
         for p in params.parameters():
             p.data[...] = 0.0
         gates_a, gates_t = model_gates(random_seq(rng, 7, 4), random_seq(rng, 3, 4), params,
@@ -119,14 +119,10 @@ class TestUnimodal:
         rng = np.random.default_rng(6)
         d = 4
         params = make_params(rng, d)
-        seq_a, seq_t = random_seq(rng, 9, d, pad=3), random_seq(rng, 5, d, pad=1)
-        gates_a, gates_t = model_gates(seq_a, seq_t, params, GatingMode.UNIMODAL)
-        expected_a = scalar_loop_gates(seq_a.features, seq_a.mask, seq_a.features, seq_a.mask,
-                                       params.w_a.data, params.b_a.data[0, 0])
-        expected_t = scalar_loop_gates(seq_t.features, seq_t.mask, seq_t.features, seq_t.mask,
-                                       params.w_t.data, params.b_t.data[0, 0])
-        np.testing.assert_allclose(gates_a, expected_a, atol=1e-12)
-        np.testing.assert_allclose(gates_t, expected_t, atol=1e-12)
+        seq_a, seq_t = random_seq(rng, 9, d), random_seq(rng, 5, d)
+        gates_a, gates_t = model_gates(seq_a, seq_t, params, GatingMode.UNIMODAL, pad_a=3, pad_t=1)
+        assert_gates(gates_a, scalar_loop_gates(seq_a, seq_a, params.w_a.data, params.b_a.data[0, 0]))
+        assert_gates(gates_t, scalar_loop_gates(seq_t, seq_t, params.w_t.data, params.b_t.data[0, 0]))
 
 
 @pytest.mark.parametrize("seed", range(100))
@@ -135,54 +131,51 @@ def test_oracle_equivalence_both_modes(seed):
     rng = np.random.default_rng(seed)
     d = int(rng.integers(2, 7))
     params = make_params(rng, d)
-    seq_a = random_seq(rng, int(rng.integers(1, 12)), d, pad=int(rng.integers(0, 4)))
-    seq_t = random_seq(rng, int(rng.integers(1, 12)), d, pad=int(rng.integers(0, 4)))
+    t_a, pad_a = int(rng.integers(1, 12)), int(rng.integers(0, 4))
+    seq_a = random_seq(rng, t_a, d)
+    t_t, pad_t = int(rng.integers(1, 12)), int(rng.integers(0, 4))
+    seq_t = random_seq(rng, t_t, d)
 
     for mode, ctx_a, ctx_t in ((GatingMode.CROSS_MODAL, seq_t, seq_a),
                                (GatingMode.UNIMODAL, seq_a, seq_t)):
-        gates_a, gates_t = model_gates(seq_a, seq_t, params, mode)
-        exp_a = scalar_loop_gates(seq_a.features, seq_a.mask, ctx_a.features, ctx_a.mask,
-                                  params.w_a.data, params.b_a.data[0, 0])
-        exp_t = scalar_loop_gates(seq_t.features, seq_t.mask, ctx_t.features, ctx_t.mask,
-                                  params.w_t.data, params.b_t.data[0, 0])
-        np.testing.assert_allclose(gates_a, exp_a, atol=1e-12)
-        np.testing.assert_allclose(gates_t, exp_t, atol=1e-12)
+        gates_a, gates_t = model_gates(seq_a, seq_t, params, mode, pad_a, pad_t)
+        assert_gates(gates_a, scalar_loop_gates(seq_a, ctx_a, params.w_a.data, params.b_a.data[0, 0]))
+        assert_gates(gates_t, scalar_loop_gates(seq_t, ctx_t, params.w_t.data, params.b_t.data[0, 0]))
 
 
 class TestRefine:
     def test_all_ones_identity(self):
         rng = np.random.default_rng(7)
-        seq = random_seq(rng, 5, 3, pad=2)
+        feats = pad_extra(pad_batch([random_seq(rng, 5, 3)]), 2).features[0]
         tape = T.Tape()
-        out = refine_sequence(tape.constant(seq.features), tape.constant(np.ones((7, 1))))
-        np.testing.assert_array_equal(out.data, seq.features)
+        out = refine_sequence(tape.constant(feats), tape.constant(np.ones((7, 1))))
+        np.testing.assert_array_equal(out.data, feats)
 
     def test_all_zeros(self):
         rng = np.random.default_rng(8)
-        seq = random_seq(rng, 5, 3)
         tape = T.Tape()
-        out = refine_sequence(tape.constant(seq.features), tape.constant(np.zeros((5, 1))))
+        out = refine_sequence(tape.constant(random_seq(rng, 5, 3)), tape.constant(np.zeros((5, 1))))
         np.testing.assert_array_equal(out.data, 0.0)
 
     def test_length_mismatch(self):
         rng = np.random.default_rng(9)
         tape = T.Tape()
         with pytest.raises(ShapeError):
-            refine_sequence(tape.constant(random_seq(rng, 5, 3).features), tape.constant(np.ones((4, 1))))
+            refine_sequence(tape.constant(random_seq(rng, 5, 3)), tape.constant(np.ones((4, 1))))
 
     def test_gradcheck_through_gate_and_refine(self):
         rng = np.random.default_rng(10)
         d = 3
         params = make_params(rng, d)
-        seq_a = random_seq(rng, 4, d, pad=1)
+        (feats_a,), (mask_a,) = pad_extra(pad_batch([random_seq(rng, 4, d)]), 1)
         seq_t = random_seq(rng, 3, d)
-        h_param = T.Parameter("h_a", seq_a.features)
+        h_param = T.Parameter("h_a", feats_a)
 
         def loss_fn():
             tape = T.Tape()
             feats = tape.leaf(h_param)
-            gates = gate_sequence(feats, seq_a.mask, tape.constant(seq_t.features),
-                                  seq_t.mask, tape.leaf(params.w_a), tape.leaf(params.b_a))
+            gates = gate_sequence(feats, mask_a, tape.constant(seq_t), np.ones(3),
+                                  tape.leaf(params.w_a), tape.leaf(params.b_a))
             refined = refine_sequence(feats, gates)
             return T.sum_all(T.sigmoid(refined))
 
@@ -196,10 +189,10 @@ class TestStructuralInvariants:
         d = 4
         params = make_params(rng, d)
         params.w_a.data *= 100  # drive sigmoid toward saturation
-        seq = random_seq(rng, 20, d, pad=5)
+        (seq,), (mask,) = pad_extra(pad_batch([random_seq(rng, 20, d)]), 5)
         tape = T.Tape()
-        feats = tape.constant(seq.features)
-        gates = gate_sequence(feats, seq.mask, feats, seq.mask, tape.leaf(params.w_a), tape.leaf(params.b_a))
+        feats = tape.constant(seq)
+        gates = gate_sequence(feats, mask, feats, mask, tape.leaf(params.w_a), tape.leaf(params.b_a))
         refined = refine_sequence(feats, gates)
         assert np.all(gates.data[:20] > 0.0) and np.all(gates.data[:20] < 1.0)
         np.testing.assert_array_equal(gates.data[20:], 0.0)
@@ -211,7 +204,7 @@ class TestStructuralInvariants:
         params = make_params(rng, d)
         seq_a = random_seq(rng, 6, d)
         g1, _ = model_gates(seq_a, random_seq(rng, 5, d), params, GatingMode.UNIMODAL)
-        g2, _ = model_gates(seq_a, random_seq(rng, 8, d, pad=2), params, GatingMode.UNIMODAL)
+        g2, _ = model_gates(seq_a, random_seq(rng, 8, d), params, GatingMode.UNIMODAL, pad_t=2)
         np.testing.assert_array_equal(g1, g2)
 
     def test_cross_modal_depends_on_other_context(self):
@@ -220,7 +213,7 @@ class TestStructuralInvariants:
         params = make_params(rng, d)
         seq_a = random_seq(rng, 6, d)
         seq_t1 = random_seq(rng, 5, d)
-        seq_t2 = MaskedSequence.from_valid(seq_t1.features + rng.normal(size=(5, d)))
+        seq_t2 = seq_t1 + rng.normal(size=(5, d))
         g1, _ = model_gates(seq_a, seq_t1, params)
         g2, _ = model_gates(seq_a, seq_t2, params)
         assert not np.allclose(g1, g2)
@@ -241,10 +234,10 @@ class TestStructuralInvariants:
         params = make_params(rng, d)
         seq_t = random_seq(rng, 5, d)
         feats = rng.normal(size=(6, d))
-        g1, _ = model_gates(MaskedSequence.from_valid(feats), seq_t, params)
+        g1, _ = model_gates(feats, seq_t, params)
         feats2 = feats.copy()
         feats2[2] += 1.0
-        g2, _ = model_gates(MaskedSequence.from_valid(feats2), seq_t, params)
+        g2, _ = model_gates(feats2, seq_t, params)
         changed = ~np.isclose(g1[:, 0], g2[:, 0], atol=1e-14)
         np.testing.assert_array_equal(changed, [False, False, True, False, False, False])
 
@@ -256,7 +249,7 @@ class TestStructuralInvariants:
         seq_a = random_seq(rng, 7, d)
         seq_t = random_seq(rng, 4, d)
         base_a, base_t = model_gates(seq_a, seq_t, params)
-        padded_a, padded_t = model_gates(seq_a.padded_to(7 + pad), seq_t.padded_to(4 + pad), params)
+        padded_a, padded_t = model_gates(seq_a, seq_t, params, pad_a=pad, pad_t=pad)
         np.testing.assert_allclose(padded_a[:7], base_a, atol=1e-15)
         np.testing.assert_allclose(padded_t[:4], base_t, atol=1e-15)
         np.testing.assert_array_equal(padded_a[7:], 0.0)

@@ -20,8 +20,9 @@ from gatedfusion.errors import (
 )
 from gatedfusion.gating import GatingMode
 from gatedfusion.model import FusionModel, ModelConfig
-from gatedfusion.sequence import MaskedSequence, pad_batch
+from gatedfusion.sequence import pad_batch
 from gatedfusion.trainer import SGD, Adam, TrainConfig, batch_loss, evaluate, make_optimizer, train
+from padding import pad_extra
 
 
 def tiny_cfg(**kw):
@@ -31,10 +32,8 @@ def tiny_cfg(**kw):
     return ModelConfig(**base)
 
 
-def random_pair(rng, cfg, ta=6, tt=5, pad_a=0, pad_t=0):
-    a = MaskedSequence.from_valid(rng.normal(size=(ta, cfg.d_a))).padded_to(ta + pad_a)
-    t = MaskedSequence.from_valid(rng.normal(size=(tt, cfg.d_t))).padded_to(tt + pad_t)
-    return a, t
+def random_pair(rng, cfg, ta=6, tt=5):
+    return rng.normal(size=(ta, cfg.d_a)), rng.normal(size=(tt, cfg.d_t))
 
 
 class TestConfig:
@@ -117,11 +116,10 @@ class TestForward:
         model = FusionModel(cfg)
         a, t = random_pair(rng, cfg)
         base = model.forward(pad_batch([a]), pad_batch([t]))
-        padded = model.forward(pad_batch([a.padded_to(a.length + pad)]),
-                               pad_batch([t.padded_to(t.length + pad)]))
+        padded = model.forward(pad_extra(pad_batch([a]), pad), pad_extra(pad_batch([t]), pad))
         np.testing.assert_allclose(padded.logits.data[0], base.logits.data[0], atol=1e-10)
         if mode is not GatingMode.NONE:
-            np.testing.assert_allclose(padded.gates_a[0, : a.length], base.gates_a[0], atol=1e-10)
+            np.testing.assert_allclose(padded.gates_a[0, : len(a)], base.gates_a[0], atol=1e-10)
 
     def test_batch_independence(self):
         # per-sample forward passes share no state, so this is structural;
@@ -141,8 +139,7 @@ class TestForward:
         cfg = tiny_cfg(gating_mode=GatingMode.NONE, use_positions=True)
         model = FusionModel(cfg)
         a, t = random_pair(rng, cfg)
-        perm = np.random.default_rng(0).permutation(a.valid_count)
-        a_perm = MaskedSequence.from_valid(a.features[perm])
+        a_perm = a[np.random.default_rng(0).permutation(len(a))]
         l1 = model.forward(pad_batch([a]), pad_batch([t])).logits.data[0]
         l2 = model.forward(pad_batch([a_perm]), pad_batch([t])).logits.data[0]
         assert not np.allclose(l1, l2)
@@ -152,8 +149,7 @@ class TestForward:
         cfg = tiny_cfg(gating_mode=GatingMode.NONE, use_positions=False)
         model = FusionModel(cfg)
         a, t = random_pair(rng, cfg)
-        perm = np.random.default_rng(1).permutation(a.valid_count)
-        a_perm = MaskedSequence.from_valid(a.features[perm])
+        a_perm = a[np.random.default_rng(1).permutation(len(a))]
         np.testing.assert_allclose(model.forward(pad_batch([a_perm]), pad_batch([t])).logits.data[0],
                                    model.forward(pad_batch([a]), pad_batch([t])).logits.data[0], atol=1e-10)
 
@@ -166,22 +162,23 @@ class TestForward:
         model = FusionModel(cfg)
         for p in model.parameters():
             p.data += 0.1 * rng.normal(size=p.data.shape)
-        pairs = [random_pair(rng, cfg, ta=int(rng.integers(1, 10)), tt=int(rng.integers(1, 10)),
-                             pad_a=int(rng.integers(0, 4)), pad_t=int(rng.integers(0, 4)))
-                 for _ in range(5)]
-        alone = [model.forward(pad_batch([MaskedSequence.from_valid(a.valid_features())]),
-                               pad_batch([MaskedSequence.from_valid(t.valid_features())]))
-                 for a, t in pairs]
+        pairs, pads = [], []
+        for _ in range(5):
+            ta, tt = int(rng.integers(1, 10)), int(rng.integers(1, 10))
+            pads.append((int(rng.integers(0, 4)), int(rng.integers(0, 4))))
+            pairs.append(random_pair(rng, cfg, ta, tt))
+        alone = [model.forward(pad_batch([a]), pad_batch([t])) for a, t in pairs]
         for order in ([0, 1, 2, 3, 4], [4, 2, 0, 3, 1], [3, 3, 1]):
-            batch = model.forward(pad_batch([pairs[i][0] for i in order]),
-                                  pad_batch([pairs[i][1] for i in order]))
+            extra_a, extra_t = (max(pads[i][k] for i in order) for k in (0, 1))
+            batch = model.forward(pad_extra(pad_batch([pairs[i][0] for i in order]), extra_a),
+                                  pad_extra(pad_batch([pairs[i][1] for i in order]), extra_t))
             for pos, i in enumerate(order):
                 a, t = pairs[i]
                 np.testing.assert_allclose(batch.logits.data[pos], alone[i].logits.data[0], atol=1e-10)
                 if mode is GatingMode.NONE:
                     continue
-                for gates, ref, n in ((batch.gates_a, alone[i].gates_a, a.valid_count),
-                                      (batch.gates_t, alone[i].gates_t, t.valid_count)):
+                for gates, ref, n in ((batch.gates_a, alone[i].gates_a, len(a)),
+                                      (batch.gates_t, alone[i].gates_t, len(t))):
                     np.testing.assert_allclose(gates[pos, :n], ref[0], atol=1e-10)
                     np.testing.assert_array_equal(gates[pos, n:], 0.0)
 
@@ -314,15 +311,39 @@ class TestTraining:
         # can be gated away); put it in epoch 1's last batch, after two steps
         last = int(np.random.default_rng([tc.seed, 7, 1]).permutation(len(pairs))[-1])
         a, t, label = pairs[last]
-        features = a.valid_features().copy()
-        features[0, 0] = np.nan
-        pairs[last] = (MaskedSequence.from_valid(features), t, label)
+        a = a.copy()
+        a[0, 0] = np.nan
+        pairs[last] = (a, t, label)
         with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError, match="epoch 1"):
             train(model, pairs, tc, start_epoch=1, optimizer=opt)
         for p, saved in zip(model.parameters(), params):
             np.testing.assert_array_equal(p.data, saved)
         after = opt.state_arrays()
         assert after.keys() == state.keys()
+        for k in state:
+            np.testing.assert_array_equal(after[k], state[k])
+
+    @pytest.mark.parametrize("mode", [GatingMode.UNIMODAL, GatingMode.CROSS_MODAL])
+    def test_non_finite_gradient_stops_training_before_the_step(self, mode):
+        """A huge finite input gives a finite loss but a non-finite gate gradient;
+        training raises before the optimizer steps and keeps the starting state."""
+        rng = np.random.default_rng(25)
+        cfg = tiny_cfg(gating_mode=mode)
+        model = FusionModel(cfg)
+        pairs = make_training_pairs(rng, cfg, 4)
+        for a, _, _ in pairs:
+            a[:, 0] = 1e150
+        tc = TrainConfig(learning_rate=1e-3, epochs=1, batch_size=4)
+        opt = make_optimizer(model, tc)
+        params = [p.data.copy() for p in model.parameters()]
+        state = {k: v.copy() for k, v in opt.state_arrays().items()}
+        with np.errstate(all="ignore"):
+            assert np.isfinite(batch_loss(model, pairs)[0].item())
+            with pytest.raises(NonFiniteError, match="non-finite gradient of gate.w_a"):
+                train(model, pairs, tc, optimizer=opt)
+        for p, saved in zip(model.parameters(), params):
+            np.testing.assert_array_equal(p.data, saved)
+        after = opt.state_arrays()
         for k in state:
             np.testing.assert_array_equal(after[k], state[k])
 
@@ -362,25 +383,16 @@ class TestBatchLoss:
         assert loss.item() == pytest.approx(expected, rel=1e-12)
 
     def test_dropout_draws_ignore_padding(self):
-        """Dropout masks are drawn at each sample's valid length, so pre-padded
-        inputs give the unpadded batch's loss and gradients."""
+        """Dropout masks are drawn at each sample's valid length, so the padding a
+        longer batchmate placed last brings leaves the other samples' losses as they were."""
         rng = np.random.default_rng(22)
         cfg = tiny_cfg(dropout_rate=0.3)
         model = FusionModel(cfg)
         batch = make_training_pairs(rng, cfg, 4)
-        padded = [(a.padded_to(a.length + 3), t.padded_to(t.length + i), label)
-                  for i, (a, t, label) in enumerate(batch)]
-        runs = []
-        for pairs in (batch, padded):
-            model.zero_grad()
-            loss, losses = batch_loss(model, pairs, dropout_rng=np.random.default_rng(5))
-            loss.tape.backward(loss)
-            runs.append((loss.item(), losses, [p.grad.copy() for p in model.parameters()]))
-        (loss, losses, grads), (padded_loss, padded_losses, padded_grads) = runs
-        assert padded_loss == pytest.approx(loss, rel=1e-10)
-        np.testing.assert_allclose(padded_losses, losses, rtol=1e-10)
-        for g, pg in zip(grads, padded_grads):
-            np.testing.assert_allclose(pg, g, rtol=1e-8, atol=1e-12)
+        longer = (*random_pair(rng, cfg, ta=12, tt=11), 0)
+        _, losses = batch_loss(model, batch, dropout_rng=np.random.default_rng(5))
+        _, padded_losses = batch_loss(model, batch + [longer], dropout_rng=np.random.default_rng(5))
+        np.testing.assert_allclose(padded_losses[:4], losses, rtol=1e-10)
 
     def test_one_op_sequence_per_minibatch(self):
         """The tape records as many ops for 16 samples as for 2."""
@@ -397,7 +409,7 @@ class TestBatchLoss:
         rng = np.random.default_rng(18)
         cfg = tiny_cfg(d_model=4, n_heads=1, ff_mult=1)
         model = FusionModel(cfg)
-        batch = [(*random_pair(rng, cfg, ta=3, tt=2, pad_a=1), label) for label in (0, 1, 2)]
+        batch = [(*random_pair(rng, cfg, ta=3, tt=2), label) for label in (0, 1, 2)]
         weights = np.array([0.5, 2.0, 1.25])
         report = T.gradcheck(lambda: batch_loss(model, batch, weights)[0], model.parameters())
         assert report.passed, str(report)

@@ -1,77 +1,46 @@
-"""Masked sequences, pooling, context expansion, batching."""
+"""Batching, masked pooling, context expansion."""
 
 import numpy as np
 import pytest
 
 from gatedfusion import tensor as T
 from gatedfusion.errors import EmptySequenceError, ShapeError
-from gatedfusion.sequence import (
-    MaskedSequence,
-    expand_context,
-    masked_mean_pool,
-    pad_batch,
-)
+from gatedfusion.sequence import PaddedBatch, expand_context, masked_mean_pool, pad_batch
+from padding import pad_extra
 
 
-def random_seq(rng, t_len, d, pad=0):
-    feats = rng.normal(size=(t_len, d))
-    return MaskedSequence.from_valid(feats).padded_to(t_len + pad)
+def padded(feats, extra):
+    """One sequence's (features, mask), followed by `extra` zero rows with mask 0."""
+    (feats,), (mask,) = pad_extra(pad_batch([feats]), extra)
+    return feats, mask
 
 
-def pool_constant(seq):
-    return masked_mean_pool(T.Tape().constant(seq.features), seq.mask).data
-
-
-class TestMaskedSequence:
-    def test_rejects_empty(self):
-        with pytest.raises(EmptySequenceError):
-            MaskedSequence(np.zeros((2, 3)), np.zeros(2))
-
-    def test_rejects_non_prefix_mask(self):
-        with pytest.raises(ShapeError):
-            MaskedSequence(np.zeros((3, 2)), np.array([1.0, 0.0, 1.0]))
-
-    def test_rejects_nonzero_padding_rows(self):
-        feats = np.ones((3, 2))
-        with pytest.raises(ShapeError):
-            MaskedSequence(feats, np.array([1.0, 1.0, 0.0]))
-
-    def test_padded_to_roundtrip(self):
-        rng = np.random.default_rng(0)
-        seq = random_seq(rng, 5, 3)
-        padded = seq.padded_to(9)
-        assert padded.valid_count == 5
-        np.testing.assert_array_equal(padded.valid_features(), seq.features)
+def pool_constant(feats, mask):
+    return masked_mean_pool(T.Tape().constant(feats), mask).data
 
 
 class TestMaskedMeanPool:
     def test_plain_mean(self):
-        seq = MaskedSequence.from_valid([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_allclose(pool_constant(seq), [[2.0, 3.0]])
+        np.testing.assert_allclose(pool_constant(*padded([[1.0, 2.0], [3.0, 4.0]], 0)), [[2.0, 3.0]])
 
     def test_padding_does_not_shift_mean(self):
-        seq = MaskedSequence(
-            np.array([[1.0, 2.0], [3.0, 4.0], [0.0, 0.0]]), np.array([1.0, 1.0, 0.0])
-        )
-        np.testing.assert_allclose(pool_constant(seq), [[2.0, 3.0]])
+        np.testing.assert_allclose(pool_constant(*padded([[1.0, 2.0], [3.0, 4.0]], 1)), [[2.0, 3.0]])
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(42)
-        seq = random_seq(rng, 17, 8, pad=4)
-        # brute-force loop over valid rows only
+        feats = rng.normal(size=(17, 8))
+        # brute-force loop over the valid rows
         acc = np.zeros(8)
-        for i in range(seq.length):
-            if seq.mask[i]:
-                acc += seq.features[i]
-        expected = acc / seq.valid_count
-        np.testing.assert_allclose(pool_constant(seq)[0], expected, atol=1e-12)
+        for row in feats:
+            acc += row
+        np.testing.assert_allclose(pool_constant(*padded(feats, 4))[0], acc / 17, atol=1e-12)
 
     def test_gradient_zero_at_padded_rows(self):
         rng = np.random.default_rng(1)
-        seq = random_seq(rng, 4, 3, pad=2)
-        p = T.Parameter("h", seq.features)
+        feats, mask = padded(rng.normal(size=(4, 3)), 2)
+        p = T.Parameter("h", feats)
         tape = T.Tape()
-        pooled = masked_mean_pool(tape.leaf(p), seq.mask)
+        pooled = masked_mean_pool(tape.leaf(p), mask)
         loss = T.sum_all(pooled)
         tape.backward(loss)
         np.testing.assert_array_equal(p.grad[4:], 0.0)
@@ -116,19 +85,39 @@ class TestExpandContext:
 class TestPadBatch:
     def test_mixed_lengths(self):
         rng = np.random.default_rng(2)
-        seqs = [random_seq(rng, 2, 3), random_seq(rng, 3, 3)]
+        seqs = [rng.normal(size=(2, 3)), rng.normal(size=(3, 3))]
         feats, masks = pad_batch(seqs)
         assert feats.shape == (2, 3, 3)
         np.testing.assert_array_equal(masks[0], [1, 1, 0])
         np.testing.assert_array_equal(masks[1], [1, 1, 1])
+        np.testing.assert_array_equal(feats[0, 2], 0.0)
 
     def test_single_sequence_unchanged(self):
         rng = np.random.default_rng(3)
-        seq = random_seq(rng, 4, 2)
+        seq = rng.normal(size=(4, 2))
         feats, masks = pad_batch([seq])
-        np.testing.assert_array_equal(feats[0], seq.features)
+        np.testing.assert_array_equal(feats[0], seq)
+        np.testing.assert_array_equal(masks[0], 1.0)
+
+    def test_counts(self):
+        batch = pad_batch([np.zeros((2, 3)), np.zeros((5, 3))])
+        assert isinstance(batch, PaddedBatch)
+        assert (batch.valid_count, batch.length) == (7, 10)
 
     def test_mixed_widths_rejected(self):
         rng = np.random.default_rng(5)
         with pytest.raises(ShapeError):
-            pad_batch([random_seq(rng, 2, 3), random_seq(rng, 2, 4)])
+            pad_batch([rng.normal(size=(2, 3)), rng.normal(size=(2, 4))])
+
+    def test_rejects_empty(self):
+        with pytest.raises(EmptySequenceError):
+            pad_batch([np.zeros((2, 3)), np.zeros((0, 3))])
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3, 4)])
+    def test_rejects_arrays_that_are_not_2d(self, shape):
+        with pytest.raises(ShapeError):
+            pad_batch([np.zeros(shape)])
+
+    def test_rejects_zero_sequences(self):
+        with pytest.raises(ShapeError):
+            pad_batch([])

@@ -50,24 +50,25 @@ class TestGenerate:
         c1, c2 = generate(small_spec()), generate(small_spec())
         for s1, s2 in zip(c1.samples, c2.samples):
             assert s1.label == s2.label
-            np.testing.assert_array_equal(s1.acoustic.features, s2.acoustic.features)
+            np.testing.assert_array_equal(s1.acoustic, s2.acoustic)
             np.testing.assert_array_equal(s1.energy, s2.energy)
 
     def test_seed_changes_features(self):
         c1, c2 = generate(small_spec(seed=0)), generate(small_spec(seed=1))
-        assert not np.array_equal(c1.samples[0].acoustic.features,
-                                  c2.samples[0].acoustic.features)
+        assert not np.array_equal(c1.samples[0].acoustic,
+                                  c2.samples[0].acoustic)
 
     def test_shapes_and_length_ranges(self):
         spec = small_spec()
         corpus = generate(spec)
         assert len(corpus.samples) == spec.n_samples
         for s in corpus.samples:
-            assert spec.len_range_a[0] <= s.acoustic.valid_count <= spec.len_range_a[1]
-            assert spec.len_range_t[0] <= s.textual.valid_count <= spec.len_range_t[1]
-            assert s.acoustic.width == spec.d_a and s.textual.width == spec.d_t
-            assert s.energy.shape == (s.acoustic.valid_count,)
-            assert s.negative_token_flags.shape == (s.textual.valid_count,)
+            assert spec.len_range_a[0] <= len(s.acoustic) <= spec.len_range_a[1]
+            assert spec.len_range_t[0] <= len(s.textual) <= spec.len_range_t[1]
+            assert s.acoustic.shape[1] == spec.d_a and s.textual.shape[1] == spec.d_t
+            assert s.acoustic.dtype == s.textual.dtype == np.float64
+            assert s.energy.shape == (len(s.acoustic),)
+            assert s.negative_token_flags.shape == (len(s.textual),)
 
     def test_labels_balanced(self):
         corpus = generate(small_spec(n_samples=61))
@@ -77,8 +78,8 @@ class TestGenerate:
     def test_diagnostic_count_matches_sparsity(self):
         spec = small_spec()
         for s in generate(spec).samples:
-            assert s.diagnostic_flags_a.sum() == math.ceil(spec.sparsity * s.acoustic.valid_count)
-            assert s.diagnostic_flags_t.sum() == math.ceil(spec.sparsity * s.textual.valid_count)
+            assert s.diagnostic_flags_a.sum() == math.ceil(spec.sparsity * len(s.acoustic))
+            assert s.diagnostic_flags_t.sum() == math.ceil(spec.sparsity * len(s.textual))
 
     def test_contiguous_runs(self):
         for s in generate(small_spec(contiguous_runs=True)).samples:
@@ -88,9 +89,9 @@ class TestGenerate:
     def test_diagnostic_rows_carry_planted_mean(self):
         spec = small_spec(n_samples=300, signal_gain=3.0, marker_gain=2.0)
         corpus = generate(spec)
-        diag = np.concatenate([s.acoustic.features[s.diagnostic_flags_a == 1]
+        diag = np.concatenate([s.acoustic[s.diagnostic_flags_a == 1]
                                for s in corpus.samples if s.label == 1])
-        noise = np.concatenate([s.acoustic.features[s.diagnostic_flags_a == 0]
+        noise = np.concatenate([s.acoustic[s.diagnostic_flags_a == 0]
                                 for s in corpus.samples if s.label == 1])
         assert diag[:, 1].mean() == pytest.approx(3.0, abs=0.2)
         assert diag[:, 3].mean() == pytest.approx(2.0, abs=0.2)
