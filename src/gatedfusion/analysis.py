@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.stats import rankdata
 
+from . import tensor as T
 from .errors import ConfigError
 from .gating import GatingMode
 from .model import FusionModel, ModelConfig
@@ -124,12 +125,14 @@ def trace_energy(trace: GateTrace) -> np.ndarray | None:
 
 
 def collect_traces(model: FusionModel, samples: list[Sample]) -> list[GateTrace]:
+    """Each sample's valid-position gates, from forwards of `EVAL_CHUNK` samples
+    run under `tensor.no_grad()`, so they record no tape."""
     traces = []
     for lo in range(0, len(samples), EVAL_CHUNK):
         chunk = samples[lo : lo + EVAL_CHUNK]
         seqs_a, seqs_t, _ = zip(*(model_inputs(s) for s in chunk))
-        result = model.forward(pad_batch(seqs_a), pad_batch(seqs_t))
-        result.logits.tape.discard()
+        with T.no_grad():
+            result = model.forward(pad_batch(seqs_a), pad_batch(seqs_t))
         if result.gates_a is None:
             raise ConfigError("model has gating disabled; no gate traces to collect")
         for i, (s, a, t) in enumerate(zip(chunk, seqs_a, seqs_t)):

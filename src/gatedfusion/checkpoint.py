@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .atomic import atomic_write
 from .errors import ChecksumError, ConfigError, ManifestError, UnsupportedVersionError, from_dict, need
 from .model import FusionModel, ModelConfig
 
@@ -49,7 +50,7 @@ def save_checkpoint(
         "meta": meta or {},
     }
     head = json.dumps(header, sort_keys=True).encode()
-    with open(path, "wb") as f:
+    with atomic_write(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<I", len(head)))
         f.write(head)

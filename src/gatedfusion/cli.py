@@ -23,6 +23,7 @@ from .analysis import (
     kfold,
     metrics,
 )
+from .atomic import atomic_write
 from .checkpoint import load_model, save_model
 from .corpus_io import read_corpus, write_corpus
 from .diagnostics import full_model_gradcheck
@@ -48,13 +49,13 @@ def _load_json(path: str) -> dict:
 
 
 def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w") as f:
+    with atomic_write(path) as f:
         json.dump(payload, f, indent=1, sort_keys=True)
         f.write("\n")
 
 
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="") as f:
+    with atomic_write(path, newline="") as f:
         w = csv.writer(f)
         w.writerow(header)
         w.writerows(rows)

@@ -25,6 +25,7 @@ import os
 
 import numpy as np
 
+from .atomic import atomic_write
 from .errors import BoundsError, ChecksumError, ManifestError, UnsupportedVersionError, need
 from .synth import Corpus, Sample
 
@@ -35,29 +36,38 @@ _ITEM = 4  # bytes per <f4
 
 
 def write_corpus(corpus: Corpus, path: str) -> None:
-    """Write manifest + blob into directory `path` (created if missing)."""
-    os.makedirs(path, exist_ok=True)
+    """Write manifest + blob into directory `path` (created if missing).
+
+    A value that is not a finite float32 raises `ManifestError` naming its
+    sample and region before any file is written. A write that fails leaves
+    the files at `path` as they were.
+    """
     chunks: list[bytes] = []
     offset = 0
 
-    def put(arr: np.ndarray) -> tuple[int, int]:
+    def put(arr: np.ndarray, label: str, key: str) -> int:
         nonlocal offset
-        raw = np.ascontiguousarray(arr, dtype="<f4").tobytes()
+        with np.errstate(over="ignore"):
+            cast = np.ascontiguousarray(arr, dtype="<f4")
+        if not np.all(np.isfinite(cast)):
+            raise ManifestError(f"{label}: region {key!r} holds a value that is not a finite float32")
+        raw = cast.tobytes()
         start = offset
         chunks.append(raw)
         offset += len(raw)
-        return start, len(raw)
+        return start
 
     records = []
-    for s in corpus.samples:
+    for i, s in enumerate(corpus.samples):
+        label = f"sample[{i}] (id {s.sample_id})"
         rec = {
             "id": s.sample_id,
             "label": s.label,
             "T_a": len(s.acoustic),
             "T_t": len(s.textual),
         }
-        rec["offset_a"], _ = put(s.acoustic)
-        rec["offset_t"], _ = put(s.textual)
+        rec["offset_a"] = put(s.acoustic, label, "offset_a")
+        rec["offset_t"] = put(s.textual, label, "offset_t")
         for name, channel in (
             ("energy", s.energy),
             ("negative_flags", s.negative_token_flags),
@@ -66,7 +76,8 @@ def write_corpus(corpus: Corpus, path: str) -> None:
         ):
             rec[f"has_{name}"] = channel is not None
             if channel is not None:
-                rec[f"offset_{name}"], _ = put(np.asarray(channel, dtype=np.float64))
+                key = f"offset_{name}"
+                rec[key] = put(np.asarray(channel, dtype=np.float64), label, key)
         records.append(rec)
 
     blob = b"".join(chunks)
@@ -81,11 +92,13 @@ def write_corpus(corpus: Corpus, path: str) -> None:
         "samples": records,
     }
     try:
-        with open(os.path.join(path, BLOB_NAME), "wb") as f:
-            f.write(blob)
-        with open(os.path.join(path, MANIFEST_NAME), "w") as f:
-            json.dump(manifest, f, indent=1, sort_keys=True)
-            f.write("\n")
+        os.makedirs(path, exist_ok=True)
+        # both temp files are written before either replaces its target
+        with atomic_write(os.path.join(path, BLOB_NAME), "wb") as fb, \
+                atomic_write(os.path.join(path, MANIFEST_NAME)) as fm:
+            fb.write(blob)
+            json.dump(manifest, fm, indent=1, sort_keys=True)
+            fm.write("\n")
     except OSError as e:
         raise ManifestError(f"cannot write corpus at {path}: {e}") from e
 

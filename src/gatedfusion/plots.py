@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .analysis import GateTrace, trace_energy
+from .atomic import atomic_write
 from .errors import ConfigError
 
 _W = 720
@@ -101,7 +102,7 @@ def render_trace_svg(trace: GateTrace) -> str:
 def export_trace_plot(trace: GateTrace, path: str) -> None:
     svg = render_trace_svg(trace)
     try:
-        with open(path, "w") as f:
+        with atomic_write(path) as f:
             f.write(svg)
     except OSError as e:
         raise ConfigError(f"cannot write trace plot to {path}: {e}") from e

@@ -9,8 +9,9 @@ Every differentiable value is a `Tensor` tied to a `Tape`. Ops append a
 backward closure to the tape; `Tape.backward` replays the closures in exact
 reverse order, accumulating partials additively into operand `.grad` buffers.
 `backward` consumes the tape: it drops the recorded steps after the replay, so a
-tape serves one backward and leaves no reference cycle behind; `discard` drops
-them without a replay, for a forward run only for its values. Tensors are
+tape serves one backward and leaves no reference cycle behind. Inside a
+`no_grad()` block ops record nothing and allocate no gradient buffer: their
+outputs are constants, for a forward run only for its values. Tensors are
 never mutated after construction.
 
 `add(a, b)` and `mul(a, b)` broadcast `b` against `a`, whose matrices are
@@ -27,6 +28,8 @@ act on the last axis.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,11 +41,30 @@ _EXP_CLAMP = 709.0
 # added to the row variance in layernorm_rows
 _LN_EPS = 1e-5
 
+# False inside a `no_grad()` block; a context variable, so a block in one
+# thread leaves recording on in the others
+_recording: ContextVar[bool] = ContextVar("recording", default=True)
+
+
+@contextmanager
+def no_grad():
+    """Run ops without recording: their outputs are constants on no tape step.
+
+    Blocks nest; leaving one, by return or by exception, restores the mode
+    that held on entry.
+    """
+    token = _recording.set(False)
+    try:
+        yield
+    finally:
+        _recording.reset(token)
+
 
 class Tensor:
     """A matrix or a stack of matrices, with an optional gradient buffer on a tape.
 
-    grad is None for constants (no gradient is tracked through them).
+    grad is None for constants (no gradient is tracked through them), op
+    outputs built under `no_grad()` included.
     """
 
     __slots__ = ("data", "grad", "tape")
@@ -107,6 +129,9 @@ class Tape:
     def backward(self, loss: Tensor) -> None:
         if loss.data.size != 1:
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
+        if loss.grad is None:
+            raise ConfigError("backward needs a recorded loss; this one was built without "
+                              "recording (under no_grad) or is a constant")
         if not np.isfinite(loss.data.reshape(-1)[0]):
             culprit = self.first_nonfinite() or "loss"
             raise NonFiniteError(f"non-finite loss; first non-finite intermediate: {culprit!r}")
@@ -115,13 +140,10 @@ class Tape:
             backward()
         self._steps.clear()
 
-    def discard(self) -> None:
-        """Drop the recorded steps unreplayed; a tape left as it is would be a
-        reference cycle that holds every intermediate until the cycle collector runs."""
-        self._steps.clear()
-
 
 def _out(tape: Tape, name: str, data: np.ndarray, backward) -> Tensor:
+    if not _recording.get():
+        return Tensor(data, tape, None)
     t = Tensor(data, tape, np.zeros_like(data))
     tape.record(name, t, backward)
     return t
@@ -379,8 +401,9 @@ def gradcheck(loss_fn, params: list[Parameter], step: float = 1e-5, tol: float =
     """Compare analytic gradients of loss_fn against central finite differences.
 
     loss_fn must rebuild the forward pass on a fresh tape each call and return
-    the scalar loss Tensor; it reads the current contents of `params`. A NaN
-    relative error fails its entry.
+    the scalar loss Tensor; it reads the current contents of `params`. The
+    finite-difference probes run it under `no_grad()`. A NaN relative error
+    fails its entry.
     """
     if not (math.isfinite(step) and step > 0):
         raise ConfigError(f"gradcheck step must be finite and > 0, got {step}")
@@ -393,9 +416,8 @@ def gradcheck(loss_fn, params: list[Parameter], step: float = 1e-5, tol: float =
     analytic = {p.name: p.grad.copy() for p in params}
 
     def value() -> float:
-        probe = loss_fn()
-        probe.tape.discard()
-        return probe.item()
+        with no_grad():
+            return loss_fn().item()
 
     entries = []
     for p in params:

@@ -3,7 +3,8 @@
 `batch_loss` is the one place a minibatch becomes a loss: one forward of the
 padded minibatch on one tape, differentiated by one backward; the full-model
 gradcheck checks the same function. `evaluate` runs forwards of
-`EVAL_CHUNK` samples at a time.
+`EVAL_CHUNK` samples at a time under `tensor.no_grad()`, so they record no
+tape.
 
 A non-finite loss or gradient raises `NonFiniteError` before the optimizer
 steps, with parameters and optimizer state restored to the start of the epoch.
@@ -134,9 +135,9 @@ def evaluate(model: FusionModel, pairs: list[SamplePair]) -> tuple[float, float,
     total, correct, preds = 0.0, 0, []
     for lo in range(0, len(pairs), EVAL_CHUNK):
         seqs_a, seqs_t, labels = zip(*pairs[lo : lo + EVAL_CHUNK])
-        logits = model.forward(pad_batch(seqs_a), pad_batch(seqs_t)).logits
-        losses = T.cross_entropy(logits, labels).data[:, 0, 0]
-        logits.tape.discard()
+        with T.no_grad():
+            logits = model.forward(pad_batch(seqs_a), pad_batch(seqs_t)).logits
+            losses = T.cross_entropy(logits, labels).data[:, 0, 0]
         for loss, row, label in zip(losses, logits.data[:, 0], labels):
             total += float(loss)
             pred = int(np.argmax(row))

@@ -1,5 +1,6 @@
 """Corpus serialization: round trips and hostile-manifest handling."""
 
+import hashlib
 import json
 import os
 
@@ -194,11 +195,28 @@ class TestCorruption:
         ("acoustic", "offset_a", np.nan), ("textual", "offset_t", np.inf), ("energy", "offset_energy", np.nan),
     ])
     def test_non_finite_value_rejected(self, tmp_path, channel, region, value):
-        corpus = small_corpus(n=4)
-        getattr(corpus.samples[2], channel).flat[3] = value
-        write_corpus(corpus, str(tmp_path / "c"))
+        """A non-finite value stored in the blob (the writer refuses to store one)."""
+        path = written(tmp_path)
+        bpath = os.path.join(path, BLOB_NAME)
+        raw = bytearray(open(bpath, "rb").read())
+        with open(os.path.join(path, MANIFEST_NAME)) as f:
+            start = json.load(f)["samples"][2][region] + 3 * 4
+        raw[start : start + 4] = np.array([value], dtype="<f4").tobytes()
+        open(bpath, "wb").write(bytes(raw))
+        edit_manifest(path, lambda m: m.update(blob_sha256=hashlib.sha256(raw).hexdigest()))
         with pytest.raises(ManifestError, match=rf"sample\[2\]: region '{region}' holds a non-finite value"):
-            read_corpus(str(tmp_path / "c"))
+            read_corpus(path)
+
+    @pytest.mark.parametrize("channel, region, value", [
+        ("acoustic", "offset_a", 1e150), ("textual", "offset_t", np.nan), ("energy", "offset_energy", np.inf),
+    ])
+    def test_writer_refuses_a_value_float32_cannot_hold(self, tmp_path, channel, region, value):
+        corpus = small_corpus(n=4)
+        getattr(corpus.samples[1], channel).flat[2] = value
+        with pytest.raises(ManifestError, match=rf"sample\[1\] \(id 1\): region '{region}' holds a value "
+                                                rf"that is not a finite float32"):
+            write_corpus(corpus, str(tmp_path / "c"))
+        assert not (tmp_path / "c").exists()
 
     def test_record_count_mismatch(self, tmp_path):
         path = written(tmp_path)

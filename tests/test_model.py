@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from gatedfusion import tensor as T
+from gatedfusion.analysis import collect_traces
 from gatedfusion.checkpoint import load_checkpoint, load_model, save_checkpoint, save_model
 from gatedfusion.errors import (
     ChecksumError,
@@ -21,6 +22,7 @@ from gatedfusion.errors import (
 from gatedfusion.gating import GatingMode
 from gatedfusion.model import FusionModel, ModelConfig
 from gatedfusion.sequence import pad_batch
+from gatedfusion.synth import SynthSpec, generate
 from gatedfusion.trainer import SGD, Adam, TrainConfig, batch_loss, evaluate, make_optimizer, train
 from padding import pad_extra
 
@@ -441,6 +443,75 @@ class TestBatchLoss:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+@pytest.fixture
+def recorded_ops(monkeypatch):
+    """Names of the ops `Tape.record` sees while the test runs."""
+    names = []
+    record = T.Tape.record
+
+    def counting(tape, name, out, backward):
+        names.append(name)
+        record(tape, name, out, backward)
+
+    monkeypatch.setattr(T.Tape, "record", counting)
+    return names
+
+
+class TestNoGrad:
+    @pytest.mark.parametrize("mode", list(GatingMode))
+    def test_forward_matches_a_recording_forward_bit_for_bit(self, mode):
+        rng = np.random.default_rng(25)
+        cfg = tiny_cfg(gating_mode=mode)
+        model = FusionModel(cfg)
+        seqs_a, seqs_t, _ = zip(*make_training_pairs(rng, cfg, 5))
+        taped = model.forward(pad_batch(seqs_a), pad_batch(seqs_t))
+        with T.no_grad():
+            bare = model.forward(pad_batch(seqs_a), pad_batch(seqs_t))
+        assert bare.logits.grad is None and taped.logits.grad is not None
+        np.testing.assert_array_equal(bare.logits.data, taped.logits.data)
+        for got, want in ((bare.gates_a, taped.gates_a), (bare.gates_t, taped.gates_t)):
+            assert (got is None) == (want is None) == (mode is GatingMode.NONE)
+            if want is not None:
+                np.testing.assert_array_equal(got, want)
+
+    def test_evaluate_and_collect_traces_record_nothing(self, recorded_ops):
+        cfg = tiny_cfg()
+        model = FusionModel(cfg)
+        evaluate(model, make_training_pairs(np.random.default_rng(26), cfg, 40))
+        corpus = generate(SynthSpec(n_samples=6, n_classes=3, d_a=cfg.d_a, d_t=cfg.d_t, seed=1))
+        assert len(collect_traces(model, corpus.samples)) == 6
+        assert recorded_ops == []
+
+    def test_gradcheck_probes_record_nothing(self, recorded_ops):
+        cfg = tiny_cfg()
+        model = FusionModel(cfg)
+        batch = make_training_pairs(np.random.default_rng(27), cfg, 2)
+        per_call = []
+
+        def loss_fn():
+            before = len(recorded_ops)
+            loss = batch_loss(model, batch)[0]
+            per_call.append(len(recorded_ops) - before)
+            return loss
+
+        params = [p for p in model.parameters() if p.name == "head.b2"]
+        assert T.gradcheck(loss_fn, params).passed
+        assert len(per_call) == 1 + 2 * params[0].data.size
+        assert per_call[0] > 0 and per_call[1:] == [0] * (len(per_call) - 1)
+
+    def test_validation_during_training_leaves_the_run_unchanged(self):
+        rng = np.random.default_rng(28)
+        cfg = tiny_cfg(dropout_rate=0.1)
+        pairs = make_training_pairs(rng, cfg, 10)
+        tc = TrainConfig(learning_rate=1e-2, epochs=3, batch_size=4, seed=2)
+        plain, validated = FusionModel(cfg), FusionModel(cfg)
+        train(plain, pairs[:8], tc)
+        history = train(validated, pairs[:8], tc, val_pairs=pairs[8:]).history
+        assert all("val_loss" in entry for entry in history)
+        for p, q in zip(plain.parameters(), validated.parameters()):
+            np.testing.assert_array_equal(p.data, q.data)
 
 
 def rewrite_header(raw: bytes, edit) -> bytes:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gatedfusion import tensor as T
-from gatedfusion.errors import LabelError, NonFiniteError, ShapeError
+from gatedfusion.errors import ConfigError, LabelError, NonFiniteError, ShapeError
 
 
 def make_leaf(name, data):
@@ -252,6 +252,38 @@ class TestTapeSemantics:
         with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="matmul"):
             loss = loss_fn()
             loss.tape.backward(loss)
+
+
+class TestNoGrad:
+    @staticmethod
+    def recording():
+        tape = T.Tape()
+        out = T.sigmoid(tape.leaf(T.Parameter("x", np.ones((1, 2)))))
+        return out.grad is not None and len(tape._steps) == 1
+
+    def test_nests_and_restores(self):
+        assert self.recording()
+        with T.no_grad():
+            assert not self.recording()
+            with T.no_grad():
+                assert not self.recording()
+            assert not self.recording()
+        assert self.recording()
+
+    def test_restores_recording_after_an_exception(self):
+        with pytest.raises(LabelError):
+            with T.no_grad():
+                T.cross_entropy(T.Tape().constant([[0.0, 0.0]]), 5)
+        assert self.recording()
+
+    def test_backward_of_an_unrecorded_loss_is_a_config_error(self):
+        p = T.Parameter("x", np.array([[0.5, -1.0]]))
+        with T.no_grad():
+            tape = T.Tape()
+            loss = T.sum_all(T.sigmoid(tape.leaf(p)))
+        with pytest.raises(ConfigError, match="without recording"):
+            tape.backward(loss)
+        assert not p.grad.any()
 
 
 class TestCrossEntropy:
