@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.stats import rankdata
 
 from . import tensor as T
 from .errors import ConfigError
@@ -182,14 +181,19 @@ def gate_energy_correlation(traces: list[GateTrace]) -> CorrelationReport:
 
 
 def auroc(scores, flags) -> float:
-    """Rank-based AUROC of scores against binary flags (ties averaged)."""
+    """Rank-based AUROC of scores against binary flags: the Mann-Whitney rank
+    sum of the positives over n_pos * n_neg, with tied scores given their
+    group's mean rank."""
     scores = np.asarray(scores, dtype=np.float64)
     flags = np.asarray(flags, dtype=np.int64)
+    if not np.all(np.isfinite(scores)):
+        raise ConfigError("AUROC needs finite scores")
     n_pos = int(flags.sum())
     n_neg = len(flags) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ConfigError("AUROC needs both positive and negative flags")
-    ranks = rankdata(scores)
+    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2)[inverse]
     return float((ranks[flags == 1].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
 
 

@@ -4,8 +4,8 @@ Layout: 4-byte magic ``GFCK``, little-endian u32 header length, a UTF-8 JSON
 header, then one contiguous blob of little-endian float64 (``<f8``) reals. The
 header echoes the model config, lists every array's name/shape in blob order,
 records the blob dtype (always ``<f8``; any other value is rejected) and its
-SHA-256. Optimizer state rides along as extra arrays so training can resume
-exactly.
+SHA-256. A stored NaN or infinity is rejected on load. Optimizer state rides
+along as extra arrays so training can resume exactly.
 """
 
 from __future__ import annotations
@@ -58,8 +58,11 @@ def save_checkpoint(
 
 
 def load_checkpoint(path) -> Checkpoint:
-    with open(path, "rb") as f:
-        raw = f.read()
+    try:
+        with open(path, "rb") as f:
+            raw = f.read()
+    except OSError as e:
+        raise ManifestError(f"cannot read checkpoint at {path}: {e}") from e
     if raw[:4] != MAGIC:
         raise ManifestError(f"{path}: not a checkpoint file (bad magic)")
     if len(raw) < 8:
@@ -105,6 +108,8 @@ def load_checkpoint(path) -> Checkpoint:
         if end > len(blob):
             raise ChecksumError(f"{path}: array {name!r} exceeds blob bounds")
         arr = np.frombuffer(blob[offset:end], dtype=DTYPE).astype(np.float64)
+        if not np.all(np.isfinite(arr)):
+            raise ManifestError(f"{path}: array {name!r} holds a non-finite value")
         arrays[name] = arr.reshape(rows, cols)
         offset = end
     return Checkpoint(config, arrays, meta)

@@ -48,6 +48,13 @@ def _load_json(path: str) -> dict:
     return data
 
 
+def _make_out_dir(path: str) -> None:
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"cannot create output directory {path}: {e}") from e
+
+
 def _write_json(path: str, payload: dict) -> None:
     with atomic_write(path) as f:
         json.dump(payload, f, indent=1, sort_keys=True)
@@ -69,7 +76,6 @@ def cmd_generate(args) -> int:
         spec_dict["seed"] = args.seed
     spec = from_dict(SynthSpec, spec_dict, "synth spec")
     corpus = generate(spec)
-    os.makedirs(args.out, exist_ok=True)
     write_corpus(corpus, args.out)
     _write_json(os.path.join(args.out, "effective_config.json"), {"synth": spec.to_dict()})
 
@@ -137,10 +143,10 @@ def cmd_train(args) -> int:
         model = FusionModel(model_cfg)
         optimizer = make_optimizer(model, train_cfg)
 
+    _make_out_dir(args.out)
     pairs = [model_inputs(s) for s in corpus.samples]
     result = train(model, pairs, train_cfg, start_epoch=start_epoch, optimizer=optimizer)
 
-    os.makedirs(args.out, exist_ok=True)
     ckpt_path = os.path.join(args.out, "checkpoint.gfck")
     save_model(model, ckpt_path, optimizer_state=optimizer.state_arrays(),
                meta={"epochs_done": train_cfg.epochs, "train": train_cfg.to_dict()})
@@ -158,10 +164,20 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    if args.kfold is not None:
+        mode, unused = "--kfold", {"--checkpoint": args.checkpoint}
+    elif args.checkpoint:
+        mode, unused = "--checkpoint", {"--config": args.config, "--gating-mode": args.gating_mode,
+                                        "--seed": args.seed}
+    else:
+        raise ConfigError("evaluate needs --checkpoint or --kfold K")
+    for flag, value in unused.items():
+        if value is not None:
+            raise ConfigError(f"evaluate {mode} does not use {flag}")
     corpus = read_corpus(args.corpus)
-    os.makedirs(args.out, exist_ok=True)
-    if args.kfold:
+    if args.kfold is not None:
         model_cfg, train_cfg = _configs(args, corpus)
+        _make_out_dir(args.out)
         report = kfold(corpus, args.kfold, train_cfg, model_cfg)
         _write_json(os.path.join(args.out, "report.json"), report.to_dict())
         _write_csv(
@@ -177,9 +193,8 @@ def cmd_evaluate(args) -> int:
         print(f"{args.kfold}-fold accuracy: {report.mean_accuracy:.4f} "
               f"+/- {report.std_accuracy:.4f} (macro F1 {report.mean_macro_f1:.4f})")
     else:
-        if not args.checkpoint:
-            raise ConfigError("evaluate needs --checkpoint or --kfold K")
         model, _ = load_model(args.checkpoint)
+        _make_out_dir(args.out)
         _, _, preds = eval_pairs(model, [model_inputs(s) for s in corpus.samples])
         m = metrics(preds, corpus.labels(), corpus.n_classes)
         _write_json(os.path.join(args.out, "report.json"), m.to_dict())
@@ -198,7 +213,7 @@ def cmd_analyze_gating(args) -> int:
         raise ConfigError(f"--samples must be >= 0, got {args.samples}")
     corpus = read_corpus(args.corpus)
     model, _ = load_model(args.checkpoint)
-    os.makedirs(args.out, exist_ok=True)
+    _make_out_dir(args.out)
     traces = collect_traces(model, corpus.samples)
 
     corr = gate_energy_correlation(traces)
@@ -263,9 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--checkpoint")
     p.add_argument("--kfold", type=int)
-    p.add_argument("--config", help="JSON config (k-fold mode)")
-    p.add_argument("--gating-mode", choices=[m.value for m in GatingMode])
-    p.add_argument("--seed", type=int)
+    p.add_argument("--config", help="JSON config (k-fold mode only)")
+    p.add_argument("--gating-mode", choices=[m.value for m in GatingMode], help="k-fold mode only")
+    p.add_argument("--seed", type=int, help="k-fold mode only")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_evaluate)
 

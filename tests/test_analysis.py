@@ -1,5 +1,11 @@
 """Metrics against brute-force oracles; k-fold protocol; gate studies."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -20,6 +26,8 @@ from gatedfusion.model import ModelConfig
 from gatedfusion.plots import render_trace_svg
 from gatedfusion.synth import SynthSpec, generate
 from gatedfusion.trainer import TrainConfig
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def brute_force_metrics(preds, labels, n_classes):
@@ -124,6 +132,11 @@ class TestAuroc:
         with pytest.raises(ConfigError):
             auroc([0.1, 0.2], [1, 1])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_rejected(self, bad):
+        with pytest.raises(ConfigError, match="finite"):
+            auroc([0.1, bad, 0.3], [1, 0, 1])
+
     @pytest.mark.parametrize("seed", range(100))
     def test_matches_pairwise_oracle(self, seed):
         rng = np.random.default_rng(seed)
@@ -131,11 +144,37 @@ class TestAuroc:
         flags = rng.integers(0, 2, n)
         if flags.sum() in (0, n):
             flags[0] = 1 - flags[0]
-        scores = rng.choice([0.1, 0.3, 0.5, 0.7], size=n)  # force ties
-        pos = scores[flags == 1]
-        neg = scores[flags == 0]
-        wins = sum((p > q) + 0.5 * (p == q) for p in pos for q in neg)
-        assert auroc(scores, flags) == pytest.approx(wins / (len(pos) * len(neg)), abs=1e-12)
+        tied = rng.choice([0.1, 0.3, 0.5, 0.7], size=n)
+        untied = rng.normal(size=n)
+        for scores in (tied, untied):
+            pos = scores[flags == 1, None]
+            neg = scores[None, flags == 0]
+            wins, ties = int((pos > neg).sum()), int((pos == neg).sum())
+            assert auroc(scores, flags) == (2 * wins + ties) / (2 * pos.size * neg.size)
+
+    def test_needs_no_third_party_module_but_numpy(self):
+        """numpy is the only runtime dependency: with every other non-stdlib
+        import refused, the CLI imports and `auroc` scores a tied case."""
+        code = textwrap.dedent("""
+            import sys
+            allowed = sys.stdlib_module_names | {"numpy", "gatedfusion"}
+
+            class OnlyNumpy:
+                def find_spec(self, name, path=None, target=None):
+                    if name.partition(".")[0] not in allowed:
+                        raise ModuleNotFoundError(f"{name} is not a runtime dependency")
+
+            sys.meta_path.insert(0, OnlyNumpy())
+            import gatedfusion.cli
+            from gatedfusion.analysis import auroc
+            print(auroc([0.2, 0.5, 0.5, 0.9], [0, 1, 0, 1]))
+        """)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0.875\n"
 
 
 class TestTraceUtilities:

@@ -213,6 +213,23 @@ class TestEvaluate:
         assert main(["evaluate", "--corpus", corpus_dir, "--out", str(tmp_path / "e")]) == 1
         assert "checkpoint" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, args", [
+        ("--config", ["--checkpoint", "CKPT", "--config", "nope.json"]),
+        ("--gating-mode", ["--checkpoint", "CKPT", "--gating-mode", "none"]),
+        ("--seed", ["--checkpoint", "CKPT", "--seed", "1"]),
+        ("--checkpoint", ["--kfold", "2", "--checkpoint", "CKPT"]),
+        ("--checkpoint", ["--kfold", "0", "--checkpoint", "CKPT"]),
+    ])
+    def test_flag_the_mode_does_not_use_is_rejected(self, tmp_path, corpus_dir, trained_dir,
+                                                    capsys, flag, args):
+        ckpt = os.path.join(trained_dir, "checkpoint.gfck")
+        out = tmp_path / "e"
+        assert main(["evaluate", "--corpus", corpus_dir, "--out", str(out),
+                     *[ckpt if a == "CKPT" else a for a in args]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and flag in err
+        assert not out.exists()
+
 
 class TestAnalyzeGating:
     def test_outputs(self, tmp_path, corpus_dir, trained_dir, capsys):
@@ -242,6 +259,47 @@ class TestAnalyzeGating:
                   "--out", str(tmp_path / name), "--samples", "2"])
         for fname in sorted(os.listdir(tmp_path / "g1")):
             assert (tmp_path / "g1" / fname).read_bytes() == (tmp_path / "g2" / fname).read_bytes()
+
+
+class TestUnusableInputsAndOutputs:
+    """A missing or poisoned checkpoint and an --out that is a file end in
+    `error: ...` and exit 1, never in a raw traceback."""
+
+    @pytest.mark.parametrize("command", ["evaluate", "analyze-gating", "train"])
+    def test_missing_checkpoint(self, tmp_path, corpus_dir, capsys, command):
+        missing = str(tmp_path / "missing.gfck")
+        flag = "--resume" if command == "train" else "--checkpoint"
+        assert main([command, "--corpus", corpus_dir, flag, missing,
+                     "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "missing.gfck" in err
+
+    @pytest.mark.parametrize("command, name", [("evaluate", "head.b2"),
+                                               ("analyze-gating", "gate.w_a")])
+    def test_non_finite_checkpoint_array(self, tmp_path, corpus_dir, trained_dir, capsys,
+                                         command, name):
+        ckpt = load_checkpoint(os.path.join(trained_dir, "checkpoint.gfck"))
+        ckpt.arrays[name][0, 0] = np.nan
+        bad = str(tmp_path / "bad.gfck")
+        save_checkpoint(bad, ckpt.config, ckpt.arrays, ckpt.meta)
+        out = tmp_path / "o"
+        assert main([command, "--corpus", corpus_dir, "--checkpoint", bad,
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and repr(name) in err and "non-finite" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["generate", "evaluate"])
+    def test_out_names_a_file(self, tmp_path, corpus_dir, capsys, command):
+        afile = tmp_path / "afile"
+        afile.write_text("keep me")
+        argv = (["generate", "--out", str(afile)] if command == "generate" else
+                ["evaluate", "--corpus", corpus_dir, "--kfold", "2",
+                 "--config", write_json(tmp_path / "cfg.json", CONFIG), "--out", str(afile)])
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "afile" in err
+        assert afile.read_text() == "keep me"
 
 
 class TestGradcheck:

@@ -647,6 +647,13 @@ class TestCheckpoint:
         with pytest.raises(ChecksumError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_array_rejected(self, tmp_path, bad):
+        path = tmp_path / "model.gfck"
+        save_checkpoint(path, {"x": 1}, {"w": np.zeros((2, 2)), "opt.m": np.full((1, 3), bad)})
+        with pytest.raises(ManifestError, match="'opt.m' holds a non-finite value"):
+            load_checkpoint(path)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.gfck"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
