@@ -12,13 +12,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import tensor as T
 from .errors import ConfigError
 from .gating import GatingMode
 from .model import FusionModel, ModelConfig
-from .sequence import pad_batch
 from .synth import Corpus, Sample, model_inputs
-from .trainer import EVAL_CHUNK, TrainConfig, train, evaluate
+from .trainer import TrainConfig, evaluate, no_grad_forwards, train
 
 
 @dataclass
@@ -55,6 +53,9 @@ def metrics(predictions, labels, n_classes: int | None = None) -> MetricsResult:
         raise ConfigError("predictions and labels must be equal-length non-empty 1-D vectors")
     if n_classes is None:
         n_classes = int(max(preds.max(), labs.max())) + 1
+    for name, values in (("prediction", preds), ("label", labs)):
+        if values.min() < 0 or values.max() >= n_classes:
+            raise ConfigError(f"{name}s must lie in [0, {n_classes}), got {values.min()}..{values.max()}")
     confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
     for p, l in zip(preds, labs):
         confusion[l, p] += 1
@@ -124,17 +125,13 @@ def trace_energy(trace: GateTrace) -> np.ndarray | None:
 
 
 def collect_traces(model: FusionModel, samples: list[Sample]) -> list[GateTrace]:
-    """Each sample's valid-position gates, from forwards of `EVAL_CHUNK` samples
-    run under `tensor.no_grad()`, so they record no tape."""
+    """Each sample's valid-position gates, from `trainer.no_grad_forwards`."""
     traces = []
-    for lo in range(0, len(samples), EVAL_CHUNK):
-        chunk = samples[lo : lo + EVAL_CHUNK]
-        seqs_a, seqs_t, _ = zip(*(model_inputs(s) for s in chunk))
-        with T.no_grad():
-            result = model.forward(pad_batch(seqs_a), pad_batch(seqs_t))
+    for chunk, result in no_grad_forwards(model, [model_inputs(s) for s in samples]):
         if result.gates_a is None:
             raise ConfigError("model has gating disabled; no gate traces to collect")
-        for i, (s, a, t) in enumerate(zip(chunk, seqs_a, seqs_t)):
+        for i, (a, t, _) in enumerate(chunk):
+            s = samples[len(traces)]
             traces.append(
                 GateTrace(
                     sample_id=s.sample_id,
@@ -199,14 +196,15 @@ def auroc(scores, flags) -> float:
 
 @dataclass
 class AlignmentReport:
-    """How well gates track the planted diagnostic positions, per modality."""
+    """How well gates track the planted diagnostic positions, per modality; None
+    where a side has no frames (at sparsity 1.0 every frame is diagnostic)."""
 
-    mean_gate_diag_a: float
-    mean_gate_other_a: float
-    auroc_a: float
-    mean_gate_diag_t: float
-    mean_gate_other_t: float
-    auroc_t: float
+    mean_gate_diag_a: float | None
+    mean_gate_other_a: float | None
+    auroc_a: float | None
+    mean_gate_diag_t: float | None
+    mean_gate_other_t: float | None
+    auroc_t: float | None
 
     def to_dict(self) -> dict:
         from dataclasses import asdict
@@ -225,16 +223,17 @@ def gate_diagnostic_alignment(traces: list[GateTrace]) -> AlignmentReport:
         ft.append(tr.diag_t)
     if not ga:
         raise ConfigError("no traces carry diagnostic flags")
-    ga, fa = np.concatenate(ga), np.concatenate(fa)
-    gt, ft = np.concatenate(gt), np.concatenate(ft)
-    return AlignmentReport(
-        mean_gate_diag_a=float(ga[fa == 1].mean()),
-        mean_gate_other_a=float(ga[fa == 0].mean()),
-        auroc_a=auroc(ga, fa),
-        mean_gate_diag_t=float(gt[ft == 1].mean()),
-        mean_gate_other_t=float(gt[ft == 0].mean()),
-        auroc_t=auroc(gt, ft),
-    )
+    return AlignmentReport(*_alignment(np.concatenate(ga), np.concatenate(fa)),
+                           *_alignment(np.concatenate(gt), np.concatenate(ft)))
+
+
+def _alignment(gates: np.ndarray, flags: np.ndarray) -> tuple:
+    """Mean gate on flagged frames, mean gate on the rest, and the gates' AUROC
+    against the flags; None for each that a side without frames leaves undefined."""
+    diag, other = gates[flags == 1], gates[flags == 0]
+    return (float(diag.mean()) if diag.size else None,
+            float(other.mean()) if other.size else None,
+            auroc(gates, flags) if diag.size and other.size else None)
 
 
 @dataclass

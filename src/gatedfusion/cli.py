@@ -194,6 +194,9 @@ def cmd_evaluate(args) -> int:
               f"+/- {report.std_accuracy:.4f} (macro F1 {report.mean_macro_f1:.4f})")
     else:
         model, _ = load_model(args.checkpoint)
+        if model.cfg.n_classes != corpus.n_classes:
+            raise ConfigError(f"checkpoint {args.checkpoint} has {model.cfg.n_classes} classes, "
+                              f"corpus {args.corpus} has {corpus.n_classes}")
         _make_out_dir(args.out)
         _, _, preds = eval_pairs(model, [model_inputs(s) for s in corpus.samples])
         m = metrics(preds, corpus.labels(), corpus.n_classes)
@@ -230,8 +233,8 @@ def cmd_analyze_gating(args) -> int:
     if any(t.diag_a is not None for t in traces):
         alignment = gate_diagnostic_alignment(traces)
         _write_json(os.path.join(args.out, "gate_alignment.json"), alignment.to_dict())
-        print(f"gate-vs-diagnostic AUROC: acoustic {alignment.auroc_a:.4f} "
-              f"textual {alignment.auroc_t:.4f}")
+        a, t = ("undefined" if r is None else f"{r:.4f}" for r in (alignment.auroc_a, alignment.auroc_t))
+        print(f"gate-vs-diagnostic AUROC: acoustic {a} textual {t}")
 
     for trace in traces[: args.samples]:
         export_trace_plot(trace, os.path.join(args.out, f"trace_{trace.sample_id:05d}.svg"))

@@ -1,10 +1,9 @@
 """Mini-batch training loop with SGD/Adam and exact-resume semantics.
 
-`batch_loss` is the one place a minibatch becomes a loss: one forward of the
-padded minibatch on one tape, differentiated by one backward; the full-model
-gradcheck checks the same function. `evaluate` runs forwards of
-`EVAL_CHUNK` samples at a time under `tensor.no_grad()`, so they record no
-tape.
+`batch_loss` is the one place a minibatch becomes a loss, the mean
+cross-entropy: one forward of the padded minibatch on one tape, differentiated
+by one backward; the full-model gradcheck checks the same function.
+`no_grad_forwards`, the one inference loop, runs forwards that record no tape.
 
 A non-finite loss or gradient raises `NonFiniteError` before the optimizer
 steps, with parameters and optimizer state restored to the start of the epoch.
@@ -27,8 +26,8 @@ from .sequence import pad_batch
 
 SamplePair = tuple[np.ndarray, np.ndarray, int]
 
-# samples per forward in `evaluate` (and `analysis.collect_traces`); results do
-# not depend on it, only the padding per forward does
+# samples per forward in `no_grad_forwards`; results do not depend on it, only
+# the padding per forward does
 EVAL_CHUNK = 32
 
 
@@ -37,9 +36,7 @@ class TrainConfig:
     learning_rate: float = 1e-3
     epochs: int = 30
     batch_size: int = 16
-    weight_decay: float = 0.0
     optimizer: str = "adam"
-    use_class_weights: bool = False
     seed: int = 0
 
     def __post_init__(self):
@@ -61,15 +58,13 @@ class TrainConfig:
 
 
 class SGD:
-    def __init__(self, params: list[T.Parameter], lr: float, weight_decay: float = 0.0):
+    def __init__(self, params: list[T.Parameter], lr: float):
         self.params = params
         self.lr = lr
-        self.weight_decay = weight_decay
 
     def step(self) -> None:
         for p in self.params:
-            g = p.grad + self.weight_decay * p.data
-            p.data -= self.lr * g
+            p.data -= self.lr * p.grad
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {}
@@ -83,10 +78,9 @@ _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class Adam:
-    def __init__(self, params: list[T.Parameter], lr: float, weight_decay: float = 0.0):
+    def __init__(self, params: list[T.Parameter], lr: float):
         self.params = params
         self.lr = lr
-        self.weight_decay = weight_decay
         self.t = 0
         self.m = {p.name: np.zeros_like(p.data) for p in params}
         self.v = {p.name: np.zeros_like(p.data) for p in params}
@@ -95,9 +89,8 @@ class Adam:
         self.t += 1
         b1, b2 = _ADAM_BETA1, _ADAM_BETA2
         for p in self.params:
-            g = p.grad + self.weight_decay * p.data
-            m = self.m[p.name] = b1 * self.m[p.name] + (1 - b1) * g
-            v = self.v[p.name] = b2 * self.v[p.name] + (1 - b2) * g * g
+            m = self.m[p.name] = b1 * self.m[p.name] + (1 - b1) * p.grad
+            v = self.v[p.name] = b2 * self.v[p.name] + (1 - b2) * p.grad * p.grad
             m_hat = m / (1 - b1 ** self.t)
             v_hat = v / (1 - b2 ** self.t)
             p.data -= self.lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
@@ -127,18 +120,29 @@ class Adam:
 
 def make_optimizer(model: FusionModel, cfg: TrainConfig):
     cls = Adam if cfg.optimizer == "adam" else SGD
-    return cls(model.parameters(), cfg.learning_rate, cfg.weight_decay)
+    return cls(model.parameters(), cfg.learning_rate)
+
+
+def no_grad_forwards(model: FusionModel, pairs: list[SamplePair]):
+    """Each chunk of `EVAL_CHUNK` pairs with its `ForwardResult` (dropout off),
+    from a forward under `tensor.no_grad()`; the yield comes after the block,
+    since a generator suspended inside it would leave recording off in the caller."""
+    for lo in range(0, len(pairs), EVAL_CHUNK):
+        chunk = pairs[lo : lo + EVAL_CHUNK]
+        seqs_a, seqs_t, _ = zip(*chunk)
+        with T.no_grad():
+            result = model.forward(pad_batch(seqs_a), pad_batch(seqs_t))
+        yield chunk, result
 
 
 def evaluate(model: FusionModel, pairs: list[SamplePair]) -> tuple[float, float, list[int]]:
     """Mean loss, accuracy, and predictions over a sample list (dropout off)."""
     total, correct, preds = 0.0, 0, []
-    for lo in range(0, len(pairs), EVAL_CHUNK):
-        seqs_a, seqs_t, labels = zip(*pairs[lo : lo + EVAL_CHUNK])
+    for chunk, result in no_grad_forwards(model, pairs):
+        labels = [label for _, _, label in chunk]
         with T.no_grad():
-            logits = model.forward(pad_batch(seqs_a), pad_batch(seqs_t)).logits
-            losses = T.cross_entropy(logits, labels).data[:, 0, 0]
-        for loss, row, label in zip(losses, logits.data[:, 0], labels):
+            losses = T.cross_entropy(result.logits, labels).data[:, 0, 0]
+        for loss, row, label in zip(losses, result.logits.data[:, 0], labels):
             total += float(loss)
             pred = int(np.argmax(row))
             preds.append(pred)
@@ -147,18 +151,13 @@ def evaluate(model: FusionModel, pairs: list[SamplePair]) -> tuple[float, float,
     return total / n, correct / n, preds
 
 
-def batch_loss(model: FusionModel, batch: list[SamplePair], weights: np.ndarray | None = None,
+def batch_loss(model: FusionModel, batch: list[SamplePair], *,
                dropout_rng: np.random.Generator | None = None) -> tuple[T.Tensor, list[float]]:
-    """Class-weighted mean loss of a minibatch on one tape, and each sample's unweighted loss.
-
-    The loss is sum_i weights[label_i] / B * loss_i; no weights means 1 for
-    every class.
-    """
+    """Mean cross-entropy of a minibatch on one tape, and each sample's loss."""
     seqs_a, seqs_t, labels = zip(*batch)
     result = model.forward(pad_batch(seqs_a), pad_batch(seqs_t), dropout_rng)
     losses = T.cross_entropy(result.logits, labels)
-    w = np.ones(len(batch)) if weights is None else np.asarray(weights, dtype=np.float64)[list(labels)]
-    scale = losses.tape.constant((w / len(batch)).reshape(-1, 1, 1))
+    scale = losses.tape.constant([[1 / len(batch)]])
     return T.sum_all(T.mul(losses, scale)), losses.data[:, 0, 0].tolist()
 
 
@@ -182,12 +181,6 @@ def train(
     if not train_pairs:
         raise ConfigError("training set is empty")
     opt = optimizer or make_optimizer(model, cfg)
-    weights = None
-    if cfg.use_class_weights:
-        counts = np.bincount([l for _, _, l in train_pairs], minlength=model.cfg.n_classes)
-        # total / (C * count_c); a class absent from training gets the weight of a singleton
-        weights = len(train_pairs) / (model.cfg.n_classes * np.maximum(counts, 1))
-
     result = TrainResult()
     n = len(train_pairs)
     params = model.parameters()
@@ -202,7 +195,7 @@ def train(
             for lo in range(0, n, cfg.batch_size):
                 batch = [train_pairs[i] for i in order[lo : lo + cfg.batch_size]]
                 model.zero_grad()
-                loss, losses = batch_loss(model, batch, weights, dropout_rng)
+                loss, losses = batch_loss(model, batch, dropout_rng=dropout_rng)
                 loss.tape.backward(loss)
                 for sample_loss in losses:
                     epoch_loss += sample_loss

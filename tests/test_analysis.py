@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -79,6 +80,14 @@ class TestMetrics:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ConfigError):
             metrics([0, 1], [0], 2)
+
+    @pytest.mark.parametrize("preds, labels, n_classes, bad", [
+        ([0, 2], [0, 1], 2, "predictions .*got 0..2"), ([0, 1], [0, -1], 2, "labels .*got -1..0"),
+        ([-1, 0], [0, 0], None, "predictions .*got -1..0"), ([0, 1], [0, 3], 3, "labels .*got 0..3"),
+    ])
+    def test_class_outside_range_rejected(self, preds, labels, n_classes, bad):
+        with pytest.raises(ConfigError, match=bad):
+            metrics(preds, labels, n_classes)
 
     @pytest.mark.parametrize("seed", range(300))
     def test_randomized_vs_brute_force(self, seed):
@@ -205,6 +214,17 @@ class TestTraceUtilities:
         assert rep.auroc_a == 1.0 and rep.auroc_t == 1.0
         assert rep.mean_gate_diag_a == pytest.approx(0.9)
         assert rep.mean_gate_other_a == pytest.approx(0.1)
+
+    def test_alignment_with_one_side_empty_is_undefined(self):
+        """At sparsity 1.0 every frame is diagnostic: the other side's mean and
+        the AUROC are None, and no empty-slice mean is taken."""
+        tr = GateTrace(0, 1, np.array([0.9, 0.1]), np.array([0.2, 0.8]),
+                       diag_a=np.array([1, 1]), diag_t=np.array([0, 0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = gate_diagnostic_alignment([tr])
+        assert rep.to_dict() == {"mean_gate_diag_a": 0.5, "mean_gate_other_a": None, "auroc_a": None,
+                                 "mean_gate_diag_t": None, "mean_gate_other_t": 0.5, "auroc_t": None}
 
 
 def tiny_corpus(n=16, seed=0):

@@ -65,7 +65,7 @@ def test_every_recorded_op_kind_is_counted(mode):
     tracer = load_bench_module("tracer").Tracer()
     tracer.install()
     try:
-        loss, _ = batch_loss(model, batch, np.array([0.5, 1.5]), np.random.default_rng(4))
+        loss, _ = batch_loss(model, batch, dropout_rng=np.random.default_rng(4))
         loss.tape.backward(loss)
     finally:
         tracer.uninstall()

@@ -1,14 +1,18 @@
 """End-to-end CLI runs: every subcommand, reproducibility, error paths."""
 
+import argparse
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gatedfusion import tensor as T
-from gatedfusion.checkpoint import load_checkpoint, save_checkpoint
-from gatedfusion.cli import main
+from gatedfusion.checkpoint import load_checkpoint, save_checkpoint, save_model
+from gatedfusion.cli import _configs, main
+from gatedfusion.corpus_io import read_corpus
+from gatedfusion.model import FusionModel, ModelConfig
 
 
 SPEC = {"n_samples": 18, "n_classes": 2, "d_a": 4, "d_t": 4,
@@ -120,6 +124,47 @@ class TestTrain:
         resumed = (tmp_path / "resumed" / "checkpoint.gfck").read_bytes()
         assert full == resumed
 
+    def test_resume_from_checkpoint_recording_removed_train_keys(self, tmp_path, corpus_dir):
+        """A checkpoint whose meta.train still records weight_decay and
+        use_class_weights resumes to the bytes of an unbroken run."""
+        long_cfg = write_json(tmp_path / "long.json",
+                              {**CONFIG, "train": {**CONFIG["train"], "epochs": 4}})
+        short_cfg = write_json(tmp_path / "short.json", CONFIG)
+        main(["train", "--corpus", corpus_dir, "--config", long_cfg,
+              "--out", str(tmp_path / "full")])
+        main(["train", "--corpus", corpus_dir, "--config", short_cfg,
+              "--out", str(tmp_path / "half")])
+        ckpt = load_checkpoint(str(tmp_path / "half" / "checkpoint.gfck"))
+        old = str(tmp_path / "old.gfck")
+        save_checkpoint(old, ckpt.config, ckpt.arrays,
+                        {**ckpt.meta, "train": {**ckpt.meta["train"], "weight_decay": 0.0,
+                                                "use_class_weights": False}})
+        assert main(["train", "--corpus", corpus_dir, "--config", long_cfg, "--resume", old,
+                     "--out", str(tmp_path / "resumed")]) == 0
+        full = (tmp_path / "full" / "checkpoint.gfck").read_bytes()
+        assert (tmp_path / "resumed" / "checkpoint.gfck").read_bytes() == full
+
+    @pytest.mark.parametrize("key, value", [("weight_decay", 0.0), ("use_class_weights", False)])
+    def test_removed_train_key_is_unknown(self, tmp_path, corpus_dir, capsys, key, value):
+        cfg = write_json(tmp_path / "cfg.json", {**CONFIG, "train": {**CONFIG["train"], key: value}})
+        out = tmp_path / "o"
+        assert main(["train", "--corpus", corpus_dir, "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: train config: unknown keys") and key in err
+        assert "Traceback" not in err and not out.exists()
+
+    def test_readme_example_config_loads(self, tmp_path, corpus_dir):
+        """Every key of README's example config.json is a config field, and its
+        "train" section lists every train field."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        example = json.loads(readme.split("Example `config.json`:", 1)[1]
+                             .split("```json\n", 1)[1].split("```", 1)[0])
+        args = argparse.Namespace(config=write_json(tmp_path / "config.json", example),
+                                  gating_mode=None, seed=None)
+        model_cfg, train_cfg = _configs(args, read_corpus(corpus_dir))
+        assert train_cfg.to_dict() == example["train"]
+        assert model_cfg.to_dict().items() >= example["model"].items()
+
     def test_resume_config_mismatch_rejected(self, tmp_path, corpus_dir, capsys):
         cfg = write_json(tmp_path / "cfg.json", CONFIG)
         main(["train", "--corpus", corpus_dir, "--config", cfg, "--out", str(tmp_path / "a")])
@@ -213,6 +258,18 @@ class TestEvaluate:
         assert main(["evaluate", "--corpus", corpus_dir, "--out", str(tmp_path / "e")]) == 1
         assert "checkpoint" in capsys.readouterr().err
 
+    def test_checkpoint_class_count_must_match_corpus(self, tmp_path, corpus_dir, capsys):
+        """A 3-class checkpoint on the 2-class corpus is a typed error, not an IndexError."""
+        ckpt = str(tmp_path / "three.gfck")
+        save_model(FusionModel(ModelConfig(d_a=4, d_t=4, d_model=8, n_heads=2, n_layers=1,
+                                           ff_mult=2, n_classes=3)), ckpt)
+        out = tmp_path / "e"
+        assert main(["evaluate", "--corpus", corpus_dir, "--checkpoint", ckpt,
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "3 classes" in err and "has 2" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, args", [
         ("--config", ["--checkpoint", "CKPT", "--config", "nope.json"]),
         ("--gating-mode", ["--checkpoint", "CKPT", "--gating-mode", "none"]),
@@ -251,6 +308,24 @@ class TestAnalyzeGating:
                      "--out", str(out), "--samples", "-1"]) == 1
         assert capsys.readouterr().err.startswith("error: --samples")
         assert not os.path.exists(out)
+
+    @pytest.mark.filterwarnings("error")
+    def test_every_frame_diagnostic(self, tmp_path, capsys):
+        """At sparsity 1.0 no frame is non-diagnostic: the AUROCs and the
+        other-frame means are undefined, written as null and printed as such."""
+        spec = write_json(tmp_path / "spec.json", {**SPEC, "sparsity": 1.0})
+        cfg = write_json(tmp_path / "cfg.json", {**CONFIG, "train": {**CONFIG["train"], "epochs": 1}})
+        corpus, run, out = (str(tmp_path / name) for name in ("corpus", "run", "gates"))
+        assert main(["generate", "--spec", spec, "--out", corpus]) == 0
+        assert main(["train", "--corpus", corpus, "--config", cfg, "--out", run]) == 0
+        assert main(["analyze-gating", "--corpus", corpus, "--out", out, "--samples", "1",
+                     "--checkpoint", os.path.join(run, "checkpoint.gfck")]) == 0
+        assert "AUROC: acoustic undefined textual undefined" in capsys.readouterr().out
+        with open(os.path.join(out, "gate_alignment.json")) as f:
+            alignment = json.load(f)
+        for side in ("a", "t"):
+            assert alignment[f"auroc_{side}"] is None and alignment[f"mean_gate_other_{side}"] is None
+            assert 0.0 < alignment[f"mean_gate_diag_{side}"] < 1.0
 
     def test_byte_identical_reruns(self, tmp_path, corpus_dir, trained_dir):
         ckpt = os.path.join(trained_dir, "checkpoint.gfck")

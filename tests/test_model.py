@@ -23,7 +23,7 @@ from gatedfusion.gating import GatingMode
 from gatedfusion.model import FusionModel, ModelConfig
 from gatedfusion.sequence import pad_batch
 from gatedfusion.synth import SynthSpec, generate
-from gatedfusion.trainer import SGD, Adam, TrainConfig, batch_loss, evaluate, make_optimizer, train
+from gatedfusion.trainer import Adam, TrainConfig, batch_loss, evaluate, make_optimizer, train
 from padding import pad_extra
 
 
@@ -252,37 +252,6 @@ class TestTraining:
                                                  batch_size=2, optimizer="sgd"))
         assert len(result.history) == 5
 
-    def test_class_weights_scale_each_sample_gradient(self):
-        rng = np.random.default_rng(16)
-        cfg = tiny_cfg()
-        labels = [0, 0, 0, 1]
-        pairs = [(a, t, label) for (a, t, _), label in zip(make_training_pairs(rng, cfg, 4), labels)]
-        counts = np.bincount(labels, minlength=cfg.n_classes)
-        lr = 0.1
-
-        reference = FusionModel(cfg)
-        expected = [p.data.copy() for p in reference.parameters()]
-        for a, t, label in pairs:
-            reference.zero_grad()
-            loss, _ = reference.loss(a, t, label)
-            loss.tape.backward(loss)
-            weight = len(labels) / (cfg.n_classes * counts[label])
-            for e, p in zip(expected, reference.parameters()):
-                e -= lr * weight / len(pairs) * p.grad
-
-        model = FusionModel(cfg)
-        train(model, pairs, TrainConfig(learning_rate=lr, epochs=1, batch_size=len(pairs),
-                                        optimizer="sgd", use_class_weights=True))
-        for e, p in zip(expected, model.parameters()):
-            np.testing.assert_allclose(p.data, e, rtol=1e-10, atol=1e-14)
-
-    def test_sgd_weight_decay_with_zero_gradient(self):
-        p = T.Parameter("w", np.array([[1.5, -2.0], [0.25, 4.0]]))
-        before = p.data.copy()
-        lr, decay = 0.1, 0.01
-        SGD([p], lr, weight_decay=decay).step()
-        np.testing.assert_allclose(p.data, before - lr * decay * before, rtol=1e-15)
-
     @pytest.mark.parametrize("key, replacement", [
         ("t", None), ("m.proj_a.w", None), ("v.head.b2", None),
         ("t", np.zeros((1, 2))), ("m.gate.w_a", np.zeros((3, 1))),
@@ -371,18 +340,25 @@ class TestTraining:
 
 
 class TestBatchLoss:
-    def test_weighted_mean_of_per_sample_losses(self):
+    def test_mean_of_per_sample_losses(self):
         rng = np.random.default_rng(17)
         cfg = tiny_cfg()
         model = FusionModel(cfg)
         batch = make_training_pairs(rng, cfg, 4)
-        weights = np.array([0.5, 2.0, 1.25])
-        loss, losses = batch_loss(model, batch, weights)
+        loss, losses = batch_loss(model, batch)
         # a sample sums in another order alone than in the batch: 1 ulp apart
         np.testing.assert_allclose(losses, [model.loss(a, t, label)[0].item() for a, t, label in batch],
                                    rtol=1e-12)
-        expected = sum(weights[label] * x for (_, _, label), x in zip(batch, losses)) / len(batch)
-        assert loss.item() == pytest.approx(expected, rel=1e-12)
+        assert loss.item() == pytest.approx(sum(losses) / len(batch), rel=1e-12)
+
+    def test_takes_no_class_weights(self):
+        """`dropout_rng` is keyword-only, so a stale positional weights vector
+        cannot bind to it."""
+        rng = np.random.default_rng(17)
+        cfg = tiny_cfg()
+        batch = make_training_pairs(rng, cfg, 3)
+        with pytest.raises(TypeError):
+            batch_loss(FusionModel(cfg), batch, np.array([0.5, 2.0, 1.25]))
 
     def test_dropout_draws_ignore_padding(self):
         """Dropout masks are drawn at each sample's valid length, so the padding a
@@ -406,15 +382,6 @@ class TestBatchLoss:
             loss, _ = batch_loss(model, make_training_pairs(rng, cfg, n), dropout_rng=np.random.default_rng(0))
             counts.append(len(loss.tape._steps))
         assert counts[0] == counts[1] <= 120
-
-    def test_gradcheck_with_class_weights(self):
-        rng = np.random.default_rng(18)
-        cfg = tiny_cfg(d_model=4, n_heads=1, ff_mult=1)
-        model = FusionModel(cfg)
-        batch = [(*random_pair(rng, cfg, ta=3, tt=2), label) for label in (0, 1, 2)]
-        weights = np.array([0.5, 2.0, 1.25])
-        report = T.gradcheck(lambda: batch_loss(model, batch, weights)[0], model.parameters())
-        assert report.passed, str(report)
 
     def test_backward_leaves_nothing_for_the_cycle_collector(self):
         rng = np.random.default_rng(19)
