@@ -50,8 +50,7 @@ def main():
 
         restored, ckpt = load_model(path)
         opt2 = make_optimizer(restored, train_cfg)
-        opt2.load_state({k[len("opt."):]: v for k, v in ckpt.arrays.items()
-                         if k.startswith("opt.")})
+        opt2.load_state(ckpt.optimizer_state)
         train(restored, train_pairs, train_cfg, start_epoch=6, optimizer=opt2)
 
         drift = max(float(np.abs(a.data - b.data).max())

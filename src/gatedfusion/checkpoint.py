@@ -24,6 +24,7 @@ from .model import FusionModel, ModelConfig
 MAGIC = b"GFCK"
 FORMAT_VERSION = 1
 DTYPE = "<f8"
+_OPT_PREFIX = "opt."
 
 
 @dataclass
@@ -31,6 +32,11 @@ class Checkpoint:
     config: dict
     arrays: dict[str, np.ndarray]
     meta: dict
+
+    @property
+    def optimizer_state(self) -> dict[str, np.ndarray]:
+        """The optimizer-state arrays `save_model` stored, under the optimizer's own names."""
+        return {k[len(_OPT_PREFIX):]: v for k, v in self.arrays.items() if k.startswith(_OPT_PREFIX)}
 
 
 def save_checkpoint(
@@ -119,7 +125,7 @@ def save_model(model: FusionModel, path, optimizer_state: dict[str, np.ndarray] 
                meta: dict | None = None) -> None:
     arrays = {p.name: p.data for p in model.parameters()}
     if optimizer_state:
-        arrays.update({f"opt.{k}": v for k, v in optimizer_state.items()})
+        arrays.update({f"{_OPT_PREFIX}{k}": v for k, v in optimizer_state.items()})
     save_checkpoint(path, model.cfg.to_dict(), arrays, meta)
 
 

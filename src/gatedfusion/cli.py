@@ -132,7 +132,7 @@ def cmd_train(args) -> int:
             raise ConfigError(f"resume checkpoint was trained with optimizer {saved['optimizer']!r}, "
                               f"not {train_cfg.optimizer!r}")
         optimizer = make_optimizer(model, train_cfg)
-        opt_state = {k[len("opt."):]: v for k, v in ckpt.arrays.items() if k.startswith("opt.")}
+        opt_state = ckpt.optimizer_state
         if opt_state:
             optimizer.load_state(opt_state)
         start_epoch = ckpt.meta.get("epochs_done", 0)
@@ -157,8 +157,7 @@ def cmd_train(args) -> int:
     )
     _write_json(os.path.join(args.out, "effective_config.json"),
                 {"model": model_cfg.to_dict(), "train": train_cfg.to_dict()})
-    final = result.history[-1]["train_loss"] if result.history else float("nan")
-    print(f"trained {train_cfg.epochs - start_epoch} epochs; final train loss {final:.4f}")
+    print(f"trained {train_cfg.epochs - start_epoch} epochs; final train loss {result.final_train_loss:.4f}")
     print(f"checkpoint: {ckpt_path}")
     return 0
 
@@ -197,8 +196,9 @@ def cmd_evaluate(args) -> int:
         if model.cfg.n_classes != corpus.n_classes:
             raise ConfigError(f"checkpoint {args.checkpoint} has {model.cfg.n_classes} classes, "
                               f"corpus {args.corpus} has {corpus.n_classes}")
-        _make_out_dir(args.out)
+        # before --out is made: the forward rejects a model for other input widths
         _, _, preds = eval_pairs(model, [model_inputs(s) for s in corpus.samples])
+        _make_out_dir(args.out)
         m = metrics(preds, corpus.labels(), corpus.n_classes)
         _write_json(os.path.join(args.out, "report.json"), m.to_dict())
         _write_csv(
@@ -216,8 +216,9 @@ def cmd_analyze_gating(args) -> int:
         raise ConfigError(f"--samples must be >= 0, got {args.samples}")
     corpus = read_corpus(args.corpus)
     model, _ = load_model(args.checkpoint)
-    _make_out_dir(args.out)
+    # before --out is made: collecting rejects a model without gates or for other input widths
     traces = collect_traces(model, corpus.samples)
+    _make_out_dir(args.out)
 
     corr = gate_energy_correlation(traces)
     rows = [

@@ -1,9 +1,10 @@
 """Single-modality transformer encoder built on the tape kernel.
 
-Post-norm layers: x = LN(x + MHA(x)); x = LN(x + FFN(x)). Attention logits at
-invalid key positions get an additive -1e9 mask so padding never leaks into
-valid rows. Dropout applies to sublayer outputs during training only: the
-caller passes each layer its keep masks, already scaled by 1 / (1 - rate).
+Post-norm layers over a (B, T, d) stack: x = LN(x + MHA(x)); x = LN(x + FFN(x)).
+Attention heads ride the stack axis: B*H stacked heads share one matmul and
+softmax. Logits at invalid key positions get an additive -1e9 mask so padding
+never leaks into valid rows. Dropout applies to sublayer outputs during training
+only: the caller passes each layer its keep masks, already scaled by 1 / (1 - rate).
 """
 
 from __future__ import annotations
@@ -67,26 +68,21 @@ class EncoderLayer:
 
     def _attention(self, x: T.Tensor, mask: np.ndarray) -> T.Tensor:
         tape = x.tape
-        dh = self.d_model // self.n_heads
+        b, t, d = x.data.shape
+        h, dh = self.n_heads, d // self.n_heads
         q = T.add(T.matmul(x, tape.leaf(self.wq)), tape.leaf(self.bq))
         # no key bias: a shared key offset cancels inside the row softmax
         k = T.matmul(x, tape.leaf(self.wk))
         v = T.add(T.matmul(x, tape.leaf(self.wv)), tape.leaf(self.bv))
-        # one 1 x T row per sample, broadcast over the query rows of every head's scores
-        key_mask = tape.constant(np.expand_dims(np.where(np.asarray(mask) > 0.0, 0.0, _ATTN_MASK_VALUE), -2))
-        score_scale = tape.constant([[1.0 / np.sqrt(dh)]])
-        heads = []
-        for h in range(self.n_heads):
-            lo, hi = h * dh, (h + 1) * dh
-            qh = T.slice_cols(q, lo, hi)
-            kh = T.slice_cols(k, lo, hi)
-            vh = T.slice_cols(v, lo, hi)
-            scores = T.mul(T.matmul(qh, T.transpose(kh)), score_scale)
-            attn = T.softmax_rows(T.add(scores, key_mask))
-            heads.append(T.matmul(attn, vh))
-        merged = heads[0]
-        for head in heads[1:]:
-            merged = T.concat_cols(merged, head)
+        # row i*H + j of a (B*H, T, dh) head stack is head j of sample i; kh is (B*H, dh, T)
+        qh = T.transpose(q, (b, t, h, dh), (0, 2, 1, 3), (b * h, t, dh))
+        kh = T.transpose(k, (b, t, h, dh), (0, 2, 3, 1), (b * h, dh, t))
+        vh = T.transpose(v, (b, t, h, dh), (0, 2, 1, 3), (b * h, t, dh))
+        # one 1 x T row per sample, repeated for its heads and broadcast over their query rows
+        key_mask = np.where(np.asarray(mask) > 0.0, 0.0, _ATTN_MASK_VALUE)[:, None, :]
+        scores = T.mul(T.matmul(qh, kh), tape.constant([[1.0 / np.sqrt(dh)]]))
+        attn = T.softmax_rows(T.add(scores, tape.constant(np.repeat(key_mask, h, axis=0))))
+        merged = T.transpose(T.matmul(attn, vh), (b, h, t, dh), (0, 2, 1, 3), (b, t, d))
         return T.add(T.matmul(merged, tape.leaf(self.wo)), tape.leaf(self.bo))
 
     def _ffn(self, x: T.Tensor) -> T.Tensor:
@@ -99,9 +95,9 @@ class EncoderLayer:
         return T.add(T.mul(T.layernorm_rows(x), tape.leaf(gain)), tape.leaf(bias))
 
     def forward(self, x: T.Tensor, mask: np.ndarray, keep: np.ndarray | None = None) -> T.Tensor:
-        """`x` is a (B, T, d) stack with (B, T) masks, or one T x d sequence with its
-        mask; `keep` stacks the attention and the feedforward dropout keep masks
-        (each of `x`'s shape), or is None for no dropout."""
+        """`x` is a (B, T, d) stack with its (B, T) masks; `keep` stacks the
+        attention and the feedforward dropout keep masks (each of `x`'s shape),
+        or is None for no dropout."""
         attn_keep, ffn_keep = (None, None) if keep is None else keep
         attn = _dropout(self._attention(x, mask), attn_keep)
         x = self._ln(T.add(x, attn), self.ln1_g, self.ln1_b)

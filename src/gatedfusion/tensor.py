@@ -20,9 +20,9 @@ scalar, and `b` is either a stack of `a`'s length or one matrix. The result has
 `a`'s shape. Any other pair of shapes raises `ShapeError`.
 
 `matmul` multiplies matrix by matrix, stack by matrix (one GEMM over the
-stacked rows), matrix by stack, or stack by stack. `transpose` swaps the last
-two axes; `slice_cols`, `concat_cols`, `softmax_rows` and `layernorm_rows`
-act on the last axis.
+stacked rows), matrix by stack, or stack by stack. `transpose` permutes the axes
+of a value viewed as another shape (a matrix swap, attention's head split and
+merge); `concat_cols`, `softmax_rows` and `layernorm_rows` act on the last axis.
 """
 
 from __future__ import annotations
@@ -267,25 +267,20 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
-    if not (0 <= start < stop <= a.data.shape[-1]):
-        raise ShapeError(f"slice_cols [{start}:{stop}] out of range for shape {a.data.shape}")
-    out_data = a.data[..., start:stop].copy()
+def transpose(a: Tensor, shape: tuple, axes: tuple, out_shape: tuple) -> Tensor:
+    """View `a` as `shape`, permute its axes as `np.transpose(axes)` does, and
+    view one contiguous copy of that as `out_shape`."""
+    if math.prod(shape) != a.data.size or math.prod(out_shape) != a.data.size:
+        raise ShapeError(f"transpose sizes differ: {a.data.shape} viewed as {shape} and {out_shape}")
+    if sorted(axes) != list(range(len(shape))):
+        raise ShapeError(f"transpose axes {axes} are not a permutation of {len(shape)} axes")
+    permuted = a.data.reshape(shape).transpose(axes)
+    out_data = np.ascontiguousarray(permuted).reshape(out_shape)
 
     def backward():
         if a.grad is not None:
-            a.grad[..., start:stop] += out.grad
-
-    out = _out(a.tape, "slice_cols", out_data, backward)
-    return out
-
-
-def transpose(a: Tensor) -> Tensor:
-    out_data = _swap(a.data).copy()
-
-    def backward():
-        if a.grad is not None:
-            a.grad += _swap(out.grad)
+            g = out.grad.reshape(permuted.shape).transpose(np.argsort(axes))
+            a.grad += g.reshape(a.data.shape)
 
     out = _out(a.tape, "transpose", out_data, backward)
     return out

@@ -309,6 +309,18 @@ class TestAnalyzeGating:
         assert capsys.readouterr().err.startswith("error: --samples")
         assert not os.path.exists(out)
 
+    def test_checkpoint_without_gating_is_rejected(self, tmp_path, corpus_dir, capsys):
+        """A `gating_mode: none` checkpoint has no gates to analyze; it fails before --out is made."""
+        ckpt = str(tmp_path / "plain.gfck")
+        save_model(FusionModel(ModelConfig(d_a=4, d_t=4, d_model=8, n_heads=2, n_layers=1,
+                                           ff_mult=2, n_classes=2, gating_mode="none")), ckpt)
+        out = tmp_path / "gates"
+        assert main(["analyze-gating", "--corpus", corpus_dir, "--checkpoint", ckpt,
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "gating disabled" in err
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("error")
     def test_every_frame_diagnostic(self, tmp_path, capsys):
         """At sparsity 1.0 no frame is non-diagnostic: the AUROCs and the
@@ -362,6 +374,18 @@ class TestUnusableInputsAndOutputs:
                      "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and repr(name) in err and "non-finite" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "analyze-gating"])
+    def test_checkpoint_input_widths_must_match_corpus(self, tmp_path, corpus_dir, capsys, command):
+        """A checkpoint built for other input widths fails before --out is made."""
+        ckpt = str(tmp_path / "wide.gfck")
+        save_model(FusionModel(ModelConfig(d_a=6, d_t=4, d_model=8, n_heads=2, n_layers=1,
+                                           ff_mult=2, n_classes=2)), ckpt)
+        out = tmp_path / "o"
+        assert main([command, "--corpus", corpus_dir, "--checkpoint", ckpt, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "input widths (4, 4) do not match configured (6, 4)" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["generate", "evaluate"])

@@ -1,10 +1,14 @@
 """The quick demos run to completion: they call the public API as users do.
 
-Demos 01 and 05 take 10-20 s each and demo 04 writes into `demos/output`,
-so only 02 and 03 (a few seconds together, temp dirs only) run here.
+Demos 01 and 05 take 10-20 s each, so only 02, 03 and 04 (a few seconds
+together) run here, each from a temp dir. Demo 04 writes its SVG traces into
+`output/` beside the script, so a copy of it runs from the temp dir, and its
+traces must equal the committed `demos/output` ones byte for byte: that pins
+the whole train, gate-trace and SVG path.
 """
 
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -14,10 +18,27 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("demo", ["02_generate_corpus.py", "03_train_and_evaluate.py"])
-def test_demo_exits_cleanly(demo, tmp_path):
+def run_demo(script: Path, cwd: Path) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=tmp_path, env=env,
+    return subprocess.run([sys.executable, str(script)], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=300)
+
+
+@pytest.mark.parametrize("demo", ["02_generate_corpus.py", "03_train_and_evaluate.py"])
+def test_demo_exits_cleanly(demo, tmp_path):
+    proc = run_demo(ROOT / "demos" / demo, tmp_path)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_gating_analysis_demo_reproduces_its_committed_traces(tmp_path):
+    script = tmp_path / "04_gating_analysis.py"
+    shutil.copy(ROOT / "demos" / "04_gating_analysis.py", script)
+    proc = run_demo(script, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    committed = sorted(p.name for p in (ROOT / "demos" / "output").glob("*.svg"))
+    assert sorted(os.listdir(tmp_path / "output")) == committed == [
+        "trace_00160.svg", "trace_00161.svg", "trace_00162.svg"]
+    for name in committed:
+        got = (tmp_path / "output" / name).read_bytes()
+        assert got == (ROOT / "demos" / "output" / name).read_bytes(), name

@@ -653,7 +653,7 @@ class TestCheckpoint:
 
         restored, ckpt = load_model(path)
         opt2 = make_optimizer(restored, full_cfg)
-        opt2.load_state({k[len("opt."):]: v for k, v in ckpt.arrays.items() if k.startswith("opt.")})
+        opt2.load_state(ckpt.optimizer_state)
         train(restored, pairs, full_cfg, start_epoch=3, optimizer=opt2)
 
         for pu, pr in zip(unbroken.parameters(), restored.parameters()):

@@ -155,6 +155,40 @@ class TestElementwise:
                 op(tape.constant(np.zeros((1, 1))), a)
 
 
+class TestTranspose:
+    def test_swaps_a_matrix(self):
+        tape = T.Tape()
+        out = T.transpose(tape.constant([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]), (2, 3), (1, 0), (3, 2))
+        assert np.array_equal(out.data, [[1, 4], [2, 5], [3, 6]])
+
+    def test_head_split_and_merge(self):
+        """Row i*H + j of the split holds head j of sample i; the merge undoes the split."""
+        b, t, h, dh = 3, 4, 2, 5
+        x = np.random.default_rng(0).normal(size=(b, t, h * dh))
+        tape = T.Tape()
+        split = T.transpose(tape.constant(x), (b, t, h, dh), (0, 2, 1, 3), (b * h, t, dh))
+        keys = T.transpose(tape.constant(x), (b, t, h, dh), (0, 2, 3, 1), (b * h, dh, t))
+        for i in range(b):
+            for j in range(h):
+                np.testing.assert_array_equal(split.data[i * h + j], x[i, :, j * dh:(j + 1) * dh])
+                np.testing.assert_array_equal(keys.data[i * h + j], x[i, :, j * dh:(j + 1) * dh].T)
+        merged = T.transpose(split, (b, h, t, dh), (0, 2, 1, 3), (b, t, h * dh))
+        np.testing.assert_array_equal(merged.data, x)
+        assert merged.data.flags.c_contiguous and split.data.flags.c_contiguous
+
+    @pytest.mark.parametrize("shape, axes, out_shape, message", [
+        ((2, 4), (1, 0), (4, 2), r"sizes differ: \(2, 3\) viewed as \(2, 4\)"),
+        ((2, 3), (1, 0), (3, 3), r"sizes differ: \(2, 3\) viewed as \(2, 3\) and \(3, 3\)"),
+        ((2, 3), (0, 0), (3, 2), r"axes \(0, 0\) are not a permutation of 2 axes"),
+        ((2, 3), (1, 2), (3, 2), r"axes \(1, 2\) are not a permutation"),
+        ((2, 3), (0,), (3, 2), r"axes \(0,\) are not a permutation"),
+    ])
+    def test_shape_errors(self, shape, axes, out_shape, message):
+        tape = T.Tape()
+        with pytest.raises(ShapeError, match=message):
+            T.transpose(tape.constant(np.zeros((2, 3))), shape, axes, out_shape)
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_randomized_primitive_gradients(seed):
     """Each primitive against central finite differences, random shapes, on
@@ -172,8 +206,7 @@ def test_randomized_primitive_gradients(seed):
     # direction where FD noise swamps the structurally-zero gradient
     fd_check(lambda tape, ps: T.layernorm_rows(ps[0]), [(m, max(n, 3))], seed)
     fd_check(lambda tape, ps: T.concat_cols(ps[0], ps[1]), [(m, k), (m, n)], seed)
-    fd_check(lambda tape, ps: T.transpose(ps[0]), [(m, n)], seed)
-    fd_check(lambda tape, ps: T.slice_cols(ps[0], 0, int(n)), [(m, n + 2)], seed)
+    fd_check(lambda tape, ps: T.transpose(ps[0], (m, n), (1, 0), (n, m)), [(m, n)], seed)
 
     # the same on (B, m, n) stacks
     b = int(rng.integers(1, 5))
@@ -190,8 +223,16 @@ def test_randomized_primitive_gradients(seed):
     fd_check(lambda tape, ps: T.softmax_rows(ps[0]), [(b, m, n)], seed)
     fd_check(lambda tape, ps: T.layernorm_rows(ps[0]), [(b, m, max(n, 3))], seed)
     fd_check(lambda tape, ps: T.concat_cols(ps[0], ps[1]), [(b, m, k), (b, m, n)], seed)
-    fd_check(lambda tape, ps: T.transpose(ps[0]), [(b, m, n)], seed)
-    fd_check(lambda tape, ps: T.slice_cols(ps[0], 1, int(n) + 1), [(b, m, n + 2)], seed)
+    fd_check(lambda tape, ps: T.transpose(ps[0], (b, m, n), (0, 2, 1), (b, n, m)), [(b, m, n)], seed)
+    # attention's head split of a (b, m, k*n) stack into b*k heads of width n, the
+    # split of keys straight to their transpose, and the merge back
+    heads = (b, m, k, n)
+    fd_check(lambda tape, ps: T.transpose(ps[0], heads, (0, 2, 1, 3), (b * k, m, n)),
+             [(b, m, k * n)], seed)
+    fd_check(lambda tape, ps: T.transpose(ps[0], heads, (0, 2, 3, 1), (b * k, n, m)),
+             [(b, m, k * n)], seed)
+    fd_check(lambda tape, ps: T.transpose(ps[0], (b, k, m, n), (0, 2, 1, 3), (b, m, k * n)),
+             [(b * k, m, n)], seed)
     labels = rng.integers(0, n + 1, size=b)
     fd_check(lambda tape, ps: T.cross_entropy(ps[0], labels), [(b, 1, n + 1)], seed)
 
