@@ -43,7 +43,7 @@ def main():
     out = os.path.join(os.path.dirname(__file__), "output")
     os.makedirs(out, exist_ok=True)
     for trace in traces[:3]:
-        path = os.path.join(out, f"trace_{trace.sample_id:05d}.svg")
+        path = os.path.join(out, f"trace_{trace.sample.sample_id:05d}.svg")
         export_trace_plot(trace, path)
         print(f"wrote {path}")
 

@@ -3,7 +3,9 @@
 Gate studies quantify the selective-attention claim: Pearson correlation of
 acoustic gate values against the per-frame energy side channel (expected
 negative on energy-coupled corpora), and AUROC of gate values as a detector
-of the planted diagnostic frames.
+of the planted diagnostic frames. They read a `GateTrace`: one sample's gates
+beside the `Sample` itself, whose side channels the trace checks against its
+gate counts on construction.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 from .errors import ConfigError
 from .gating import GatingMode
 from .model import FusionModel, ModelConfig
-from .synth import Corpus, Sample, model_inputs
+from .synth import SIDE_CHANNELS, Corpus, Sample, model_inputs
 from .trainer import TrainConfig, evaluate, no_grad_forwards, train
 
 
@@ -104,24 +106,20 @@ def pearson(x, y) -> float | None:
 
 @dataclass
 class GateTrace:
-    """Valid-position gate values for one sample, with aligned side channels."""
+    """Valid-position gate values for one sample. Each side channel the sample
+    carries must hold one value per gate of its modality, else `ConfigError`."""
 
-    sample_id: int
-    label: int
+    sample: Sample
     gates_a: np.ndarray
     gates_t: np.ndarray
-    energy: np.ndarray | None = None
-    negative_flags: np.ndarray | None = None
-    diag_a: np.ndarray | None = None
-    diag_t: np.ndarray | None = None
 
-
-def trace_energy(trace: GateTrace) -> np.ndarray | None:
-    """The trace's energy channel, one value per acoustic gate; None if absent."""
-    if trace.energy is not None and len(trace.energy) != len(trace.gates_a):
-        raise ConfigError(f"sample {trace.sample_id}: {len(trace.energy)} energy values "
-                          f"for {len(trace.gates_a)} acoustic gates")
-    return trace.energy
+    def __post_init__(self):
+        gates = {"acoustic": self.gates_a, "textual": self.gates_t}
+        for name, (modality, _) in SIDE_CHANNELS.items():
+            channel = getattr(self.sample, name)
+            if channel is not None and len(channel) != len(gates[modality]):
+                raise ConfigError(f"sample {self.sample.sample_id}: {len(channel)} {name} values "
+                                  f"for {len(gates[modality])} {modality} gates")
 
 
 def collect_traces(model: FusionModel, samples: list[Sample]) -> list[GateTrace]:
@@ -131,19 +129,8 @@ def collect_traces(model: FusionModel, samples: list[Sample]) -> list[GateTrace]
         if result.gates_a is None:
             raise ConfigError("model has gating disabled; no gate traces to collect")
         for i, (a, t, _) in enumerate(chunk):
-            s = samples[len(traces)]
-            traces.append(
-                GateTrace(
-                    sample_id=s.sample_id,
-                    label=s.label,
-                    gates_a=result.gates_a[i, : len(a), 0],
-                    gates_t=result.gates_t[i, : len(t), 0],
-                    energy=s.energy,
-                    negative_flags=s.negative_token_flags,
-                    diag_a=s.diagnostic_flags_a,
-                    diag_t=s.diagnostic_flags_t,
-                )
-            )
+            traces.append(GateTrace(samples[len(traces)], result.gates_a[i, : len(a), 0],
+                                    result.gates_t[i, : len(t), 0]))
     return traces
 
 
@@ -154,20 +141,15 @@ class CorrelationReport:
     overall: float | None
     per_class: dict[int, float | None]
 
-    def to_dict(self) -> dict:
-        return {"overall": self.overall,
-                "per_class": {str(k): v for k, v in self.per_class.items()}}
-
 
 def gate_energy_correlation(traces: list[GateTrace]) -> CorrelationReport:
     gates, energies, labels = [], [], []
     for tr in traces:
-        e = trace_energy(tr)
-        if e is None:
+        if tr.sample.energy is None:
             continue
         gates.append(tr.gates_a)
-        energies.append(e)
-        labels.append(np.full(len(tr.gates_a), tr.label))
+        energies.append(tr.sample.energy)
+        labels.append(np.full(len(tr.gates_a), tr.sample.label))
     if not gates:
         raise ConfigError("no traces carry an energy side channel")
     g = np.concatenate(gates)
@@ -215,12 +197,13 @@ class AlignmentReport:
 def gate_diagnostic_alignment(traces: list[GateTrace]) -> AlignmentReport:
     ga, fa, gt, ft = [], [], [], []
     for tr in traces:
-        if tr.diag_a is None or tr.diag_t is None:
+        s = tr.sample
+        if s.diagnostic_flags_a is None or s.diagnostic_flags_t is None:
             continue
         ga.append(tr.gates_a)
-        fa.append(tr.diag_a)
+        fa.append(s.diagnostic_flags_a)
         gt.append(tr.gates_t)
-        ft.append(tr.diag_t)
+        ft.append(s.diagnostic_flags_t)
     if not ga:
         raise ConfigError("no traces carry diagnostic flags")
     return AlignmentReport(*_alignment(np.concatenate(ga), np.concatenate(fa)),
@@ -240,7 +223,6 @@ def _alignment(gates: np.ndarray, flags: np.ndarray) -> tuple:
 class FoldResult:
     fold: int
     metrics: MetricsResult
-    history: list[dict]
 
 
 @dataclass
@@ -306,14 +288,14 @@ def kfold(
         fold_train_cfg = replace(train_cfg, seed=train_cfg.seed + 1000 * (f + 1))
         model = FusionModel(fold_model_cfg)
         train_pairs = [model_inputs(s) for s in train_samples]
-        result = train(model, train_pairs, fold_train_cfg)
+        train(model, train_pairs, fold_train_cfg)
         _, _, preds = evaluate(model, [model_inputs(s) for s in eval_samples])
         labels = np.array([s.label for s in eval_samples])
         m = metrics(preds, labels, corpus.n_classes)
         missing = [c for c in range(corpus.n_classes) if (labels == c).sum() == 0]
         for c in missing:
             m.warnings.append(f"fold {f}: class {c} missing from held-out labels")
-        results.append(FoldResult(f, m, result.history))
+        results.append(FoldResult(f, m))
         if gating:
             all_traces.extend(collect_traces(model, eval_samples))
     accs = np.array([r.metrics.accuracy for r in results])

@@ -76,11 +76,9 @@ def cmd_generate(args) -> int:
         spec_dict["seed"] = args.seed
     spec = from_dict(SynthSpec, spec_dict, "synth spec")
     corpus = generate(spec)
-    write_corpus(corpus, args.out)
+    checksum = write_corpus(corpus, args.out)
     _write_json(os.path.join(args.out, "effective_config.json"), {"synth": spec.to_dict()})
 
-    with open(os.path.join(args.out, "manifest.json")) as f:
-        checksum = json.load(f)["blob_sha256"]
     counts = np.bincount(corpus.labels(), minlength=corpus.n_classes)
     lens_a = [len(s.acoustic) for s in corpus.samples]
     lens_t = [len(s.textual) for s in corpus.samples]
@@ -231,14 +229,14 @@ def cmd_analyze_gating(args) -> int:
     for name, r in rows:
         print(f"gate-energy r [{name}]: {r if r else 'undefined (zero variance)'}")
 
-    if any(t.diag_a is not None for t in traces):
+    if any(t.sample.diagnostic_flags_a is not None for t in traces):
         alignment = gate_diagnostic_alignment(traces)
         _write_json(os.path.join(args.out, "gate_alignment.json"), alignment.to_dict())
         a, t = ("undefined" if r is None else f"{r:.4f}" for r in (alignment.auroc_a, alignment.auroc_t))
         print(f"gate-vs-diagnostic AUROC: acoustic {a} textual {t}")
 
     for trace in traces[: args.samples]:
-        export_trace_plot(trace, os.path.join(args.out, f"trace_{trace.sample_id:05d}.svg"))
+        export_trace_plot(trace, os.path.join(args.out, f"trace_{trace.sample.sample_id:05d}.svg"))
     print(f"wrote {min(args.samples, len(traces))} trace plots to {args.out}")
     return 0
 

@@ -2,19 +2,24 @@
 
 The manifest (`manifest.json`) is human-readable and records per-sample byte
 offsets into `features.bin`, which holds row-major little-endian float32
-regions in manifest order. Side channels (energy, negative flags, diagnostic
-flags) are optional per sample. The reader validates version, checksum and
-every region's bounds before touching the blob, so a corrupted manifest
-produces a typed error rather than an out-of-bounds read; a NaN or infinite
-stored value is a `ManifestError` too. Each modality is written and read
-back as its (T, d) array of valid rows. A record with a
-`subject_id` key is rejected: there is no subject-level protocol, and the
-key is not silently dropped.
+regions in manifest order. The side channels of `synth.SIDE_CHANNELS` are
+optional per sample; `_CHANNEL_KEYS` gives each its manifest key. The writer
+refuses a sample the reader would refuse: a modality that is not a (T, d)
+array of the corpus width, a side channel not one value per frame of its
+modality, a flag channel holding anything but 0/1, a label outside the class
+names, or a value that is not a finite float32. The reader validates version,
+checksum and every region's bounds before touching the blob, so a corrupted
+manifest produces a typed error rather than an out-of-bounds read; a NaN or
+infinite stored value is a `ManifestError` too. Each modality is written and
+read back as its (T, d) array of valid rows. A record with a `subject_id` key
+is rejected: there is no subject-level protocol, and the key is not silently
+dropped.
 
 Byte layout of `features.bin`: concatenation of the regions referenced by the
-manifest; each region is `count * 4` bytes of `<f4`, where count is
-T_a*d_a (acoustic), T_t*d_t (textual), T_a (energy), T_t (negative flags),
-T_a (acoustic diagnostic flags) or T_t (textual diagnostic flags).
+manifest; each region is `count * 4` bytes of `<f4`, where count is T_a*d_a
+(acoustic), T_t*d_t (textual), or, for a side channel, the length T_a or T_t
+of the modality it annotates. A sample's regions follow each other in that
+order, its side channels in the order of `_CHANNEL_KEYS`.
 """
 
 from __future__ import annotations
@@ -27,20 +32,35 @@ import numpy as np
 
 from .atomic import atomic_write
 from .errors import BoundsError, ChecksumError, ManifestError, UnsupportedVersionError, need
-from .synth import Corpus, Sample
+from .synth import SIDE_CHANNELS, Corpus, Sample
 
 FORMAT_VERSION = 1
 MANIFEST_NAME = "manifest.json"
 BLOB_NAME = "features.bin"
 _ITEM = 4  # bytes per <f4
+# Side-channel field of `Sample` -> the `has_<key>`/`offset_<key>` stem of its
+# manifest entries, in blob order
+_CHANNEL_KEYS = {
+    "energy": "energy",
+    "negative_token_flags": "negative_flags",
+    "diagnostic_flags_a": "diag_a",
+    "diagnostic_flags_t": "diag_t",
+}
 
 
-def write_corpus(corpus: Corpus, path: str) -> None:
-    """Write manifest + blob into directory `path` (created if missing).
+def _all_flags(arr: np.ndarray) -> bool:
+    """Whether every value is 0 or 1. On a channel's few dozen values a set of
+    them is cheaper than numpy's elementwise tests."""
+    return set(np.asarray(arr).tolist()) <= {0, 1}
 
-    A value that is not a finite float32 raises `ManifestError` naming its
-    sample and region before any file is written. A write that fails leaves
-    the files at `path` as they were.
+
+def write_corpus(corpus: Corpus, path: str) -> str:
+    """Write manifest + blob into directory `path` (created if missing) and
+    return the blob's SHA-256 hex digest.
+
+    A sample the reader would refuse raises `ManifestError` naming the sample
+    and region before any file is written. A write that fails leaves the files
+    at `path` as they were.
     """
     chunks: list[bytes] = []
     offset = 0
@@ -60,27 +80,33 @@ def write_corpus(corpus: Corpus, path: str) -> None:
     records = []
     for i, s in enumerate(corpus.samples):
         label = f"sample[{i}] (id {s.sample_id})"
-        rec = {
-            "id": s.sample_id,
-            "label": s.label,
-            "T_a": len(s.acoustic),
-            "T_t": len(s.textual),
-        }
-        rec["offset_a"] = put(s.acoustic, label, "offset_a")
-        rec["offset_t"] = put(s.textual, label, "offset_t")
-        for name, channel in (
-            ("energy", s.energy),
-            ("negative_flags", s.negative_token_flags),
-            ("diag_a", s.diagnostic_flags_a),
-            ("diag_t", s.diagnostic_flags_t),
-        ):
-            rec[f"has_{name}"] = channel is not None
-            if channel is not None:
-                key = f"offset_{name}"
-                rec[key] = put(np.asarray(channel, dtype=np.float64), label, key)
+        if not 0 <= s.label < len(corpus.class_names):
+            raise ManifestError(f"{label}: label {s.label} outside [0, {len(corpus.class_names)})")
+        rec = {"id": s.sample_id, "label": s.label}
+        for modality, m, width in (("acoustic", "a", corpus.d_a), ("textual", "t", corpus.d_t)):
+            shape = np.shape(getattr(s, modality))
+            if len(shape) != 2 or shape[0] < 1 or shape[1] != width:
+                raise ManifestError(f"{label}: region 'offset_{m}' must be a (T, {width}) "
+                                    f"array with T >= 1, got shape {shape}")
+            rec[f"T_{m}"] = shape[0]
+            rec[f"offset_{m}"] = put(getattr(s, modality), label, f"offset_{m}")
+        for name, key in _CHANNEL_KEYS.items():
+            channel = getattr(s, name)
+            rec[f"has_{key}"] = channel is not None
+            if channel is None:
+                continue
+            modality, is_flags = SIDE_CHANNELS[name]
+            frames = len(getattr(s, modality))
+            if np.shape(channel) != (frames,):
+                raise ManifestError(f"{label}: region 'offset_{key}' has shape {np.shape(channel)}, "
+                                    f"not one value per {modality} frame ({frames})")
+            if is_flags and not _all_flags(channel):
+                raise ManifestError(f"{label}: region 'offset_{key}' holds a value other than 0 or 1")
+            rec[f"offset_{key}"] = put(channel, label, f"offset_{key}")
         records.append(rec)
 
     blob = b"".join(chunks)
+    checksum = hashlib.sha256(blob).hexdigest()
     manifest = {
         "format_version": FORMAT_VERSION,
         "n_samples": len(corpus.samples),
@@ -88,7 +114,7 @@ def write_corpus(corpus: Corpus, path: str) -> None:
         "d_t": corpus.d_t,
         "class_names": list(corpus.class_names),
         "blob_length": len(blob),
-        "blob_sha256": hashlib.sha256(blob).hexdigest(),
+        "blob_sha256": checksum,
         "samples": records,
     }
     try:
@@ -101,6 +127,7 @@ def write_corpus(corpus: Corpus, path: str) -> None:
             fm.write("\n")
     except OSError as e:
         raise ManifestError(f"cannot write corpus at {path}: {e}") from e
+    return checksum
 
 
 def _region(record: dict, key: str, count: int, blob_length: int, label: str) -> tuple[int, int]:
@@ -182,39 +209,22 @@ def read_corpus(path: str) -> Corpus:
         feats_a = region_array(rec, "offset_a", t_a * d_a, label_str).reshape(t_a, d_a)
         feats_t = region_array(rec, "offset_t", t_t * d_t, label_str).reshape(t_t, d_t)
 
+        frames = {"acoustic": t_a, "textual": t_t}
         channels = {}
-        for name, count, as_int in (
-            ("energy", t_a, False),
-            ("negative_flags", t_t, True),
-            ("diag_a", t_a, True),
-            ("diag_t", t_t, True),
-        ):
-            has = rec.get(f"has_{name}", False)
+        for name, key in _CHANNEL_KEYS.items():
+            has = rec.get(f"has_{key}", False)
             if not isinstance(has, bool):
-                raise ManifestError(f"{label_str}: has_{name} must be a boolean")
+                raise ManifestError(f"{label_str}: has_{key} must be a boolean")
             if has:
-                arr = region_array(rec, f"offset_{name}", count, label_str)
-                if as_int:
-                    if not np.all(np.isin(arr, (0.0, 1.0))):
-                        raise ManifestError(f"{label_str}: {name} values must be 0 or 1")
-                    channels[name] = arr.astype(np.int64)
-                else:
-                    channels[name] = arr
-            else:
-                channels[name] = None
+                modality, is_flags = SIDE_CHANNELS[name]
+                arr = region_array(rec, f"offset_{key}", frames[modality], label_str)
+                if is_flags:
+                    if not _all_flags(arr):
+                        raise ManifestError(f"{label_str}: {key} values must be 0 or 1")
+                    arr = arr.astype(np.int64)
+                channels[name] = arr
 
-        samples.append(
-            Sample(
-                sample_id=sample_id,
-                label=label,
-                acoustic=feats_a,
-                textual=feats_t,
-                energy=channels["energy"],
-                negative_token_flags=channels["negative_flags"],
-                diagnostic_flags_a=channels["diag_a"],
-                diagnostic_flags_t=channels["diag_t"],
-            )
-        )
+        samples.append(Sample(sample_id, label, feats_a, feats_t, **channels))
 
     regions.sort()
     for (s1, l1), (s2, _) in zip(regions, regions[1:]):

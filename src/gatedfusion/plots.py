@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .analysis import GateTrace, trace_energy
+from .analysis import GateTrace
 from .atomic import atomic_write
 from .errors import ConfigError
 
@@ -49,14 +49,14 @@ def render_trace_svg(trace: GateTrace) -> str:
         f'viewBox="0 0 {_W} {height}">',
         f'<rect width="{_W}" height="{height}" fill="white"/>',
         f'<text x="{_PAD}" y="20" font-size="13" font-family="sans-serif">'
-        f"sample {trace.sample_id} (class {trace.label}): acoustic gates"
+        f"sample {trace.sample.sample_id} (class {trace.sample.label}): acoustic gates"
         "</text>",
     ]
 
     # acoustic panel
     x0, y0 = _PAD, 30
     xs = x0 + (np.arange(na) / max(na - 1, 1)) * (_W - 2 * _PAD)
-    energy = trace_energy(trace)
+    energy = trace.sample.energy
     if energy is not None:
         lo, hi = energy.min(), energy.max()
         span = hi - lo if hi > lo else 1.0
@@ -83,7 +83,7 @@ def render_trace_svg(trace: GateTrace) -> str:
         "textual gates (outlined = negative-sentiment token)</text>"
     )
     cell_w = (_W - 2 * _PAD) / nt
-    flags = trace.negative_flags
+    flags = trace.sample.negative_token_flags
     for j, g in enumerate(trace.gates_t):
         x = _PAD + j * cell_w
         parts.append(

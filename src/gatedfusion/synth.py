@@ -5,11 +5,13 @@ Each sample is a pair of variable-length feature sequences, each a float64
 fraction of frames/tokens carry the label signal: those rows get a
 class-specific mean direction (scaled by signal_gain) plus a fixed
 class-independent marker direction that makes them *detectable* without
-revealing the class. All other rows are pure Gaussian noise. Two analysis-only
-side channels are attached: a per-frame energy proxy (diagnostic acoustic
-frames are low-energy when energy_coupling > 0) and per-token negative-
-sentiment flags (diagnostic tokens of non-healthy classes). Side channels
-never reach the model: `model_inputs` is the single assembly point.
+revealing the class. All other rows are pure Gaussian noise. Four analysis-only
+side channels are attached, one value per frame of the modality they annotate
+(see `SIDE_CHANNELS`): a per-frame energy proxy (diagnostic acoustic frames are
+low-energy when energy_coupling > 0), per-token negative-sentiment flags
+(diagnostic tokens of non-healthy classes), and the planted diagnostic flags of
+each modality. Side channels never reach the model: `model_inputs` is the
+single assembly point.
 """
 
 from __future__ import annotations
@@ -94,6 +96,16 @@ class Sample:
     negative_token_flags: np.ndarray | None = None
     diagnostic_flags_a: np.ndarray | None = None
     diagnostic_flags_t: np.ndarray | None = None
+
+
+# Each side-channel field of `Sample` -> (the modality field whose frames it
+# annotates, one value per frame; whether it holds 0/1 flags).
+SIDE_CHANNELS = {
+    "energy": ("acoustic", False),
+    "negative_token_flags": ("textual", True),
+    "diagnostic_flags_a": ("acoustic", True),
+    "diagnostic_flags_t": ("textual", True),
+}
 
 
 @dataclass

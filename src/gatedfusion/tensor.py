@@ -7,7 +7,8 @@ over the stack.
 
 Every differentiable value is a `Tensor` tied to a `Tape`. Ops append a
 backward closure to the tape; `Tape.backward` replays the closures in exact
-reverse order, accumulating partials additively into operand `.grad` buffers.
+reverse order, handing each its output's gradient, and they accumulate partials
+additively into operand `.grad` buffers.
 `backward` consumes the tape: it drops the recorded steps after the replay, so a
 tape serves one backward and leaves no reference cycle behind. Inside a
 `no_grad()` block ops record nothing and allocate no gradient buffer: their
@@ -136,8 +137,8 @@ class Tape:
             culprit = self.first_nonfinite() or "loss"
             raise NonFiniteError(f"non-finite loss; first non-finite intermediate: {culprit!r}")
         loss.grad[...] = 1.0
-        for _, _, backward in reversed(self._steps):
-            backward()
+        for _, out, backward in reversed(self._steps):
+            backward(out.grad)
         self._steps.clear()
 
 
@@ -162,8 +163,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         rows = a.data.reshape(-1, sa[2])
         out_data = (rows @ b.data).reshape(sa[0], sa[1], sb[1])
 
-        def backward():
-            g = out.grad.reshape(-1, sb[1])
+        def backward(g):
+            g = g.reshape(-1, sb[1])
             if a.grad is not None:
                 a.grad += (g @ b.data.T).reshape(sa)
             if b.grad is not None:
@@ -171,14 +172,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     else:
         out_data = a.data @ b.data
 
-        def backward():
+        def backward(g):
             if a.grad is not None:
-                a.grad += _unbroadcast(out.grad @ _swap(b.data), sa)
+                a.grad += _unbroadcast(g @ _swap(b.data), sa)
             if b.grad is not None:
-                b.grad += _unbroadcast(_swap(a.data) @ out.grad, sb)
+                b.grad += _unbroadcast(_swap(a.data) @ g, sb)
 
-    out = _out(a.tape, "matmul", out_data, backward)
-    return out
+    return _out(a.tape, "matmul", out_data, backward)
 
 
 def _check_broadcast(op: str, a: Tensor, b: Tensor) -> None:
@@ -202,28 +202,26 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast("add", a, b)
     out_data = a.data + b.data
 
-    def backward():
+    def backward(g):
         if a.grad is not None:
-            a.grad += out.grad
+            a.grad += g
         if b.grad is not None:
-            b.grad += _unbroadcast(out.grad, b.data.shape)
+            b.grad += _unbroadcast(g, b.data.shape)
 
-    out = _out(a.tape, "add", out_data, backward)
-    return out
+    return _out(a.tape, "add", out_data, backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast("mul", a, b)
     out_data = a.data * b.data
 
-    def backward():
+    def backward(g):
         if a.grad is not None:
-            a.grad += out.grad * b.data
+            a.grad += g * b.data
         if b.grad is not None:
-            b.grad += _unbroadcast(out.grad * a.data, b.data.shape)
+            b.grad += _unbroadcast(g * a.data, b.data.shape)
 
-    out = _out(a.tape, "mul", out_data, backward)
-    return out
+    return _out(a.tape, "mul", out_data, backward)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -232,23 +230,21 @@ def sigmoid(x: Tensor) -> Tensor:
     # keep the open interval (0, 1) representable in float64
     out_data = np.clip(out_data, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
 
-    def backward():
+    def backward(g):
         if x.grad is not None:
-            x.grad += out.grad * out_data * (1.0 - out_data)
+            x.grad += g * out_data * (1.0 - out_data)
 
-    out = _out(x.tape, "sigmoid", out_data, backward)
-    return out
+    return _out(x.tape, "sigmoid", out_data, backward)
 
 
 def relu(x: Tensor) -> Tensor:
     out_data = np.maximum(x.data, 0.0)
 
-    def backward():
+    def backward(g):
         if x.grad is not None:
-            x.grad += out.grad * (x.data > 0.0)
+            x.grad += g * (x.data > 0.0)
 
-    out = _out(x.tape, "relu", out_data, backward)
-    return out
+    return _out(x.tape, "relu", out_data, backward)
 
 
 def concat_cols(a: Tensor, b: Tensor) -> Tensor:
@@ -257,14 +253,13 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
     na = a.data.shape[-1]
     out_data = np.concatenate([a.data, b.data], axis=-1)
 
-    def backward():
+    def backward(g):
         if a.grad is not None:
-            a.grad += out.grad[..., :na]
+            a.grad += g[..., :na]
         if b.grad is not None:
-            b.grad += out.grad[..., na:]
+            b.grad += g[..., na:]
 
-    out = _out(a.tape, "concat_cols", out_data, backward)
-    return out
+    return _out(a.tape, "concat_cols", out_data, backward)
 
 
 def transpose(a: Tensor, shape: tuple, axes: tuple, out_shape: tuple) -> Tensor:
@@ -277,13 +272,12 @@ def transpose(a: Tensor, shape: tuple, axes: tuple, out_shape: tuple) -> Tensor:
     permuted = a.data.reshape(shape).transpose(axes)
     out_data = np.ascontiguousarray(permuted).reshape(out_shape)
 
-    def backward():
+    def backward(g):
         if a.grad is not None:
-            g = out.grad.reshape(permuted.shape).transpose(np.argsort(axes))
+            g = g.reshape(permuted.shape).transpose(np.argsort(axes))
             a.grad += g.reshape(a.data.shape)
 
-    out = _out(a.tape, "transpose", out_data, backward)
-    return out
+    return _out(a.tape, "transpose", out_data, backward)
 
 
 def softmax_rows(x: Tensor) -> Tensor:
@@ -291,13 +285,12 @@ def softmax_rows(x: Tensor) -> Tensor:
     e = np.exp(shifted)
     out_data = e / e.sum(axis=-1, keepdims=True)
 
-    def backward():
+    def backward(g):
         if x.grad is not None:
-            dot = (out.grad * out_data).sum(axis=-1, keepdims=True)
-            x.grad += out_data * (out.grad - dot)
+            dot = (g * out_data).sum(axis=-1, keepdims=True)
+            x.grad += out_data * (g - dot)
 
-    out = _out(x.tape, "softmax_rows", out_data, backward)
-    return out
+    return _out(x.tape, "softmax_rows", out_data, backward)
 
 
 def layernorm_rows(x: Tensor) -> Tensor:
@@ -307,29 +300,26 @@ def layernorm_rows(x: Tensor) -> Tensor:
     inv = 1.0 / np.sqrt(var + _LN_EPS)
     out_data = (x.data - mu) * inv
 
-    def backward():
+    def backward(dy):
         if x.grad is not None:
             n = x.data.shape[-1]
-            dy = out.grad
             x.grad += inv * (
                 dy
                 - dy.mean(axis=-1, keepdims=True)
                 - out_data * (dy * out_data).sum(axis=-1, keepdims=True) / n
             )
 
-    out = _out(x.tape, "layernorm_rows", out_data, backward)
-    return out
+    return _out(x.tape, "layernorm_rows", out_data, backward)
 
 
 def sum_all(x: Tensor) -> Tensor:
     out_data = np.array([[x.data.sum()]])
 
-    def backward():
+    def backward(g):
         if x.grad is not None:
-            x.grad += out.grad[0, 0]
+            x.grad += g[0, 0]
 
-    out = _out(x.tape, "sum_all", out_data, backward)
-    return out
+    return _out(x.tape, "sum_all", out_data, backward)
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:
@@ -353,14 +343,13 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     picked = np.arange(labels.size)
     out_data = (-np.log(p[picked, labels])).reshape(shape[:-1] + (1,))
 
-    def backward():
+    def backward(g):
         if logits.grad is not None:
             d = p.copy()
             d[picked, labels] -= 1.0
-            logits.grad += (out.grad.reshape(-1, 1) * d).reshape(shape)
+            logits.grad += (g.reshape(-1, 1) * d).reshape(shape)
 
-    out = _out(logits.tape, "cross_entropy", out_data, backward)
-    return out
+    return _out(logits.tape, "cross_entropy", out_data, backward)
 
 
 @dataclass

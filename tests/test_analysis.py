@@ -1,5 +1,6 @@
 """Metrics against brute-force oracles; k-fold protocol; gate studies."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -23,9 +24,8 @@ from gatedfusion.analysis import (
 )
 from gatedfusion.errors import ConfigError
 from gatedfusion.gating import GatingMode
-from gatedfusion.model import ModelConfig
-from gatedfusion.plots import render_trace_svg
-from gatedfusion.synth import SynthSpec, generate
+from gatedfusion.model import FusionModel, ModelConfig
+from gatedfusion.synth import SIDE_CHANNELS, Sample, SynthSpec, generate
 from gatedfusion.trainer import TrainConfig
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -186,30 +186,47 @@ class TestAuroc:
         assert proc.stdout == "0.875\n"
 
 
+def hand_trace(sample_id, label, gates_a, gates_t, **channels):
+    """A trace over a hand-built sample with one feature row per gate."""
+    sample = Sample(sample_id, label, np.zeros((len(gates_a), 1)), np.zeros((len(gates_t), 1)),
+                    **channels)
+    return GateTrace(sample, gates_a, gates_t)
+
+
 class TestTraceUtilities:
     def test_correlation_hand_case(self):
         # gates fall exactly where energy falls: r = -1 impossible, so plant r = +1
-        tr = GateTrace(0, 1, np.array([0.1, 0.5, 0.9]), np.zeros(2),
-                       energy=np.array([1.0, 2.0, 3.0]))
+        tr = hand_trace(0, 1, np.array([0.1, 0.5, 0.9]), np.zeros(2),
+                        energy=np.array([1.0, 2.0, 3.0]))
         report = gate_energy_correlation([tr])
         assert report.overall == pytest.approx(1.0, abs=1e-12)
         assert report.per_class[1] == pytest.approx(1.0, abs=1e-12)
 
     def test_correlation_requires_energy(self):
         with pytest.raises(ConfigError):
-            gate_energy_correlation([GateTrace(0, 0, np.zeros(3), np.zeros(3))])
+            gate_energy_correlation([hand_trace(0, 0, np.zeros(3), np.zeros(3))])
 
-    @pytest.mark.parametrize("n_energy", [2, 4])
-    def test_energy_length_must_match_acoustic_gates(self, n_energy):
-        tr = GateTrace(0, 1, np.array([0.1, 0.5, 0.9]), np.zeros(2), energy=np.arange(float(n_energy)))
-        with pytest.raises(ConfigError, match="energy values"):
-            gate_energy_correlation([tr])
-        with pytest.raises(ConfigError, match="energy values"):
-            render_trace_svg(tr)
+    @pytest.mark.parametrize("name", list(SIDE_CHANNELS))
+    @pytest.mark.parametrize("off_by", [-1, 1])
+    def test_side_channel_length_must_match_its_gates(self, name, off_by):
+        """A side channel one entry off its modality's gate count is refused when
+        the trace is built, by hand or by `collect_traces`, and never reaches the
+        gate studies or the plots."""
+        gates = {"acoustic": np.array([0.1, 0.5, 0.9]), "textual": np.zeros(2)}
+        modality, _ = SIDE_CHANNELS[name]
+        channel = np.zeros(len(gates[modality]) + off_by, dtype=np.int64)
+        with pytest.raises(ConfigError, match=f"sample 0: .* {name} values for"):
+            hand_trace(0, 1, gates["acoustic"], gates["textual"], **{name: channel})
+
+        sample = tiny_corpus(n=2).samples[0]
+        frames = len(getattr(sample, modality))
+        bad = dataclasses.replace(sample, **{name: np.zeros(frames + off_by, dtype=np.int64)})
+        with pytest.raises(ConfigError, match=f"sample {sample.sample_id}: .* {name} values for"):
+            collect_traces(FusionModel(tiny_cfgs()[0]), [bad])
 
     def test_alignment_hand_case(self):
-        tr = GateTrace(0, 1, np.array([0.9, 0.1, 0.1]), np.array([0.2, 0.8]),
-                       diag_a=np.array([1, 0, 0]), diag_t=np.array([0, 1]))
+        tr = hand_trace(0, 1, np.array([0.9, 0.1, 0.1]), np.array([0.2, 0.8]),
+                        diagnostic_flags_a=np.array([1, 0, 0]), diagnostic_flags_t=np.array([0, 1]))
         rep = gate_diagnostic_alignment([tr])
         assert rep.auroc_a == 1.0 and rep.auroc_t == 1.0
         assert rep.mean_gate_diag_a == pytest.approx(0.9)
@@ -218,8 +235,8 @@ class TestTraceUtilities:
     def test_alignment_with_one_side_empty_is_undefined(self):
         """At sparsity 1.0 every frame is diagnostic: the other side's mean and
         the AUROC are None, and no empty-slice mean is taken."""
-        tr = GateTrace(0, 1, np.array([0.9, 0.1]), np.array([0.2, 0.8]),
-                       diag_a=np.array([1, 1]), diag_t=np.array([0, 0]))
+        tr = hand_trace(0, 1, np.array([0.9, 0.1]), np.array([0.2, 0.8]),
+                        diagnostic_flags_a=np.array([1, 1]), diagnostic_flags_t=np.array([0, 0]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rep = gate_diagnostic_alignment([tr])
@@ -283,8 +300,6 @@ class TestKFold:
 
 
 def test_collect_traces_requires_gating():
-    from gatedfusion.model import FusionModel
-
     mc, _ = tiny_cfgs(mode=GatingMode.NONE)
     model = FusionModel(mc)
     with pytest.raises(ConfigError):

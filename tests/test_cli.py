@@ -418,12 +418,11 @@ class TestGradcheck:
         def relu_with_doubled_gradient(x):
             out_data = np.maximum(x.data, 0.0)
 
-            def backward():
+            def backward(g):
                 if x.grad is not None:
-                    x.grad += 2.0 * out.grad * (x.data > 0.0)
+                    x.grad += 2.0 * g * (x.data > 0.0)
 
-            out = T._out(x.tape, "relu", out_data, backward)
-            return out
+            return T._out(x.tape, "relu", out_data, backward)
 
         monkeypatch.setattr(T, "relu", relu_with_doubled_gradient)
         assert main(["gradcheck", "--mode", "none"]) == 1

@@ -44,6 +44,12 @@ class TestRoundTrip:
         write_corpus(corpus, str(tmp_path / "c"))
         assert_corpora_close(corpus, read_corpus(str(tmp_path / "c")))
 
+    def test_write_returns_the_blob_checksum(self, tmp_path):
+        checksum = write_corpus(small_corpus(), str(tmp_path / "c"))
+        with open(tmp_path / "c" / MANIFEST_NAME) as f:
+            assert checksum == json.load(f)["blob_sha256"]
+        assert checksum == hashlib.sha256((tmp_path / "c" / BLOB_NAME).read_bytes()).hexdigest()
+
     def test_write_is_deterministic(self, tmp_path):
         corpus = small_corpus()
         write_corpus(corpus, str(tmp_path / "c1"))
@@ -215,6 +221,37 @@ class TestCorruption:
         getattr(corpus.samples[1], channel).flat[2] = value
         with pytest.raises(ManifestError, match=rf"sample\[1\] \(id 1\): region '{region}' holds a value "
                                                 rf"that is not a finite float32"):
+            write_corpus(corpus, str(tmp_path / "c"))
+        assert not (tmp_path / "c").exists()
+
+    @pytest.mark.parametrize("field, edit, region, message", [
+        ("acoustic", lambda x: x[:, :-1], "offset_a", r"must be a \(T, 5\) array with T >= 1, got shape \(\d+, 4\)"),
+        ("textual", lambda x: x[:, 0], "offset_t", r"must be a \(T, 4\) array with T >= 1, got shape \(\d+,\)"),
+        ("acoustic", lambda x: x[:0], "offset_a", r"must be a \(T, 5\) array with T >= 1, got shape \(0, 5\)"),
+        ("energy", lambda x: np.append(x, 1.0), "offset_energy", r"not one value per acoustic frame"),
+        ("energy", lambda x: x[:-1], "offset_energy", r"not one value per acoustic frame"),
+        ("negative_token_flags", lambda x: x[:-1], "offset_negative_flags", r"not one value per textual frame"),
+        ("diagnostic_flags_a", lambda x: x[:-1], "offset_diag_a", r"not one value per acoustic frame"),
+        ("diagnostic_flags_t", lambda x: x[:-1], "offset_diag_t", r"not one value per textual frame"),
+        ("negative_token_flags", lambda x: x * 2, "offset_negative_flags", r"a value other than 0 or 1"),
+        ("diagnostic_flags_a", lambda x: x - 0.5, "offset_diag_a", r"a value other than 0 or 1"),
+        ("diagnostic_flags_t", lambda x: x + 1e-6, "offset_diag_t", r"a value other than 0 or 1"),
+    ], ids=["acoustic-narrow", "textual-1d", "acoustic-empty", "energy-long", "energy-short",
+            "negative-short", "diag_a-short", "diag_t-short", "negative-2", "diag_a-half", "diag_t-off"])
+    def test_writer_refuses_a_misshapen_sample(self, tmp_path, field, edit, region, message):
+        """A sample the reader would refuse, or read back changed, is refused
+        before any file is written."""
+        corpus = small_corpus(n=4)
+        setattr(corpus.samples[1], field, edit(getattr(corpus.samples[1], field)))
+        with pytest.raises(ManifestError, match=rf"sample\[1\] \(id 1\): region '{region}' .*{message}"):
+            write_corpus(corpus, str(tmp_path / "c"))
+        assert not (tmp_path / "c").exists()
+
+    @pytest.mark.parametrize("label", [-1, 3])
+    def test_writer_refuses_a_label_outside_the_class_names(self, tmp_path, label):
+        corpus = small_corpus(n=4)
+        corpus.samples[1].label = label
+        with pytest.raises(ManifestError, match=rf"sample\[1\] \(id 1\): label {label} outside \[0, 3\)"):
             write_corpus(corpus, str(tmp_path / "c"))
         assert not (tmp_path / "c").exists()
 

@@ -6,6 +6,7 @@ import pytest
 from gatedfusion.analysis import GateTrace
 from gatedfusion.errors import ConfigError
 from gatedfusion.plots import export_trace_plot, render_trace_svg
+from gatedfusion.synth import Sample
 
 
 def demo_trace(with_channels=True):
@@ -13,10 +14,11 @@ def demo_trace(with_channels=True):
     kw = {}
     if with_channels:
         kw = dict(energy=1.0 - 0.5 * np.array([1.0, 0, 0, 1, 0, 0]),
-                  negative_flags=np.array([0, 1, 0, 1]),
-                  diag_a=np.array([1, 0, 0, 1, 0, 0]),
-                  diag_t=np.array([0, 1, 0, 1]))
-    return GateTrace(3, 1, rng.uniform(0.1, 0.9, 6), rng.uniform(0.1, 0.9, 4), **kw)
+                  negative_token_flags=np.array([0, 1, 0, 1]),
+                  diagnostic_flags_a=np.array([1, 0, 0, 1, 0, 0]),
+                  diagnostic_flags_t=np.array([0, 1, 0, 1]))
+    sample = Sample(3, 1, np.zeros((6, 1)), np.zeros((4, 1)), **kw)
+    return GateTrace(sample, rng.uniform(0.1, 0.9, 6), rng.uniform(0.1, 0.9, 4))
 
 
 class TestRender:
@@ -50,12 +52,13 @@ class TestRender:
         assert "#d9480f" in svg  # gate curve always drawn
 
     def test_single_frame_trace(self):
-        tr = GateTrace(0, 0, np.array([0.5]), np.array([0.5]))
+        tr = GateTrace(Sample(0, 0, np.zeros((1, 1)), np.zeros((1, 1))), np.array([0.5]), np.array([0.5]))
         assert "NaN" not in render_trace_svg(tr)
 
     def test_empty_trace_rejected(self):
         with pytest.raises(ConfigError):
-            render_trace_svg(GateTrace(0, 0, np.array([]), np.array([0.5])))
+            render_trace_svg(GateTrace(Sample(0, 0, np.zeros((0, 1)), np.zeros((1, 1))),
+                                       np.array([]), np.array([0.5])))
 
 
 class TestExport:
