@@ -4,8 +4,9 @@ Layout: 4-byte magic ``GFCK``, little-endian u32 header length, a UTF-8 JSON
 header, then one contiguous blob of little-endian float64 (``<f8``) reals. The
 header echoes the model config, lists every array's name/shape in blob order,
 records the blob dtype (always ``<f8``; any other value is rejected) and its
-SHA-256. A stored NaN or infinity is rejected on load. Optimizer state rides
-along as extra arrays so training can resume exactly.
+SHA-256. A stored NaN or infinity, an array named twice, or a blob the arrays
+do not exactly cover is rejected on load. Optimizer state rides along as extra
+arrays so training can resume exactly.
 """
 
 from __future__ import annotations
@@ -106,6 +107,8 @@ def load_checkpoint(path) -> Checkpoint:
         if not isinstance(rec, dict):
             raise ManifestError(f"{rec_label}: record must be an object")
         name = need(rec, "name", str, rec_label)
+        if name in arrays:
+            raise ManifestError(f"{rec_label}: array {name!r} is named twice")
         rows = need(rec, "rows", int, rec_label)
         cols = need(rec, "cols", int, rec_label)
         if rows < 0 or cols < 0:
@@ -118,6 +121,8 @@ def load_checkpoint(path) -> Checkpoint:
             raise ManifestError(f"{path}: array {name!r} holds a non-finite value")
         arrays[name] = arr.reshape(rows, cols)
         offset = end
+    if offset != len(blob):
+        raise ManifestError(f"{path}: arrays cover {offset} of the blob's {len(blob)} bytes")
     return Checkpoint(config, arrays, meta)
 
 

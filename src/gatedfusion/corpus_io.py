@@ -7,12 +7,14 @@ optional per sample; `_CHANNEL_KEYS` gives each its manifest key. The writer
 refuses a sample the reader would refuse: a modality that is not a (T, d)
 array of the corpus width, a side channel not one value per frame of its
 modality, a flag channel holding anything but 0/1, a label outside the class
-names, or a value that is not a finite float32. The reader validates version,
-checksum and every region's bounds before touching the blob, so a corrupted
-manifest produces a typed error rather than an out-of-bounds read; a NaN or
-infinite stored value is a `ManifestError` too. Each modality is written and
-read back as its (T, d) array of valid rows. A record with a `subject_id` key
-is rejected: there is no subject-level protocol, and the key is not silently
+names, a label or id that is not an integer (a numpy integer is written as an
+int, a bool is refused), an id that an earlier sample has, or a value that is
+not a finite float32. The reader validates version, checksum and every
+region's bounds before touching the blob, so a corrupted manifest produces a
+typed error rather than an out-of-bounds read; a NaN or infinite stored value
+or a repeated id is a `ManifestError` too. Each modality is written and read
+back as its (T, d) array of valid rows. A record with a `subject_id` key is
+rejected: there is no subject-level protocol, and the key is not silently
 dropped.
 
 Byte layout of `features.bin`: concatenation of the regions referenced by the
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 import os
 
 import numpy as np
@@ -54,6 +57,20 @@ def _all_flags(arr: np.ndarray) -> bool:
     return set(np.asarray(arr).tolist()) <= {0, 1}
 
 
+def _integer(value, label: str, field: str) -> int:
+    """`value` as a Python int, for any integer but a bool; anything else is refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ManifestError(f"{label}: {field} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _check_new_id(sample_id: int, index: int, first: dict[int, int], label: str) -> None:
+    """Record that sample `index` has `sample_id`, refusing an id seen before."""
+    if sample_id in first:
+        raise ManifestError(f"{label}: id {sample_id} repeats sample[{first[sample_id]}]'s")
+    first[sample_id] = index
+
+
 def write_corpus(corpus: Corpus, path: str) -> str:
     """Write manifest + blob into directory `path` (created if missing) and
     return the blob's SHA-256 hex digest.
@@ -78,11 +95,15 @@ def write_corpus(corpus: Corpus, path: str) -> str:
         return start
 
     records = []
+    first_with_id: dict[int, int] = {}
     for i, s in enumerate(corpus.samples):
         label = f"sample[{i}] (id {s.sample_id})"
-        if not 0 <= s.label < len(corpus.class_names):
-            raise ManifestError(f"{label}: label {s.label} outside [0, {len(corpus.class_names)})")
-        rec = {"id": s.sample_id, "label": s.label}
+        sample_id = _integer(s.sample_id, label, "sample_id")
+        class_id = _integer(s.label, label, "label")
+        _check_new_id(sample_id, i, first_with_id, label)
+        if not 0 <= class_id < len(corpus.class_names):
+            raise ManifestError(f"{label}: label {class_id} outside [0, {len(corpus.class_names)})")
+        rec = {"id": sample_id, "label": class_id}
         for modality, m, width in (("acoustic", "a", corpus.d_a), ("textual", "t", corpus.d_t)):
             shape = np.shape(getattr(s, modality))
             if len(shape) != 2 or shape[0] < 1 or shape[1] != width:
@@ -191,6 +212,7 @@ def read_corpus(path: str) -> Corpus:
         return arr
 
     samples = []
+    first_with_id: dict[int, int] = {}
     for i, rec in enumerate(records):
         label_str = f"sample[{i}]"
         if not isinstance(rec, dict):
@@ -198,6 +220,7 @@ def read_corpus(path: str) -> Corpus:
         if "subject_id" in rec:
             raise ManifestError(f"{label_str}: subject_id is not supported; folds are stratified by label")
         sample_id = need(rec, "id", int, label_str)
+        _check_new_id(sample_id, i, first_with_id, label_str)
         label = need(rec, "label", int, label_str)
         if not 0 <= label < len(class_names):
             raise ManifestError(f"{label_str}: label {label} outside [0, {len(class_names)})")

@@ -1,11 +1,11 @@
 """Adaptive per-frame gating driven by pooled global context.
 
 Each frame/token gets one sigmoid scalar gate computed from the frame itself
-concatenated with a temporally expanded global context vector. In cross-modal
-mode the context comes from the *other* modality's masked mean; in unimodal
-mode from the sequence's own. The gate rescales the frame's whole feature row
-(one scalar broadcast across all d channels). Gates at padded positions are
-forced to 0 so refined padding stays zero.
+concatenated with one global context row, the same for every frame of the
+sequence. In cross-modal mode the context is the *other* modality's masked
+mean; in unimodal mode the sequence's own. The gate rescales the frame's whole
+feature row (one scalar broadcast across all d channels). Gates at padded
+positions are forced to 0 so refined padding stays zero.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ShapeError
-from .sequence import expand_context, masked_mean_pool
 
 
 class GatingMode(str, Enum):
@@ -50,26 +49,19 @@ class GatingParams:
         return [self.w_a, self.w_t, self.b_a, self.b_t]
 
 
-def gate_sequence(
-    features: T.Tensor,
-    mask: np.ndarray,
-    context_features: T.Tensor,
-    context_mask: np.ndarray,
-    w: T.Tensor,
-    b: T.Tensor,
-) -> T.Tensor:
-    """Taped gate computation: sigma(W [H || expanded context] + b), masked.
+def gate_sequence(features: T.Tensor, mask: np.ndarray, context: T.Tensor, w: T.Tensor,
+                  b: T.Tensor) -> T.Tensor:
+    """Taped gate computation: sigma([H || c] w + b), masked.
 
-    Takes a (B, T, d) stack with (B, T) masks, or one T x d sequence with its
-    length-T mask. Returns a (B, T, 1) gate stack (one T x 1 column) with
-    padded entries forced to 0.
+    Takes a (B, T, d) stack with (B, T) masks and a (B, 1, d) context row per
+    sample, or one T x d sequence with its length-T mask and one 1 x d row.
+    Returns a (B, T, 1) gate stack (one T x 1 column) with padded entries
+    forced to 0.
     """
-    t_len, d = features.data.shape[-2:]
+    d = features.data.shape[-1]
     if w.data.shape != (2 * d, 1):
         raise ShapeError(f"gate projection must be ({2 * d}, 1), got {w.data.shape}")
-    ctx = masked_mean_pool(context_features, context_mask)
-    expanded = expand_context(ctx, t_len)
-    pre = T.add(T.matmul(T.concat_cols(features, expanded), w), b)
+    pre = T.add(T.matmul(T.concat_cols(features, context), w), b)
     gates = T.sigmoid(pre)
     mask_col = features.tape.constant(np.asarray(mask, dtype=np.float64)[..., None])
     return T.mul(gates, mask_col)

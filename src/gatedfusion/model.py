@@ -148,14 +148,10 @@ class FusionModel:
         mode = self.cfg.gating_mode
         if mode is not GatingMode.NONE:
             g = self.gating
-            if mode is GatingMode.CROSS_MODAL:
-                ctx_for_a, ctx_mask_a = xt, mask_t
-                ctx_for_t, ctx_mask_t = xa, mask_a
-            else:
-                ctx_for_a, ctx_mask_a = xa, mask_a
-                ctx_for_t, ctx_mask_t = xt, mask_t
-            ga = gate_sequence(xa, mask_a, ctx_for_a, ctx_mask_a, tape.leaf(g.w_a), tape.leaf(g.b_a))
-            gt = gate_sequence(xt, mask_t, ctx_for_t, ctx_mask_t, tape.leaf(g.w_t), tape.leaf(g.b_t))
+            means = masked_mean_pool(xa, mask_a), masked_mean_pool(xt, mask_t)
+            ctx_a, ctx_t = means[::-1] if mode is GatingMode.CROSS_MODAL else means
+            ga = gate_sequence(xa, mask_a, ctx_a, tape.leaf(g.w_a), tape.leaf(g.b_a))
+            gt = gate_sequence(xt, mask_t, ctx_t, tape.leaf(g.w_t), tape.leaf(g.b_t))
             xa = refine_sequence(xa, ga)
             xt = refine_sequence(xt, gt)
             gates_a, gates_t = ga.data.copy(), gt.data.copy()

@@ -32,17 +32,6 @@ def masked_mean_pool(features: T.Tensor, mask: np.ndarray) -> T.Tensor:
     return T.matmul(weights, features)
 
 
-def expand_context(ctx: T.Tensor, length: int) -> T.Tensor:
-    """Replicate a 1 x d context row `length` times; backward sums rows back.
-
-    A (B, 1, d) stack of rows expands to (B, length, d).
-    """
-    if length < 1:
-        raise ShapeError(f"expansion length must be >= 1, got {length}")
-    ones = ctx.tape.constant(np.ones((length, 1)))
-    return T.matmul(ones, ctx)
-
-
 class PaddedBatch(NamedTuple):
     """A minibatch of one modality: (B x T_max x d) features and (B x T_max) masks."""
 

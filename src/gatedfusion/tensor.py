@@ -24,6 +24,9 @@ scalar, and `b` is either a stack of `a`'s length or one matrix. The result has
 stacked rows), matrix by stack, or stack by stack. `transpose` permutes the axes
 of a value viewed as another shape (a matrix swap, attention's head split and
 merge); `concat_cols`, `softmax_rows` and `layernorm_rows` act on the last axis.
+`concat_cols(a, b)` appends `b`'s columns to `a`'s: `b` is a stack of `a`'s
+length or one matrix, as for `add`, and its matrices have `a`'s rows or one
+row, which is repeated down every row of `a`.
 """
 
 from __future__ import annotations
@@ -248,16 +251,18 @@ def relu(x: Tensor) -> Tensor:
 
 
 def concat_cols(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape[:-1] != b.data.shape[:-1]:
-        raise ShapeError(f"concat_cols row counts differ: {a.data.shape} vs {b.data.shape}")
-    na = a.data.shape[-1]
-    out_data = np.concatenate([a.data, b.data], axis=-1)
+    sa, sb = a.data.shape, b.data.shape
+    # b is a stack of a's length or one matrix, with a's rows or one row
+    if sb[:-2] not in ((), sa[:-2]) or sb[-2] not in (1, sa[-2]):
+        raise ShapeError(f"concat_cols shapes incompatible: {sa} vs {sb}")
+    na = sa[-1]
+    out_data = np.concatenate([a.data, np.broadcast_to(b.data, sa[:-1] + sb[-1:])], axis=-1)
 
     def backward(g):
         if a.grad is not None:
             a.grad += g[..., :na]
         if b.grad is not None:
-            b.grad += g[..., na:]
+            b.grad += _unbroadcast(g[..., na:], sb)
 
     return _out(a.tape, "concat_cols", out_data, backward)
 

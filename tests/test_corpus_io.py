@@ -3,6 +3,8 @@
 import hashlib
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -118,18 +120,18 @@ class TestCorruption:
 
     def test_truncated_blob(self, tmp_path):
         path = written(tmp_path)
-        bpath = os.path.join(path, BLOB_NAME)
-        raw = open(bpath, "rb").read()
-        open(bpath, "wb").write(raw[:-8])
+        bpath = Path(path) / BLOB_NAME
+        raw = bpath.read_bytes()
+        bpath.write_bytes(raw[:-8])
         with pytest.raises(ChecksumError):
             read_corpus(path)
 
     def test_flipped_blob_byte(self, tmp_path):
         path = written(tmp_path)
-        bpath = os.path.join(path, BLOB_NAME)
-        raw = bytearray(open(bpath, "rb").read())
+        bpath = Path(path) / BLOB_NAME
+        raw = bytearray(bpath.read_bytes())
         raw[10] ^= 0xFF
-        open(bpath, "wb").write(bytes(raw))
+        bpath.write_bytes(bytes(raw))
         with pytest.raises(ChecksumError):
             read_corpus(path)
 
@@ -203,12 +205,12 @@ class TestCorruption:
     def test_non_finite_value_rejected(self, tmp_path, channel, region, value):
         """A non-finite value stored in the blob (the writer refuses to store one)."""
         path = written(tmp_path)
-        bpath = os.path.join(path, BLOB_NAME)
-        raw = bytearray(open(bpath, "rb").read())
+        bpath = Path(path) / BLOB_NAME
+        raw = bytearray(bpath.read_bytes())
         with open(os.path.join(path, MANIFEST_NAME)) as f:
             start = json.load(f)["samples"][2][region] + 3 * 4
         raw[start : start + 4] = np.array([value], dtype="<f4").tobytes()
-        open(bpath, "wb").write(bytes(raw))
+        bpath.write_bytes(bytes(raw))
         edit_manifest(path, lambda m: m.update(blob_sha256=hashlib.sha256(raw).hexdigest()))
         with pytest.raises(ManifestError, match=rf"sample\[2\]: region '{region}' holds a non-finite value"):
             read_corpus(path)
@@ -254,6 +256,36 @@ class TestCorruption:
         with pytest.raises(ManifestError, match=rf"sample\[1\] \(id 1\): label {label} outside \[0, 3\)"):
             write_corpus(corpus, str(tmp_path / "c"))
         assert not (tmp_path / "c").exists()
+
+    @pytest.mark.parametrize("field", ["label", "sample_id"])
+    def test_writer_writes_a_numpy_integer_as_an_int(self, tmp_path, field):
+        corpus = small_corpus(n=4)
+        setattr(corpus.samples[1], field, np.int64(getattr(corpus.samples[1], field)))
+        write_corpus(corpus, str(tmp_path / "c"))
+        assert_corpora_close(small_corpus(n=4), read_corpus(str(tmp_path / "c")))
+
+    @pytest.mark.parametrize("field", ["label", "sample_id"])
+    @pytest.mark.parametrize("value", [1.0, True, "1", np.float64(1.0)], ids=["float", "bool", "str", "np-float"])
+    def test_writer_refuses_a_label_or_id_that_is_not_an_integer(self, tmp_path, field, value):
+        corpus = small_corpus(n=4)
+        setattr(corpus.samples[1], field, value)
+        with pytest.raises(ManifestError, match=rf"sample\[1\] \(id .+\): {field} must be an integer, "
+                                                rf"got {re.escape(repr(value))}"):
+            write_corpus(corpus, str(tmp_path / "c"))
+        assert not (tmp_path / "c").exists()
+
+    def test_writer_refuses_a_repeated_id(self, tmp_path):
+        corpus = small_corpus(n=4)
+        corpus.samples[3].sample_id = corpus.samples[1].sample_id
+        with pytest.raises(ManifestError, match=r"sample\[3\] \(id 1\): id 1 repeats sample\[1\]'s"):
+            write_corpus(corpus, str(tmp_path / "c"))
+        assert not (tmp_path / "c").exists()
+
+    def test_reader_refuses_a_repeated_id(self, tmp_path):
+        path = written(tmp_path)
+        edit_manifest(path, lambda m: m["samples"][2].update(id=0))
+        with pytest.raises(ManifestError, match=r"sample\[2\]: id 0 repeats sample\[0\]'s"):
+            read_corpus(path)
 
     def test_record_count_mismatch(self, tmp_path):
         path = written(tmp_path)

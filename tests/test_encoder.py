@@ -63,5 +63,5 @@ def test_batch_op_count_does_not_depend_on_heads():
                                             dropout_rate=0.1, seed=0))
             loss, _ = batch_loss(model, batch, dropout_rng=np.random.default_rng(1))
             counts[mode, n_heads] = len(loss.tape._steps)
-    assert counts == {(mode, h): n for mode, n in ((GatingMode.NONE, 79), (GatingMode.CROSS_MODAL, 95))
+    assert counts == {(mode, h): n for mode, n in ((GatingMode.NONE, 79), (GatingMode.CROSS_MODAL, 93))
                       for h in (1, 2, 4)}

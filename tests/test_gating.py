@@ -13,7 +13,7 @@ from gatedfusion import tensor as T
 from gatedfusion.errors import ShapeError
 from gatedfusion.gating import GatingMode, GatingParams, gate_sequence, refine_sequence
 from gatedfusion.model import FusionModel, ModelConfig
-from gatedfusion.sequence import pad_batch
+from gatedfusion.sequence import masked_mean_pool, pad_batch
 from padding import pad_extra
 
 
@@ -174,8 +174,8 @@ class TestRefine:
         def loss_fn():
             tape = T.Tape()
             feats = tape.leaf(h_param)
-            gates = gate_sequence(feats, mask_a, tape.constant(seq_t), np.ones(3),
-                                  tape.leaf(params.w_a), tape.leaf(params.b_a))
+            context = masked_mean_pool(tape.constant(seq_t), np.ones(3))
+            gates = gate_sequence(feats, mask_a, context, tape.leaf(params.w_a), tape.leaf(params.b_a))
             refined = refine_sequence(feats, gates)
             return T.sum_all(T.sigmoid(refined))
 
@@ -192,7 +192,8 @@ class TestStructuralInvariants:
         (seq,), (mask,) = pad_extra(pad_batch([random_seq(rng, 20, d)]), 5)
         tape = T.Tape()
         feats = tape.constant(seq)
-        gates = gate_sequence(feats, mask, feats, mask, tape.leaf(params.w_a), tape.leaf(params.b_a))
+        context = masked_mean_pool(feats, mask)
+        gates = gate_sequence(feats, mask, context, tape.leaf(params.w_a), tape.leaf(params.b_a))
         refined = refine_sequence(feats, gates)
         assert np.all(gates.data[:20] > 0.0) and np.all(gates.data[:20] < 1.0)
         np.testing.assert_array_equal(gates.data[20:], 0.0)

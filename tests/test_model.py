@@ -513,6 +513,25 @@ def _negative_rows(header):
     return header
 
 
+def _rename_second_array(name):
+    def edit(header):
+        header["arrays"][1]["name"] = name
+        return header
+    return edit
+
+
+def _drop_last_array(header):
+    header["arrays"].pop()
+    return header
+
+
+def _set_first_rows(rows):
+    def edit(header):
+        header["arrays"][0]["rows"] = rows
+        return header
+    return edit
+
+
 MALFORMED_CHECKPOINTS = {
     "cut_to_6_bytes": lambda raw: raw[:6],
     "no_blob_length": lambda raw: rewrite_header(raw, _drop("blob_length")),
@@ -619,6 +638,24 @@ class TestCheckpoint:
         path = tmp_path / "model.gfck"
         save_checkpoint(path, {"x": 1}, {"w": np.zeros((2, 2)), "opt.m": np.full((1, 3), bad)})
         with pytest.raises(ManifestError, match="'opt.m' holds a non-finite value"):
+            load_checkpoint(path)
+
+    def test_array_named_twice_rejected(self, tmp_path):
+        """A later record of the same name would silently replace the earlier array."""
+        path = tmp_path / "model.gfck"
+        save_checkpoint(path, {"x": 1}, {"w": np.zeros((1, 2)), "v": np.ones((1, 2))})
+        path.write_bytes(rewrite_header(path.read_bytes(), _rename_second_array("w")))
+        with pytest.raises(ManifestError, match=r"arrays\[1\]: array 'w' is named twice"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit, covered", [(_drop_last_array, 16), (_set_first_rows(0), 16)],
+                             ids=["last-dropped", "first-emptied"])
+    def test_arrays_must_cover_the_blob(self, tmp_path, edit, covered):
+        """Blob bytes that no array record claims are refused, not ignored."""
+        path = tmp_path / "model.gfck"
+        save_checkpoint(path, {"x": 1}, {"w": np.zeros((1, 2)), "v": np.ones((1, 2))})
+        path.write_bytes(rewrite_header(path.read_bytes(), edit))
+        with pytest.raises(ManifestError, match=rf"arrays cover {covered} of the blob's 32 bytes"):
             load_checkpoint(path)
 
     def test_bad_magic(self, tmp_path):

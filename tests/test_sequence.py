@@ -5,7 +5,7 @@ import pytest
 
 from gatedfusion import tensor as T
 from gatedfusion.errors import EmptySequenceError, ShapeError
-from gatedfusion.sequence import PaddedBatch, expand_context, masked_mean_pool, pad_batch
+from gatedfusion.sequence import PaddedBatch, masked_mean_pool, pad_batch
 from padding import pad_extra
 
 
@@ -45,41 +45,6 @@ class TestMaskedMeanPool:
         tape.backward(loss)
         np.testing.assert_array_equal(p.grad[4:], 0.0)
         np.testing.assert_allclose(p.grad[:4], 0.25)
-
-
-class TestExpandContext:
-    def test_replicates(self):
-        tape = T.Tape()
-        out = expand_context(tape.constant([[1.0, 2.0]]), 3)
-        np.testing.assert_array_equal(out.data, [[1, 2], [1, 2], [1, 2]])
-
-    def test_length_one_is_identity(self):
-        tape = T.Tape()
-        out = expand_context(tape.constant([[5.0, -1.0]]), 1)
-        np.testing.assert_array_equal(out.data, [[5.0, -1.0]])
-
-    def test_invalid_length(self):
-        tape = T.Tape()
-        with pytest.raises(ShapeError):
-            expand_context(tape.constant([[1.0]]), 0)
-
-    def test_gradient_of_sum_is_t_times_ones(self):
-        p = T.Parameter("ctx", np.array([[0.3, -0.8]]))
-
-        def loss_fn():
-            tape = T.Tape()
-            return T.sum_all(expand_context(tape.leaf(p), 7))
-
-        loss = loss_fn()
-        loss.tape.backward(loss)
-        np.testing.assert_allclose(p.grad, 7.0)
-        assert T.gradcheck(loss_fn, [p], tol=1e-8).passed
-
-    def test_pool_of_expansion_round_trip(self):
-        tape = T.Tape()
-        ctx = tape.constant([[1.0, -2.0, 0.5]])
-        back = masked_mean_pool(expand_context(ctx, 6), np.ones(6))
-        np.testing.assert_allclose(back.data, ctx.data, atol=1e-15)
 
 
 class TestPadBatch:

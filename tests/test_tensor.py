@@ -110,6 +110,28 @@ class TestElementwise:
         tape = T.Tape()
         out = T.concat_cols(tape.constant([[1.0, 2.0]]), tape.constant([[3.0]]))
         assert np.array_equal(out.data, [[1, 2, 3]])
+        # one row, per sample or for all samples, repeats down a's rows
+        out = T.concat_cols(tape.constant(np.zeros((2, 3, 1))), tape.constant([[[5.0]], [[7.0]]]))
+        np.testing.assert_array_equal(out.data[..., 1], [[5, 5, 5], [7, 7, 7]])
+        out = T.concat_cols(tape.constant(np.zeros((3, 1))), tape.constant([[5.0, 6.0]]))
+        np.testing.assert_array_equal(out.data, [[0, 5, 6]] * 3)
+        # rows neither 1 nor a's count, then a stack of another length (or under a matrix)
+        for a_shape, b_shape in [((3, 2), (2, 1)), ((2, 3, 2), (2, 2, 1)),
+                                 ((2, 3, 2), (3, 1, 1)), ((2, 3, 2), (1, 1, 1)), ((3, 2), (2, 1, 1))]:
+            with pytest.raises(ShapeError, match=re.escape(f"{a_shape} vs {b_shape}")):
+                T.concat_cols(tape.constant(np.zeros(a_shape)), tape.constant(np.zeros(b_shape)))
+
+    def test_concat_cols_row_gradient_sums_over_rows(self):
+        p = T.Parameter("ctx", np.array([[0.3, -0.8]]))
+
+        def loss_fn():
+            tape = T.Tape()
+            return T.sum_all(T.concat_cols(tape.constant(np.zeros((7, 1))), tape.leaf(p)))
+
+        loss = loss_fn()
+        loss.tape.backward(loss)
+        np.testing.assert_allclose(p.grad, 7.0)
+        assert T.gradcheck(loss_fn, [p], tol=1e-8).passed
 
     def test_softmax_uniform(self):
         tape = T.Tape()
@@ -205,13 +227,15 @@ def test_randomized_primitive_gradients(seed):
     # width >= 3: a 2-wide layernorm row is constant up to sign, a flat
     # direction where FD noise swamps the structurally-zero gradient
     fd_check(lambda tape, ps: T.layernorm_rows(ps[0]), [(m, max(n, 3))], seed)
-    fd_check(lambda tape, ps: T.concat_cols(ps[0], ps[1]), [(m, k), (m, n)], seed)
+    # b of a's rows, then one row repeated down them
+    for b_shape in [(m, n), (1, n)]:
+        fd_check(lambda tape, ps: T.concat_cols(ps[0], ps[1]), [(m, k), b_shape], seed)
     fd_check(lambda tape, ps: T.transpose(ps[0], (m, n), (1, 0), (n, m)), [(m, n)], seed)
 
     # the same on (B, m, n) stacks
     b = int(rng.integers(1, 5))
     fd_check(lambda tape, ps: T.matmul(ps[0], ps[1]), [(b, m, k), (b, k, n)], seed)
-    # a stack times a matrix, and a column times a stack of rows (context expansion)
+    # a stack times a matrix, and a column times a stack of rows
     fd_check(lambda tape, ps: T.matmul(ps[0], ps[1]), [(b, m, k), (k, n)], seed)
     fd_check(lambda tape, ps: T.matmul(ps[0], ps[1]), [(m, 1), (b, 1, n)], seed)
     # b of the stack's shape, per-sample rows and columns, then one matrix for all samples
@@ -222,7 +246,9 @@ def test_randomized_primitive_gradients(seed):
     fd_check(lambda tape, ps: T.relu(ps[0]), [(b, m, n)], seed)
     fd_check(lambda tape, ps: T.softmax_rows(ps[0]), [(b, m, n)], seed)
     fd_check(lambda tape, ps: T.layernorm_rows(ps[0]), [(b, m, max(n, 3))], seed)
-    fd_check(lambda tape, ps: T.concat_cols(ps[0], ps[1]), [(b, m, k), (b, m, n)], seed)
+    # b of the stack's rows, one row per sample, then one row for all samples
+    for b_shape in [(b, m, n), (b, 1, n), (1, n)]:
+        fd_check(lambda tape, ps: T.concat_cols(ps[0], ps[1]), [(b, m, k), b_shape], seed)
     fd_check(lambda tape, ps: T.transpose(ps[0], (b, m, n), (0, 2, 1), (b, n, m)), [(b, m, n)], seed)
     # attention's head split of a (b, m, k*n) stack into b*k heads of width n, the
     # split of keys straight to their transpose, and the merge back
