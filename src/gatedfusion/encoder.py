@@ -22,7 +22,7 @@ def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.nd
     return rng.uniform(-bound, bound, (fan_in, fan_out))
 
 
-def dropout_keep(rng: np.random.Generator, rate: float, shape: tuple[int, int]) -> np.ndarray:
+def dropout_keep(rng: np.random.Generator, rate: float, shape: int | tuple[int, ...]) -> np.ndarray:
     """Inverted-dropout keep mask: 0 with probability `rate`, else 1 / (1 - rate)."""
     return (rng.random(shape) >= rate) / (1.0 - rate)
 

@@ -84,40 +84,47 @@ class FusionModel:
         self.head_b1 = p("head.b1", np.zeros((1, d)))
         self.head_w2 = p("head.w2", xavier_uniform(rng, d, cfg.n_classes))
         self.head_b2 = p("head.b2", np.zeros((1, cfg.n_classes)))
-
-    def parameters(self) -> list[T.Parameter]:
         params = [self.proj_a_w, self.proj_a_b, self.proj_t_w, self.proj_t_b]
         params += self.gating.parameters()
         for layer in self.enc_a + self.enc_t:
             params += layer.parameters()
         params += [self.head_w1, self.head_b1, self.head_w2, self.head_b2]
-        return params
+        self._params = T.FlatParameters(params)
+
+    def parameters(self) -> T.FlatParameters:
+        """Every parameter, in checkpoint order, packed into one data and one grad vector."""
+        return self._params
 
     def zero_grad(self) -> None:
-        for p in self.parameters():
-            p.zero_grad()
+        self._params.grad.fill(0.0)
 
     def _dropout_keeps(self, batch_a: PaddedBatch, batch_t: PaddedBatch,
                        rng: np.random.Generator | None) -> tuple[list, list]:
         """Per branch and layer, the (attention, feedforward) keep masks: a (2, B, T, d) array.
 
-        Drawn sample by sample, then branch, layer and site, each at the sample's
-        valid length, so a sample's draws do not depend on its batchmates' or its
-        own padding. Padded rows keep 0.
+        One draw covers the minibatch, ordered sample by sample, then branch,
+        layer and site, each at the sample's valid length, so a sample's draws do
+        not depend on its batchmates' or its own padding. Padded rows keep 0.
         """
         cfg = self.cfg
         if rng is None or cfg.dropout_rate <= 0.0:
             return [None] * cfg.n_layers, [None] * cfg.n_layers
         batches = (batch_a, batch_t)
-        stacks = [np.zeros((cfg.n_layers, 2, *b.masks.shape, cfg.d_model)) for b in batches]
-        valid = [b.masks.sum(axis=1).astype(int) for b in batches]
-        for i in range(len(batch_a.masks)):
-            for stack, counts in zip(stacks, valid):
-                n = counts[i]
-                for layer in range(cfg.n_layers):
-                    for site in range(2):
-                        stack[layer, site, i, :n] = dropout_keep(rng, cfg.dropout_rate, (n, cfg.d_model))
-        return list(stacks[0]), list(stacks[1])
+        sites = 2 * cfg.n_layers
+        # (B, 2): draws per sample and branch
+        sizes = np.stack([b.masks.sum(axis=1).astype(int) for b in batches], axis=1) * sites * cfg.d_model
+        keep = dropout_keep(rng, cfg.dropout_rate, int(sizes.sum()))
+        branch_of_draw = np.repeat(np.tile([0, 1], len(sizes)), sizes.reshape(-1))
+        out = []
+        for branch, b in enumerate(batches):
+            stack = np.zeros((cfg.n_layers, 2, *b.masks.shape, cfg.d_model))
+            # viewed (sample, layer and site, row, column): valid rows lead each sample,
+            # so this view's C order is the draw order
+            by_sample = stack.reshape(sites, *b.masks.shape, cfg.d_model).transpose(1, 0, 2, 3)
+            valid = np.broadcast_to((b.masks > 0.0)[:, None, :, None], by_sample.shape)
+            by_sample[valid] = keep[branch_of_draw == branch]
+            out.append(list(stack))
+        return out[0], out[1]
 
     def forward(
         self,

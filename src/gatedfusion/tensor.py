@@ -11,9 +11,17 @@ reverse order, handing each its output's gradient, and they accumulate partials
 additively into operand `.grad` buffers.
 `backward` consumes the tape: it drops the recorded steps after the replay, so a
 tape serves one backward and leaves no reference cycle behind. Inside a
-`no_grad()` block ops record nothing and allocate no gradient buffer: their
-outputs are constants, for a forward run only for its values. Tensors are
-never mutated after construction.
+`no_grad()` block ops record nothing: their outputs are constants, for a forward
+run only for its values. A tensor's data is never mutated after construction.
+
+Gradient lifetime: a forward allocates no gradient storage for op outputs. At
+backward, the i-th recorded output gets its `.grad` as a zeroed view of the
+i-th of a list of gradient buffers, which `backward` returns; passing that list
+to the next backward reuses the buffers (replacing one only when it is too
+small). `trainer.train` passes one list through all its backward passes, so
+each overwrites the last one's op-output gradients, and drops it on return. A
+parameter's `.grad` is its own storage (for a model's parameters, a view of the
+model's flat gradient vector, see `FlatParameters`) and is never reused this way.
 
 `add(a, b)` and `mul(a, b)` broadcast `b` against `a`, whose matrices are
 m x n: `b`'s matrices may be m x n, a 1 x n row, an m x 1 column or a 1 x 1
@@ -68,7 +76,8 @@ class Tensor:
     """A matrix or a stack of matrices, with an optional gradient buffer on a tape.
 
     grad is None for constants (no gradient is tracked through them), op
-    outputs built under `no_grad()` included.
+    outputs built under `no_grad()` included. A recorded op output gets its
+    grad at backward (see the module docstring).
     """
 
     __slots__ = ("data", "grad", "tape")
@@ -90,7 +99,14 @@ class Tensor:
 
 
 class Parameter:
-    """A named learnable array with a persistent gradient slot."""
+    """A named learnable matrix with a persistent gradient slot.
+
+    `data` and `grad` are bound once and then written in place: `FlatParameters`
+    makes them views into its vectors, and a rebound array would silently drop
+    out of them. Assigning any other array raises `AttributeError`; an in-place
+    operator such as `p.data *= 2` still works, since it assigns back the same
+    array.
+    """
 
     __slots__ = ("name", "data", "grad")
 
@@ -101,8 +117,48 @@ class Parameter:
             raise ShapeError(f"parameter {name!r} must be 2-D, got shape {self.data.shape}")
         self.grad = np.zeros_like(self.data)
 
+    def __setattr__(self, key: str, value) -> None:
+        if key != "name" and hasattr(self, key) and value is not getattr(self, key):
+            raise AttributeError(f"{self.name}.{key} cannot be rebound; write into it in place")
+        object.__setattr__(self, key, value)
+
     def zero_grad(self) -> None:
         self.grad.fill(0.0)
+
+
+class FlatParameters(tuple):
+    """Parameters packed in order into one float64 vector `data` and one `grad`.
+
+    Each parameter's `data` and `grad` become views into them, so a job over
+    every parameter (zeroing gradients, a finiteness check, a snapshot, an
+    optimizer step) is one whole-vector op. `split` cuts any vector laid out
+    like `data` into per-parameter views.
+    """
+
+    def __new__(cls, params):
+        self = super().__new__(cls, params)
+        self.data = np.concatenate([p.data.reshape(-1) for p in self])
+        self.grad = np.zeros_like(self.data)
+        self._ends = np.cumsum([p.data.size for p in self])
+        for p, data, grad in zip(self, self.split(self.data), self.split(self.grad)):
+            object.__setattr__(p, "data", data)
+            object.__setattr__(p, "grad", grad)
+        return self
+
+    def split(self, vector: np.ndarray) -> list[np.ndarray]:
+        """Views of `vector`, one per parameter in the parameter's shape."""
+        starts = [0, *self._ends[:-1].tolist()]
+        return [vector[lo : lo + p.data.size].reshape(p.data.shape) for p, lo in zip(self, starts)]
+
+    def name_at(self, index: int) -> str:
+        """The name of the parameter that holds entry `index` of `data`."""
+        return self[int(np.searchsorted(self._ends, index, side="right"))].name
+
+
+# a recorded output's gradient until `Tape.backward` gives it a buffer's view;
+# read-only, so an accumulation into it before then raises
+_GRAD_AT_BACKWARD = np.zeros(0)
+_GRAD_AT_BACKWARD.flags.writeable = False
 
 
 @dataclass
@@ -130,7 +186,13 @@ class Tape:
                 return name
         return None
 
-    def backward(self, loss: Tensor) -> None:
+    def backward(self, loss: Tensor, buffers: list[np.ndarray] | None = None) -> list[np.ndarray]:
+        """Replay the tape from `loss`, accumulating into every operand's `.grad`.
+
+        The i-th recorded output's gradient is a zeroed view of `buffers[i]`, a
+        1-D float64 array that is replaced when it is too small; the list grows
+        to the tape's length. Returns the list, for the next backward to reuse.
+        """
         if loss.data.size != 1:
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
         if loss.grad is None:
@@ -139,16 +201,27 @@ class Tape:
         if not np.isfinite(loss.data.reshape(-1)[0]):
             culprit = self.first_nonfinite() or "loss"
             raise NonFiniteError(f"non-finite loss; first non-finite intermediate: {culprit!r}")
+        buffers = [] if buffers is None else buffers
+        for i, (_, out, _) in enumerate(self._steps):
+            size = out.data.size
+            if i == len(buffers):
+                buffers.append(np.empty(size))
+            elif buffers[i].size < size:
+                buffers[i] = np.empty(size)
+            grad = buffers[i][:size]
+            grad.fill(0.0)
+            out.grad = grad.reshape(out.data.shape)
         loss.grad[...] = 1.0
         for _, out, backward in reversed(self._steps):
             backward(out.grad)
         self._steps.clear()
+        return buffers
 
 
 def _out(tape: Tape, name: str, data: np.ndarray, backward) -> Tensor:
     if not _recording.get():
         return Tensor(data, tape, None)
-    t = Tensor(data, tape, np.zeros_like(data))
+    t = Tensor(data, tape, _GRAD_AT_BACKWARD)
     tape.record(name, t, backward)
     return t
 

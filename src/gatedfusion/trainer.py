@@ -8,6 +8,13 @@ by one backward; the full-model gradcheck checks the same function.
 A non-finite loss or gradient raises `NonFiniteError` before the optimizer
 steps, with parameters and optimizer state restored to the start of the epoch.
 
+The optimizers work on a model's `FlatParameters`: Adam keeps its first and
+second moments as the two rows of one (2, n) array laid out like the parameter
+vector, so a step, a snapshot and a restore are whole-vector ops.
+`state_arrays()` hands out per-parameter views of them (`m.<name>`, `v.<name>`)
+next to the step count `t`, which is what a checkpoint stores; `load_state`
+writes such arrays back in place after checking them.
+
 Shuffle and dropout RNGs are derived from (seed, epoch), so a run resumed at
 an epoch boundary from a float64 checkpoint (parameters + optimizer state)
 reproduces an unbroken run bit for bit.
@@ -15,6 +22,7 @@ reproduces an unbroken run bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,8 +48,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ConfigError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
@@ -58,18 +66,23 @@ class TrainConfig:
 
 
 class SGD:
-    def __init__(self, params: list[T.Parameter], lr: float):
+    def __init__(self, params: T.FlatParameters, lr: float):
         self.params = params
         self.lr = lr
 
     def step(self) -> None:
-        for p in self.params:
-            p.data -= self.lr * p.grad
+        self.params.data -= self.lr * self.params.grad
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {}
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
+        pass
+
+    def snapshot(self) -> None:
+        return None
+
+    def restore(self, saved: None) -> None:
         pass
 
 
@@ -78,28 +91,33 @@ _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class Adam:
-    def __init__(self, params: list[T.Parameter], lr: float):
+    def __init__(self, params: T.FlatParameters, lr: float):
         self.params = params
         self.lr = lr
         self.t = 0
-        self.m = {p.name: np.zeros_like(p.data) for p in params}
-        self.v = {p.name: np.zeros_like(p.data) for p in params}
+        # row 0 the first moment m, row 1 the second moment v
+        self.moments = np.zeros((2, params.data.size))
 
     def step(self) -> None:
         self.t += 1
         b1, b2 = _ADAM_BETA1, _ADAM_BETA2
-        for p in self.params:
-            m = self.m[p.name] = b1 * self.m[p.name] + (1 - b1) * p.grad
-            v = self.v[p.name] = b2 * self.v[p.name] + (1 - b2) * p.grad * p.grad
-            m_hat = m / (1 - b1 ** self.t)
-            v_hat = v / (1 - b2 ** self.t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
+        g = self.params.grad
+        m, v = self.moments
+        m *= b1
+        m += (1 - b1) * g
+        v *= b2
+        v += (1 - b2) * g * g
+        m_hat = m / (1 - b1 ** self.t)
+        v_hat = v / (1 - b2 ** self.t)
+        self.params.data -= self.lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
 
     def state_arrays(self) -> dict[str, np.ndarray]:
+        """The step count and per-parameter views of the moments, which later steps update."""
         out = {"t": np.array([[float(self.t)]])}
-        for name in self.m:
-            out[f"m.{name}"] = self.m[name]
-            out[f"v.{name}"] = self.v[name]
+        split = self.params.split
+        for p, m, v in zip(self.params, split(self.moments[0]), split(self.moments[1])):
+            out[f"m.{p.name}"] = m
+            out[f"v.{p.name}"] = v
         return out
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
@@ -110,12 +128,26 @@ class Adam:
             if key not in arrays or arrays[key].shape != shape:
                 raise ManifestError(f"optimizer state {key!r} is missing or not of shape {shape}")
         t = arrays["t"][0, 0]
-        if not (np.isfinite(t) and t >= 0):
-            raise ManifestError(f"optimizer state 't' must be a finite step count, got {t}")
+        if not (np.isfinite(t) and t >= 0 and t == int(t)):
+            raise ManifestError(f"optimizer state 't' must be a non-negative integer step count, got {t}")
+        moments = np.stack([np.concatenate([arrays[f"{row}.{p.name}"].reshape(-1) for p in self.params])
+                            for row in "mv"])
+        bad = ~np.isfinite(moments)
+        bad[1] |= moments[1] < 0
+        if bad.any():
+            row, index = divmod(int(bad.argmax()), moments.shape[1])
+            key = f"{'mv'[row]}.{self.params.name_at(index)}"
+            raise ManifestError(f"optimizer state {key!r} holds {moments[row, index]}; "
+                                f"m must be finite, v finite and >= 0")
         self.t = int(t)
-        for name in self.m:
-            self.m[name] = arrays[f"m.{name}"].copy()
-            self.v[name] = arrays[f"v.{name}"].copy()
+        self.moments[...] = moments
+
+    def snapshot(self) -> tuple[int, np.ndarray]:
+        return self.t, self.moments.copy()
+
+    def restore(self, saved: tuple[int, np.ndarray]) -> None:
+        self.t = saved[0]
+        self.moments[...] = saved[1]
 
 
 def make_optimizer(model: FusionModel, cfg: TrainConfig):
@@ -184,9 +216,11 @@ def train(
     result = TrainResult()
     n = len(train_pairs)
     params = model.parameters()
+    # every backward of this call reuses the first one's gradient buffers
+    grad_buffers = None
     for epoch in range(start_epoch, cfg.epochs):
-        snapshot = [p.data.copy() for p in params]
-        opt_snapshot = {k: v.copy() for k, v in opt.state_arrays().items()}
+        snapshot = params.data.copy()
+        opt_snapshot = opt.snapshot()
         shuffle_rng = np.random.default_rng([cfg.seed, 7, epoch])
         dropout_rng = np.random.default_rng([cfg.seed, 11, epoch])
         order = shuffle_rng.permutation(n)
@@ -196,17 +230,16 @@ def train(
                 batch = [train_pairs[i] for i in order[lo : lo + cfg.batch_size]]
                 model.zero_grad()
                 loss, losses = batch_loss(model, batch, dropout_rng=dropout_rng)
-                loss.tape.backward(loss)
+                grad_buffers = loss.tape.backward(loss, grad_buffers)
                 for sample_loss in losses:
                     epoch_loss += sample_loss
-                for p in params:
-                    if not np.isfinite(p.grad).all():
-                        raise NonFiniteError(f"non-finite gradient of {p.name}")
+                finite = np.isfinite(params.grad)
+                if not finite.all():
+                    raise NonFiniteError(f"non-finite gradient of {params.name_at(int(finite.argmin()))}")
                 opt.step()
         except NonFiniteError as e:
-            for p, saved in zip(params, snapshot):
-                p.data[...] = saved
-            opt.load_state(opt_snapshot)
+            params.data[...] = snapshot
+            opt.restore(opt_snapshot)
             raise NonFiniteError(
                 f"training diverged in epoch {epoch}; parameters and optimizer state "
                 f"restored to start of epoch: {e}"

@@ -376,6 +376,21 @@ class TestUnusableInputsAndOutputs:
         assert err.startswith("error:") and repr(name) in err and "non-finite" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("name, value", [("opt.v.head.b2", -1.0), ("opt.t", 1.5)])
+    def test_bad_optimizer_state_refused_on_resume(self, tmp_path, corpus_dir, trained_dir, capsys,
+                                                   name, value):
+        """Finite but impossible Adam state loads as a checkpoint, and `--resume`
+        refuses it by name before training."""
+        ckpt = load_checkpoint(os.path.join(trained_dir, "checkpoint.gfck"))
+        ckpt.arrays[name][0, 0] = value
+        bad = str(tmp_path / "bad.gfck")
+        save_checkpoint(bad, ckpt.config, ckpt.arrays, ckpt.meta)
+        cfg = write_json(tmp_path / "cfg.json", CONFIG)
+        assert main(["train", "--corpus", corpus_dir, "--config", cfg, "--resume", bad,
+                     "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and repr(name[len("opt."):]) in err and "diverged" not in err
+
     @pytest.mark.parametrize("command", ["evaluate", "analyze-gating"])
     def test_checkpoint_input_widths_must_match_corpus(self, tmp_path, corpus_dir, capsys, command):
         """A checkpoint built for other input widths fails before --out is made."""

@@ -2,12 +2,14 @@
 
 import gc
 import json
+import re
 import struct
 
 import numpy as np
 import pytest
 
 from gatedfusion import tensor as T
+from gatedfusion import trainer
 from gatedfusion.analysis import collect_traces
 from gatedfusion.checkpoint import load_checkpoint, load_model, save_checkpoint, save_model
 from gatedfusion.errors import (
@@ -23,6 +25,7 @@ from gatedfusion.gating import GatingMode
 from gatedfusion.model import FusionModel, ModelConfig
 from gatedfusion.sequence import pad_batch
 from gatedfusion.synth import SynthSpec, generate
+from gatedfusion.encoder import dropout_keep
 from gatedfusion.trainer import Adam, TrainConfig, batch_loss, evaluate, make_optimizer, train
 from padding import pad_extra
 
@@ -50,6 +53,11 @@ class TestConfig:
     def test_rejects_bad_dropout(self):
         with pytest.raises(ConfigError):
             tiny_cfg(dropout_rate=1.0)
+
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), float("-inf"), -1e-3])
+    def test_train_config_rejects_bad_learning_rate(self, lr):
+        with pytest.raises(ConfigError, match="learning_rate must be finite and >= 0"):
+            TrainConfig(learning_rate=lr)
 
 
 class TestForward:
@@ -197,6 +205,46 @@ class TestForward:
         assert np.argmax(logits) == np.argmax(logits + 100.0)
 
 
+class LoopOptimizer:
+    """The per-parameter SGD and Adam loops that the flat optimizers replaced,
+    over named arrays: the reference they must match bit for bit."""
+
+    def __init__(self, kind, arrays, lr):
+        self.kind, self.lr, self.t = kind, lr, 0
+        self.data = {k: v.copy() for k, v in arrays.items()}
+        self.m = {k: np.zeros_like(v) for k, v in arrays.items()}
+        self.v = {k: np.zeros_like(v) for k, v in arrays.items()}
+
+    def step(self, grads):
+        if self.kind == "sgd":
+            for name, g in grads.items():
+                self.data[name] -= self.lr * g
+            return
+        self.t += 1
+        b1, b2, eps = trainer._ADAM_BETA1, trainer._ADAM_BETA2, trainer._ADAM_EPS
+        for name, g in grads.items():
+            m = self.m[name] = b1 * self.m[name] + (1 - b1) * g
+            v = self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
+            m_hat = m / (1 - b1 ** self.t)
+            v_hat = v / (1 - b2 ** self.t)
+            self.data[name] -= self.lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def per_sample_dropout_keeps(cfg, batch_a, batch_t, rng):
+    """The loop that drew `FusionModel._dropout_keeps` sample by sample, then
+    branch, layer and site: the reference for the one-draw version."""
+    batches = (batch_a, batch_t)
+    stacks = [np.zeros((cfg.n_layers, 2, *b.masks.shape, cfg.d_model)) for b in batches]
+    valid = [b.masks.sum(axis=1).astype(int) for b in batches]
+    for i in range(len(batch_a.masks)):
+        for stack, counts in zip(stacks, valid):
+            n = counts[i]
+            for layer in range(cfg.n_layers):
+                for site in range(2):
+                    stack[layer, site, i, :n] = dropout_keep(rng, cfg.dropout_rate, (n, cfg.d_model))
+    return list(stacks[0]), list(stacks[1])
+
+
 def make_training_pairs(rng, cfg, n, seed_labels=True):
     pairs = []
     for i in range(n):
@@ -265,6 +313,113 @@ class TestTraining:
             state[key] = replacement
         with pytest.raises(ManifestError):
             Adam(model.parameters(), 1e-3).load_state(state)
+
+    @pytest.mark.parametrize("key, index, value, named", [
+        ("t", 0, 1.5, "'t'"), ("t", 0, -1.0, "'t'"), ("t", 0, np.inf, "'t'"),
+        ("m.proj_a.w", 0, np.nan, "'m.proj_a.w'"), ("m.head.b2", -1, -np.inf, "'m.head.b2'"),
+        ("v.gate.b_t", 0, np.inf, "'v.gate.b_t'"), ("v.head.b2", -1, -1.0, "'v.head.b2'"),
+        ("v.proj_a.b", -1, -1e-300, "'v.proj_a.b'"),
+    ])
+    def test_adam_load_state_rejects_bad_values(self, key, index, value, named):
+        """A step count that is not a non-negative integer, a non-finite moment or a
+        negative second moment is refused by name, and nothing is loaded."""
+        rng = np.random.default_rng(30)
+        cfg = tiny_cfg()
+        model = FusionModel(cfg)
+        opt = make_optimizer(model, TrainConfig())
+        train(model, make_training_pairs(rng, cfg, 4), TrainConfig(epochs=1, batch_size=2), optimizer=opt)
+        state = {k: v.copy() for k, v in opt.state_arrays().items()}
+        state[key].reshape(-1)[index] = value
+        fresh = Adam(model.parameters(), 1e-3)
+        with pytest.raises(ManifestError, match=re.escape(named)):
+            fresh.load_state(state)
+        assert fresh.t == 0 and not fresh.moments.any()
+
+    def test_adam_load_state_takes_a_negative_first_moment(self):
+        model = FusionModel(tiny_cfg())
+        opt = make_optimizer(model, TrainConfig())
+        state = {k: v.copy() for k, v in opt.state_arrays().items()}
+        state["t"][0, 0] = 3.0
+        state["m.head.b2"][0, 0] = -0.5
+        opt.load_state(state)
+        assert opt.t == 3 and opt.state_arrays()["m.head.b2"][0, 0] == -0.5
+
+    @pytest.mark.parametrize("kind", ["adam", "sgd"])
+    def test_flat_optimizer_matches_per_parameter_loop(self, kind):
+        """Three steps, then a `state_arrays()` -> `load_state` round trip into a
+        new model and optimizer, then two more, all bit for bit."""
+        rng = np.random.default_rng(31)
+        cfg = tiny_cfg(n_layers=2)
+        tc = TrainConfig(learning_rate=1e-2, optimizer=kind)
+        model = FusionModel(cfg)
+        opt = make_optimizer(model, tc)
+        ref = LoopOptimizer(kind, {p.name: p.data for p in model.parameters()}, tc.learning_rate)
+
+        def step(model, opt):
+            grads = {p.name: rng.normal(size=p.data.shape) * rng.choice([1e-6, 1.0, 1e3]) for p in model.parameters()}
+            for p in model.parameters():
+                p.grad[...] = grads[p.name]
+            opt.step()
+            ref.step(grads)
+            for p in model.parameters():
+                np.testing.assert_array_equal(p.data, ref.data[p.name])
+            state = opt.state_arrays()
+            if kind == "adam":
+                assert state["t"][0, 0] == ref.t
+                for p in model.parameters():
+                    np.testing.assert_array_equal(state[f"m.{p.name}"], ref.m[p.name])
+                    np.testing.assert_array_equal(state[f"v.{p.name}"], ref.v[p.name])
+            else:
+                assert state == {}
+
+        for _ in range(3):
+            step(model, opt)
+        resumed = FusionModel(cfg)
+        resumed.parameters().data[...] = model.parameters().data
+        opt2 = make_optimizer(resumed, tc)
+        opt2.load_state({k: v.copy() for k, v in opt.state_arrays().items()})
+        for _ in range(2):
+            step(resumed, opt2)
+
+    def test_backward_passes_of_one_train_call_reuse_gradient_buffers(self, monkeypatch):
+        """Passes over batches padded to different lengths share one list of
+        gradient buffers, and each gives the parameter gradients of a fresh tape."""
+        rng = np.random.default_rng(32)
+        cfg = tiny_cfg()
+        # distinct lengths: the batch holding the longest sample pads further
+        pairs = [(*random_pair(rng, cfg, ta=3 + i, tt=10 - i), i % cfg.n_classes) for i in range(8)]
+        model = FusionModel(cfg)
+        batches, passes = [], []
+        real_batch_loss, real_backward = trainer.batch_loss, T.Tape.backward
+
+        def spy_batch_loss(model, batch, **kw):
+            batches.append(batch)
+            return real_batch_loss(model, batch, **kw)
+
+        def spy_backward(tape, loss, buffers=None):
+            data = model.parameters().data.copy()
+            out = real_backward(tape, loss, buffers)
+            passes.append((data, model.parameters().grad.copy(), out, list(out)))
+            return out
+
+        monkeypatch.setattr(trainer, "batch_loss", spy_batch_loss)
+        monkeypatch.setattr(T.Tape, "backward", spy_backward)
+        train(model, pairs, TrainConfig(learning_rate=1e-2, epochs=2, batch_size=4, seed=5))
+        monkeypatch.undo()
+
+        assert len(passes) == 4
+        assert all(out is passes[0][2] for _, _, out, _ in passes)
+        # both batches have run by the second pass, so the buffers have their final sizes
+        lengths = [max(len(a) for a, _, _ in batch) for batch in batches]
+        assert lengths[2] != lengths[3]
+        for _, _, _, buffers in passes[2:]:
+            assert all(np.shares_memory(a, b) for a, b in zip(passes[1][3], buffers))
+        for batch, (data, grad, _, _) in zip(batches, passes):
+            fresh = FusionModel(cfg)
+            fresh.parameters().data[...] = data
+            loss, _ = batch_loss(fresh, batch)
+            loss.tape.backward(loss)
+            np.testing.assert_array_equal(fresh.parameters().grad, grad)
 
     @pytest.mark.parametrize("mode", list(GatingMode))
     def test_divergence_restores_parameters_and_optimizer_state(self, mode):
@@ -371,6 +526,25 @@ class TestBatchLoss:
         _, losses = batch_loss(model, batch, dropout_rng=np.random.default_rng(5))
         _, padded_losses = batch_loss(model, batch + [longer], dropout_rng=np.random.default_rng(5))
         np.testing.assert_allclose(padded_losses[:4], losses, rtol=1e-10)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_dropout_keeps_match_per_sample_draws(self, seed):
+        """One draw split in (sample, branch, layer, site) order gives the masks
+        and leaves the generator where the per-sample draws did."""
+        rng = np.random.default_rng(40 + seed)
+        cfg = tiny_cfg(n_layers=2, dropout_rate=0.3)
+        model = FusionModel(cfg)
+        lengths_a, lengths_t = [3, 9, 1, 7, 9, 4], [5, 2, 8, 8, 1, 6]
+        batch_a = pad_batch([rng.normal(size=(n, cfg.d_a)) for n in lengths_a])
+        batch_t = pad_batch([rng.normal(size=(n, cfg.d_t)) for n in lengths_t])
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = model._dropout_keeps(batch_a, batch_t, got_rng)
+        want = per_sample_dropout_keeps(cfg, batch_a, batch_t, want_rng)
+        for got_branch, want_branch in zip(got, want):
+            assert len(got_branch) == len(want_branch) == cfg.n_layers
+            for g, w in zip(got_branch, want_branch):
+                np.testing.assert_array_equal(g, w)
+        assert got_rng.random() == want_rng.random()
 
     def test_one_op_sequence_per_minibatch(self):
         """The tape records as many ops for 16 samples as for 2."""
@@ -613,6 +787,17 @@ class TestCheckpoint:
         np.testing.assert_array_equal(loaded.forward(pad_batch([a]), pad_batch([t])).logits.data[0],
                                       model.forward(pad_batch([a]), pad_batch([t])).logits.data[0])
         assert ckpt.config == cfg.to_dict()
+
+    def test_load_writes_parameters_in_place(self, tmp_path):
+        """A loaded model's parameters stay views of its flat vectors."""
+        model = FusionModel(tiny_cfg(seed=3))
+        path = tmp_path / "model.gfck"
+        save_model(model, path)
+        loaded, _ = load_model(path)
+        flat = loaded.parameters()
+        np.testing.assert_array_equal(flat.data, model.parameters().data)
+        assert all(np.shares_memory(p.data, flat.data) and np.shares_memory(p.grad, flat.grad)
+                   for p in flat)
 
     def test_truncated_blob_detected(self, tmp_path):
         model = FusionModel(tiny_cfg())

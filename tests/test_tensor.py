@@ -9,14 +9,23 @@ from gatedfusion import tensor as T
 from gatedfusion.errors import ConfigError, LabelError, NonFiniteError, ShapeError
 
 
+class StackLeaf:
+    """A (B, m, n) stack that stands in for a batch activation as a gradcheck
+    parameter: a tape leaf needs only `data` and `grad`, while `Parameter` is
+    always 2-D and cannot be rebound."""
+
+    def __init__(self, name, data):
+        self.name, self.data, self.grad = name, data, np.zeros_like(data)
+
+    def zero_grad(self):
+        self.grad.fill(0.0)
+
+
 def make_leaf(name, data):
-    """A parameter of any shape: a (B, m, n) stack stands in for a batch activation,
-    since a tape leaf needs only `data` and `grad`, while `Parameter` is always 2-D."""
+    """A parameter of any shape: a `Parameter` for a matrix, else a `StackLeaf`."""
     if data.ndim == 2:
         return T.Parameter(name, data)
-    p = T.Parameter(name, np.zeros((1, 1)))
-    p.data, p.grad = data, np.zeros_like(data)
-    return p
+    return StackLeaf(name, data)
 
 
 def fd_check(op, shapes, seed, step=1e-5, tol=1e-5):
@@ -319,6 +328,112 @@ class TestTapeSemantics:
         with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="matmul"):
             loss = loss_fn()
             loss.tape.backward(loss)
+
+
+class TestParameters:
+    def test_data_and_grad_cannot_be_rebound(self):
+        p = T.Parameter("x", np.ones((2, 2)))
+        data, grad = p.data, p.grad
+        with pytest.raises(AttributeError, match="x.data cannot be rebound"):
+            p.data = np.zeros((2, 2))
+        with pytest.raises(AttributeError, match="x.grad cannot be rebound"):
+            p.grad = np.zeros((2, 2))
+        # an in-place operator assigns back the same array
+        p.data *= 3.0
+        assert p.data is data and p.grad is grad
+        np.testing.assert_array_equal(p.data, 3.0)
+
+    def test_flat_parameters_are_views_of_one_vector(self):
+        a = T.Parameter("a", np.array([[1.0, 2.0]]))
+        b = T.Parameter("b", np.array([[3.0], [4.0], [5.0]]))
+        flat = T.FlatParameters([a, b])
+        assert list(flat) == [a, b]
+        np.testing.assert_array_equal(flat.data, [1.0, 2.0, 3.0, 4.0, 5.0])
+        flat.data += 10.0
+        flat.grad[...] = np.arange(5.0)
+        np.testing.assert_array_equal(a.data, [[11.0, 12.0]])
+        np.testing.assert_array_equal(b.data, [[13.0], [14.0], [15.0]])
+        np.testing.assert_array_equal(a.grad, [[0.0, 1.0]])
+        np.testing.assert_array_equal(b.grad, [[2.0], [3.0], [4.0]])
+        b.zero_grad()
+        np.testing.assert_array_equal(flat.grad, [0.0, 1.0, 0.0, 0.0, 0.0])
+        assert [flat.name_at(i) for i in range(5)] == ["a", "a", "b", "b", "b"]
+        halves = flat.split(np.arange(5.0))
+        assert [h.shape for h in halves] == [(1, 2), (3, 1)]
+        np.testing.assert_array_equal(halves[1], [[2.0], [3.0], [4.0]])
+
+
+def nan_gradient(x):
+    """The identity, whose backward hands its input a NaN gradient."""
+    def backward(g):
+        x.grad += g * np.nan
+
+    return T._out(x.tape, "nan_gradient", x.data.copy(), backward)
+
+
+class TestGradientBuffers:
+    """`Tape.backward` gives each recorded output a zeroed view of a buffer that
+    the next backward may reuse."""
+
+    W = np.array([[0.3, -1.2, 0.8], [1.1, 0.4, -0.6]])
+
+    @classmethod
+    def loss(cls, p, rows, poison=False):
+        tape = T.Tape()
+        x = tape.constant(np.linspace(-1.0, 1.0, 2 * rows).reshape(rows, 2))
+        h = T.sigmoid(T.add(T.matmul(x, tape.constant(cls.W)), tape.leaf(p)))
+        if poison:
+            h = nan_gradient(h)
+        return T.sum_all(T.mul(h, h))
+
+    @classmethod
+    def fresh_grad(cls, p, rows):
+        p.zero_grad()
+        loss = cls.loss(p, rows)
+        loss.tape.backward(loss)
+        return p.grad.copy()
+
+    def test_gradient_is_given_at_backward(self):
+        p = T.Parameter("b", np.array([[0.1, -0.2, 0.3]]))
+        loss = self.loss(p, 3)
+        outs = [out for _, out, _ in loss.tape._steps]
+        with pytest.raises(ValueError):
+            outs[0].grad += 1.0
+        buffers = loss.tape.backward(loss)
+        assert len(outs) == len(buffers) == 5
+        assert all(np.shares_memory(out.grad, buf) for out, buf in zip(outs, buffers))
+
+    def test_reused_buffers_give_a_fresh_tape_gradient(self):
+        """Buffers left dirty (NaN) by one backward, then passed to a backward that
+        raised NonFiniteError, are re-zeroed by the next; a shorter input reuses
+        them and gets a fresh tape's gradient bit for bit."""
+        p = T.Parameter("b", np.array([[0.1, -0.2, 0.3]]))
+        want = self.fresh_grad(p, 3)
+        p.zero_grad()
+        poisoned = self.loss(p, 5, poison=True)
+        buffers = poisoned.tape.backward(poisoned)
+        first = list(buffers)
+        assert np.isnan(p.grad).all()
+        bad = T.Parameter("b", np.array([[np.nan, 0.0, 0.0]]))
+        with pytest.raises(NonFiniteError):
+            diverged = self.loss(bad, 5)
+            diverged.tape.backward(diverged, buffers)
+        p.zero_grad()
+        loss = self.loss(p, 3)
+        assert loss.tape.backward(loss, buffers) is buffers
+        assert all(np.shares_memory(a, b) for a, b in zip(first, buffers))
+        np.testing.assert_array_equal(p.grad, want)
+
+    def test_buffers_too_small_are_replaced(self):
+        p = T.Parameter("b", np.array([[0.1, -0.2, 0.3]]))
+        want = self.fresh_grad(p, 6)
+        p.zero_grad()
+        loss = self.loss(p, 2)
+        buffers = loss.tape.backward(loss)
+        p.zero_grad()
+        loss = self.loss(p, 6)
+        assert len(loss.tape.backward(loss, buffers)) == 5
+        np.testing.assert_array_equal(p.grad, want)
 
 
 class TestNoGrad:
