@@ -1,10 +1,11 @@
 """Tape-based reverse-mode autodiff, verified against finite differences.
 
 Every training feature in this package rests on the little autodiff kernel in
-`gatedfusion.tensor`: float64 matrices and stacks of them, a tape of backward
-closures, and a central-difference gradient checker. This script builds a
-small expression by hand, checks its gradients, then runs the checker over the
-full fusion model in each gating mode.
+`gatedfusion.tensor`: float64 matrices and stacks of them, a tape that records
+the backward closures of the ops run inside its `with` block, and a
+central-difference gradient checker. This script builds a small expression by
+hand, checks its gradients, then runs the checker over the full fusion model in
+each gating mode.
 """
 
 import numpy as np
@@ -21,13 +22,13 @@ def main():
     x = rng.normal(size=(5, 4))
 
     def loss_fn():
-        tape = T.Tape()
-        hidden = T.sigmoid(T.add(T.matmul(tape.constant(x), tape.leaf(w)), tape.leaf(b)))
+        hidden = T.sigmoid(T.add(T.matmul(T.constant(x), w), b))
         return T.sum_all(T.mul(hidden, hidden))
 
     print("== hand-built expression: sum(sigmoid(xW + b)^2) ==")
-    loss = loss_fn()
-    loss.tape.backward(loss)
+    with T.Tape() as tape:
+        loss = loss_fn()
+    tape.backward(loss)
     print(f"loss = {loss.item():.6f}")
     print(f"dL/db = {np.array2string(b.grad, precision=4)}")
 

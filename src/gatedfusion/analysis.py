@@ -18,7 +18,7 @@ from .errors import ConfigError
 from .gating import GatingMode
 from .model import FusionModel, ModelConfig
 from .synth import SIDE_CHANNELS, Corpus, Sample, model_inputs
-from .trainer import TrainConfig, evaluate, no_grad_forwards, train
+from .trainer import TrainConfig, evaluate, eval_forwards, train
 
 
 @dataclass
@@ -123,9 +123,9 @@ class GateTrace:
 
 
 def collect_traces(model: FusionModel, samples: list[Sample]) -> list[GateTrace]:
-    """Each sample's valid-position gates, from `trainer.no_grad_forwards`."""
+    """Each sample's valid-position gates, from `trainer.eval_forwards`."""
     traces = []
-    for chunk, result in no_grad_forwards(model, [model_inputs(s) for s in samples]):
+    for chunk, result in eval_forwards(model, [model_inputs(s) for s in samples]):
         if result.gates_a is None:
             raise ConfigError("model has gating disabled; no gate traces to collect")
         for i, (a, t, _) in enumerate(chunk):

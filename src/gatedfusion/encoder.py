@@ -28,7 +28,7 @@ def dropout_keep(rng: np.random.Generator, rate: float, shape: int | tuple[int, 
 
 
 def _dropout(x: T.Tensor, keep: np.ndarray | None) -> T.Tensor:
-    return x if keep is None else T.mul(x, x.tape.constant(keep))
+    return x if keep is None else T.mul(x, T.constant(keep))
 
 
 class EncoderLayer:
@@ -67,32 +67,29 @@ class EncoderLayer:
         ]
 
     def _attention(self, x: T.Tensor, mask: np.ndarray) -> T.Tensor:
-        tape = x.tape
         b, t, d = x.data.shape
         h, dh = self.n_heads, d // self.n_heads
-        q = T.add(T.matmul(x, tape.leaf(self.wq)), tape.leaf(self.bq))
+        q = T.add(T.matmul(x, self.wq), self.bq)
         # no key bias: a shared key offset cancels inside the row softmax
-        k = T.matmul(x, tape.leaf(self.wk))
-        v = T.add(T.matmul(x, tape.leaf(self.wv)), tape.leaf(self.bv))
+        k = T.matmul(x, self.wk)
+        v = T.add(T.matmul(x, self.wv), self.bv)
         # row i*H + j of a (B*H, T, dh) head stack is head j of sample i; kh is (B*H, dh, T)
         qh = T.transpose(q, (b, t, h, dh), (0, 2, 1, 3), (b * h, t, dh))
         kh = T.transpose(k, (b, t, h, dh), (0, 2, 3, 1), (b * h, dh, t))
         vh = T.transpose(v, (b, t, h, dh), (0, 2, 1, 3), (b * h, t, dh))
         # one 1 x T row per sample, repeated for its heads and broadcast over their query rows
         key_mask = np.where(np.asarray(mask) > 0.0, 0.0, _ATTN_MASK_VALUE)[:, None, :]
-        scores = T.mul(T.matmul(qh, kh), tape.constant([[1.0 / np.sqrt(dh)]]))
-        attn = T.softmax_rows(T.add(scores, tape.constant(np.repeat(key_mask, h, axis=0))))
+        scores = T.mul(T.matmul(qh, kh), T.constant([[1.0 / np.sqrt(dh)]]))
+        attn = T.softmax_rows(T.add(scores, T.constant(np.repeat(key_mask, h, axis=0))))
         merged = T.transpose(T.matmul(attn, vh), (b, h, t, dh), (0, 2, 1, 3), (b, t, d))
-        return T.add(T.matmul(merged, tape.leaf(self.wo)), tape.leaf(self.bo))
+        return T.add(T.matmul(merged, self.wo), self.bo)
 
     def _ffn(self, x: T.Tensor) -> T.Tensor:
-        tape = x.tape
-        hidden = T.relu(T.add(T.matmul(x, tape.leaf(self.w1)), tape.leaf(self.b1)))
-        return T.add(T.matmul(hidden, tape.leaf(self.w2)), tape.leaf(self.b2))
+        hidden = T.relu(T.add(T.matmul(x, self.w1), self.b1))
+        return T.add(T.matmul(hidden, self.w2), self.b2)
 
     def _ln(self, x: T.Tensor, gain: T.Parameter, bias: T.Parameter) -> T.Tensor:
-        tape = x.tape
-        return T.add(T.mul(T.layernorm_rows(x), tape.leaf(gain)), tape.leaf(bias))
+        return T.add(T.mul(T.layernorm_rows(x), gain), bias)
 
     def forward(self, x: T.Tensor, mask: np.ndarray, keep: np.ndarray | None = None) -> T.Tensor:
         """`x` is a (B, T, d) stack with its (B, T) masks; `keep` stacks the

@@ -63,7 +63,7 @@ def gate_sequence(features: T.Tensor, mask: np.ndarray, context: T.Tensor, w: T.
         raise ShapeError(f"gate projection must be ({2 * d}, 1), got {w.data.shape}")
     pre = T.add(T.matmul(T.concat_cols(features, context), w), b)
     gates = T.sigmoid(pre)
-    mask_col = features.tape.constant(np.asarray(mask, dtype=np.float64)[..., None])
+    mask_col = T.constant(np.asarray(mask, dtype=np.float64)[..., None])
     return T.mul(gates, mask_col)
 
 

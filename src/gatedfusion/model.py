@@ -145,11 +145,10 @@ class FusionModel:
         if n_a != n_t:
             raise ShapeError(f"batch sizes differ: {n_a} acoustic vs {n_t} textual")
         keeps_a, keeps_t = self._dropout_keeps(batch_a, batch_t, dropout_rng)
-        tape = T.Tape()
         mask_a, mask_t = batch_a.masks, batch_t.masks
 
-        xa = T.add(T.matmul(tape.constant(batch_a.features), tape.leaf(self.proj_a_w)), tape.leaf(self.proj_a_b))
-        xt = T.add(T.matmul(tape.constant(batch_t.features), tape.leaf(self.proj_t_w)), tape.leaf(self.proj_t_b))
+        xa = T.add(T.matmul(T.constant(batch_a.features), self.proj_a_w), self.proj_a_b)
+        xt = T.add(T.matmul(T.constant(batch_t.features), self.proj_t_w), self.proj_t_b)
 
         gates_a = gates_t = None
         mode = self.cfg.gating_mode
@@ -157,23 +156,23 @@ class FusionModel:
             g = self.gating
             means = masked_mean_pool(xa, mask_a), masked_mean_pool(xt, mask_t)
             ctx_a, ctx_t = means[::-1] if mode is GatingMode.CROSS_MODAL else means
-            ga = gate_sequence(xa, mask_a, ctx_a, tape.leaf(g.w_a), tape.leaf(g.b_a))
-            gt = gate_sequence(xt, mask_t, ctx_t, tape.leaf(g.w_t), tape.leaf(g.b_t))
+            ga = gate_sequence(xa, mask_a, ctx_a, g.w_a, g.b_a)
+            gt = gate_sequence(xt, mask_t, ctx_t, g.w_t, g.b_t)
             xa = refine_sequence(xa, ga)
             xt = refine_sequence(xt, gt)
             gates_a, gates_t = ga.data.copy(), gt.data.copy()
 
         if self.cfg.use_positions:
-            xa = T.add(xa, tape.constant(sinusoidal_positions(t_a, self.cfg.d_model)))
-            xt = T.add(xt, tape.constant(sinusoidal_positions(t_t, self.cfg.d_model)))
+            xa = T.add(xa, T.constant(sinusoidal_positions(t_a, self.cfg.d_model)))
+            xt = T.add(xt, T.constant(sinusoidal_positions(t_t, self.cfg.d_model)))
         for layer, keep in zip(self.enc_a, keeps_a):
             xa = layer.forward(xa, mask_a, keep)
         for layer, keep in zip(self.enc_t, keeps_t):
             xt = layer.forward(xt, mask_t, keep)
 
         pooled = T.concat_cols(masked_mean_pool(xa, mask_a), masked_mean_pool(xt, mask_t))
-        hidden = T.relu(T.add(T.matmul(pooled, tape.leaf(self.head_w1)), tape.leaf(self.head_b1)))
-        logits = T.add(T.matmul(hidden, tape.leaf(self.head_w2)), tape.leaf(self.head_b2))
+        hidden = T.relu(T.add(T.matmul(pooled, self.head_w1), self.head_b1))
+        logits = T.add(T.matmul(hidden, self.head_w2), self.head_b2)
         return ForwardResult(logits, gates_a, gates_t)
 
     def loss(self, seq_a: np.ndarray, seq_t: np.ndarray, label: int) -> tuple[T.Tensor, ForwardResult]:

@@ -28,7 +28,7 @@ def masked_mean_pool(features: T.Tensor, mask: np.ndarray) -> T.Tensor:
     n = mask.sum(axis=-1, keepdims=True)
     if np.any(n < 1):
         raise EmptySequenceError("cannot pool a sequence with no valid positions")
-    weights = features.tape.constant(np.expand_dims(mask / n, -2))
+    weights = T.constant(np.expand_dims(mask / n, -2))
     return T.matmul(weights, features)
 
 

@@ -5,21 +5,25 @@ treats one by one, so a minibatch runs as one op sequence. Parameters are
 matrices; a matrix operand broadcasts across a stack, and its gradient sums
 over the stack.
 
-Every differentiable value is a `Tensor` tied to a `Tape`. Ops append a
-backward closure to the tape; `Tape.backward` replays the closures in exact
-reverse order, handing each its output's gradient, and they accumulate partials
-additively into operand `.grad` buffers.
-`backward` consumes the tape: it drops the recorded steps after the replay, so a
-tape serves one backward and leaves no reference cycle behind. Inside a
-`no_grad()` block ops record nothing: their outputs are constants, for a forward
-run only for its values. A tensor's data is never mutated after construction.
+Recording is scoped by blocks. Inside `with tape:` every op appends its
+output and a backward closure to `tape`, the innermost open block's tape;
+outside any block ops record nothing and their outputs are constants, for a
+forward run only for its values. Blocks nest, and leaving one restores the
+tape of the block around it; a block left by an exception drops the steps it
+recorded. `Tape.backward(loss)` replays the closures in exact reverse order,
+handing each its output's gradient, and they accumulate partials additively
+into operand `.grad` buffers. A backward, returned or raised, clears the
+tape's record, so a tape serves one backward per recorded loss and can then
+record again. A `Parameter` is a tensor whose `.grad` persists, so ops take it
+as it is; `constant` makes a tensor with no gradient. A tensor's data is never
+mutated after construction.
 
-Gradient lifetime: a forward allocates no gradient storage for op outputs. At
-backward, the i-th recorded output gets its `.grad` as a zeroed view of the
-i-th of a list of gradient buffers, which `backward` returns; passing that list
-to the next backward reuses the buffers (replacing one only when it is too
-small). `trainer.train` passes one list through all its backward passes, so
-each overwrites the last one's op-output gradients, and drops it on return. A
+Gradient lifetime is per tape: a forward allocates no gradient storage for op
+outputs. At backward, the i-th recorded output gets its `.grad` as a zeroed
+view of the tape's i-th gradient buffer, which the tape keeps for its next
+backward (replacing one only when it is too small). `trainer.train` records
+every minibatch of a call on one tape, so each backward overwrites the last
+one's op-output gradients, and the buffers go with the tape on return. A
 parameter's `.grad` is its own storage (for a model's parameters, a view of the
 model's flat gradient vector, see `FlatParameters`) and is never reused this way.
 
@@ -40,9 +44,8 @@ row, which is repeated down every row of `a`.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,39 +56,24 @@ _EXP_CLAMP = 709.0
 # added to the row variance in layernorm_rows
 _LN_EPS = 1e-5
 
-# False inside a `no_grad()` block; a context variable, so a block in one
-# thread leaves recording on in the others
-_recording: ContextVar[bool] = ContextVar("recording", default=True)
-
-
-@contextmanager
-def no_grad():
-    """Run ops without recording: their outputs are constants on no tape step.
-
-    Blocks nest; leaving one, by return or by exception, restores the mode
-    that held on entry.
-    """
-    token = _recording.set(False)
-    try:
-        yield
-    finally:
-        _recording.reset(token)
+# the tape of the innermost open `with tape:` block, or None; a context
+# variable, so a block open in one thread records nothing from the others
+_open_tape: ContextVar["Tape | None"] = ContextVar("open_tape", default=None)
 
 
 class Tensor:
-    """A matrix or a stack of matrices, with an optional gradient buffer on a tape.
+    """A matrix or a stack of matrices, with an optional gradient buffer.
 
     grad is None for constants (no gradient is tracked through them), op
-    outputs built under `no_grad()` included. A recorded op output gets its
-    grad at backward (see the module docstring).
+    outputs built outside any `with tape:` block included. A recorded op
+    output gets its grad at backward (see the module docstring).
     """
 
-    __slots__ = ("data", "grad", "tape")
+    __slots__ = ("data", "grad")
 
-    def __init__(self, data: np.ndarray, tape: "Tape", grad: np.ndarray | None):
+    def __init__(self, data: np.ndarray, grad: np.ndarray | None = None):
         self.data = data
         self.grad = grad
-        self.tape = tape
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -98,8 +86,16 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, const={self.grad is None})"
 
 
-class Parameter:
-    """A named learnable matrix with a persistent gradient slot.
+def constant(data) -> Tensor:
+    """A tensor with no gradient; a 1-D array becomes one row."""
+    arr = np.asarray(data, dtype=np.float64)
+    if arr.ndim == 1:
+        arr = arr.reshape(1, -1)
+    return Tensor(arr)
+
+
+class Parameter(Tensor):
+    """A named learnable matrix whose gradient slot persists across backwards.
 
     `data` and `grad` are bound once and then written in place: `FlatParameters`
     makes them views into its vectors, and a rebound array would silently drop
@@ -108,7 +104,7 @@ class Parameter:
     array.
     """
 
-    __slots__ = ("name", "data", "grad")
+    __slots__ = ("name",)
 
     def __init__(self, name: str, data: np.ndarray):
         self.name = name
@@ -118,7 +114,8 @@ class Parameter:
         self.grad = np.zeros_like(self.data)
 
     def __setattr__(self, key: str, value) -> None:
-        if key != "name" and hasattr(self, key) and value is not getattr(self, key):
+        # an unset slot reads as `value` itself, so the first binding passes
+        if key != "name" and value is not getattr(self, key, value):
             raise AttributeError(f"{self.name}.{key} cannot be rebound; write into it in place")
         object.__setattr__(self, key, value)
 
@@ -161,24 +158,29 @@ _GRAD_AT_BACKWARD = np.zeros(0)
 _GRAD_AT_BACKWARD.flags.writeable = False
 
 
-@dataclass
 class Tape:
-    """Ordered record of ops from one forward pass."""
+    """Ordered record of the ops run inside its `with` blocks, and the gradient
+    buffers its backward passes reuse."""
 
-    _steps: list = field(default_factory=list)
+    def __init__(self):
+        self._steps: list = []
+        self._buffers: list[np.ndarray] = []
+        # per open block: the token that restores the outer tape, and the
+        # number of steps recorded before the block
+        self._blocks: list = []
+
+    def __enter__(self) -> "Tape":
+        self._blocks.append((_open_tape.set(self), len(self._steps)))
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        token, start = self._blocks.pop()
+        _open_tape.reset(token)
+        if exc_type is not None:
+            del self._steps[start:]
 
     def record(self, name: str, out: Tensor, backward) -> None:
         self._steps.append((name, out, backward))
-
-    def leaf(self, param: Parameter) -> Tensor:
-        """Enter a parameter; backward accumulates into its grad slot."""
-        return Tensor(param.data, self, param.grad)
-
-    def constant(self, data) -> Tensor:
-        arr = np.asarray(data, dtype=np.float64)
-        if arr.ndim == 1:
-            arr = arr.reshape(1, -1)
-        return Tensor(arr, self, None)
 
     def first_nonfinite(self) -> str | None:
         for name, out, _ in self._steps:
@@ -186,42 +188,45 @@ class Tape:
                 return name
         return None
 
-    def backward(self, loss: Tensor, buffers: list[np.ndarray] | None = None) -> list[np.ndarray]:
-        """Replay the tape from `loss`, accumulating into every operand's `.grad`.
+    def backward(self, loss: Tensor) -> None:
+        """Replay the record from `loss`, accumulating into every operand's `.grad`,
+        then clear it, also when this raises.
 
-        The i-th recorded output's gradient is a zeroed view of `buffers[i]`, a
-        1-D float64 array that is replaced when it is too small; the list grows
-        to the tape's length. Returns the list, for the next backward to reuse.
+        The i-th recorded output's gradient is a zeroed view of the tape's i-th
+        buffer, a 1-D float64 array that is replaced when it is too small.
         """
-        if loss.data.size != 1:
-            raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
-        if loss.grad is None:
-            raise ConfigError("backward needs a recorded loss; this one was built without "
-                              "recording (under no_grad) or is a constant")
-        if not np.isfinite(loss.data.reshape(-1)[0]):
-            culprit = self.first_nonfinite() or "loss"
-            raise NonFiniteError(f"non-finite loss; first non-finite intermediate: {culprit!r}")
-        buffers = [] if buffers is None else buffers
-        for i, (_, out, _) in enumerate(self._steps):
-            size = out.data.size
-            if i == len(buffers):
-                buffers.append(np.empty(size))
-            elif buffers[i].size < size:
-                buffers[i] = np.empty(size)
-            grad = buffers[i][:size]
-            grad.fill(0.0)
-            out.grad = grad.reshape(out.data.shape)
-        loss.grad[...] = 1.0
-        for _, out, backward in reversed(self._steps):
-            backward(out.grad)
-        self._steps.clear()
-        return buffers
+        try:
+            if not any(out is loss for _, out, _ in reversed(self._steps)):
+                raise ConfigError("backward needs a loss this tape recorded and has not yet "
+                                  "differentiated; this one was built outside its `with` block "
+                                  "or on another tape, or is a constant")
+            if loss.data.size != 1:
+                raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
+            if not np.isfinite(loss.data.reshape(-1)[0]):
+                culprit = self.first_nonfinite() or "loss"
+                raise NonFiniteError(f"non-finite loss; first non-finite intermediate: {culprit!r}")
+            buffers = self._buffers
+            for i, (_, out, _) in enumerate(self._steps):
+                size = out.data.size
+                if i == len(buffers):
+                    buffers.append(np.empty(size))
+                elif buffers[i].size < size:
+                    buffers[i] = np.empty(size)
+                grad = buffers[i][:size]
+                grad.fill(0.0)
+                out.grad = grad.reshape(out.data.shape)
+            loss.grad[...] = 1.0
+            for _, out, backward in reversed(self._steps):
+                backward(out.grad)
+        finally:
+            self._steps.clear()
 
 
-def _out(tape: Tape, name: str, data: np.ndarray, backward) -> Tensor:
-    if not _recording.get():
-        return Tensor(data, tape, None)
-    t = Tensor(data, tape, _GRAD_AT_BACKWARD)
+def _out(name: str, data: np.ndarray, backward) -> Tensor:
+    tape = _open_tape.get()
+    if tape is None:
+        return Tensor(data)
+    t = Tensor(data, _GRAD_AT_BACKWARD)
     tape.record(name, t, backward)
     return t
 
@@ -254,7 +259,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             if b.grad is not None:
                 b.grad += _unbroadcast(_swap(a.data) @ g, sb)
 
-    return _out(a.tape, "matmul", out_data, backward)
+    return _out("matmul", out_data, backward)
 
 
 def _check_broadcast(op: str, a: Tensor, b: Tensor) -> None:
@@ -284,7 +289,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         if b.grad is not None:
             b.grad += _unbroadcast(g, b.data.shape)
 
-    return _out(a.tape, "add", out_data, backward)
+    return _out("add", out_data, backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -297,7 +302,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         if b.grad is not None:
             b.grad += _unbroadcast(g * a.data, b.data.shape)
 
-    return _out(a.tape, "mul", out_data, backward)
+    return _out("mul", out_data, backward)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -310,7 +315,7 @@ def sigmoid(x: Tensor) -> Tensor:
         if x.grad is not None:
             x.grad += g * out_data * (1.0 - out_data)
 
-    return _out(x.tape, "sigmoid", out_data, backward)
+    return _out("sigmoid", out_data, backward)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -320,7 +325,7 @@ def relu(x: Tensor) -> Tensor:
         if x.grad is not None:
             x.grad += g * (x.data > 0.0)
 
-    return _out(x.tape, "relu", out_data, backward)
+    return _out("relu", out_data, backward)
 
 
 def concat_cols(a: Tensor, b: Tensor) -> Tensor:
@@ -337,7 +342,7 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
         if b.grad is not None:
             b.grad += _unbroadcast(g[..., na:], sb)
 
-    return _out(a.tape, "concat_cols", out_data, backward)
+    return _out("concat_cols", out_data, backward)
 
 
 def transpose(a: Tensor, shape: tuple, axes: tuple, out_shape: tuple) -> Tensor:
@@ -355,7 +360,7 @@ def transpose(a: Tensor, shape: tuple, axes: tuple, out_shape: tuple) -> Tensor:
             g = g.reshape(permuted.shape).transpose(np.argsort(axes))
             a.grad += g.reshape(a.data.shape)
 
-    return _out(a.tape, "transpose", out_data, backward)
+    return _out("transpose", out_data, backward)
 
 
 def softmax_rows(x: Tensor) -> Tensor:
@@ -368,7 +373,7 @@ def softmax_rows(x: Tensor) -> Tensor:
             dot = (g * out_data).sum(axis=-1, keepdims=True)
             x.grad += out_data * (g - dot)
 
-    return _out(x.tape, "softmax_rows", out_data, backward)
+    return _out("softmax_rows", out_data, backward)
 
 
 def layernorm_rows(x: Tensor) -> Tensor:
@@ -387,7 +392,7 @@ def layernorm_rows(x: Tensor) -> Tensor:
                 - out_data * (dy * out_data).sum(axis=-1, keepdims=True) / n
             )
 
-    return _out(x.tape, "layernorm_rows", out_data, backward)
+    return _out("layernorm_rows", out_data, backward)
 
 
 def sum_all(x: Tensor) -> Tensor:
@@ -397,7 +402,7 @@ def sum_all(x: Tensor) -> Tensor:
         if x.grad is not None:
             x.grad += g[0, 0]
 
-    return _out(x.tape, "sum_all", out_data, backward)
+    return _out("sum_all", out_data, backward)
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:
@@ -427,7 +432,7 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
             d[picked, labels] -= 1.0
             logits.grad += (g.reshape(-1, 1) * d).reshape(shape)
 
-    return _out(logits.tape, "cross_entropy", out_data, backward)
+    return _out("cross_entropy", out_data, backward)
 
 
 @dataclass
@@ -462,10 +467,10 @@ class GradcheckReport:
 def gradcheck(loss_fn, params: list[Parameter], step: float = 1e-5, tol: float = 1e-4) -> GradcheckReport:
     """Compare analytic gradients of loss_fn against central finite differences.
 
-    loss_fn must rebuild the forward pass on a fresh tape each call and return
-    the scalar loss Tensor; it reads the current contents of `params`. The
-    finite-difference probes run it under `no_grad()`. A NaN relative error
-    fails its entry.
+    loss_fn builds the scalar loss Tensor from the current contents of
+    `params`. It runs once inside a `with Tape()` block for the analytic
+    gradient, and with no block for each finite-difference probe, so the probes
+    record nothing. A NaN relative error fails its entry.
     """
     if not (math.isfinite(step) and step > 0):
         raise ConfigError(f"gradcheck step must be finite and > 0, got {step}")
@@ -473,13 +478,10 @@ def gradcheck(loss_fn, params: list[Parameter], step: float = 1e-5, tol: float =
         raise ConfigError(f"gradcheck tol must be finite and >= 0, got {tol}")
     for p in params:
         p.zero_grad()
-    loss = loss_fn()
-    loss.tape.backward(loss)
+    with Tape() as tape:
+        loss = loss_fn()
+    tape.backward(loss)
     analytic = {p.name: p.grad.copy() for p in params}
-
-    def value() -> float:
-        with no_grad():
-            return loss_fn().item()
 
     entries = []
     for p in params:
@@ -489,9 +491,9 @@ def gradcheck(loss_fn, params: list[Parameter], step: float = 1e-5, tol: float =
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + step
-            f_plus = value()
+            f_plus = loss_fn().item()
             flat[i] = orig - step
-            f_minus = value()
+            f_minus = loss_fn().item()
             flat[i] = orig
             g_n = (f_plus - f_minus) / (2.0 * step)
             g = g_a.reshape(-1)[i]

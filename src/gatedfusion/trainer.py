@@ -1,9 +1,11 @@
 """Mini-batch training loop with SGD/Adam and exact-resume semantics.
 
 `batch_loss` is the one place a minibatch becomes a loss, the mean
-cross-entropy: one forward of the padded minibatch on one tape, differentiated
-by one backward; the full-model gradcheck checks the same function.
-`no_grad_forwards`, the one inference loop, runs forwards that record no tape.
+cross-entropy of one forward of the padded minibatch; the full-model gradcheck
+checks the same function. `train` makes one tape per call and runs each
+minibatch's `batch_loss` inside a `with tape:` block, then one backward;
+validation runs outside it. `eval_forwards`, the one inference loop, runs
+forwards outside any block, so they record nothing.
 
 A non-finite loss or gradient raises `NonFiniteError` before the optimizer
 steps, with parameters and optimizer state restored to the start of the epoch.
@@ -34,7 +36,7 @@ from .sequence import pad_batch
 
 SamplePair = tuple[np.ndarray, np.ndarray, int]
 
-# samples per forward in `no_grad_forwards`; results do not depend on it, only
+# samples per forward in `eval_forwards`; results do not depend on it, only
 # the padding per forward does
 EVAL_CHUNK = 32
 
@@ -155,25 +157,20 @@ def make_optimizer(model: FusionModel, cfg: TrainConfig):
     return cls(model.parameters(), cfg.learning_rate)
 
 
-def no_grad_forwards(model: FusionModel, pairs: list[SamplePair]):
-    """Each chunk of `EVAL_CHUNK` pairs with its `ForwardResult` (dropout off),
-    from a forward under `tensor.no_grad()`; the yield comes after the block,
-    since a generator suspended inside it would leave recording off in the caller."""
+def eval_forwards(model: FusionModel, pairs: list[SamplePair]):
+    """Each chunk of `EVAL_CHUNK` pairs with its `ForwardResult` (dropout off)."""
     for lo in range(0, len(pairs), EVAL_CHUNK):
         chunk = pairs[lo : lo + EVAL_CHUNK]
         seqs_a, seqs_t, _ = zip(*chunk)
-        with T.no_grad():
-            result = model.forward(pad_batch(seqs_a), pad_batch(seqs_t))
-        yield chunk, result
+        yield chunk, model.forward(pad_batch(seqs_a), pad_batch(seqs_t))
 
 
 def evaluate(model: FusionModel, pairs: list[SamplePair]) -> tuple[float, float, list[int]]:
     """Mean loss, accuracy, and predictions over a sample list (dropout off)."""
     total, correct, preds = 0.0, 0, []
-    for chunk, result in no_grad_forwards(model, pairs):
+    for chunk, result in eval_forwards(model, pairs):
         labels = [label for _, _, label in chunk]
-        with T.no_grad():
-            losses = T.cross_entropy(result.logits, labels).data[:, 0, 0]
+        losses = T.cross_entropy(result.logits, labels).data[:, 0, 0]
         for loss, row, label in zip(losses, result.logits.data[:, 0], labels):
             total += float(loss)
             pred = int(np.argmax(row))
@@ -185,11 +182,11 @@ def evaluate(model: FusionModel, pairs: list[SamplePair]) -> tuple[float, float,
 
 def batch_loss(model: FusionModel, batch: list[SamplePair], *,
                dropout_rng: np.random.Generator | None = None) -> tuple[T.Tensor, list[float]]:
-    """Mean cross-entropy of a minibatch on one tape, and each sample's loss."""
+    """Mean cross-entropy of a minibatch, and each sample's loss."""
     seqs_a, seqs_t, labels = zip(*batch)
     result = model.forward(pad_batch(seqs_a), pad_batch(seqs_t), dropout_rng)
     losses = T.cross_entropy(result.logits, labels)
-    scale = losses.tape.constant([[1 / len(batch)]])
+    scale = T.constant([[1 / len(batch)]])
     return T.sum_all(T.mul(losses, scale)), losses.data[:, 0, 0].tolist()
 
 
@@ -217,7 +214,7 @@ def train(
     n = len(train_pairs)
     params = model.parameters()
     # every backward of this call reuses the first one's gradient buffers
-    grad_buffers = None
+    tape = T.Tape()
     for epoch in range(start_epoch, cfg.epochs):
         snapshot = params.data.copy()
         opt_snapshot = opt.snapshot()
@@ -229,8 +226,9 @@ def train(
             for lo in range(0, n, cfg.batch_size):
                 batch = [train_pairs[i] for i in order[lo : lo + cfg.batch_size]]
                 model.zero_grad()
-                loss, losses = batch_loss(model, batch, dropout_rng=dropout_rng)
-                grad_buffers = loss.tape.backward(loss, grad_buffers)
+                with tape:
+                    loss, losses = batch_loss(model, batch, dropout_rng=dropout_rng)
+                tape.backward(loss)
                 for sample_loss in losses:
                     epoch_loss += sample_loss
                 finite = np.isfinite(params.grad)

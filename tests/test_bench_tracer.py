@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gatedfusion import tensor as T
 from gatedfusion.gating import GatingMode
 from gatedfusion.model import FusionModel, ModelConfig
 from gatedfusion.trainer import batch_loss
@@ -65,8 +66,9 @@ def test_every_recorded_op_kind_is_counted(mode):
     tracer = load_bench_module("tracer").Tracer()
     tracer.install()
     try:
-        loss, _ = batch_loss(model, batch, dropout_rng=np.random.default_rng(4))
-        loss.tape.backward(loss)
+        with T.Tape() as tape:
+            loss, _ = batch_loss(model, batch, dropout_rng=np.random.default_rng(4))
+        tape.backward(loss)
     finally:
         tracer.uninstall()
     assert tracer.ops > 0

@@ -1,10 +1,11 @@
 """The quick demos run to completion: they call the public API as users do.
 
-Demos 01 and 05 take 10-20 s each, so only 02, 03 and 04 (a few seconds
-together) run here, each from a temp dir. Demo 04 writes its SVG traces into
-`output/` beside the script, so a copy of it runs from the temp dir, and its
-traces must equal the committed `demos/output` ones byte for byte: that pins
-the whole train, gate-trace and SVG path.
+Demo 05 trains the three-mode ablation and is left out. Demo 01, the one that
+calls the autodiff kernel directly, takes about 9 s on a 2-core host; 02, 03
+and 04 take a few seconds together. Each runs from a temp dir. Demo 04 writes
+its SVG traces into `output/` beside the script, so a copy of it runs from the
+temp dir, and its traces must equal the committed `demos/output` ones byte for
+byte: that pins the whole train, gate-trace and SVG path.
 """
 
 import os
@@ -25,7 +26,8 @@ def run_demo(script: Path, cwd: Path) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, timeout=300)
 
 
-@pytest.mark.parametrize("demo", ["02_generate_corpus.py", "03_train_and_evaluate.py"])
+@pytest.mark.parametrize("demo", ["01_autodiff_gradcheck.py", "02_generate_corpus.py",
+                                  "03_train_and_evaluate.py"])
 def test_demo_exits_cleanly(demo, tmp_path):
     proc = run_demo(ROOT / "demos" / demo, tmp_path)
     assert proc.returncode == 0, proc.stderr

@@ -147,21 +147,18 @@ class TestRefine:
     def test_all_ones_identity(self):
         rng = np.random.default_rng(7)
         feats = pad_extra(pad_batch([random_seq(rng, 5, 3)]), 2).features[0]
-        tape = T.Tape()
-        out = refine_sequence(tape.constant(feats), tape.constant(np.ones((7, 1))))
+        out = refine_sequence(T.constant(feats), T.constant(np.ones((7, 1))))
         np.testing.assert_array_equal(out.data, feats)
 
     def test_all_zeros(self):
         rng = np.random.default_rng(8)
-        tape = T.Tape()
-        out = refine_sequence(tape.constant(random_seq(rng, 5, 3)), tape.constant(np.zeros((5, 1))))
+        out = refine_sequence(T.constant(random_seq(rng, 5, 3)), T.constant(np.zeros((5, 1))))
         np.testing.assert_array_equal(out.data, 0.0)
 
     def test_length_mismatch(self):
         rng = np.random.default_rng(9)
-        tape = T.Tape()
         with pytest.raises(ShapeError):
-            refine_sequence(tape.constant(random_seq(rng, 5, 3)), tape.constant(np.ones((4, 1))))
+            refine_sequence(T.constant(random_seq(rng, 5, 3)), T.constant(np.ones((4, 1))))
 
     def test_gradcheck_through_gate_and_refine(self):
         rng = np.random.default_rng(10)
@@ -172,11 +169,9 @@ class TestRefine:
         h_param = T.Parameter("h_a", feats_a)
 
         def loss_fn():
-            tape = T.Tape()
-            feats = tape.leaf(h_param)
-            context = masked_mean_pool(tape.constant(seq_t), np.ones(3))
-            gates = gate_sequence(feats, mask_a, context, tape.leaf(params.w_a), tape.leaf(params.b_a))
-            refined = refine_sequence(feats, gates)
+            context = masked_mean_pool(T.constant(seq_t), np.ones(3))
+            gates = gate_sequence(h_param, mask_a, context, params.w_a, params.b_a)
+            refined = refine_sequence(h_param, gates)
             return T.sum_all(T.sigmoid(refined))
 
         report = T.gradcheck(loss_fn, [h_param, params.w_a, params.b_a], tol=1e-4)
@@ -190,10 +185,9 @@ class TestStructuralInvariants:
         params = make_params(rng, d)
         params.w_a.data *= 100  # drive sigmoid toward saturation
         (seq,), (mask,) = pad_extra(pad_batch([random_seq(rng, 20, d)]), 5)
-        tape = T.Tape()
-        feats = tape.constant(seq)
+        feats = T.constant(seq)
         context = masked_mean_pool(feats, mask)
-        gates = gate_sequence(feats, mask, context, tape.leaf(params.w_a), tape.leaf(params.b_a))
+        gates = gate_sequence(feats, mask, context, params.w_a, params.b_a)
         refined = refine_sequence(feats, gates)
         assert np.all(gates.data[:20] > 0.0) and np.all(gates.data[:20] < 1.0)
         np.testing.assert_array_equal(gates.data[20:], 0.0)

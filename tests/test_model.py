@@ -382,8 +382,9 @@ class TestTraining:
             step(resumed, opt2)
 
     def test_backward_passes_of_one_train_call_reuse_gradient_buffers(self, monkeypatch):
-        """Passes over batches padded to different lengths share one list of
-        gradient buffers, and each gives the parameter gradients of a fresh tape."""
+        """Passes over batches padded to different lengths run on one tape and
+        share its gradient buffers, and each gives the parameter gradients of a
+        fresh tape."""
         rng = np.random.default_rng(32)
         cfg = tiny_cfg()
         # distinct lengths: the batch holding the longest sample pads further
@@ -396,11 +397,10 @@ class TestTraining:
             batches.append(batch)
             return real_batch_loss(model, batch, **kw)
 
-        def spy_backward(tape, loss, buffers=None):
+        def spy_backward(tape, loss):
             data = model.parameters().data.copy()
-            out = real_backward(tape, loss, buffers)
-            passes.append((data, model.parameters().grad.copy(), out, list(out)))
-            return out
+            real_backward(tape, loss)
+            passes.append((data, model.parameters().grad.copy(), tape, list(tape._buffers)))
 
         monkeypatch.setattr(trainer, "batch_loss", spy_batch_loss)
         monkeypatch.setattr(T.Tape, "backward", spy_backward)
@@ -408,7 +408,7 @@ class TestTraining:
         monkeypatch.undo()
 
         assert len(passes) == 4
-        assert all(out is passes[0][2] for _, _, out, _ in passes)
+        assert all(tape is passes[0][2] for _, _, tape, _ in passes)
         # both batches have run by the second pass, so the buffers have their final sizes
         lengths = [max(len(a) for a, _, _ in batch) for batch in batches]
         assert lengths[2] != lengths[3]
@@ -417,8 +417,9 @@ class TestTraining:
         for batch, (data, grad, _, _) in zip(batches, passes):
             fresh = FusionModel(cfg)
             fresh.parameters().data[...] = data
-            loss, _ = batch_loss(fresh, batch)
-            loss.tape.backward(loss)
+            with T.Tape() as tape:
+                loss, _ = batch_loss(fresh, batch)
+            tape.backward(loss)
             np.testing.assert_array_equal(fresh.parameters().grad, grad)
 
     @pytest.mark.parametrize("mode", list(GatingMode))
@@ -553,8 +554,9 @@ class TestBatchLoss:
         model = FusionModel(cfg)
         counts = []
         for n in (2, 16):
-            loss, _ = batch_loss(model, make_training_pairs(rng, cfg, n), dropout_rng=np.random.default_rng(0))
-            counts.append(len(loss.tape._steps))
+            with T.Tape() as tape:
+                batch_loss(model, make_training_pairs(rng, cfg, n), dropout_rng=np.random.default_rng(0))
+            counts.append(len(tape._steps))
         assert counts[0] == counts[1] <= 120
 
     def test_backward_leaves_nothing_for_the_cycle_collector(self):
@@ -565,8 +567,9 @@ class TestBatchLoss:
         gc.collect()
         gc.disable()
         try:
-            loss, _ = batch_loss(model, batch)
-            loss.tape.backward(loss)
+            with T.Tape() as tape:
+                loss, _ = batch_loss(model, batch)
+            tape.backward(loss)
             del loss
             assert gc.collect() == 0
         finally:
@@ -601,15 +604,18 @@ def recorded_ops(monkeypatch):
 
 
 class TestNoGrad:
+    """A forward outside every `with tape:` block records nothing and takes no
+    gradient, and gives the values of a recorded one."""
+
     @pytest.mark.parametrize("mode", list(GatingMode))
     def test_forward_matches_a_recording_forward_bit_for_bit(self, mode):
         rng = np.random.default_rng(25)
         cfg = tiny_cfg(gating_mode=mode)
         model = FusionModel(cfg)
         seqs_a, seqs_t, _ = zip(*make_training_pairs(rng, cfg, 5))
-        taped = model.forward(pad_batch(seqs_a), pad_batch(seqs_t))
-        with T.no_grad():
-            bare = model.forward(pad_batch(seqs_a), pad_batch(seqs_t))
+        with T.Tape():
+            taped = model.forward(pad_batch(seqs_a), pad_batch(seqs_t))
+        bare = model.forward(pad_batch(seqs_a), pad_batch(seqs_t))
         assert bare.logits.grad is None and taped.logits.grad is not None
         np.testing.assert_array_equal(bare.logits.data, taped.logits.data)
         for got, want in ((bare.gates_a, taped.gates_a), (bare.gates_t, taped.gates_t)):
