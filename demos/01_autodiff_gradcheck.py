@@ -2,8 +2,8 @@
 
 Every training feature in this package rests on the little autodiff kernel in
 `gatedfusion.tensor`: float64 matrices and stacks of them, a tape that records
-the backward closures of the ops run inside its `with` block, and a
-central-difference gradient checker. This script builds a small expression by
+one vector-Jacobian product per operand of each op run inside its `with` block,
+and a central-difference gradient checker. This script builds a small expression by
 hand, checks its gradients, then runs the checker over the full fusion model in
 each gating mode.
 """

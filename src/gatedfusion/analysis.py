@@ -136,7 +136,8 @@ def collect_traces(model: FusionModel, samples: list[Sample]) -> list[GateTrace]
 
 @dataclass
 class CorrelationReport:
-    """Frame-pooled Pearson r of acoustic gates vs energy; None = undefined."""
+    """Frame-pooled Pearson r of acoustic gates vs energy; None = undefined
+    (fewer than 2 frames, or zero variance)."""
 
     overall: float | None
     per_class: dict[int, float | None]
@@ -155,8 +156,12 @@ def gate_energy_correlation(traces: list[GateTrace]) -> CorrelationReport:
     g = np.concatenate(gates)
     e = np.concatenate(energies)
     l = np.concatenate(labels)
-    per_class = {int(c): pearson(g[l == c], e[l == c]) for c in np.unique(l)}
-    return CorrelationReport(pearson(g, e), per_class)
+
+    def r(x, y):
+        return pearson(x, y) if x.size >= 2 else None
+
+    per_class = {int(c): r(g[l == c], e[l == c]) for c in np.unique(l)}
+    return CorrelationReport(r(g, e), per_class)
 
 
 def auroc(scores, flags) -> float:
@@ -291,11 +296,7 @@ def kfold(
         train(model, train_pairs, fold_train_cfg)
         _, _, preds = evaluate(model, [model_inputs(s) for s in eval_samples])
         labels = np.array([s.label for s in eval_samples])
-        m = metrics(preds, labels, corpus.n_classes)
-        missing = [c for c in range(corpus.n_classes) if (labels == c).sum() == 0]
-        for c in missing:
-            m.warnings.append(f"fold {f}: class {c} missing from held-out labels")
-        results.append(FoldResult(f, m))
+        results.append(FoldResult(f, metrics(preds, labels, corpus.n_classes)))
         if gating:
             all_traces.extend(collect_traces(model, eval_samples))
     accs = np.array([r.metrics.accuracy for r in results])

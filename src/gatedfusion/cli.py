@@ -130,9 +130,7 @@ def cmd_train(args) -> int:
             raise ConfigError(f"resume checkpoint was trained with optimizer {saved['optimizer']!r}, "
                               f"not {train_cfg.optimizer!r}")
         optimizer = make_optimizer(model, train_cfg)
-        opt_state = ckpt.optimizer_state
-        if opt_state:
-            optimizer.load_state(opt_state)
+        optimizer.load_state(ckpt.optimizer_state)
         start_epoch = ckpt.meta.get("epochs_done", 0)
         if type(start_epoch) is not int or not 0 <= start_epoch <= train_cfg.epochs:
             raise ManifestError(f"{args.resume}: meta.epochs_done must be an integer in "
@@ -214,11 +212,12 @@ def cmd_analyze_gating(args) -> int:
         raise ConfigError(f"--samples must be >= 0, got {args.samples}")
     corpus = read_corpus(args.corpus)
     model, _ = load_model(args.checkpoint)
-    # before --out is made: collecting rejects a model without gates or for other input widths
+    # before --out is made: collecting rejects a model without gates or for other input
+    # widths, and the correlation a corpus without energy
     traces = collect_traces(model, corpus.samples)
+    corr = gate_energy_correlation(traces)
     _make_out_dir(args.out)
 
-    corr = gate_energy_correlation(traces)
     rows = [
         [corpus.class_names[c] if c < len(corpus.class_names) else str(c),
          "" if r is None else repr(r)]
@@ -227,7 +226,7 @@ def cmd_analyze_gating(args) -> int:
     rows.append(["overall", "" if corr.overall is None else repr(corr.overall)])
     _write_csv(os.path.join(args.out, "gate_energy_correlation.csv"), ["class", "pearson_r"], rows)
     for name, r in rows:
-        print(f"gate-energy r [{name}]: {r if r else 'undefined (zero variance)'}")
+        print(f"gate-energy r [{name}]: {r or 'undefined'}")
 
     if any(t.sample.diagnostic_flags_a is not None for t in traces):
         alignment = gate_diagnostic_alignment(traces)

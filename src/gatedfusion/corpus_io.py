@@ -4,18 +4,19 @@ The manifest (`manifest.json`) is human-readable and records per-sample byte
 offsets into `features.bin`, which holds row-major little-endian float32
 regions in manifest order. The side channels of `synth.SIDE_CHANNELS` are
 optional per sample; `_CHANNEL_KEYS` gives each its manifest key. The writer
-refuses a sample the reader would refuse: a modality that is not a (T, d)
-array of the corpus width, a side channel not one value per frame of its
-modality, a flag channel holding anything but 0/1, a label outside the class
-names, a label or id that is not an integer (a numpy integer is written as an
-int, a bool is refused), an id that an earlier sample has, or a value that is
-not a finite float32. The reader validates version, checksum and every
-region's bounds before touching the blob, so a corrupted manifest produces a
-typed error rather than an out-of-bounds read; a NaN or infinite stored value
-or a repeated id is a `ManifestError` too. Each modality is written and read
-back as its (T, d) array of valid rows. A record with a `subject_id` key is
-rejected: there is no subject-level protocol, and the key is not silently
-dropped.
+refuses a corpus the reader would refuse: class names that are not a non-empty
+list of strings, a feature width that is not an integer >= 1, or a sample with
+a modality that is not a (T, d) array of the corpus width, a side channel not
+one value per frame of its modality, a flag channel holding anything but 0/1, a
+label outside the class names, a label or id that is not an integer (a numpy
+integer is written as an int, a bool is refused), an id that an earlier sample
+has, or a value that is not a finite float32. The reader validates version,
+checksum and every region's bounds before touching the blob, so a corrupted
+manifest produces a typed error rather than an out-of-bounds read; a NaN or
+infinite stored value, a repeated id, or blob bytes that no region claims are a
+`ManifestError` too. Each modality is written and read back as its (T, d) array
+of valid rows. A record with a `subject_id` key is rejected: there is no
+subject-level protocol, and the key is not silently dropped.
 
 Byte layout of `features.bin`: concatenation of the regions referenced by the
 manifest; each region is `count * 4` bytes of `<f4`, where count is T_a*d_a
@@ -75,10 +76,17 @@ def write_corpus(corpus: Corpus, path: str) -> str:
     """Write manifest + blob into directory `path` (created if missing) and
     return the blob's SHA-256 hex digest.
 
-    A sample the reader would refuse raises `ManifestError` naming the sample
-    and region before any file is written. A write that fails leaves the files
-    at `path` as they were.
+    A corpus the reader would refuse raises `ManifestError`, naming the sample
+    and region where one is at fault, before any file is written. A write that
+    fails leaves the files at `path` as they were.
     """
+    names = corpus.class_names
+    if not names or not all(isinstance(c, str) for c in names):
+        raise ManifestError(f"class_names must be a non-empty list of strings, got {names!r}")
+    d_a = _integer(corpus.d_a, "corpus", "d_a")
+    d_t = _integer(corpus.d_t, "corpus", "d_t")
+    if d_a < 1 or d_t < 1:
+        raise ManifestError(f"feature widths must be >= 1, got {d_a}, {d_t}")
     chunks: list[bytes] = []
     offset = 0
 
@@ -104,7 +112,7 @@ def write_corpus(corpus: Corpus, path: str) -> str:
         if not 0 <= class_id < len(corpus.class_names):
             raise ManifestError(f"{label}: label {class_id} outside [0, {len(corpus.class_names)})")
         rec = {"id": sample_id, "label": class_id}
-        for modality, m, width in (("acoustic", "a", corpus.d_a), ("textual", "t", corpus.d_t)):
+        for modality, m, width in (("acoustic", "a", d_a), ("textual", "t", d_t)):
             shape = np.shape(getattr(s, modality))
             if len(shape) != 2 or shape[0] < 1 or shape[1] != width:
                 raise ManifestError(f"{label}: region 'offset_{m}' must be a (T, {width}) "
@@ -131,9 +139,9 @@ def write_corpus(corpus: Corpus, path: str) -> str:
     manifest = {
         "format_version": FORMAT_VERSION,
         "n_samples": len(corpus.samples),
-        "d_a": corpus.d_a,
-        "d_t": corpus.d_t,
-        "class_names": list(corpus.class_names),
+        "d_a": d_a,
+        "d_t": d_t,
+        "class_names": list(names),
         "blob_length": len(blob),
         "blob_sha256": checksum,
         "samples": records,
@@ -253,5 +261,8 @@ def read_corpus(path: str) -> Corpus:
     for (s1, l1), (s2, _) in zip(regions, regions[1:]):
         if s1 + l1 > s2:
             raise BoundsError(f"{manifest_path}: overlapping blob regions at offsets {s1} and {s2}")
+    claimed = sum(length for _, length in regions)
+    if claimed != blob_length:
+        raise ManifestError(f"{manifest_path}: regions claim {claimed} of the blob's {blob_length} bytes")
 
     return Corpus(samples, class_names, d_a, d_t)

@@ -110,21 +110,18 @@ class FusionModel:
         if rng is None or cfg.dropout_rate <= 0.0:
             return [None] * cfg.n_layers, [None] * cfg.n_layers
         batches = (batch_a, batch_t)
-        sites = 2 * cfg.n_layers
-        # (B, 2): draws per sample and branch
-        sizes = np.stack([b.masks.sum(axis=1).astype(int) for b in batches], axis=1) * sites * cfg.d_model
-        keep = dropout_keep(rng, cfg.dropout_rate, int(sizes.sum()))
-        branch_of_draw = np.repeat(np.tile([0, 1], len(sizes)), sizes.reshape(-1))
-        out = []
-        for branch, b in enumerate(batches):
-            stack = np.zeros((cfg.n_layers, 2, *b.masks.shape, cfg.d_model))
-            # viewed (sample, layer and site, row, column): valid rows lead each sample,
-            # so this view's C order is the draw order
-            by_sample = stack.reshape(sites, *b.masks.shape, cfg.d_model).transpose(1, 0, 2, 3)
-            valid = np.broadcast_to((b.masks > 0.0)[:, None, :, None], by_sample.shape)
-            by_sample[valid] = keep[branch_of_draw == branch]
-            out.append(list(stack))
-        return out[0], out[1]
+        valid = [b.masks.sum(axis=1).astype(int) for b in batches]
+        stacks = [np.zeros((cfg.n_layers, 2, *b.masks.shape, cfg.d_model)) for b in batches]
+        rows = sum(int(counts.sum()) for counts in valid)
+        keep = dropout_keep(rng, cfg.dropout_rate, 2 * cfg.n_layers * rows * cfg.d_model)
+        start = 0
+        for i in range(len(batch_a.masks)):
+            for stack, counts in zip(stacks, valid):
+                # valid rows lead each sample
+                block = stack[:, :, i, : counts[i]]
+                block[...] = keep[start : start + block.size].reshape(block.shape)
+                start += block.size
+        return list(stacks[0]), list(stacks[1])
 
     def forward(
         self,

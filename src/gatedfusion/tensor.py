@@ -6,15 +6,17 @@ matrices; a matrix operand broadcasts across a stack, and its gradient sums
 over the stack.
 
 Recording is scoped by blocks. Inside `with tape:` every op appends its
-output and a backward closure to `tape`, the innermost open block's tape;
-outside any block ops record nothing and their outputs are constants, for a
-forward run only for its values. Blocks nest, and leaving one restores the
-tape of the block around it; a block left by an exception drops the steps it
-recorded. `Tape.backward(loss)` replays the closures in exact reverse order,
-handing each its output's gradient, and they accumulate partials additively
-into operand `.grad` buffers. A backward, returned or raised, clears the
-tape's record, so a tape serves one backward per recorded loss and can then
-record again. A `Parameter` is a tensor whose `.grad` persists, so ops take it
+output and one `(operand, vjp)` pair per operand to `tape`, the innermost open
+block's tape; a vjp (vector-Jacobian product) maps the output's gradient to
+that operand's share of it. Outside any block ops record nothing and their
+outputs are constants, for a forward run only for its values. Blocks nest, and
+leaving one restores the tape of the block around it; a block left by an
+exception drops the steps it recorded. `Tape.backward(loss)` walks the record
+in exact reverse order and adds each vjp's share into its operand's `.grad`,
+calling only the vjps of operands that track a gradient; it is the one place
+that writes a gradient. A backward, returned or raised, clears the tape's
+record, so a tape serves one backward per recorded loss and can then record
+again. A `Parameter` is a tensor whose `.grad` persists, so ops take it
 as it is; `constant` makes a tensor with no gradient. A tensor's data is never
 mutated after construction.
 
@@ -179,8 +181,8 @@ class Tape:
         if exc_type is not None:
             del self._steps[start:]
 
-    def record(self, name: str, out: Tensor, backward) -> None:
-        self._steps.append((name, out, backward))
+    def record(self, name: str, out: Tensor, vjps: tuple) -> None:
+        self._steps.append((name, out, vjps))
 
     def first_nonfinite(self) -> str | None:
         for name, out, _ in self._steps:
@@ -189,8 +191,8 @@ class Tape:
         return None
 
     def backward(self, loss: Tensor) -> None:
-        """Replay the record from `loss`, accumulating into every operand's `.grad`,
-        then clear it, also when this raises.
+        """Replay the record from `loss`, adding each vjp's share into its
+        operand's `.grad`, then clear it, also when this raises.
 
         The i-th recorded output's gradient is a zeroed view of the tape's i-th
         buffer, a 1-D float64 array that is replaced when it is too small.
@@ -216,18 +218,22 @@ class Tape:
                 grad.fill(0.0)
                 out.grad = grad.reshape(out.data.shape)
             loss.grad[...] = 1.0
-            for _, out, backward in reversed(self._steps):
-                backward(out.grad)
+            for _, out, vjps in reversed(self._steps):
+                for operand, vjp in vjps:
+                    if operand.grad is not None:
+                        operand.grad += vjp(out.grad)
         finally:
             self._steps.clear()
 
 
-def _out(name: str, data: np.ndarray, backward) -> Tensor:
+def _out(name: str, data: np.ndarray, *vjps) -> Tensor:
+    """The op output `data`, recorded with its `(operand, vjp)` pairs when a
+    block is open."""
     tape = _open_tape.get()
     if tape is None:
         return Tensor(data)
     t = Tensor(data, _GRAD_AT_BACKWARD)
-    tape.record(name, t, backward)
+    tape.record(name, t, vjps)
     return t
 
 
@@ -243,23 +249,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         # a stack times a matrix: one GEMM over all stacked rows
         rows = a.data.reshape(-1, sa[2])
         out_data = (rows @ b.data).reshape(sa[0], sa[1], sb[1])
-
-        def backward(g):
-            g = g.reshape(-1, sb[1])
-            if a.grad is not None:
-                a.grad += (g @ b.data.T).reshape(sa)
-            if b.grad is not None:
-                b.grad += rows.T @ g
+        vjps = ((a, lambda g: (g.reshape(-1, sb[1]) @ b.data.T).reshape(sa)),
+                (b, lambda g: rows.T @ g.reshape(-1, sb[1])))
     else:
         out_data = a.data @ b.data
-
-        def backward(g):
-            if a.grad is not None:
-                a.grad += _unbroadcast(g @ _swap(b.data), sa)
-            if b.grad is not None:
-                b.grad += _unbroadcast(_swap(a.data) @ g, sb)
-
-    return _out("matmul", out_data, backward)
+        vjps = ((a, lambda g: _unbroadcast(g @ _swap(b.data), sa)),
+                (b, lambda g: _unbroadcast(_swap(a.data) @ g, sb)))
+    return _out("matmul", out_data, *vjps)
 
 
 def _check_broadcast(op: str, a: Tensor, b: Tensor) -> None:
@@ -282,27 +278,15 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast("add", a, b)
     out_data = a.data + b.data
-
-    def backward(g):
-        if a.grad is not None:
-            a.grad += g
-        if b.grad is not None:
-            b.grad += _unbroadcast(g, b.data.shape)
-
-    return _out("add", out_data, backward)
+    return _out("add", out_data,
+                (a, lambda g: g), (b, lambda g: _unbroadcast(g, b.data.shape)))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast("mul", a, b)
     out_data = a.data * b.data
-
-    def backward(g):
-        if a.grad is not None:
-            a.grad += g * b.data
-        if b.grad is not None:
-            b.grad += _unbroadcast(g * a.data, b.data.shape)
-
-    return _out("mul", out_data, backward)
+    return _out("mul", out_data,
+                (a, lambda g: g * b.data), (b, lambda g: _unbroadcast(g * a.data, b.data.shape)))
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -310,22 +294,12 @@ def sigmoid(x: Tensor) -> Tensor:
     out_data = np.where(z >= 0, 1.0 / (1.0 + np.exp(-z)), np.exp(z) / (1.0 + np.exp(z)))
     # keep the open interval (0, 1) representable in float64
     out_data = np.clip(out_data, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
-
-    def backward(g):
-        if x.grad is not None:
-            x.grad += g * out_data * (1.0 - out_data)
-
-    return _out("sigmoid", out_data, backward)
+    return _out("sigmoid", out_data, (x, lambda g: g * out_data * (1.0 - out_data)))
 
 
 def relu(x: Tensor) -> Tensor:
     out_data = np.maximum(x.data, 0.0)
-
-    def backward(g):
-        if x.grad is not None:
-            x.grad += g * (x.data > 0.0)
-
-    return _out("relu", out_data, backward)
+    return _out("relu", out_data, (x, lambda g: g * (x.data > 0.0)))
 
 
 def concat_cols(a: Tensor, b: Tensor) -> Tensor:
@@ -335,14 +309,8 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"concat_cols shapes incompatible: {sa} vs {sb}")
     na = sa[-1]
     out_data = np.concatenate([a.data, np.broadcast_to(b.data, sa[:-1] + sb[-1:])], axis=-1)
-
-    def backward(g):
-        if a.grad is not None:
-            a.grad += g[..., :na]
-        if b.grad is not None:
-            b.grad += _unbroadcast(g[..., na:], sb)
-
-    return _out("concat_cols", out_data, backward)
+    return _out("concat_cols", out_data,
+                (a, lambda g: g[..., :na]), (b, lambda g: _unbroadcast(g[..., na:], sb)))
 
 
 def transpose(a: Tensor, shape: tuple, axes: tuple, out_shape: tuple) -> Tensor:
@@ -354,26 +322,16 @@ def transpose(a: Tensor, shape: tuple, axes: tuple, out_shape: tuple) -> Tensor:
         raise ShapeError(f"transpose axes {axes} are not a permutation of {len(shape)} axes")
     permuted = a.data.reshape(shape).transpose(axes)
     out_data = np.ascontiguousarray(permuted).reshape(out_shape)
-
-    def backward(g):
-        if a.grad is not None:
-            g = g.reshape(permuted.shape).transpose(np.argsort(axes))
-            a.grad += g.reshape(a.data.shape)
-
-    return _out("transpose", out_data, backward)
+    return _out("transpose", out_data, (a, lambda g: (
+        g.reshape(permuted.shape).transpose(np.argsort(axes)).reshape(a.data.shape))))
 
 
 def softmax_rows(x: Tensor) -> Tensor:
     shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     out_data = e / e.sum(axis=-1, keepdims=True)
-
-    def backward(g):
-        if x.grad is not None:
-            dot = (g * out_data).sum(axis=-1, keepdims=True)
-            x.grad += out_data * (g - dot)
-
-    return _out("softmax_rows", out_data, backward)
+    return _out("softmax_rows", out_data,
+                (x, lambda g: out_data * (g - (g * out_data).sum(axis=-1, keepdims=True))))
 
 
 def layernorm_rows(x: Tensor) -> Tensor:
@@ -383,26 +341,20 @@ def layernorm_rows(x: Tensor) -> Tensor:
     inv = 1.0 / np.sqrt(var + _LN_EPS)
     out_data = (x.data - mu) * inv
 
-    def backward(dy):
-        if x.grad is not None:
-            n = x.data.shape[-1]
-            x.grad += inv * (
-                dy
-                - dy.mean(axis=-1, keepdims=True)
-                - out_data * (dy * out_data).sum(axis=-1, keepdims=True) / n
-            )
+    def vjp(dy):
+        n = x.data.shape[-1]
+        return inv * (
+            dy
+            - dy.mean(axis=-1, keepdims=True)
+            - out_data * (dy * out_data).sum(axis=-1, keepdims=True) / n
+        )
 
-    return _out("layernorm_rows", out_data, backward)
+    return _out("layernorm_rows", out_data, (x, vjp))
 
 
 def sum_all(x: Tensor) -> Tensor:
     out_data = np.array([[x.data.sum()]])
-
-    def backward(g):
-        if x.grad is not None:
-            x.grad += g[0, 0]
-
-    return _out("sum_all", out_data, backward)
+    return _out("sum_all", out_data, (x, lambda g: g[0, 0]))
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:
@@ -426,13 +378,12 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     picked = np.arange(labels.size)
     out_data = (-np.log(p[picked, labels])).reshape(shape[:-1] + (1,))
 
-    def backward(g):
-        if logits.grad is not None:
-            d = p.copy()
-            d[picked, labels] -= 1.0
-            logits.grad += (g.reshape(-1, 1) * d).reshape(shape)
+    def vjp(g):
+        d = p.copy()
+        d[picked, labels] -= 1.0
+        return (g.reshape(-1, 1) * d).reshape(shape)
 
-    return _out("cross_entropy", out_data, backward)
+    return _out("cross_entropy", out_data, (logits, vjp))
 
 
 @dataclass

@@ -292,6 +292,22 @@ class TestKFold:
         mc, tc = tiny_cfgs(mode=GatingMode.NONE)
         assert kfold(tiny_corpus(), 2, tc, mc).traces is None
 
+    def test_each_absent_class_is_warned_once_per_fold(self):
+        """Three classes over four folds of two samples: every fold lacks a class,
+        and its metrics say so once."""
+        corpus = generate(SynthSpec(n_samples=8, n_classes=3, d_a=4, d_t=4, len_range_a=(5, 8),
+                                    len_range_t=(4, 7), sparsity=0.3, seed=0))
+        mc, tc = tiny_cfgs()
+        report = kfold(corpus, 4, tc, dataclasses.replace(mc, n_classes=3))
+        labels = corpus.labels()
+        for fold, held_out in zip(report.folds, make_folds(corpus, 4, tc.seed)):
+            absent = set(range(3)) - set(labels[held_out].tolist())
+            assert absent
+            for c in range(3):
+                about_labels = [w for w in fold.metrics.warnings if f"class {c} " in w and "labels" in w]
+                assert about_labels == ([f"class {c} absent from labels; recall set to 0"]
+                                        if c in absent else [])
+
     def test_deterministic(self):
         mc, tc = tiny_cfgs()
         r1 = kfold(tiny_corpus(), 2, tc, mc)

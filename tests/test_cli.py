@@ -11,7 +11,7 @@ import pytest
 from gatedfusion import tensor as T
 from gatedfusion.checkpoint import load_checkpoint, save_checkpoint, save_model
 from gatedfusion.cli import _configs, main
-from gatedfusion.corpus_io import read_corpus
+from gatedfusion.corpus_io import read_corpus, write_corpus
 from gatedfusion.model import FusionModel, ModelConfig
 
 
@@ -164,6 +164,43 @@ class TestTrain:
         model_cfg, train_cfg = _configs(args, read_corpus(corpus_dir))
         assert train_cfg.to_dict() == example["train"]
         assert model_cfg.to_dict().items() >= example["model"].items()
+
+    @staticmethod
+    def half_trained_without_optimizer_state(tmp_path, corpus_dir, train_cfg):
+        """A 2-epoch checkpoint of `train_cfg`, saved again without its optimizer state."""
+        cfg = write_json(tmp_path / "half.json", {**CONFIG, "train": train_cfg})
+        assert main(["train", "--corpus", corpus_dir, "--config", cfg,
+                     "--out", str(tmp_path / "half")]) == 0
+        ckpt = load_checkpoint(str(tmp_path / "half" / "checkpoint.gfck"))
+        stateless = str(tmp_path / "stateless.gfck")
+        save_checkpoint(stateless, ckpt.config,
+                        {k: v for k, v in ckpt.arrays.items() if not k.startswith("opt.")}, ckpt.meta)
+        return stateless
+
+    def test_sgd_resumes_without_optimizer_state(self, tmp_path, corpus_dir):
+        """SGD keeps no state, so a checkpoint without any resumes to the bytes
+        of an unbroken run."""
+        train_cfg = {**CONFIG["train"], "optimizer": "sgd"}
+        stateless = self.half_trained_without_optimizer_state(tmp_path, corpus_dir, train_cfg)
+        long_cfg = write_json(tmp_path / "long.json", {**CONFIG, "train": {**train_cfg, "epochs": 4}})
+        assert main(["train", "--corpus", corpus_dir, "--config", long_cfg,
+                     "--out", str(tmp_path / "full")]) == 0
+        assert main(["train", "--corpus", corpus_dir, "--config", long_cfg, "--resume", stateless,
+                     "--out", str(tmp_path / "resumed")]) == 0
+        full = (tmp_path / "full" / "checkpoint.gfck").read_bytes()
+        assert (tmp_path / "resumed" / "checkpoint.gfck").read_bytes() == full
+
+    def test_adam_resume_without_optimizer_state_refused(self, tmp_path, corpus_dir, capsys):
+        """Adam does not silently restart its moments: the resume fails before --out is made."""
+        stateless = self.half_trained_without_optimizer_state(tmp_path, corpus_dir, CONFIG["train"])
+        long_cfg = write_json(tmp_path / "long.json",
+                              {**CONFIG, "train": {**CONFIG["train"], "epochs": 4}})
+        out = tmp_path / "resumed"
+        capsys.readouterr()
+        assert main(["train", "--corpus", corpus_dir, "--config", long_cfg, "--resume", stateless,
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: optimizer state 't' is missing")
+        assert not out.exists()
 
     def test_resume_config_mismatch_rejected(self, tmp_path, corpus_dir, capsys):
         cfg = write_json(tmp_path / "cfg.json", CONFIG)
@@ -321,6 +358,18 @@ class TestAnalyzeGating:
         assert err.startswith("error:") and "gating disabled" in err
         assert not out.exists()
 
+    def test_corpus_without_energy_is_rejected(self, tmp_path, corpus_dir, trained_dir, capsys):
+        """With no energy channel there is no correlation to report; it fails before --out is made."""
+        corpus = read_corpus(corpus_dir)
+        for s in corpus.samples:
+            s.energy = None
+        write_corpus(corpus, str(tmp_path / "corpus"))
+        out = tmp_path / "gates"
+        assert main(["analyze-gating", "--corpus", str(tmp_path / "corpus"), "--out", str(out),
+                     "--checkpoint", os.path.join(trained_dir, "checkpoint.gfck")]) == 1
+        assert capsys.readouterr().err.startswith("error: no traces carry an energy side channel")
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("error")
     def test_every_frame_diagnostic(self, tmp_path, capsys):
         """At sparsity 1.0 no frame is non-diagnostic: the AUROCs and the
@@ -338,6 +387,29 @@ class TestAnalyzeGating:
         for side in ("a", "t"):
             assert alignment[f"auroc_{side}"] is None and alignment[f"mean_gate_other_{side}"] is None
             assert 0.0 < alignment[f"mean_gate_diag_{side}"] < 1.0
+
+    def test_class_with_one_frame(self, tmp_path, capsys):
+        """A class whose samples hold one acoustic frame between them has no
+        correlation: written empty and printed as undefined, the others still
+        reported."""
+        spec = write_json(tmp_path / "spec.json", {
+            "n_samples": 4, "n_classes": 3, "d_a": 5, "d_t": 5, "len_range_a": [1, 3],
+            "len_range_t": [2, 3], "sparsity": 1.0, "seed": 3})
+        cfg = write_json(tmp_path / "cfg.json", {**CONFIG, "train": {**CONFIG["train"], "epochs": 1}})
+        corpus, run, out = (str(tmp_path / name) for name in ("corpus", "run", "gates"))
+        assert main(["generate", "--spec", spec, "--out", corpus]) == 0
+        assert [len(s.acoustic) for s in read_corpus(corpus).samples if s.label == 1] == [1]
+        assert main(["train", "--corpus", corpus, "--config", cfg, "--out", run]) == 0
+        capsys.readouterr()
+        assert main(["analyze-gating", "--corpus", corpus, "--out", out,
+                     "--checkpoint", os.path.join(run, "checkpoint.gfck")]) == 0
+        printed = capsys.readouterr().out
+        assert "gate-energy r [severity_1]: undefined\n" in printed
+        assert "zero variance" not in printed
+        with open(os.path.join(out, "gate_energy_correlation.csv")) as f:
+            rows = dict(line.strip().split(",") for line in f)
+        assert rows["severity_1"] == ""
+        assert all(-1.0 <= float(rows[c]) <= 1.0 for c in ("healthy", "severity_2", "overall"))
 
     def test_byte_identical_reruns(self, tmp_path, corpus_dir, trained_dir):
         ckpt = os.path.join(trained_dir, "checkpoint.gfck")
@@ -432,12 +504,7 @@ class TestGradcheck:
     def test_corrupted_gradient_fails(self, monkeypatch, capsys):
         def relu_with_doubled_gradient(x):
             out_data = np.maximum(x.data, 0.0)
-
-            def backward(g):
-                if x.grad is not None:
-                    x.grad += 2.0 * g * (x.data > 0.0)
-
-            return T._out("relu", out_data, backward)
+            return T._out("relu", out_data, (x, lambda g: 2.0 * g * (x.data > 0.0)))
 
         monkeypatch.setattr(T, "relu", relu_with_doubled_gradient)
         assert main(["gradcheck", "--mode", "none"]) == 1

@@ -293,6 +293,39 @@ class TestCorruption:
         with pytest.raises(ManifestError):
             read_corpus(path)
 
+    def test_blob_bytes_no_region_claims(self, tmp_path):
+        """Dropping the last record and counting it out of n_samples leaves its
+        bytes in the blob unclaimed."""
+        path = written(tmp_path)
+
+        def drop_last(m):
+            m["samples"].pop()
+            m["n_samples"] -= 1
+
+        edit_manifest(path, drop_last)
+        with pytest.raises(ManifestError, match=r"regions claim \d+ of the blob's \d+ bytes"):
+            read_corpus(path)
+
+    @pytest.mark.parametrize("names", [["a", 1], [], ["a", None, "c"]], ids=["int", "empty", "none"])
+    def test_writer_refuses_class_names_that_are_not_strings(self, tmp_path, names):
+        corpus = small_corpus(n=4)
+        corpus.class_names = names
+        with pytest.raises(ManifestError, match="class_names must be a non-empty list of strings"):
+            write_corpus(corpus, str(tmp_path / "c"))
+        assert not (tmp_path / "c").exists()
+
+    @pytest.mark.parametrize("field, width, message", [
+        ("d_a", 0, r"feature widths must be >= 1, got 0, 4"),
+        ("d_t", -1, r"feature widths must be >= 1, got 5, -1"),
+        ("d_a", 5.0, r"corpus: d_a must be an integer, got 5\.0"),
+    ], ids=["d_a-zero", "d_t-negative", "d_a-float"])
+    def test_writer_refuses_a_width_the_reader_would(self, tmp_path, field, width, message):
+        corpus = small_corpus(n=4)
+        setattr(corpus, field, width)
+        with pytest.raises(ManifestError, match=message):
+            write_corpus(corpus, str(tmp_path / "c"))
+        assert not (tmp_path / "c").exists()
+
 
 def test_mutation_fuzz_raises_only_typed_errors(tmp_path):
     """Random manifest mutations: reads either succeed or fail typed."""

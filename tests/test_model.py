@@ -595,9 +595,9 @@ def recorded_ops(monkeypatch):
     names = []
     record = T.Tape.record
 
-    def counting(tape, name, out, backward):
+    def counting(tape, name, out, vjps):
         names.append(name)
-        record(tape, name, out, backward)
+        record(tape, name, out, vjps)
 
     monkeypatch.setattr(T.Tape, "record", counting)
     return names

@@ -309,6 +309,26 @@ class TestTapeSemantics:
         with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="matmul"):
             recorded_backward(loss_fn)
 
+    def test_vjp_of_a_constant_operand_is_never_called(self):
+        """Backward calls an operand's vjp only when the operand tracks a gradient."""
+        p = T.Parameter("p", np.array([[2.0, -1.0]]))
+        c = T.constant([[3.0, 5.0]])
+        called = []
+
+        def share(name, other):
+            def vjp(g):
+                called.append(name)
+                return g * other.data
+            return vjp
+
+        def loss_fn():
+            product = T._out("product", p.data * c.data, (p, share("p", c)), (c, share("c", p)))
+            return T.sum_all(product)
+
+        recorded_backward(loss_fn)
+        assert called == ["p"]
+        np.testing.assert_array_equal(p.grad, [[3.0, 5.0]])
+
 
 class TestParameters:
     def test_data_and_grad_cannot_be_rebound(self):
@@ -344,11 +364,8 @@ class TestParameters:
 
 
 def nan_gradient(x):
-    """The identity, whose backward hands its input a NaN gradient."""
-    def backward(g):
-        x.grad += g * np.nan
-
-    return T._out("nan_gradient", x.data.copy(), backward)
+    """The identity, whose vjp hands its input a NaN gradient."""
+    return T._out("nan_gradient", x.data.copy(), (x, lambda g: g * np.nan))
 
 
 class TestGradientBuffers:
@@ -606,11 +623,8 @@ class TestGradcheckHarness:
         p = T.Parameter("x", np.array([[3.0]]))
 
         def wrong_square(x):
-            """x * x whose backward gives x instead of 2x."""
-            def backward(g):
-                x.grad += g * x.data
-
-            return T._out("wrong_square", x.data * x.data, backward)
+            """x * x whose vjp gives x instead of 2x."""
+            return T._out("wrong_square", x.data * x.data, (x, lambda g: g * x.data))
 
         def loss_fn():
             return T.sum_all(wrong_square(p))
