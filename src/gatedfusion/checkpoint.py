@@ -6,7 +6,10 @@ header echoes the model config, lists every array's name/shape in blob order,
 records the blob dtype (always ``<f8``; any other value is rejected) and its
 SHA-256. A stored NaN or infinity, an array named twice, or a blob the arrays
 do not exactly cover is rejected on load. Optimizer state rides along as extra
-arrays so training can resume exactly.
+``opt.*`` arrays so training can resume exactly. `save_model` writes no
+non-finite array; `load_model` checks every stored array against the header
+config's `parameter_shapes`, refusing a missing, misshapen or stray one, before
+it builds the model.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 
 from .atomic import atomic_write
 from .errors import ChecksumError, ConfigError, ManifestError, UnsupportedVersionError, from_dict, need
-from .model import FusionModel, ModelConfig
+from .model import FusionModel, ModelConfig, parameter_shapes
 
 MAGIC = b"GFCK"
 FORMAT_VERSION = 1
@@ -131,6 +134,9 @@ def save_model(model: FusionModel, path, optimizer_state: dict[str, np.ndarray] 
     arrays = {p.name: p.data for p in model.parameters()}
     if optimizer_state:
         arrays.update({f"{_OPT_PREFIX}{k}": v for k, v in optimizer_state.items()})
+    for name, a in arrays.items():
+        if not np.all(np.isfinite(a)):
+            raise ManifestError(f"{path}: array {name!r} holds a non-finite value; nothing written")
     save_checkpoint(path, model.cfg.to_dict(), arrays, meta)
 
 
@@ -142,20 +148,15 @@ def load_model(path) -> tuple[FusionModel, Checkpoint]:
         raise ManifestError(f"{path}: {e}") from e
     # the config sizes the model: check them against the stored arrays first,
     # so a forged header cannot make FusionModel allocate without bound
-    d = cfg.d_model
-    for name, shape in (("proj_a.w", (cfg.d_a, d)), ("proj_t.w", (cfg.d_t, d)),
-                        (f"enc_a.{cfg.n_layers - 1}.ffn_w1", (d, d * cfg.ff_mult)),
-                        ("head.w2", (d, cfg.n_classes))):
+    names = set()
+    for name, shape in parameter_shapes(cfg):
         if name not in ckpt.arrays or ckpt.arrays[name].shape != shape:
             raise ManifestError(f"{path}: model config needs array {name!r} of shape {shape}")
+        names.add(name)
+    stray = [n for n in ckpt.arrays if n not in names and not n.startswith(_OPT_PREFIX)]
+    if stray:
+        raise ManifestError(f"{path}: array {stray[0]!r} is neither a model parameter nor optimizer state")
     model = FusionModel(cfg)
     for p in model.parameters():
-        if p.name not in ckpt.arrays:
-            raise ManifestError(f"{path}: checkpoint missing parameter {p.name!r}")
-        stored = ckpt.arrays[p.name]
-        if stored.shape != p.data.shape:
-            raise ManifestError(
-                f"{path}: parameter {p.name!r} shape {stored.shape} != expected {p.data.shape}"
-            )
-        p.data[...] = stored
+        p.data[...] = ckpt.arrays[p.name]
     return model, ckpt

@@ -10,19 +10,19 @@ a modality that is not a (T, d) array of the corpus width, a side channel not
 one value per frame of its modality, a flag channel holding anything but 0/1, a
 label outside the class names, a label or id that is not an integer (a numpy
 integer is written as an int, a bool is refused), an id that an earlier sample
-has, or a value that is not a finite float32. The reader validates version,
-checksum and every region's bounds before touching the blob, so a corrupted
-manifest produces a typed error rather than an out-of-bounds read; a NaN or
-infinite stored value, a repeated id, or blob bytes that no region claims are a
-`ManifestError` too. Each modality is written and read back as its (T, d) array
-of valid rows. A record with a `subject_id` key is rejected: there is no
-subject-level protocol, and the key is not silently dropped.
+has, or a value that is not a finite float32. After version and checksum, the
+reader takes the regions in the layout's order below: one not at the next
+offset is a `BoundsError`, so a corrupted manifest produces a typed error, not
+an out-of-bounds read or one channel read as another. A missing `has_<key>`, a
+NaN or infinite stored value, a repeated id, or blob bytes after the last
+region are a `ManifestError`. Each modality is written and read back as its
+(T, d) array of valid rows. A record with a `subject_id` key is rejected: there
+is no subject-level protocol, and the key is not silently dropped.
 
-Byte layout of `features.bin`: concatenation of the regions referenced by the
-manifest; each region is `count * 4` bytes of `<f4`, where count is T_a*d_a
-(acoustic), T_t*d_t (textual), or, for a side channel, the length T_a or T_t
-of the modality it annotates. A sample's regions follow each other in that
-order, its side channels in the order of `_CHANNEL_KEYS`.
+Byte layout of `features.bin`, which is also the one reading order: per sample,
+the acoustic region, the textual region, then its side channels in the order of
+`_CHANNEL_KEYS`; each region is `count * 4` bytes of `<f4`, where count is
+T_a*d_a, T_t*d_t, or the length T_a or T_t of the modality a channel annotates.
 """
 
 from __future__ import annotations
@@ -159,16 +159,6 @@ def write_corpus(corpus: Corpus, path: str) -> str:
     return checksum
 
 
-def _region(record: dict, key: str, count: int, blob_length: int, label: str) -> tuple[int, int]:
-    start = need(record, key, int, label)
-    length = count * _ITEM
-    if start < 0 or start + length > blob_length:
-        raise BoundsError(
-            f"{label}: region {key!r} [{start}, {start + length}) outside blob of {blob_length} bytes"
-        )
-    return start, length
-
-
 def read_corpus(path: str) -> Corpus:
     manifest_path = os.path.join(path, MANIFEST_NAME)
     blob_path = os.path.join(path, BLOB_NAME)
@@ -209,12 +199,17 @@ def read_corpus(path: str) -> Corpus:
     if hashlib.sha256(blob).hexdigest() != declared_sha:
         raise ChecksumError(f"{blob_path}: blob checksum mismatch")
 
-    regions: list[tuple[int, int]] = []
+    offset = 0
 
     def region_array(rec, key, count, label) -> np.ndarray:
-        start, length = _region(rec, key, count, blob_length, label)
-        regions.append((start, length))
-        arr = np.frombuffer(blob[start : start + length], dtype="<f4").astype(np.float64)
+        nonlocal offset
+        start = need(rec, key, int, label)
+        length = count * _ITEM
+        if start != offset or start + length > blob_length:
+            raise BoundsError(f"{label}: region {key!r} [{start}, {start + length}) is not the next "
+                              f"{length} bytes [{offset}, {offset + length}) of a {blob_length}-byte blob")
+        offset += length
+        arr = np.frombuffer(blob[start:offset], dtype="<f4").astype(np.float64)
         if not np.all(np.isfinite(arr)):
             raise ManifestError(f"{label}: region {key!r} holds a non-finite value")
         return arr
@@ -243,10 +238,7 @@ def read_corpus(path: str) -> Corpus:
         frames = {"acoustic": t_a, "textual": t_t}
         channels = {}
         for name, key in _CHANNEL_KEYS.items():
-            has = rec.get(f"has_{key}", False)
-            if not isinstance(has, bool):
-                raise ManifestError(f"{label_str}: has_{key} must be a boolean")
-            if has:
+            if need(rec, f"has_{key}", bool, label_str):
                 modality, is_flags = SIDE_CHANNELS[name]
                 arr = region_array(rec, f"offset_{key}", frames[modality], label_str)
                 if is_flags:
@@ -257,12 +249,7 @@ def read_corpus(path: str) -> Corpus:
 
         samples.append(Sample(sample_id, label, feats_a, feats_t, **channels))
 
-    regions.sort()
-    for (s1, l1), (s2, _) in zip(regions, regions[1:]):
-        if s1 + l1 > s2:
-            raise BoundsError(f"{manifest_path}: overlapping blob regions at offsets {s1} and {s2}")
-    claimed = sum(length for _, length in regions)
-    if claimed != blob_length:
-        raise ManifestError(f"{manifest_path}: regions claim {claimed} of the blob's {blob_length} bytes")
+    if offset != blob_length:
+        raise ManifestError(f"{manifest_path}: regions claim {offset} of the blob's {blob_length} bytes")
 
     return Corpus(samples, class_names, d_a, d_t)

@@ -58,6 +58,22 @@ class ModelConfig:
         return d
 
 
+def parameter_shapes(cfg: ModelConfig):
+    """Each parameter's (name, shape) in `FusionModel(cfg).parameters()` order,
+    allocating nothing; it repeats the constructors' layout."""
+    d, f, c = cfg.d_model, cfg.d_model * cfg.ff_mult, cfg.n_classes
+    yield from [("proj_a.w", (cfg.d_a, d)), ("proj_a.b", (1, d)), ("proj_t.w", (cfg.d_t, d)),
+                ("proj_t.b", (1, d)), ("gate.w_a", (2 * d, 1)), ("gate.w_t", (2 * d, 1)),
+                ("gate.b_a", (1, 1)), ("gate.b_t", (1, 1))]
+    layer = [("wq", (d, d)), ("wk", (d, d)), ("wv", (d, d)), ("wo", (d, d)), ("bq", (1, d)), ("bv", (1, d)),
+             ("bo", (1, d)), ("ln1_g", (1, d)), ("ln1_b", (1, d)), ("ffn_w1", (d, f)), ("ffn_b1", (1, f)),
+             ("ffn_w2", (f, d)), ("ffn_b2", (1, d)), ("ln2_g", (1, d)), ("ln2_b", (1, d))]
+    for branch in ("enc_a", "enc_t"):
+        for i in range(cfg.n_layers):
+            yield from ((f"{branch}.{i}.{name}", shape) for name, shape in layer)
+    yield from [("head.w1", (2 * d, d)), ("head.b1", (1, d)), ("head.w2", (d, c)), ("head.b2", (1, c))]
+
+
 @dataclass
 class ForwardResult:
     """Logits (B, 1, C); gates (B, T, 1) per modality, or None without gating."""

@@ -200,13 +200,16 @@ def _loglik_revealed(feats: np.ndarray, flags: np.ndarray, spec: SynthSpec, labe
 def _loglik_marginalized(feats: np.ndarray, k: int, spec: SynthSpec, label: int) -> float:
     """log P(X | class), diagnostic positions summed out.
 
-    Positions are a uniform size-k subset, so the marginal is the k-th
-    elementary symmetric polynomial of the per-frame likelihood ratios,
-    computed by a log-space DP over frames.
+    With `contiguous_runs` positions are one run of k frames, so the marginal
+    sums the run's likelihood ratio over its T-k+1 starts. Otherwise they are a
+    uniform size-k subset: the k-th elementary symmetric polynomial of the
+    per-frame likelihood ratios, computed by a log-space DP over frames.
     """
     mu = spec.class_mean(feats.shape[1], label)
     # log ratio of diagnostic vs noise density per frame
     log_r = (feats @ mu - 0.5 * mu @ mu) / spec.noise_sigma**2
+    if spec.contiguous_runs:
+        return float(np.logaddexp.reduce(np.convolve(log_r, np.ones(k), mode="valid")))
     dp = np.full(k + 1, -np.inf)
     dp[0] = 0.0
     for lr in log_r:

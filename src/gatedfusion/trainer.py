@@ -8,14 +8,15 @@ validation runs outside it. `eval_forwards`, the one inference loop, runs
 forwards outside any block, so they record nothing.
 
 A non-finite loss or gradient raises `NonFiniteError` before the optimizer
-steps, with parameters and optimizer state restored to the start of the epoch.
+steps, as does an Adam step whose second moment overflows, with parameters and
+optimizer state restored to the start of the epoch.
 
-The optimizers work on a model's `FlatParameters`: Adam keeps its first and
-second moments as the two rows of one (2, n) array laid out like the parameter
-vector, so a step, a snapshot and a restore are whole-vector ops.
-`state_arrays()` hands out per-parameter views of them (`m.<name>`, `v.<name>`)
-next to the step count `t`, which is what a checkpoint stores; `load_state`
-writes such arrays back in place after checking them.
+An optimizer is `step`, `state_arrays` and `load_state`, working on a model's
+`FlatParameters`: Adam keeps its moments as the two rows of one (2, n) array
+laid out like the parameter vector. `state_arrays()` hands out per-parameter
+views of them (`m.<name>`, `v.<name>`) next to the step count `t`; `load_state`
+writes such arrays back in place after checking them. Checkpoints, `--resume`
+and the epoch rollback all save and restore through that pair.
 
 Shuffle and dropout RNGs are derived from (seed, epoch), so a run resumed at
 an epoch boundary from a float64 checkpoint (parameters + optimizer state)
@@ -81,12 +82,6 @@ class SGD:
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
         pass
 
-    def snapshot(self) -> None:
-        return None
-
-    def restore(self, saved: None) -> None:
-        pass
-
 
 # moment decay rates and denominator epsilon (the defaults of Kingma & Ba)
 _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
@@ -109,6 +104,9 @@ class Adam:
         m += (1 - b1) * g
         v *= b2
         v += (1 - b2) * g * g
+        finite = np.isfinite(v)
+        if not finite.all():
+            raise NonFiniteError(f"second moment of {self.params.name_at(int(finite.argmin()))} overflowed")
         m_hat = m / (1 - b1 ** self.t)
         v_hat = v / (1 - b2 ** self.t)
         self.params.data -= self.lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
@@ -143,13 +141,6 @@ class Adam:
                                 f"m must be finite, v finite and >= 0")
         self.t = int(t)
         self.moments[...] = moments
-
-    def snapshot(self) -> tuple[int, np.ndarray]:
-        return self.t, self.moments.copy()
-
-    def restore(self, saved: tuple[int, np.ndarray]) -> None:
-        self.t = saved[0]
-        self.moments[...] = saved[1]
 
 
 def make_optimizer(model: FusionModel, cfg: TrainConfig):
@@ -217,7 +208,7 @@ def train(
     tape = T.Tape()
     for epoch in range(start_epoch, cfg.epochs):
         snapshot = params.data.copy()
-        opt_snapshot = opt.snapshot()
+        opt_snapshot = {k: v.copy() for k, v in opt.state_arrays().items()}
         shuffle_rng = np.random.default_rng([cfg.seed, 7, epoch])
         dropout_rng = np.random.default_rng([cfg.seed, 11, epoch])
         order = shuffle_rng.permutation(n)
@@ -237,7 +228,7 @@ def train(
                 opt.step()
         except NonFiniteError as e:
             params.data[...] = snapshot
-            opt.restore(opt_snapshot)
+            opt.load_state(opt_snapshot)
             raise NonFiniteError(
                 f"training diverged in epoch {epoch}; parameters and optimizer state "
                 f"restored to start of epoch: {e}"

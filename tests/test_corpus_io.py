@@ -199,6 +199,29 @@ class TestCorruption:
         with pytest.raises(ManifestError, match="subject_id"):
             read_corpus(path)
 
+    def test_swapped_side_channel_regions_rejected(self, tmp_path):
+        """A healthy sample's negative-sentiment flags are all 0 and its textual
+        diagnostic flags are not, over the same frames: swapping their offsets
+        would read one channel as the other. Regions are read in writer order."""
+        path = written(tmp_path)
+        i = [s.label for s in small_corpus(n=4).samples].index(0)
+
+        def swap(m):
+            rec = m["samples"][i]
+            rec["offset_negative_flags"], rec["offset_diag_t"] = rec["offset_diag_t"], rec["offset_negative_flags"]
+
+        edit_manifest(path, swap)
+        with pytest.raises(BoundsError, match=rf"sample\[{i}\]: region 'offset_negative_flags' "
+                                              r"\[\d+, \d+\) is not the next 32 bytes"):
+            read_corpus(path)
+
+    @pytest.mark.parametrize("key", ["has_energy", "has_negative_flags", "has_diag_a", "has_diag_t"])
+    def test_missing_has_key_named(self, tmp_path, key):
+        path = written(tmp_path)
+        edit_manifest(path, lambda m: m["samples"][1].pop(key))
+        with pytest.raises(ManifestError, match=rf"sample\[1\]: missing field '{key}'"):
+            read_corpus(path)
+
     @pytest.mark.parametrize("channel, region, value", [
         ("acoustic", "offset_a", np.nan), ("textual", "offset_t", np.inf), ("energy", "offset_energy", np.nan),
     ])

@@ -1,6 +1,7 @@
 """Classifier forward/train contracts, the batch loss, and checkpointing."""
 
 import gc
+import itertools
 import json
 import re
 import struct
@@ -8,8 +9,8 @@ import struct
 import numpy as np
 import pytest
 
+from gatedfusion import checkpoint, trainer
 from gatedfusion import tensor as T
-from gatedfusion import trainer
 from gatedfusion.analysis import collect_traces
 from gatedfusion.checkpoint import load_checkpoint, load_model, save_checkpoint, save_model
 from gatedfusion.errors import (
@@ -22,7 +23,7 @@ from gatedfusion.errors import (
     UnsupportedVersionError,
 )
 from gatedfusion.gating import GatingMode
-from gatedfusion.model import FusionModel, ModelConfig
+from gatedfusion.model import FusionModel, ModelConfig, parameter_shapes
 from gatedfusion.sequence import pad_batch
 from gatedfusion.synth import SynthSpec, generate
 from gatedfusion.encoder import dropout_keep
@@ -474,6 +475,28 @@ class TestTraining:
         for k in state:
             np.testing.assert_array_equal(after[k], state[k])
 
+    def test_second_moment_overflow_rolls_back(self):
+        """An input of 1e60 keeps every gradient finite, but squaring the gate's
+        overflows Adam's second moment: the step raises and the epoch rolls back."""
+        rng = np.random.default_rng(25)
+        cfg = tiny_cfg()
+        model = FusionModel(cfg)
+        pairs = make_training_pairs(rng, cfg, 4)
+        for a, _, _ in pairs:
+            a[:, 0] = 1e60
+        tc = TrainConfig(learning_rate=1e-3, epochs=2, batch_size=2)
+        opt = make_optimizer(model, tc)
+        params = model.parameters().data.copy()
+        state = {k: v.copy() for k, v in opt.state_arrays().items()}
+        with np.errstate(all="ignore"), pytest.raises(
+                NonFiniteError, match="epoch 0; .*second moment of gate.w_a overflowed"):
+            train(model, pairs, tc, optimizer=opt)
+        np.testing.assert_array_equal(model.parameters().data, params)
+        after = opt.state_arrays()
+        assert after.keys() == state.keys()
+        for k in state:
+            np.testing.assert_array_equal(after[k], state[k])
+
     def test_evaluate_matches_one_sample_at_a_time(self):
         """Chunked evaluation gives each sample's own loss and prediction."""
         rng = np.random.default_rng(21)
@@ -741,6 +764,49 @@ class TestCheckpoint:
         path.write_bytes(rewrite_header(path.read_bytes(), edit))
         with pytest.raises(ManifestError, match="proj_a.w"):
             load_model(path)
+
+    def test_layout_checked_before_anything_is_built(self, tmp_path, monkeypatch):
+        """A header whose n_layers is raised from 1 to 3, with the last layer's
+        ffn_w1 added, is refused at the first missing array without building."""
+        model = FusionModel(tiny_cfg())
+        arrays = {p.name: p.data for p in model.parameters()}
+        arrays["enc_a.2.ffn_w1"] = np.zeros((8, 16))
+        path = tmp_path / "model.gfck"
+        save_checkpoint(path, {**model.cfg.to_dict(), "n_layers": 3}, arrays)
+
+        def refuse(cfg):
+            raise AssertionError("FusionModel built before the layout was checked")
+
+        monkeypatch.setattr(checkpoint, "FusionModel", refuse)
+        with pytest.raises(ManifestError, match=r"needs array 'enc_a\.1\.wq' of shape \(8, 8\)"):
+            load_model(path)
+
+    def test_arrays_beyond_the_config_rejected(self, tmp_path):
+        """A 2-layer checkpoint whose header says 1 layer would drop the second layer."""
+        path = tmp_path / "model.gfck"
+        save_model(FusionModel(tiny_cfg(n_layers=2)), path)
+        path.write_bytes(rewrite_header(path.read_bytes(), _set("config", "n_layers", 1)))
+        with pytest.raises(ManifestError, match=r"array 'enc_a\.1\.wq' is neither a model parameter"):
+            load_model(path)
+
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    def test_parameter_shapes_match_the_model(self, n_layers):
+        for ff_mult, n_classes, d_model, n_heads in itertools.product((1, 4), (2, 4), (4, 8), (1, 2)):
+            cfg = tiny_cfg(n_layers=n_layers, ff_mult=ff_mult, n_classes=n_classes, d_model=d_model,
+                           n_heads=n_heads)
+            assert list(parameter_shapes(cfg)) == [(p.name, p.data.shape)
+                                                   for p in FusionModel(cfg).parameters()]
+
+    @pytest.mark.parametrize("name", ["head.b2", "opt.v.gate.w_a"])
+    def test_save_refuses_a_non_finite_array(self, tmp_path, name):
+        model = FusionModel(tiny_cfg())
+        state = {k: v.copy() for k, v in make_optimizer(model, TrainConfig()).state_arrays().items()}
+        (model.head_b2.data if name == "head.b2" else state["v.gate.w_a"])[0, 0] = np.inf
+        path = tmp_path / "model.gfck"
+        path.write_bytes(b"old")
+        with pytest.raises(ManifestError, match=rf"array '{re.escape(name)}' holds a non-finite value"):
+            save_model(model, path, optimizer_state=state)
+        assert path.read_bytes() == b"old"
 
     def test_1000_header_mutations_raise_typed_errors(self, tmp_path):
         """Criterion 10b's manifest fuzz, applied to the checkpoint header."""

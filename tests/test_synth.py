@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gatedfusion.errors import ConfigError
-from gatedfusion.synth import SynthSpec, bayes_oracle_accuracy, generate, model_inputs
+from gatedfusion.synth import SynthSpec, _loglik_marginalized, bayes_oracle_accuracy, generate, model_inputs
 
 
 def small_spec(**kw):
@@ -145,6 +145,19 @@ class TestOracle:
         chance = 1.0 / 3.0
         assert abs(report.revealed - chance) < 0.12
         assert abs(report.marginalized - chance) < 0.12
+
+    def test_contiguous_marginal_sums_over_runs(self):
+        """With contiguous runs the marginal likelihood matches a brute-force sum
+        over the T - k + 1 runs the generator can place, not over all k-subsets."""
+        spec = small_spec(contiguous_runs=True, noise_sigma=0.8)
+        rng = np.random.default_rng(12)
+        mu = spec.class_mean(spec.d_a, 1)
+        for t_len in range(3, 12):
+            feats = rng.normal(size=(t_len, spec.d_a))
+            log_r = (feats @ mu - 0.5 * mu @ mu) / spec.noise_sigma**2
+            for k in range(1, t_len + 1):
+                brute = np.logaddexp.reduce([log_r[s : s + k].sum() for s in range(t_len - k + 1)])
+                assert _loglik_marginalized(feats, k, spec, 1) == pytest.approx(brute, abs=1e-10)
 
     def test_marginalized_not_better_than_revealed(self):
         report = bayes_oracle_accuracy(small_spec(), n_eval=120)
