@@ -4,15 +4,27 @@ Builds a deliberately tiny model (every parameter still present), a fixed
 2-sample batch, and runs the finite-difference gradcheck over all parameters
 of the loss the trainer minimises (`trainer.batch_loss`), with dropout off in
 float64.
+
+The probes run through `grouped_probe`: one forward per parameter gives all
+of its probe losses. The batch is tiled K = 2 x size times, and the parameter
+is replaced by a (K, m, n) stack whose j-th matrix carries probe j's one moved
+entry. Under the stack rule of `tensor`, matrix j serves the j-th copy of the
+batch, so each op does per copy exactly what it does for the batch alone (one
+GEMM over a copy's rows, like the batch's own), and every probe loss equals
+the one-at-a-time probe's bit for bit.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 
 from . import tensor as T
+from .errors import ConfigError
 from .gating import GatingMode
 from .model import FusionModel, ModelConfig
+from .sequence import pad_batch
 from .trainer import batch_loss
 
 
@@ -39,9 +51,52 @@ def probe_batch(cfg: ModelConfig, seed: int = 11) -> list[tuple[np.ndarray, np.n
     return batch
 
 
+@contextmanager
+def _standing_in(model: FusionModel, p: T.Parameter, stand_in: T.Tensor):
+    """`stand_in` in the model's slot for `p`; `p` is put back on leaving, also
+    on an exception."""
+    for owner in (model, model.gating, *model.enc_a, *model.enc_t):
+        for attr, value in vars(owner).items():
+            if value is p:
+                setattr(owner, attr, stand_in)
+                try:
+                    yield
+                finally:
+                    setattr(owner, attr, p)
+                return
+    raise ConfigError(f"parameter {p.name!r} is not one of the model's")
+
+
+def grouped_probe(model: FusionModel, batch):
+    """A `tensor.gradcheck` probe of `batch_loss(model, batch)` that runs one
+    forward per parameter (see the module docstring).
+
+    Probe j's loss is its copy's per-sample losses times 1/B, each copy summed
+    as `batch_loss` sums its batch. The parameter itself is never written.
+    """
+    seqs_a, seqs_t, labels = zip(*batch)
+    n = len(batch)
+
+    def probe(p: T.Parameter, step: float) -> np.ndarray:
+        size, flat = p.data.size, p.data.reshape(-1)
+        k = 2 * size
+        # row j < size moves entry j by +step, row size + j moves it by -step
+        stack = np.tile(flat, (k, 1))
+        entries = np.arange(size)
+        stack[entries, entries] = flat + step
+        stack[size + entries, entries] = flat - step
+        with _standing_in(model, p, T.Tensor(stack.reshape(k, *p.data.shape))):
+            logits = model.forward(pad_batch(seqs_a * k), pad_batch(seqs_t * k)).logits
+        scaled = T.cross_entropy(logits, labels * k).data.reshape(k, n) * (1 / n)
+        return np.array([row.sum() for row in scaled]).reshape(2, size)
+
+    return probe
+
+
 def full_model_gradcheck(gating_mode: GatingMode, step: float = 1e-5, tol: float = 1e-4) -> T.GradcheckReport:
     """Gradcheck of the mean loss `batch_loss` gives the trainer, on the probe batch."""
     cfg = tiny_config(gating_mode)
     model = FusionModel(cfg)
     batch = probe_batch(cfg)
-    return T.gradcheck(lambda: batch_loss(model, batch)[0], model.parameters(), step=step, tol=tol)
+    return T.gradcheck(lambda: batch_loss(model, batch)[0], model.parameters(), step=step, tol=tol,
+                       probe=grouped_probe(model, batch))

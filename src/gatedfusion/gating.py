@@ -59,7 +59,8 @@ def gate_sequence(features: T.Tensor, mask: np.ndarray, context: T.Tensor, w: T.
     forced to 0.
     """
     d = features.data.shape[-1]
-    if w.data.shape != (2 * d, 1):
+    # one matrix, or a stack of them under the stack rule of `tensor`
+    if w.data.shape[-2:] != (2 * d, 1):
         raise ShapeError(f"gate projection must be ({2 * d}, 1), got {w.data.shape}")
     pre = T.add(T.matmul(T.concat_cols(features, context), w), b)
     gates = T.sigmoid(pre)

@@ -29,18 +29,25 @@ one's op-output gradients, and the buffers go with the tape on return. A
 parameter's `.grad` is its own storage (for a model's parameters, a view of the
 model's flat gradient vector, see `FlatParameters`) and is never reused this way.
 
-`add(a, b)` and `mul(a, b)` broadcast `b` against `a`, whose matrices are
-m x n: `b`'s matrices may be m x n, a 1 x n row, an m x 1 column or a 1 x 1
-scalar, and `b` is either a stack of `a`'s length or one matrix. The result has
-`a`'s shape. Any other pair of shapes raises `ShapeError`.
+A second operand `b` of `add`, `mul`, `matmul` and `concat_cols` follows one
+stack rule (`_groups`): it is one matrix, which serves every matrix of `a`, or a
+stack whose length K divides the length N of `a`'s stack, whose k-th matrix
+serves the k-th group of N / K consecutive matrices of `a`. K = N is the one by
+one case; K < N lets a stack of K parameter copies serve K copies of a
+minibatch, which is how the full-model gradcheck runs all of a parameter's
+probes in one forward (see `diagnostics`). A grouped operand's gradient sums
+over its group. `matmul` also takes a matrix `a` times a stack `b`.
 
-`matmul` multiplies matrix by matrix, stack by matrix (one GEMM over the
-stacked rows), matrix by stack, or stack by stack. `transpose` permutes the axes
-of a value viewed as another shape (a matrix swap, attention's head split and
-merge); `concat_cols`, `softmax_rows` and `layernorm_rows` act on the last axis.
-`concat_cols(a, b)` appends `b`'s columns to `a`'s: `b` is a stack of `a`'s
-length or one matrix, as for `add`, and its matrices have `a`'s rows or one
-row, which is repeated down every row of `a`.
+`add(a, b)` and `mul(a, b)` broadcast `b`'s matrices against `a`'s, which are
+m x n: `b`'s may be m x n, a 1 x n row, an m x 1 column or a 1 x 1 scalar. The
+result has `a`'s shape. `matmul` runs a stack times a matrix as one GEMM over
+the stacked rows, and a stack times a grouped stack as one GEMM per group over
+the group's rows. `transpose` permutes the axes of a value viewed as another
+shape (a matrix swap, attention's head split and merge); `concat_cols`,
+`softmax_rows` and `layernorm_rows` act on the last axis. `concat_cols(a, b)`
+appends `b`'s columns to `a`'s: `b`'s matrices have `a`'s rows or one row,
+which is repeated down every row of `a`. Any other pair of shapes raises
+`ShapeError`.
 """
 
 from __future__ import annotations
@@ -241,16 +248,39 @@ def _swap(x: np.ndarray) -> np.ndarray:
     return np.swapaxes(x, -1, -2)
 
 
+def _groups(op: str, sa: tuple, sb: tuple) -> int:
+    """The number of matrices in a second operand of shape `sb` against a first
+    of shape `sa`, 0 for one matrix, under the module's stack rule: a stack's
+    length must divide the length of `a`'s stack."""
+    if len(sb) == 2:
+        return 0
+    if len(sa) == len(sb) == 3 and (sb[0] == sa[0] or sb[0] and sa[0] % sb[0] == 0):
+        return sb[0]
+    raise ShapeError(f"{op} shapes incompatible: {sa} vs {sb}")
+
+
+def _by_group(x: np.ndarray, k: int) -> np.ndarray:
+    """A stack viewed as k groups of consecutive matrices, (k, N / k, m, n)."""
+    return x.reshape(k, -1, *x.shape[1:])
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     sa, sb = a.data.shape, b.data.shape
-    if sa[-1] != sb[-2] or (len(sa) == len(sb) == 3 and sa[0] != sb[0]):
+    if sa[-1] != sb[-2]:
         raise ShapeError(f"matmul shapes incompatible: {sa} x {sb}")
-    if len(sa) == 3 and len(sb) == 2:
+    k = _groups("matmul", sa, sb) if len(sa) == 3 else None
+    if k == 0:
         # a stack times a matrix: one GEMM over all stacked rows
         rows = a.data.reshape(-1, sa[2])
         out_data = (rows @ b.data).reshape(sa[0], sa[1], sb[1])
         vjps = ((a, lambda g: (g.reshape(-1, sb[1]) @ b.data.T).reshape(sa)),
                 (b, lambda g: rows.T @ g.reshape(-1, sb[1])))
+    elif k and k != sa[0]:
+        # a stack times a grouped stack: one GEMM per group over its stacked rows
+        rows = a.data.reshape(k, -1, sa[2])
+        out_data = (rows @ b.data).reshape(sa[0], sa[1], sb[2])
+        vjps = ((a, lambda g: (g.reshape(k, -1, sb[2]) @ _swap(b.data)).reshape(sa)),
+                (b, lambda g: _swap(rows) @ g.reshape(k, -1, sb[2])))
     else:
         out_data = a.data @ b.data
         vjps = ((a, lambda g: _unbroadcast(g @ _swap(b.data), sa)),
@@ -258,12 +288,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _out("matmul", out_data, *vjps)
 
 
-def _check_broadcast(op: str, a: Tensor, b: Tensor) -> None:
+def _check_broadcast(op: str, a: Tensor, b: Tensor) -> int:
+    """`b`'s matrix count (`_groups`), after checking its matrices broadcast
+    against `a`'s."""
     sa, sb = a.data.shape, b.data.shape
     (m, n), (p, q) = sa[-2:], sb[-2:]
-    # b is a stack of a's length or one matrix
-    if sb[:-2] not in ((), sa[:-2]) or p not in (1, m) or q not in (1, n):
+    if p not in (1, m) or q not in (1, n):
         raise ShapeError(f"{op} shapes incompatible: {sa} vs {sb}")
+    return _groups(op, sa, sb)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -275,15 +307,31 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.sum(axis=axes).reshape(shape)
 
 
+def _group_grad(g: np.ndarray, k: int, sb: tuple) -> np.ndarray:
+    """The gradient of a grouped stack of shape `sb` from its share `g` of a's
+    shape: summed over each group and over `b`'s broadcast axes."""
+    return _unbroadcast(_by_group(g, k), (k, 1, *sb[1:])).reshape(sb)
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast("add", a, b)
+    k = _check_broadcast("add", a, b)
+    if k and k != a.data.shape[0]:
+        sb = b.data.shape
+        out_data = (_by_group(a.data, k) + b.data[:, None]).reshape(a.data.shape)
+        return _out("add", out_data, (a, lambda g: g), (b, lambda g: _group_grad(g, k, sb)))
     out_data = a.data + b.data
     return _out("add", out_data,
                 (a, lambda g: g), (b, lambda g: _unbroadcast(g, b.data.shape)))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast("mul", a, b)
+    k = _check_broadcast("mul", a, b)
+    if k and k != a.data.shape[0]:
+        sb, grouped = b.data.shape, b.data[:, None]
+        out_data = (_by_group(a.data, k) * grouped).reshape(a.data.shape)
+        return _out("mul", out_data,
+                    (a, lambda g: (_by_group(g, k) * grouped).reshape(g.shape)),
+                    (b, lambda g: _group_grad(g * a.data, k, sb)))
     out_data = a.data * b.data
     return _out("mul", out_data,
                 (a, lambda g: g * b.data), (b, lambda g: _unbroadcast(g * a.data, b.data.shape)))
@@ -304,10 +352,16 @@ def relu(x: Tensor) -> Tensor:
 
 def concat_cols(a: Tensor, b: Tensor) -> Tensor:
     sa, sb = a.data.shape, b.data.shape
-    # b is a stack of a's length or one matrix, with a's rows or one row
-    if sb[:-2] not in ((), sa[:-2]) or sb[-2] not in (1, sa[-2]):
+    # b's matrices have a's rows or one row
+    if sb[-2] not in (1, sa[-2]):
         raise ShapeError(f"concat_cols shapes incompatible: {sa} vs {sb}")
+    k = _groups("concat_cols", sa, sb)
     na = sa[-1]
+    if k and k != sa[0]:
+        cols = np.broadcast_to(np.repeat(b.data, sa[0] // k, axis=0), sa[:-1] + sb[-1:])
+        out_data = np.concatenate([a.data, cols], axis=-1)
+        return _out("concat_cols", out_data,
+                    (a, lambda g: g[..., :na]), (b, lambda g: _group_grad(g[..., na:], k, sb)))
     out_data = np.concatenate([a.data, np.broadcast_to(b.data, sa[:-1] + sb[-1:])], axis=-1)
     return _out("concat_cols", out_data,
                 (a, lambda g: g[..., :na]), (b, lambda g: _unbroadcast(g[..., na:], sb)))
@@ -415,18 +469,49 @@ class GradcheckReport:
         return "\n".join(lines)
 
 
-def gradcheck(loss_fn, params: list[Parameter], step: float = 1e-5, tol: float = 1e-4) -> GradcheckReport:
+def probe_one_at_a_time(loss_fn):
+    """The default probe of `gradcheck`: for each entry of a parameter in turn,
+    `loss_fn()` with the entry moved by +step, then by -step, run with no block
+    open. The entry is restored after each, also when `loss_fn` raises."""
+
+    def probe(p: Tensor, step: float) -> np.ndarray:
+        flat = p.data.reshape(-1)
+        losses = np.empty((2, flat.size))
+        for i in range(flat.size):
+            orig = flat[i]
+            try:
+                flat[i] = orig + step
+                losses[0, i] = loss_fn().item()
+                flat[i] = orig - step
+                losses[1, i] = loss_fn().item()
+            finally:
+                flat[i] = orig
+        return losses
+
+    return probe
+
+
+def gradcheck(loss_fn, params: list[Parameter], step: float = 1e-5, tol: float = 1e-4,
+              probe=None) -> GradcheckReport:
     """Compare analytic gradients of loss_fn against central finite differences.
 
     loss_fn builds the scalar loss Tensor from the current contents of
-    `params`. It runs once inside a `with Tape()` block for the analytic
-    gradient, and with no block for each finite-difference probe, so the probes
-    record nothing. A NaN relative error fails its entry.
+    `params`; it runs once inside a `with Tape()` block for the analytic
+    gradient. `probe(p, step)` gives the finite-difference probe losses of
+    parameter `p`, a (2, p.data.size) array: row 0 the loss with entry i of
+    `p.data` (in flat order) moved by +step, row 1 by -step, every other entry
+    as it is. It must leave `p` as it found it. The default,
+    `probe_one_at_a_time(loss_fn)`, runs loss_fn once per probe with no block
+    open, so the probes record nothing; `diagnostics.grouped_probe` gives the
+    same losses from one forward per parameter. A NaN relative error fails its
+    entry.
     """
     if not (math.isfinite(step) and step > 0):
         raise ConfigError(f"gradcheck step must be finite and > 0, got {step}")
     if not (math.isfinite(tol) and tol >= 0):
         raise ConfigError(f"gradcheck tol must be finite and >= 0, got {tol}")
+    if probe is None:
+        probe = probe_one_at_a_time(loss_fn)
     for p in params:
         p.zero_grad()
     with Tape() as tape:
@@ -436,19 +521,11 @@ def gradcheck(loss_fn, params: list[Parameter], step: float = 1e-5, tol: float =
 
     entries = []
     for p in params:
-        g_a = analytic[p.name]
-        rels = []
-        flat = p.data.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            f_plus = loss_fn().item()
-            flat[i] = orig - step
-            f_minus = loss_fn().item()
-            flat[i] = orig
-            g_n = (f_plus - f_minus) / (2.0 * step)
-            g = g_a.reshape(-1)[i]
-            rels.append(abs(g - g_n) / max(abs(g), abs(g_n), 1e-8))
+        f_plus, f_minus = probe(p, step)
+        g_n = (f_plus - f_minus) / (2.0 * step)
+        g = analytic[p.name].reshape(-1)
+        # np.maximum and np.max keep a NaN; the builtin max may drop it
+        rels = np.abs(g - g_n) / np.maximum(np.maximum(np.abs(g), np.abs(g_n)), 1e-8)
         max_rel = float(np.max(rels))
         entries.append(GradcheckEntry(p.name, max_rel, max_rel <= tol))
     return GradcheckReport(entries, tol)

@@ -15,7 +15,8 @@ An optimizer is `step`, `state_arrays` and `load_state`, working on a model's
 `FlatParameters`: Adam keeps its moments as the two rows of one (2, n) array
 laid out like the parameter vector. `state_arrays()` hands out per-parameter
 views of them (`m.<name>`, `v.<name>`) next to the step count `t`; `load_state`
-writes such arrays back in place after checking them. Checkpoints, `--resume`
+writes such arrays back in place after checking them, and refuses an array the
+optimizer does not keep (SGD keeps none). Checkpoints, `--resume`
 and the epoch rollback all save and restore through that pair.
 
 Shuffle and dropout RNGs are derived from (seed, epoch), so a run resumed at
@@ -80,7 +81,8 @@ class SGD:
         return {}
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        pass
+        if arrays:
+            raise ManifestError(f"optimizer state {min(arrays)!r} is not SGD state; SGD keeps none")
 
 
 # moment decay rates and denominator epsilon (the defaults of Kingma & Ba)
@@ -124,6 +126,9 @@ class Adam:
         shapes = {"t": (1, 1)}
         for p in self.params:
             shapes[f"m.{p.name}"] = shapes[f"v.{p.name}"] = p.data.shape
+        stray = sorted(set(arrays) - set(shapes))
+        if stray:
+            raise ManifestError(f"optimizer state {stray[0]!r} is not Adam state")
         for key, shape in shapes.items():
             if key not in arrays or arrays[key].shape != shape:
                 raise ManifestError(f"optimizer state {key!r} is missing or not of shape {shape}")

@@ -463,6 +463,21 @@ class TestUnusableInputsAndOutputs:
         err = capsys.readouterr().err
         assert err.startswith("error:") and repr(name[len("opt."):]) in err and "diverged" not in err
 
+    def test_stray_optimizer_state_refused_on_resume(self, tmp_path, corpus_dir, trained_dir, capsys):
+        """A checkpoint with an optimizer array Adam does not keep loads, and
+        `--resume` refuses it by name before --out is made."""
+        ckpt = load_checkpoint(os.path.join(trained_dir, "checkpoint.gfck"))
+        bad = str(tmp_path / "stray.gfck")
+        save_checkpoint(bad, ckpt.config, {**ckpt.arrays, "opt.junk": np.zeros((1, 1))}, ckpt.meta)
+        cfg = write_json(tmp_path / "cfg.json", CONFIG)
+        out = tmp_path / "o"
+        capsys.readouterr()
+        assert main(["train", "--corpus", corpus_dir, "--config", cfg, "--resume", bad,
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'junk'" in err and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["evaluate", "analyze-gating"])
     def test_checkpoint_input_widths_must_match_corpus(self, tmp_path, corpus_dir, capsys, command):
         """A checkpoint built for other input widths fails before --out is made."""

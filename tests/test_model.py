@@ -336,6 +336,21 @@ class TestTraining:
             fresh.load_state(state)
         assert fresh.t == 0 and not fresh.moments.any()
 
+    def test_load_state_refuses_state_the_optimizer_does_not_keep(self):
+        """Adam refuses a key besides t, m.<name> and v.<name>; SGD, which keeps no
+        state, refuses any array, Adam's moments included. Each names the key."""
+        model = FusionModel(tiny_cfg())
+        adam = make_optimizer(model, TrainConfig())
+        state = {k: v.copy() for k, v in adam.state_arrays().items()}
+        fresh = Adam(model.parameters(), 1e-3)
+        with pytest.raises(ManifestError, match="'junk'"):
+            fresh.load_state({**state, "junk": np.zeros((1, 1))})
+        assert fresh.t == 0 and not fresh.moments.any()
+        sgd = make_optimizer(model, TrainConfig(optimizer="sgd"))
+        with pytest.raises(ManifestError, match=re.escape(f"{min(state)!r} is not SGD state")):
+            sgd.load_state(state)
+        sgd.load_state({})
+
     def test_adam_load_state_takes_a_negative_first_moment(self):
         model = FusionModel(tiny_cfg())
         opt = make_optimizer(model, TrainConfig())

@@ -124,9 +124,14 @@ class TestElementwise:
         np.testing.assert_array_equal(out.data[..., 1], [[5, 5, 5], [7, 7, 7]])
         out = T.concat_cols(T.constant(np.zeros((3, 1))), T.constant([[5.0, 6.0]]))
         np.testing.assert_array_equal(out.data, [[0, 5, 6]] * 3)
-        # rows neither 1 nor a's count, then a stack of another length (or under a matrix)
+        # a stack of one matrix serves the whole stack, as that matrix does
+        a = np.arange(12.0).reshape(2, 3, 2)
+        np.testing.assert_array_equal(T.concat_cols(T.constant(a), T.constant([[[5.0]]])).data,
+                                      T.concat_cols(T.constant(a), T.constant([[5.0]])).data)
+        # rows neither 1 nor a's count, then a stack whose length does not divide a's
+        # (or under a matrix)
         for a_shape, b_shape in [((3, 2), (2, 1)), ((2, 3, 2), (2, 2, 1)),
-                                 ((2, 3, 2), (3, 1, 1)), ((2, 3, 2), (1, 1, 1)), ((3, 2), (2, 1, 1))]:
+                                 ((2, 3, 2), (3, 1, 1)), ((3, 2), (2, 1, 1))]:
             with pytest.raises(ShapeError, match=re.escape(f"{a_shape} vs {b_shape}")):
                 T.concat_cols(T.constant(np.zeros(a_shape)), T.constant(np.zeros(b_shape)))
 
@@ -160,7 +165,8 @@ class TestElementwise:
         np.testing.assert_allclose(out.var(axis=1), 1.0, atol=1e-4)
 
     def test_shape_mismatch(self):
-        """b must be a's shape, a 1xn row, an mx1 column or 1x1; the error names both shapes."""
+        """b's matrices must be a's shape, a 1xn row, an mx1 column or 1x1, and b one
+        matrix or a stack whose length divides a's; the error names both shapes."""
         a = T.constant(np.zeros((2, 3)))
         stack = T.constant(np.zeros((2, 2, 3)))
         for op in (T.add, T.mul):
@@ -168,15 +174,97 @@ class TestElementwise:
             for b_shape in [(3, 2), (2, 2), (1, 2), (3, 1), (3, 3), (4, 2, 3)]:
                 with pytest.raises(ShapeError, match=re.escape(f"(2, 3) vs {b_shape}")):
                     op(a, T.constant(np.zeros(b_shape)))
-            # a stack of another length
-            for b_shape in [(3, 2, 3), (1, 1, 3)]:
+            # a stack whose length does not divide a's
+            for b_shape in [(3, 2, 3), (4, 2, 3)]:
                 with pytest.raises(ShapeError, match=re.escape(f"(2, 2, 3) vs {b_shape}")):
                     op(stack, T.constant(np.zeros(b_shape)))
+            # a stack of one row serves the whole stack, bit for bit as the row does
+            rng = np.random.default_rng(3)
+            a3, row = T.constant(rng.normal(size=(2, 2, 3))), rng.normal(size=(1, 3))
+            assert op(a3, T.constant(row[None])).data.tobytes() == op(a3, T.constant(row)).data.tobytes()
             # the first operand may not be the smaller one
             with pytest.raises(ShapeError):
                 op(T.constant(np.zeros((1, 3))), a)
             with pytest.raises(ShapeError):
                 op(T.constant(np.zeros((1, 1))), a)
+
+
+# an (N, M, ...) first operand against grouped stacks of K = 1, N / 2 and N matrices
+N, M, MID, COLS = 6, 3, 5, 4
+
+
+def grouped_cases(k):
+    """(op, a's shape, b's shape) for each grouped second operand of k matrices."""
+    cases = [(op, (N, M, COLS), (k, p, q)) for op in (T.add, T.mul)
+             for p, q in [(M, COLS), (1, COLS), (M, 1), (1, 1)]]
+    cases.append((T.matmul, (N, M, MID), (k, MID, COLS)))
+    cases += [(T.concat_cols, (N, M, MID), (k, p, COLS)) for p in (M, 1)]
+    return cases
+
+
+def case_id(case):
+    op, sa, sb = case
+    return f"{op.__name__}-{sb}"
+
+
+@pytest.mark.parametrize("k", [1, N // 2, N])
+class TestGroupedOperand:
+    """A stack of K matrices as second operand: matrix j serves the j-th run of
+    N / K consecutive matrices of the first."""
+
+    def test_each_group_is_the_matrix_op_bit_for_bit(self, k):
+        rng = np.random.default_rng(k)
+        g = N // k
+        for op, sa, sb in grouped_cases(k):
+            a, b = rng.normal(size=sa), rng.normal(size=sb)
+            out = op(T.constant(a), T.constant(b)).data
+            for j in range(k):
+                want = op(T.constant(a[j * g : (j + 1) * g]), T.constant(b[j])).data
+                assert out[j * g : (j + 1) * g].tobytes() == want.tobytes(), case_id((op, sa, sb))
+
+    def test_vjps_match_an_einsum_oracle(self, k):
+        """The loss sum(op(a, b) * W): a's gradient per group, b's summed over its group."""
+        rng = np.random.default_rng(10 + k)
+        g = N // k
+        for op, sa, sb in [case for case in grouped_cases(k) if case[0] is not T.concat_cols]:
+            a, b = rng.normal(size=sa), rng.normal(size=sb)
+            x, y = T.Tensor(a, np.zeros_like(a)), T.Tensor(b, np.zeros_like(b))
+            with T.Tape() as tape:
+                out = op(x, y)
+                w = rng.normal(size=out.data.shape)
+                loss = T.sum_all(T.mul(out, T.constant(w)))
+            tape.backward(loss)
+            a4, w4 = a.reshape(k, g, *sa[1:]), w.reshape(k, g, *w.shape[1:])
+            if op is T.matmul:
+                want_a = np.einsum("kgmn,krn->kgmr", w4, b)
+                want_b = np.einsum("kgmr,kgmn->krn", a4, w4)
+            else:
+                # b's own axes: m and n where b has a's rows and columns
+                sub = "k" + "m" * (sb[1] == M) + "n" * (sb[2] == COLS)
+                b_sq = b.reshape([d for d, keep in zip(sb, (True, sb[1] == M, sb[2] == COLS)) if keep])
+                if op is T.add:
+                    want_a = w4
+                    want_b = np.einsum(f"kgmn->{sub}", w4)
+                else:
+                    want_a = np.einsum(f"kgmn,{sub}->kgmn", w4, b_sq)
+                    want_b = np.einsum(f"kgmn,kgmn->{sub}", w4, a4)
+            np.testing.assert_allclose(x.grad, want_a.reshape(sa), rtol=1e-12, atol=1e-13,
+                                       err_msg=case_id((op, sa, sb)))
+            np.testing.assert_allclose(y.grad, want_b.reshape(sb), rtol=1e-12, atol=1e-13,
+                                       err_msg=case_id((op, sa, sb)))
+
+    def test_gradients_match_central_differences(self, k):
+        for i, (op, sa, sb) in enumerate(grouped_cases(k)):
+            fd_check(lambda ps: op(ps[0], ps[1]), [sa, sb], seed=20 + i)
+
+
+@pytest.mark.parametrize("k", [N // 2, N])
+def test_grouped_operand_length_must_divide(k):
+    """A stack of K matrices against a stack of N + 1, which K does not divide."""
+    for op, sa, sb in grouped_cases(k):
+        a = T.constant(np.zeros((N + 1, *sa[1:])))
+        with pytest.raises(ShapeError, match=re.escape(f"{a.shape} vs {sb}")):
+            op(a, T.constant(np.zeros(sb)))
 
 
 class TestTranspose:
@@ -630,6 +718,22 @@ class TestGradcheckHarness:
             return T.sum_all(wrong_square(p))
 
         assert not T.gradcheck(loss_fn, [p]).passed
+
+    def test_a_probe_that_raises_leaves_the_parameter_as_it_was(self):
+        p = T.Parameter("x", np.array([[3.0, -2.0]]))
+        before = p.data.copy()
+        calls = []
+
+        def loss_fn():
+            # the first call is the analytic pass, the second the first probe
+            calls.append(len(calls))
+            if len(calls) == 2:
+                raise RuntimeError("probe failed")
+            return T.sum_all(T.mul(p, p))
+
+        with pytest.raises(RuntimeError, match="probe failed"):
+            T.gradcheck(loss_fn, [p])
+        assert p.data.tobytes() == before.tobytes()
 
     def test_nan_off_the_base_point_fails(self):
         """A loss that turns NaN when the first entry moves fails that entry, and a
