@@ -24,7 +24,6 @@ from . import tensor as T
 from .errors import ConfigError
 from .gating import GatingMode
 from .model import FusionModel, ModelConfig
-from .sequence import pad_batch
 from .trainer import batch_loss
 
 
@@ -71,10 +70,10 @@ def grouped_probe(model: FusionModel, batch):
     """A `tensor.gradcheck` probe of `batch_loss(model, batch)` that runs one
     forward per parameter (see the module docstring).
 
-    Probe j's loss is its copy's per-sample losses times 1/B, each copy summed
-    as `batch_loss` sums its batch. The parameter itself is never written.
+    Probe j's loss is its copy's per-sample losses from `batch_loss` times 1/B,
+    summed as `batch_loss` sums its batch. The parameter itself is never
+    written.
     """
-    seqs_a, seqs_t, labels = zip(*batch)
     n = len(batch)
 
     def probe(p: T.Parameter, step: float) -> np.ndarray:
@@ -86,9 +85,8 @@ def grouped_probe(model: FusionModel, batch):
         stack[entries, entries] = flat + step
         stack[size + entries, entries] = flat - step
         with _standing_in(model, p, T.Tensor(stack.reshape(k, *p.data.shape))):
-            logits = model.forward(pad_batch(seqs_a * k), pad_batch(seqs_t * k)).logits
-        scaled = T.cross_entropy(logits, labels * k).data.reshape(k, n) * (1 / n)
-        return np.array([row.sum() for row in scaled]).reshape(2, size)
+            losses = batch_loss(model, batch * k)[1]
+        return (np.reshape(losses, (k, n)) * (1 / n)).sum(axis=1).reshape(2, size)
 
     return probe
 

@@ -29,14 +29,17 @@ one's op-output gradients, and the buffers go with the tape on return. A
 parameter's `.grad` is its own storage (for a model's parameters, a view of the
 model's flat gradient vector, see `FlatParameters`) and is never reused this way.
 
-A second operand `b` of `add`, `mul`, `matmul` and `concat_cols` follows one
-stack rule (`_groups`): it is one matrix, which serves every matrix of `a`, or a
+A second operand `b` of `add`, `mul` and `matmul` follows one stack rule
+(`_groups`): it is one matrix, which serves every matrix of `a`, or a
 stack whose length K divides the length N of `a`'s stack, whose k-th matrix
 serves the k-th group of N / K consecutive matrices of `a`. K = N is the one by
 one case; K < N lets a stack of K parameter copies serve K copies of a
 minibatch, which is how the full-model gradcheck runs all of a parameter's
 probes in one forward (see `diagnostics`). A grouped operand's gradient sums
-over its group. `matmul` also takes a matrix `a` times a stack `b`.
+over its group. Only K < N takes the grouped code: its (K, N / K, m, n) views
+cost about 10% of training throughput when K = N (one-fold ablation training
+on a 2-core host), so a same-length stack, as in attention and the gates, keeps
+the plain stacked code. `matmul` also takes a matrix `a` times a stack `b`.
 
 `add(a, b)` and `mul(a, b)` broadcast `b`'s matrices against `a`'s, which are
 m x n: `b`'s may be m x n, a 1 x n row, an m x 1 column or a 1 x 1 scalar. The
@@ -45,9 +48,9 @@ the stacked rows, and a stack times a grouped stack as one GEMM per group over
 the group's rows. `transpose` permutes the axes of a value viewed as another
 shape (a matrix swap, attention's head split and merge); `concat_cols`,
 `softmax_rows` and `layernorm_rows` act on the last axis. `concat_cols(a, b)`
-appends `b`'s columns to `a`'s: `b`'s matrices have `a`'s rows or one row,
-which is repeated down every row of `a`. Any other pair of shapes raises
-`ShapeError`.
+appends `b`'s columns to `a`'s: `b` is a stack of `a`'s length or one matrix,
+and its matrices have `a`'s rows or one row, which is repeated down every row
+of `a`. Any other pair of shapes raises `ShapeError`.
 """
 
 from __future__ import annotations
@@ -352,16 +355,10 @@ def relu(x: Tensor) -> Tensor:
 
 def concat_cols(a: Tensor, b: Tensor) -> Tensor:
     sa, sb = a.data.shape, b.data.shape
-    # b's matrices have a's rows or one row
-    if sb[-2] not in (1, sa[-2]):
+    # b is a stack of a's length or one matrix, with a's rows or one row
+    if sb[:-2] not in ((), sa[:-2]) or sb[-2] not in (1, sa[-2]):
         raise ShapeError(f"concat_cols shapes incompatible: {sa} vs {sb}")
-    k = _groups("concat_cols", sa, sb)
     na = sa[-1]
-    if k and k != sa[0]:
-        cols = np.broadcast_to(np.repeat(b.data, sa[0] // k, axis=0), sa[:-1] + sb[-1:])
-        out_data = np.concatenate([a.data, cols], axis=-1)
-        return _out("concat_cols", out_data,
-                    (a, lambda g: g[..., :na]), (b, lambda g: _group_grad(g[..., na:], k, sb)))
     out_data = np.concatenate([a.data, np.broadcast_to(b.data, sa[:-1] + sb[-1:])], axis=-1)
     return _out("concat_cols", out_data,
                 (a, lambda g: g[..., :na]), (b, lambda g: _unbroadcast(g[..., na:], sb)))
