@@ -75,6 +75,7 @@ def cmd_generate(args) -> int:
     if args.seed is not None:
         spec_dict["seed"] = args.seed
     spec = from_dict(SynthSpec, spec_dict, "synth spec")
+    spec.check_budget(args.oracle, "--oracle")
     corpus = generate(spec)
     checksum = write_corpus(corpus, args.out)
     _write_json(os.path.join(args.out, "effective_config.json"), {"synth": spec.to_dict()})

@@ -1,28 +1,23 @@
-"""On-disk corpus format: JSON manifest + one checksummed float32 blob.
+"""On-disk corpus format 2: a JSON manifest and one checksummed float32 blob.
 
-The manifest (`manifest.json`) is human-readable and records per-sample byte
-offsets into `features.bin`, which holds row-major little-endian float32
-regions in manifest order. The side channels of `synth.SIDE_CHANNELS` are
-optional per sample; `_CHANNEL_KEYS` gives each its manifest key. The writer
-refuses a corpus the reader would refuse: class names that are not a non-empty
-list of strings, a feature width that is not an integer >= 1, or a sample with
-a modality that is not a (T, d) array of the corpus width, a side channel not
-one value per frame of its modality, a flag channel holding anything but 0/1, a
-label outside the class names, a label or id that is not an integer (a numpy
-integer is written as an int, a bool is refused), an id that an earlier sample
-has, or a value that is not a finite float32. After version and checksum, the
-reader takes the regions in the layout's order below: one not at the next
-offset is a `BoundsError`, so a corrupted manifest produces a typed error, not
-an out-of-bounds read or one channel read as another. A missing `has_<key>`, a
-NaN or infinite stored value, a repeated id, or blob bytes after the last
-region are a `ManifestError`. Each modality is written and read back as its
-(T, d) array of valid rows. A record with a `subject_id` key is rejected: there
-is no subject-level protocol, and the key is not silently dropped.
+Layout: `features.bin` holds row-major little-endian float32 regions, per
+sample in manifest order: acoustic (T_a*d_a values), textual (T_t*d_t), then
+each side channel the sample has, in `_CHANNEL_KEYS` order, one value per
+frame of its `synth.SIDE_CHANNELS` modality. A region starts where the one
+before it ends and is named by the `Sample` field it holds. The manifest
+keeps only what the blob cannot say. Key rule: a missing key, or one outside
+`_HEADER_KEYS` in the header or `_RECORD_KEYS` in a record (`id`, `label`,
+`T_a`, `T_t` and a `has_<key>` flag per side channel), is refused by name.
 
-Byte layout of `features.bin`, which is also the one reading order: per sample,
-the acoustic region, the textual region, then its side channels in the order of
-`_CHANNEL_KEYS`; each region is `count * 4` bytes of `<f4`, where count is
-T_a*d_a, T_t*d_t, or the length T_a or T_t of the modality a channel annotates.
+One parse path: `_parse` holds every rule on what a corpus holds, and both
+`read_corpus` (after its file, version, length and checksum checks) and
+`write_corpus` (before it opens a file) run it. Lengths past the blob's end
+are a `BoundsError`; unclaimed bytes, a repeated id, a label outside the
+class names, a non-finite value or a flag other than 0/1 are a `ManifestError`
+naming the sample and region. The writer itself refuses only what stops it
+building: an id, label or width that is not an integer, a modality that is
+not a (T, width) array with T >= 1, a side channel not one value per frame.
+A version-1 manifest, which stored offsets, is an `UnsupportedVersionError`.
 """
 
 from __future__ import annotations
@@ -38,24 +33,16 @@ from .atomic import atomic_write
 from .errors import BoundsError, ChecksumError, ManifestError, UnsupportedVersionError, need
 from .synth import SIDE_CHANNELS, Corpus, Sample
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 MANIFEST_NAME = "manifest.json"
 BLOB_NAME = "features.bin"
-_ITEM = 4  # bytes per <f4
-# Side-channel field of `Sample` -> the `has_<key>`/`offset_<key>` stem of its
-# manifest entries, in blob order
-_CHANNEL_KEYS = {
-    "energy": "energy",
-    "negative_token_flags": "negative_flags",
-    "diagnostic_flags_a": "diag_a",
-    "diagnostic_flags_t": "diag_t",
-}
-
-
-def _all_flags(arr: np.ndarray) -> bool:
-    """Whether every value is 0 or 1. On a channel's few dozen values a set of
-    them is cheaper than numpy's elementwise tests."""
-    return set(np.asarray(arr).tolist()) <= {0, 1}
+# Side-channel field of `Sample` -> the `has_<key>` flag of its manifest record, in blob order
+_CHANNEL_KEYS = {"energy": "energy", "negative_token_flags": "negative_flags",
+                 "diagnostic_flags_a": "diag_a", "diagnostic_flags_t": "diag_t"}
+_HEADER_KEYS = frozenset({"format_version", "n_samples", "d_a", "d_t", "class_names",
+                          "blob_length", "blob_sha256", "samples"})
+_RECORD_KEYS = frozenset({"id", "label", "T_a", "T_t", *(f"has_{key}" for key in _CHANNEL_KEYS.values())})
+_FLAG_FIELDS = frozenset(name for name, (_, is_flags) in SIDE_CHANNELS.items() if is_flags)
 
 
 def _integer(value, label: str, field: str) -> int:
@@ -65,87 +52,125 @@ def _integer(value, label: str, field: str) -> int:
     return int(value)
 
 
-def _check_new_id(sample_id: int, index: int, first: dict[int, int], label: str) -> None:
-    """Record that sample `index` has `sample_id`, refusing an id seen before."""
-    if sample_id in first:
-        raise ManifestError(f"{label}: id {sample_id} repeats sample[{first[sample_id]}]'s")
-    first[sample_id] = index
+def _refuse_stray_keys(obj: dict, keys: frozenset, label: str) -> None:
+    stray = obj.keys() - keys
+    if stray:
+        raise ManifestError(f"{label}: unknown key {min(stray)!r}; the keys are {sorted(keys)}")
+
+
+def _parse(manifest: dict, blob: bytes, writing: bool = False) -> Corpus | None:
+    """The corpus `manifest` and `blob` hold, or the typed error of the first
+    rule they break. `writing` checks a corpus being written, builds nothing and
+    words the refusals for it: a sample is named with its id, a non-finite
+    value is one float32 cannot hold."""
+    _refuse_stray_keys(manifest, _HEADER_KEYS, "manifest")
+    n_samples, d_a, d_t = (need(manifest, key, int, "manifest") for key in ("n_samples", "d_a", "d_t"))
+    if d_a < 1 or d_t < 1:
+        raise ManifestError(f"manifest: feature widths must be >= 1, got {d_a}, {d_t}")
+    class_names = need(manifest, "class_names", list, "manifest")
+    if not class_names or not all(isinstance(c, str) for c in class_names):
+        raise ManifestError(f"manifest: class_names must be a non-empty list of strings, got {class_names!r}")
+    records = need(manifest, "samples", list, "manifest")
+    if len(records) != n_samples:
+        raise ManifestError(f"manifest: n_samples {n_samples} != {len(records)} records")
+
+    def sample_name(i: int) -> str:
+        return f"sample[{i}] (id {records[i]['id']})" if writing else f"sample[{i}]"
+
+    fields = []  # per sample: its `Sample` fields
+    regions, counts = [], []  # per region in blob order: (sample index, Sample field, shape); its value count
+    first_with_id: dict[int, int] = {}
+    for i, rec in enumerate(records):
+        if not isinstance(rec, dict):
+            raise ManifestError(f"sample[{i}]: record must be an object")
+        label = sample_name(i)
+        _refuse_stray_keys(rec, _RECORD_KEYS, label)
+        sample_id = need(rec, "id", int, label)
+        if sample_id in first_with_id:
+            raise ManifestError(f"{label}: id {sample_id} repeats sample[{first_with_id[sample_id]}]'s")
+        first_with_id[sample_id] = i
+        class_id = need(rec, "label", int, label)
+        if not 0 <= class_id < len(class_names):
+            raise ManifestError(f"{label}: label {class_id} outside [0, {len(class_names)})")
+        frames = {"acoustic": need(rec, "T_a", int, label), "textual": need(rec, "T_t", int, label)}
+        if frames["acoustic"] < 1 or frames["textual"] < 1:
+            raise ManifestError(f"{label}: sequence lengths must be >= 1")
+        fields.append({"sample_id": sample_id, "label": class_id})
+        for modality, width in (("acoustic", d_a), ("textual", d_t)):
+            regions.append((i, modality, (frames[modality], width)))
+            counts.append(frames[modality] * width)
+        for name, key in _CHANNEL_KEYS.items():
+            if need(rec, f"has_{key}", bool, label):
+                frame_count = frames[SIDE_CHANNELS[name][0]]
+                regions.append((i, name, (frame_count,)))
+                counts.append(frame_count)
+
+    claimed = sum(counts) * 4  # bytes per <f4
+    if claimed != len(blob):
+        error = BoundsError if claimed > len(blob) else ManifestError
+        raise error(f"manifest: regions claim {claimed} of the blob's {len(blob)} bytes")
+    stored = np.frombuffer(blob, dtype="<f4")
+    ends = np.cumsum(counts)
+
+    def refuse(bad: np.ndarray, fault: str):
+        i, name, _ = regions[int(np.searchsorted(ends, np.argmax(bad), side="right"))]
+        raise ManifestError(f"{sample_name(i)}: region {name!r} holds {fault}")
+
+    if not np.isfinite(stored).all():
+        refuse(~np.isfinite(stored), "a value that is not a finite float32" if writing else "a non-finite value")
+    is_flag = np.repeat(np.array([name in _FLAG_FIELDS for _, name, _ in regions], dtype=bool), counts)
+    if not np.isin(stored[is_flag], (0, 1)).all():
+        refuse(is_flag & ~np.isin(stored, (0, 1)), "a value other than 0 or 1")
+    if writing:
+        return None
+
+    values = stored.astype(np.float64)
+    start = 0
+    for (i, name, shape), end in zip(regions, ends.tolist()):
+        view = values[start:end].reshape(shape)
+        fields[i][name] = view.astype(np.int64) if name in _FLAG_FIELDS else view
+        start = end
+    return Corpus([Sample(**f) for f in fields], class_names, d_a, d_t)
 
 
 def write_corpus(corpus: Corpus, path: str) -> str:
     """Write manifest + blob into directory `path` (created if missing) and
-    return the blob's SHA-256 hex digest.
-
-    A corpus the reader would refuse raises `ManifestError`, naming the sample
-    and region where one is at fault, before any file is written. A write that
-    fails leaves the files at `path` as they were.
-    """
-    names = corpus.class_names
-    if not names or not all(isinstance(c, str) for c in names):
-        raise ManifestError(f"class_names must be a non-empty list of strings, got {names!r}")
-    d_a = _integer(corpus.d_a, "corpus", "d_a")
-    d_t = _integer(corpus.d_t, "corpus", "d_t")
+    return the blob's SHA-256 hex digest. A corpus `read_corpus` would refuse
+    raises before any file is written; a write that fails leaves the files at
+    `path` as they were."""
+    d_a, d_t = (_integer(getattr(corpus, key), "corpus", key) for key in ("d_a", "d_t"))
     if d_a < 1 or d_t < 1:
         raise ManifestError(f"feature widths must be >= 1, got {d_a}, {d_t}")
-    chunks: list[bytes] = []
-    offset = 0
-
-    def put(arr: np.ndarray, label: str, key: str) -> int:
-        nonlocal offset
-        with np.errstate(over="ignore"):
-            cast = np.ascontiguousarray(arr, dtype="<f4")
-        if not np.all(np.isfinite(cast)):
-            raise ManifestError(f"{label}: region {key!r} holds a value that is not a finite float32")
-        raw = cast.tobytes()
-        start = offset
-        chunks.append(raw)
-        offset += len(raw)
-        return start
-
-    records = []
-    first_with_id: dict[int, int] = {}
+    records, regions = [], []
     for i, s in enumerate(corpus.samples):
         label = f"sample[{i}] (id {s.sample_id})"
-        sample_id = _integer(s.sample_id, label, "sample_id")
-        class_id = _integer(s.label, label, "label")
-        _check_new_id(sample_id, i, first_with_id, label)
-        if not 0 <= class_id < len(corpus.class_names):
-            raise ManifestError(f"{label}: label {class_id} outside [0, {len(corpus.class_names)})")
-        rec = {"id": sample_id, "label": class_id}
-        for modality, m, width in (("acoustic", "a", d_a), ("textual", "t", d_t)):
+        rec = {"id": _integer(s.sample_id, label, "sample_id"), "label": _integer(s.label, label, "label")}
+        frames = {}
+        for modality, key, width in (("acoustic", "T_a", d_a), ("textual", "T_t", d_t)):
             shape = np.shape(getattr(s, modality))
             if len(shape) != 2 or shape[0] < 1 or shape[1] != width:
-                raise ManifestError(f"{label}: region 'offset_{m}' must be a (T, {width}) "
+                raise ManifestError(f"{label}: region {modality!r} must be a (T, {width}) "
                                     f"array with T >= 1, got shape {shape}")
-            rec[f"T_{m}"] = shape[0]
-            rec[f"offset_{m}"] = put(getattr(s, modality), label, f"offset_{m}")
+            frames[modality] = rec[key] = shape[0]
+            regions.append(np.ravel(getattr(s, modality)))
         for name, key in _CHANNEL_KEYS.items():
             channel = getattr(s, name)
             rec[f"has_{key}"] = channel is not None
-            if channel is None:
-                continue
-            modality, is_flags = SIDE_CHANNELS[name]
-            frames = len(getattr(s, modality))
-            if np.shape(channel) != (frames,):
-                raise ManifestError(f"{label}: region 'offset_{key}' has shape {np.shape(channel)}, "
-                                    f"not one value per {modality} frame ({frames})")
-            if is_flags and not _all_flags(channel):
-                raise ManifestError(f"{label}: region 'offset_{key}' holds a value other than 0 or 1")
-            rec[f"offset_{key}"] = put(channel, label, f"offset_{key}")
+            if channel is not None:
+                modality = SIDE_CHANNELS[name][0]
+                if np.shape(channel) != (frames[modality],):
+                    raise ManifestError(f"{label}: region {name!r} has shape {np.shape(channel)}, "
+                                        f"not one value per {modality} frame ({frames[modality]})")
+                regions.append(channel)
         records.append(rec)
 
-    blob = b"".join(chunks)
+    with np.errstate(over="ignore"):
+        blob = np.concatenate(regions or [np.empty(0)], dtype="<f4", casting="unsafe").tobytes()
     checksum = hashlib.sha256(blob).hexdigest()
-    manifest = {
-        "format_version": FORMAT_VERSION,
-        "n_samples": len(corpus.samples),
-        "d_a": d_a,
-        "d_t": d_t,
-        "class_names": list(names),
-        "blob_length": len(blob),
-        "blob_sha256": checksum,
-        "samples": records,
-    }
+    manifest = {"format_version": FORMAT_VERSION, "n_samples": len(records), "d_a": d_a, "d_t": d_t,
+                "class_names": corpus.class_names, "blob_length": len(blob), "blob_sha256": checksum,
+                "samples": records}
+    _parse(manifest, blob, writing=True)
     try:
         os.makedirs(path, exist_ok=True)
         # both temp files are written before either replaces its target
@@ -160,6 +185,10 @@ def write_corpus(corpus: Corpus, path: str) -> str:
 
 
 def read_corpus(path: str) -> Corpus:
+    """The corpus written at `path`; its modalities and energy are views of one
+    float64 copy of the blob. An unreadable file, a format version other than
+    `FORMAT_VERSION`, or a blob whose length or SHA-256 is not the manifest's
+    raises a typed error; then `_parse` checks the rest."""
     manifest_path = os.path.join(path, MANIFEST_NAME)
     blob_path = os.path.join(path, BLOB_NAME)
     try:
@@ -174,21 +203,10 @@ def read_corpus(path: str) -> Corpus:
 
     version = manifest.get("format_version")
     if version != FORMAT_VERSION:
-        raise UnsupportedVersionError(f"{manifest_path}: unsupported format_version {version!r}")
-    n_samples = need(manifest, "n_samples", int, "manifest")
-    d_a = need(manifest, "d_a", int, "manifest")
-    d_t = need(manifest, "d_t", int, "manifest")
-    if d_a < 1 or d_t < 1:
-        raise ManifestError(f"{manifest_path}: feature widths must be >= 1, got {d_a}, {d_t}")
-    class_names = need(manifest, "class_names", list, "manifest")
-    if not class_names or not all(isinstance(c, str) for c in class_names):
-        raise ManifestError(f"{manifest_path}: class_names must be a non-empty list of strings")
+        raise UnsupportedVersionError(f"{manifest_path}: format_version {version!r} is not {FORMAT_VERSION}; "
+                                      "regenerate the corpus with `gatedfusion generate`")
     blob_length = need(manifest, "blob_length", int, "manifest")
     declared_sha = need(manifest, "blob_sha256", str, "manifest")
-    records = need(manifest, "samples", list, "manifest")
-    if len(records) != n_samples:
-        raise ManifestError(f"{manifest_path}: n_samples {n_samples} != {len(records)} records")
-
     try:
         with open(blob_path, "rb") as f:
             blob = f.read()
@@ -198,58 +216,4 @@ def read_corpus(path: str) -> Corpus:
         raise ChecksumError(f"{blob_path}: blob length {len(blob)} != declared {blob_length}")
     if hashlib.sha256(blob).hexdigest() != declared_sha:
         raise ChecksumError(f"{blob_path}: blob checksum mismatch")
-
-    offset = 0
-
-    def region_array(rec, key, count, label) -> np.ndarray:
-        nonlocal offset
-        start = need(rec, key, int, label)
-        length = count * _ITEM
-        if start != offset or start + length > blob_length:
-            raise BoundsError(f"{label}: region {key!r} [{start}, {start + length}) is not the next "
-                              f"{length} bytes [{offset}, {offset + length}) of a {blob_length}-byte blob")
-        offset += length
-        arr = np.frombuffer(blob[start:offset], dtype="<f4").astype(np.float64)
-        if not np.all(np.isfinite(arr)):
-            raise ManifestError(f"{label}: region {key!r} holds a non-finite value")
-        return arr
-
-    samples = []
-    first_with_id: dict[int, int] = {}
-    for i, rec in enumerate(records):
-        label_str = f"sample[{i}]"
-        if not isinstance(rec, dict):
-            raise ManifestError(f"{label_str}: record must be an object")
-        if "subject_id" in rec:
-            raise ManifestError(f"{label_str}: subject_id is not supported; folds are stratified by label")
-        sample_id = need(rec, "id", int, label_str)
-        _check_new_id(sample_id, i, first_with_id, label_str)
-        label = need(rec, "label", int, label_str)
-        if not 0 <= label < len(class_names):
-            raise ManifestError(f"{label_str}: label {label} outside [0, {len(class_names)})")
-        t_a = need(rec, "T_a", int, label_str)
-        t_t = need(rec, "T_t", int, label_str)
-        if t_a < 1 or t_t < 1:
-            raise ManifestError(f"{label_str}: sequence lengths must be >= 1")
-
-        feats_a = region_array(rec, "offset_a", t_a * d_a, label_str).reshape(t_a, d_a)
-        feats_t = region_array(rec, "offset_t", t_t * d_t, label_str).reshape(t_t, d_t)
-
-        frames = {"acoustic": t_a, "textual": t_t}
-        channels = {}
-        for name, key in _CHANNEL_KEYS.items():
-            if need(rec, f"has_{key}", bool, label_str):
-                modality, is_flags = SIDE_CHANNELS[name]
-                arr = region_array(rec, f"offset_{key}", frames[modality], label_str)
-                if is_flags:
-                    if not _all_flags(arr):
-                        raise ManifestError(f"{label_str}: {key} values must be 0 or 1")
-                    arr = arr.astype(np.int64)
-                channels[name] = arr
-
-        samples.append(Sample(sample_id, label, feats_a, feats_t, **channels))
-
-    if offset != blob_length:
-        raise ManifestError(f"{manifest_path}: regions claim {offset} of the blob's {blob_length} bytes")
-
-    return Corpus(samples, class_names, d_a, d_t)
+    return _parse(manifest, blob)

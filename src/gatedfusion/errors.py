@@ -43,7 +43,7 @@ class ChecksumError(CorpusFormatError):
 
 
 class BoundsError(CorpusFormatError):
-    """A manifest record points outside the feature blob."""
+    """Region lengths a manifest states run past the blob's end (short of it is a ManifestError)."""
 
 
 class ManifestError(CorpusFormatError):

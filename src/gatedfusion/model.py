@@ -9,6 +9,7 @@ stacks; every sample's result is independent of its batchmates and padding.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -18,6 +19,10 @@ from .encoder import EncoderLayer, dropout_keep, xavier_uniform, sinusoidal_posi
 from .errors import ConfigError, ShapeError
 from .gating import GatingMode, GatingParams, gate_sequence, refine_sequence
 from .sequence import PaddedBatch, masked_mean_pool, pad_batch
+
+# More parameters are refused at construction: 181x the README model's 55,109,
+# the largest any example, test or benchmark uses
+MAX_PARAMETERS = 10_000_000
 
 
 @dataclass
@@ -51,6 +56,14 @@ class ModelConfig:
             raise ConfigError(f"n_classes must be >= 2, got {self.n_classes}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
+        before, layer, after = _shape_tables(self)
+        parts = [*before, ("the encoder layers", (2 * self.n_layers, sum(r * c for _, (r, c) in layer))), *after]
+        counts = list(itertools.accumulate(r * c for _, (r, c) in parts))
+        if counts[-1] > MAX_PARAMETERS:
+            past = next(name for (name, _), count in zip(parts, counts) if count > MAX_PARAMETERS)
+            raise ConfigError(f"{counts[-1]} parameters exceed the budget of {MAX_PARAMETERS} (model.MAX_PARAMETERS) "
+                              f"from {past!r} on: d_a {self.d_a}, d_t {self.d_t}, d_model {self.d_model}, "
+                              f"n_layers {self.n_layers}, ff_mult {self.ff_mult}, n_classes {self.n_classes}")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -58,20 +71,28 @@ class ModelConfig:
         return d
 
 
-def parameter_shapes(cfg: ModelConfig):
-    """Each parameter's (name, shape) in `FusionModel(cfg).parameters()` order,
-    allocating nothing; it repeats the constructors' layout."""
+def _shape_tables(cfg: ModelConfig):
+    """The (name, shape) lists before the encoders, of one encoder layer (unprefixed), and after."""
     d, f, c = cfg.d_model, cfg.d_model * cfg.ff_mult, cfg.n_classes
-    yield from [("proj_a.w", (cfg.d_a, d)), ("proj_a.b", (1, d)), ("proj_t.w", (cfg.d_t, d)),
-                ("proj_t.b", (1, d)), ("gate.w_a", (2 * d, 1)), ("gate.w_t", (2 * d, 1)),
-                ("gate.b_a", (1, 1)), ("gate.b_t", (1, 1))]
+    before = [("proj_a.w", (cfg.d_a, d)), ("proj_a.b", (1, d)), ("proj_t.w", (cfg.d_t, d)),
+              ("proj_t.b", (1, d)), ("gate.w_a", (2 * d, 1)), ("gate.w_t", (2 * d, 1)),
+              ("gate.b_a", (1, 1)), ("gate.b_t", (1, 1))]
     layer = [("wq", (d, d)), ("wk", (d, d)), ("wv", (d, d)), ("wo", (d, d)), ("bq", (1, d)), ("bv", (1, d)),
              ("bo", (1, d)), ("ln1_g", (1, d)), ("ln1_b", (1, d)), ("ffn_w1", (d, f)), ("ffn_b1", (1, f)),
              ("ffn_w2", (f, d)), ("ffn_b2", (1, d)), ("ln2_g", (1, d)), ("ln2_b", (1, d))]
+    after = [("head.w1", (2 * d, d)), ("head.b1", (1, d)), ("head.w2", (d, c)), ("head.b2", (1, c))]
+    return before, layer, after
+
+
+def parameter_shapes(cfg: ModelConfig):
+    """Each parameter's (name, shape) in `FusionModel(cfg).parameters()` order,
+    allocating nothing; it repeats the constructors' layout."""
+    before, layer, after = _shape_tables(cfg)
+    yield from before
     for branch in ("enc_a", "enc_t"):
         for i in range(cfg.n_layers):
             yield from ((f"{branch}.{i}.{name}", shape) for name, shape in layer)
-    yield from [("head.w1", (2 * d, d)), ("head.b1", (1, d)), ("head.w2", (d, c)), ("head.b2", (1, c))]
+    yield from after
 
 
 @dataclass

@@ -26,6 +26,9 @@ from .errors import ConfigError
 _ENERGY_BASE = 1.0
 _ENERGY_DROP = 0.5
 _ENERGY_JITTER = 0.1
+# More feature values are refused at construction: 186x the 1,075,200 of the
+# largest corpus any example, test or benchmark makes
+MAX_FEATURE_VALUES = 200_000_000
 
 
 @dataclass
@@ -71,6 +74,16 @@ class SynthSpec:
             raise ConfigError(f"noise_sigma must be > 0, got {self.noise_sigma}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        self.check_budget(self.n_samples)
+
+    def check_budget(self, n_samples: int, field: str = "n_samples") -> None:
+        """Refuse `n_samples` samples (named `field`) of the longest lengths over `MAX_FEATURE_VALUES`."""
+        (_, len_a), (_, len_t) = self.len_range_a, self.len_range_t
+        values = n_samples * (len_a * self.d_a + len_t * self.d_t)
+        if values > MAX_FEATURE_VALUES:
+            raise ConfigError(f"{field} {n_samples} x (len_range_a[1] {len_a} x d_a {self.d_a} + len_range_t[1] "
+                              f"{len_t} x d_t {self.d_t}) = {values} feature values exceed the budget of "
+                              f"{MAX_FEATURE_VALUES} (synth.MAX_FEATURE_VALUES)")
 
     def to_dict(self) -> dict:
         d = asdict(self)

@@ -8,11 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gatedfusion import cli
 from gatedfusion import tensor as T
 from gatedfusion.checkpoint import load_checkpoint, save_checkpoint, save_model
 from gatedfusion.cli import _configs, main
 from gatedfusion.corpus_io import read_corpus, write_corpus
-from gatedfusion.model import FusionModel, ModelConfig
+from gatedfusion.model import MAX_PARAMETERS, FusionModel, ModelConfig
+from gatedfusion.synth import MAX_FEATURE_VALUES
 
 
 SPEC = {"n_samples": 18, "n_classes": 2, "d_a": 4, "d_t": 4,
@@ -86,6 +88,14 @@ class TestGenerate:
         main(["generate", "--spec", spec, "--out", str(tmp_path / "c"), "--oracle", "30"])
         assert "bayes oracle accuracy" in capsys.readouterr().out
 
+    def test_oracle_over_the_feature_value_budget_is_typed_error(self, tmp_path, capsys):
+        spec = write_json(tmp_path / "spec.json", SPEC)
+        n_eval = MAX_FEATURE_VALUES + 1  # at least one value per sample
+        assert main(["generate", "--spec", spec, "--out", str(tmp_path / "c"), "--oracle", str(n_eval)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --oracle {n_eval} x") and "budget" in err and "Traceback" not in err
+        assert not os.path.exists(tmp_path / "c")
+
     def test_negative_oracle_is_typed_error(self, tmp_path, capsys):
         spec = write_json(tmp_path / "spec.json", SPEC)
         assert main(["generate", "--spec", spec, "--out", str(tmp_path / "c"), "--oracle", "-3"]) == 1
@@ -151,6 +161,19 @@ class TestTrain:
         assert main(["train", "--corpus", corpus_dir, "--config", cfg, "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: train config: unknown keys") and key in err
+        assert "Traceback" not in err and not out.exists()
+
+    def test_model_over_the_parameter_budget_is_typed_error(self, tmp_path, corpus_dir, capsys, monkeypatch):
+        def refuse(cfg):
+            raise AssertionError("a model was built before the budget was checked")
+
+        monkeypatch.setattr(cli, "FusionModel", refuse)
+        cfg = write_json(tmp_path / "cfg.json", {"model": {"d_model": 200_000_000, "n_heads": 1, "n_layers": 1},
+                                                 "train": {"epochs": 1}})
+        out = tmp_path / "o"
+        assert main(["train", "--corpus", corpus_dir, "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "d_model 200000000" in err and f"budget of {MAX_PARAMETERS}" in err
         assert "Traceback" not in err and not out.exists()
 
     def test_readme_example_config_loads(self, tmp_path, corpus_dir):

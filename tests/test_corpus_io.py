@@ -83,6 +83,34 @@ def written(tmp_path, name="c"):
     return path
 
 
+def region_bounds(path, index, region):
+    """Value index range of sample `index`'s `region` in the blob at `path`,
+    from the lengths the manifest states, in the order format 2 lays them out."""
+    with open(os.path.join(path, MANIFEST_NAME)) as f:
+        manifest = json.load(f)
+    position = 0
+    for i, rec in enumerate(manifest["samples"]):
+        lengths = {"acoustic": rec["T_a"] * manifest["d_a"], "textual": rec["T_t"] * manifest["d_t"]}
+        for name, key, frames in [("energy", "energy", "T_a"), ("negative_token_flags", "negative_flags", "T_t"),
+                                  ("diagnostic_flags_a", "diag_a", "T_a"), ("diagnostic_flags_t", "diag_t", "T_t")]:
+            if rec[f"has_{key}"]:
+                lengths[name] = rec[frames]
+        for name, length in lengths.items():
+            if (i, name) == (index, region):
+                return position, position + length
+            position += length
+    raise KeyError((index, region))
+
+
+def store_in_blob(path, position, value):
+    """Overwrite the blob's float32 value at `position` and record the new checksum."""
+    bpath = Path(path) / BLOB_NAME
+    raw = bytearray(bpath.read_bytes())
+    raw[position * 4 : position * 4 + 4] = np.array([value], dtype="<f4").tobytes()
+    bpath.write_bytes(bytes(raw))
+    edit_manifest(path, lambda m: m.update(blob_sha256=hashlib.sha256(raw).hexdigest()))
+
+
 def edit_manifest(path, fn):
     mpath = os.path.join(path, MANIFEST_NAME)
     with open(mpath) as f:
@@ -108,7 +136,7 @@ class TestCorruption:
 
     def test_wrong_version(self, tmp_path):
         path = written(tmp_path)
-        edit_manifest(path, lambda m: m.update(format_version=2))
+        edit_manifest(path, lambda m: m.update(format_version=1))
         with pytest.raises(UnsupportedVersionError):
             read_corpus(path)
 
@@ -135,16 +163,18 @@ class TestCorruption:
         with pytest.raises(ChecksumError):
             read_corpus(path)
 
-    def test_offset_past_end(self, tmp_path):
+    def test_length_past_the_blob_end(self, tmp_path):
+        """One more acoustic frame in the last sample: its regions run past the
+        end of the blob."""
         path = written(tmp_path)
-        edit_manifest(path, lambda m: m["samples"][0].update(offset_a=10**9))
-        with pytest.raises(BoundsError):
+        edit_manifest(path, lambda m: m["samples"][3].update(T_a=m["samples"][3]["T_a"] + 1))
+        with pytest.raises(BoundsError, match=r"regions claim \d+ of the blob's \d+ bytes"):
             read_corpus(path)
 
-    def test_negative_offset(self, tmp_path):
+    def test_has_flag_turned_off_leaves_bytes_unclaimed(self, tmp_path):
         path = written(tmp_path)
-        edit_manifest(path, lambda m: m["samples"][1].update(offset_t=-4))
-        with pytest.raises(BoundsError):
+        edit_manifest(path, lambda m: m["samples"][1].update(has_energy=False))
+        with pytest.raises(ManifestError, match=r"regions claim \d+ of the blob's \d+ bytes"):
             read_corpus(path)
 
     def test_oversized_length_field(self, tmp_path):
@@ -159,14 +189,19 @@ class TestCorruption:
         with pytest.raises(ManifestError):
             read_corpus(path)
 
-    def test_overlapping_regions(self, tmp_path):
+    def test_lengths_moved_between_records(self, tmp_path):
+        """An acoustic frame moved from sample 1 to sample 0 keeps the total, so
+        every region of sample 0 but the first is read from the wrong bytes: the
+        first that cannot hold what it reads is named."""
         path = written(tmp_path)
 
-        def overlap(m):
-            m["samples"][1]["offset_a"] = m["samples"][0]["offset_a"] + 4
+        def move_frame(m):
+            m["samples"][0]["T_a"] += 1
+            m["samples"][1]["T_a"] -= 1
 
-        edit_manifest(path, overlap)
-        with pytest.raises(BoundsError):
+        edit_manifest(path, move_frame)
+        with pytest.raises(ManifestError, match=r"sample\[0\]: region 'diagnostic_flags_t' holds a value "
+                                                r"other than 0 or 1"):
             read_corpus(path)
 
     def test_label_out_of_range(self, tmp_path):
@@ -177,7 +212,7 @@ class TestCorruption:
 
     def test_missing_field(self, tmp_path):
         path = written(tmp_path)
-        edit_manifest(path, lambda m: m["samples"][0].pop("offset_a"))
+        edit_manifest(path, lambda m: m["samples"][0].pop("T_a"))
         with pytest.raises(ManifestError):
             read_corpus(path)
 
@@ -199,20 +234,17 @@ class TestCorruption:
         with pytest.raises(ManifestError, match="subject_id"):
             read_corpus(path)
 
-    def test_swapped_side_channel_regions_rejected(self, tmp_path):
-        """A healthy sample's negative-sentiment flags are all 0 and its textual
-        diagnostic flags are not, over the same frames: swapping their offsets
-        would read one channel as the other. Regions are read in writer order."""
+    def test_stray_record_key_named(self, tmp_path):
+        """A format-1 offset in a record is a key format 2 does not have."""
         path = written(tmp_path)
-        i = [s.label for s in small_corpus(n=4).samples].index(0)
+        edit_manifest(path, lambda m: m["samples"][2].update(offset_a=0))
+        with pytest.raises(ManifestError, match=r"sample\[2\]: unknown key 'offset_a'"):
+            read_corpus(path)
 
-        def swap(m):
-            rec = m["samples"][i]
-            rec["offset_negative_flags"], rec["offset_diag_t"] = rec["offset_diag_t"], rec["offset_negative_flags"]
-
-        edit_manifest(path, swap)
-        with pytest.raises(BoundsError, match=rf"sample\[{i}\]: region 'offset_negative_flags' "
-                                              r"\[\d+, \d+\) is not the next 32 bytes"):
+    def test_stray_header_key_named(self, tmp_path):
+        path = written(tmp_path)
+        edit_manifest(path, lambda m: m.update(spec={"seed": 0}))
+        with pytest.raises(ManifestError, match=r"manifest: unknown key 'spec'"):
             read_corpus(path)
 
     @pytest.mark.parametrize("key", ["has_energy", "has_negative_flags", "has_diag_a", "has_diag_t"])
@@ -222,45 +254,53 @@ class TestCorruption:
         with pytest.raises(ManifestError, match=rf"sample\[1\]: missing field '{key}'"):
             read_corpus(path)
 
-    @pytest.mark.parametrize("channel, region, value", [
-        ("acoustic", "offset_a", np.nan), ("textual", "offset_t", np.inf), ("energy", "offset_energy", np.nan),
-    ])
-    def test_non_finite_value_rejected(self, tmp_path, channel, region, value):
+    @pytest.mark.parametrize("region, value", [("acoustic", np.nan), ("textual", np.inf), ("energy", np.nan)])
+    def test_non_finite_value_rejected(self, tmp_path, region, value):
         """A non-finite value stored in the blob (the writer refuses to store one)."""
         path = written(tmp_path)
-        bpath = Path(path) / BLOB_NAME
-        raw = bytearray(bpath.read_bytes())
-        with open(os.path.join(path, MANIFEST_NAME)) as f:
-            start = json.load(f)["samples"][2][region] + 3 * 4
-        raw[start : start + 4] = np.array([value], dtype="<f4").tobytes()
-        bpath.write_bytes(bytes(raw))
-        edit_manifest(path, lambda m: m.update(blob_sha256=hashlib.sha256(raw).hexdigest()))
+        store_in_blob(path, region_bounds(path, 2, region)[0] + 3, value)
         with pytest.raises(ManifestError, match=rf"sample\[2\]: region '{region}' holds a non-finite value"):
             read_corpus(path)
 
-    @pytest.mark.parametrize("channel, region, value", [
-        ("acoustic", "offset_a", 1e150), ("textual", "offset_t", np.nan), ("energy", "offset_energy", np.inf),
-    ])
-    def test_writer_refuses_a_value_float32_cannot_hold(self, tmp_path, channel, region, value):
+    @pytest.mark.parametrize("region", ["acoustic", "textual", "energy", "diagnostic_flags_t"])
+    @pytest.mark.parametrize("edge", ["first", "last"])
+    def test_non_finite_value_at_a_region_edge_names_that_region(self, tmp_path, region, edge):
+        """The value before a region's first one and the value after its last
+        belong to its neighbours."""
+        path = written(tmp_path)
+        start, end = region_bounds(path, 2, region)
+        store_in_blob(path, start if edge == "first" else end - 1, np.nan)
+        with pytest.raises(ManifestError, match=rf"sample\[2\]: region '{region}' holds a non-finite value"):
+            read_corpus(path)
+
+    @pytest.mark.parametrize("region", ["negative_token_flags", "diagnostic_flags_a", "diagnostic_flags_t"])
+    def test_reader_refuses_a_flag_other_than_0_or_1(self, tmp_path, region):
+        path = written(tmp_path)
+        store_in_blob(path, region_bounds(path, 2, region)[1] - 1, 0.5)
+        with pytest.raises(ManifestError, match=rf"sample\[2\]: region '{region}' holds a value other than 0 or 1"):
+            read_corpus(path)
+
+    @pytest.mark.parametrize("region, value", [("acoustic", 1e150), ("textual", np.nan), ("energy", np.inf)])
+    def test_writer_refuses_a_value_float32_cannot_hold(self, tmp_path, region, value):
         corpus = small_corpus(n=4)
-        getattr(corpus.samples[1], channel).flat[2] = value
+        getattr(corpus.samples[1], region).flat[2] = value
         with pytest.raises(ManifestError, match=rf"sample\[1\] \(id 1\): region '{region}' holds a value "
                                                 rf"that is not a finite float32"):
             write_corpus(corpus, str(tmp_path / "c"))
         assert not (tmp_path / "c").exists()
 
     @pytest.mark.parametrize("field, edit, region, message", [
-        ("acoustic", lambda x: x[:, :-1], "offset_a", r"must be a \(T, 5\) array with T >= 1, got shape \(\d+, 4\)"),
-        ("textual", lambda x: x[:, 0], "offset_t", r"must be a \(T, 4\) array with T >= 1, got shape \(\d+,\)"),
-        ("acoustic", lambda x: x[:0], "offset_a", r"must be a \(T, 5\) array with T >= 1, got shape \(0, 5\)"),
-        ("energy", lambda x: np.append(x, 1.0), "offset_energy", r"not one value per acoustic frame"),
-        ("energy", lambda x: x[:-1], "offset_energy", r"not one value per acoustic frame"),
-        ("negative_token_flags", lambda x: x[:-1], "offset_negative_flags", r"not one value per textual frame"),
-        ("diagnostic_flags_a", lambda x: x[:-1], "offset_diag_a", r"not one value per acoustic frame"),
-        ("diagnostic_flags_t", lambda x: x[:-1], "offset_diag_t", r"not one value per textual frame"),
-        ("negative_token_flags", lambda x: x * 2, "offset_negative_flags", r"a value other than 0 or 1"),
-        ("diagnostic_flags_a", lambda x: x - 0.5, "offset_diag_a", r"a value other than 0 or 1"),
-        ("diagnostic_flags_t", lambda x: x + 1e-6, "offset_diag_t", r"a value other than 0 or 1"),
+        ("acoustic", lambda x: x[:, :-1], "acoustic", r"must be a \(T, 5\) array with T >= 1, got shape \(\d+, 4\)"),
+        ("textual", lambda x: x[:, 0], "textual", r"must be a \(T, 4\) array with T >= 1, got shape \(\d+,\)"),
+        ("acoustic", lambda x: x[:0], "acoustic", r"must be a \(T, 5\) array with T >= 1, got shape \(0, 5\)"),
+        ("energy", lambda x: np.append(x, 1.0), "energy", r"not one value per acoustic frame"),
+        ("energy", lambda x: x[:-1], "energy", r"not one value per acoustic frame"),
+        ("negative_token_flags", lambda x: x[:-1], "negative_token_flags", r"not one value per textual frame"),
+        ("diagnostic_flags_a", lambda x: x[:-1], "diagnostic_flags_a", r"not one value per acoustic frame"),
+        ("diagnostic_flags_t", lambda x: x[:-1], "diagnostic_flags_t", r"not one value per textual frame"),
+        ("negative_token_flags", lambda x: x * 2, "negative_token_flags", r"a value other than 0 or 1"),
+        ("diagnostic_flags_a", lambda x: x - 0.5, "diagnostic_flags_a", r"a value other than 0 or 1"),
+        ("diagnostic_flags_t", lambda x: x + 1e-6, "diagnostic_flags_t", r"a value other than 0 or 1"),
     ], ids=["acoustic-narrow", "textual-1d", "acoustic-empty", "energy-long", "energy-short",
             "negative-short", "diag_a-short", "diag_t-short", "negative-2", "diag_a-half", "diag_t-off"])
     def test_writer_refuses_a_misshapen_sample(self, tmp_path, field, edit, region, message):

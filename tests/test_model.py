@@ -23,7 +23,7 @@ from gatedfusion.errors import (
     UnsupportedVersionError,
 )
 from gatedfusion.gating import GatingMode
-from gatedfusion.model import FusionModel, ModelConfig, parameter_shapes
+from gatedfusion.model import MAX_PARAMETERS, FusionModel, ModelConfig, parameter_shapes
 from gatedfusion.sequence import pad_batch
 from gatedfusion.synth import SynthSpec, generate
 from gatedfusion.encoder import dropout_keep
@@ -54,6 +54,25 @@ class TestConfig:
     def test_rejects_bad_dropout(self):
         with pytest.raises(ConfigError):
             tiny_cfg(dropout_rate=1.0)
+
+    def test_parameter_budget(self):
+        """d_a adds d_model = 1 parameters per unit: at the budget the config is
+        accepted and one parameter past it refused, by construction alone."""
+        small = tiny_cfg(d_model=1, n_heads=1)
+        count = sum(rows * cols for _, (rows, cols) in parameter_shapes(small))
+        d_a = small.d_a + MAX_PARAMETERS - count
+        assert sum(rows * cols for _, (rows, cols) in parameter_shapes(tiny_cfg(d_a=d_a, d_model=1, n_heads=1))) \
+            == MAX_PARAMETERS
+        with pytest.raises(ConfigError, match=rf"{MAX_PARAMETERS + 1} parameters exceed the budget of "
+                                              rf"{MAX_PARAMETERS} \(model.MAX_PARAMETERS\) from 'head.b2' on: "
+                                              rf"d_a {d_a + 1},"):
+            tiny_cfg(d_a=d_a + 1, d_model=1, n_heads=1)
+
+    def test_parameter_budget_counts_every_encoder_layer(self):
+        """A config of a billion layers is refused at once, by the product of
+        the layer count and one layer's size."""
+        with pytest.raises(ConfigError, match=r"from 'the encoder layers' on: .* n_layers 1000000000,"):
+            tiny_cfg(n_layers=10**9)
 
     @pytest.mark.parametrize("lr", [float("nan"), float("inf"), float("-inf"), -1e-3])
     def test_train_config_rejects_bad_learning_rate(self, lr):

@@ -5,8 +5,16 @@ import math
 import numpy as np
 import pytest
 
+from gatedfusion import synth
 from gatedfusion.errors import ConfigError
-from gatedfusion.synth import SynthSpec, _loglik_marginalized, bayes_oracle_accuracy, generate, model_inputs
+from gatedfusion.synth import (
+    MAX_FEATURE_VALUES,
+    SynthSpec,
+    _loglik_marginalized,
+    bayes_oracle_accuracy,
+    generate,
+    model_inputs,
+)
 
 
 def small_spec(**kw):
@@ -43,6 +51,33 @@ class TestSpecValidation:
     def test_round_trips_through_dict(self):
         spec = small_spec()
         assert SynthSpec(**spec.to_dict()) == spec
+
+    @pytest.mark.parametrize("field", ["d_a", "n_samples"])
+    def test_feature_value_budget(self, field):
+        """A one-frame spec holds d_a + d_t values per sample: at the budget it
+        is accepted, and one d_a or one sample past it refused, by construction
+        alone."""
+        kw = dict(n_classes=3, sparsity=1.0, len_range_a=(1, 1), len_range_t=(1, 1), d_t=4)
+        at_budget = (dict(n_samples=1, d_a=MAX_FEATURE_VALUES - 4) if field == "d_a"
+                     else dict(n_samples=MAX_FEATURE_VALUES // 8, d_a=4))
+        assert SynthSpec(**kw, **at_budget).n_samples == at_budget["n_samples"]
+        past = {**at_budget, field: at_budget[field] + 1}
+        values = past["n_samples"] * (past["d_a"] + 4)
+        with pytest.raises(ConfigError, match=rf"n_samples {past['n_samples']} x \(len_range_a\[1\] 1 x "
+                                              rf"d_a {past['d_a']} \+ len_range_t\[1\] 1 x d_t 4\) = {values} "
+                                              rf"feature values exceed the budget of {MAX_FEATURE_VALUES}"):
+            SynthSpec(**kw, **past)
+
+    def test_oracle_sample_budget(self, monkeypatch):
+        spec = small_spec()  # 20 x 6 + 16 x 6 = 216 values per sample at the longest lengths
+        spec.check_budget(MAX_FEATURE_VALUES // 216)
+
+        def refuse(spec):
+            raise AssertionError("a corpus was generated before the budget was checked")
+
+        monkeypatch.setattr(synth, "generate", refuse)
+        with pytest.raises(ConfigError, match=rf"n_samples {MAX_FEATURE_VALUES // 216 + 1} x .* exceed the budget"):
+            bayes_oracle_accuracy(spec, n_eval=MAX_FEATURE_VALUES // 216 + 1)
 
 
 class TestGenerate:
