@@ -13,7 +13,7 @@ from .errors import (
     ShapeError,
     UnsupportedVersionError,
 )
-from .gating import GatingMode, GatingParams
+from .gating import GatingMode
 from .model import ForwardResult, FusionModel, ModelConfig
 from .sequence import PaddedBatch, pad_batch
 from .synth import Corpus, OracleReport, Sample, SynthSpec, bayes_oracle_accuracy, generate, model_inputs
@@ -24,7 +24,7 @@ __all__ = [
     "BoundsError", "ChecksumError", "ConfigError", "CorpusFormatError",
     "EmptySequenceError", "GatedFusionError", "LabelError", "ManifestError",
     "NonFiniteError", "ShapeError", "UnsupportedVersionError",
-    "GatingMode", "GatingParams",
+    "GatingMode",
     "ForwardResult", "FusionModel", "ModelConfig",
     "PaddedBatch", "pad_batch",
     "Corpus", "OracleReport", "Sample", "SynthSpec", "bayes_oracle_accuracy",

@@ -8,10 +8,11 @@ float64.
 The probes run through `grouped_probe`: one forward per parameter gives all
 of its probe losses. The batch is tiled K = 2 x size times, and the parameter
 is replaced by a (K, m, n) stack whose j-th matrix carries probe j's one moved
-entry. Under the stack rule of `tensor`, matrix j serves the j-th copy of the
-batch, so each op does per copy exactly what it does for the batch alone (one
-GEMM over a copy's rows, like the batch's own), and every probe loss equals
-the one-at-a-time probe's bit for bit.
+entry; the stack stands in the parameter's slot in `FusionModel.slots`, where
+`forward` reads parameters by name. Under the stack rule of `tensor`, matrix j
+serves the j-th copy of the batch, so each op does per copy exactly what it
+does for the batch alone (one GEMM over a copy's rows, like the batch's own),
+and every probe loss equals the one-at-a-time probe's bit for bit.
 """
 
 from __future__ import annotations
@@ -54,16 +55,13 @@ def probe_batch(cfg: ModelConfig, seed: int = 11) -> list[tuple[np.ndarray, np.n
 def _standing_in(model: FusionModel, p: T.Parameter, stand_in: T.Tensor):
     """`stand_in` in the model's slot for `p`; `p` is put back on leaving, also
     on an exception."""
-    for owner in (model, model.gating, *model.enc_a, *model.enc_t):
-        for attr, value in vars(owner).items():
-            if value is p:
-                setattr(owner, attr, stand_in)
-                try:
-                    yield
-                finally:
-                    setattr(owner, attr, p)
-                return
-    raise ConfigError(f"parameter {p.name!r} is not one of the model's")
+    if model.slots.get(p.name) is not p:
+        raise ConfigError(f"parameter {p.name!r} is not one of the model's")
+    model.slots[p.name] = stand_in
+    try:
+        yield
+    finally:
+        model.slots[p.name] = p
 
 
 def grouped_probe(model: FusionModel, batch):

@@ -5,6 +5,8 @@ Attention heads ride the stack axis: B*H stacked heads share one matmul and
 softmax. Logits at invalid key positions get an additive -1e9 mask so padding
 never leaks into valid rows. Dropout applies to sublayer outputs during training
 only: the caller passes each layer its keep masks, already scaled by 1 / (1 - rate).
+A layer reads its parameters by name from the model's slots; the model's
+parameter table declares them.
 """
 
 from __future__ import annotations
@@ -12,14 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .errors import ShapeError
 
 _ATTN_MASK_VALUE = -1e9
-
-
-def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
-    bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, (fan_in, fan_out))
 
 
 def dropout_keep(rng: np.random.Generator, rate: float, shape: int | tuple[int, ...]) -> np.ndarray:
@@ -32,47 +28,27 @@ def _dropout(x: T.Tensor, keep: np.ndarray | None) -> T.Tensor:
 
 
 class EncoderLayer:
-    """One attention + feedforward block with learnable layernorm affines."""
+    """One attention + feedforward block with learnable layernorm affines.
 
-    def __init__(self, name: str, d_model: int, n_heads: int, ff_mult: int, rng: np.random.Generator):
-        if d_model % n_heads != 0:
-            raise ShapeError(f"d_model {d_model} not divisible by n_heads {n_heads}")
-        self.d_model = d_model
+    The layer owns no parameters: it reads `<prefix>.wq` and the rest by name
+    from the model's `slots`.
+    """
+
+    def __init__(self, prefix: str, n_heads: int, slots: dict[str, T.Tensor]):
+        self.prefix = prefix
         self.n_heads = n_heads
-        d_ff = d_model * ff_mult
-        p = T.Parameter
-        self.wq = p(f"{name}.wq", xavier_uniform(rng, d_model, d_model))
-        self.wk = p(f"{name}.wk", xavier_uniform(rng, d_model, d_model))
-        self.wv = p(f"{name}.wv", xavier_uniform(rng, d_model, d_model))
-        self.wo = p(f"{name}.wo", xavier_uniform(rng, d_model, d_model))
-        self.bq = p(f"{name}.bq", np.zeros((1, d_model)))
-        self.bv = p(f"{name}.bv", np.zeros((1, d_model)))
-        self.bo = p(f"{name}.bo", np.zeros((1, d_model)))
-        self.ln1_g = p(f"{name}.ln1_g", np.ones((1, d_model)))
-        self.ln1_b = p(f"{name}.ln1_b", np.zeros((1, d_model)))
-        self.w1 = p(f"{name}.ffn_w1", xavier_uniform(rng, d_model, d_ff))
-        self.b1 = p(f"{name}.ffn_b1", np.zeros((1, d_ff)))
-        self.w2 = p(f"{name}.ffn_w2", xavier_uniform(rng, d_ff, d_model))
-        self.b2 = p(f"{name}.ffn_b2", np.zeros((1, d_model)))
-        self.ln2_g = p(f"{name}.ln2_g", np.ones((1, d_model)))
-        self.ln2_b = p(f"{name}.ln2_b", np.zeros((1, d_model)))
+        self.slots = slots
 
-    def parameters(self) -> list[T.Parameter]:
-        return [
-            self.wq, self.wk, self.wv, self.wo,
-            self.bq, self.bv, self.bo,
-            self.ln1_g, self.ln1_b,
-            self.w1, self.b1, self.w2, self.b2,
-            self.ln2_g, self.ln2_b,
-        ]
+    def _p(self, name: str) -> T.Tensor:
+        return self.slots[f"{self.prefix}.{name}"]
 
     def _attention(self, x: T.Tensor, mask: np.ndarray) -> T.Tensor:
         b, t, d = x.data.shape
         h, dh = self.n_heads, d // self.n_heads
-        q = T.add(T.matmul(x, self.wq), self.bq)
+        q = T.add(T.matmul(x, self._p("wq")), self._p("bq"))
         # no key bias: a shared key offset cancels inside the row softmax
-        k = T.matmul(x, self.wk)
-        v = T.add(T.matmul(x, self.wv), self.bv)
+        k = T.matmul(x, self._p("wk"))
+        v = T.add(T.matmul(x, self._p("wv")), self._p("bv"))
         # row i*H + j of a (B*H, T, dh) head stack is head j of sample i; kh is (B*H, dh, T)
         qh = T.transpose(q, (b, t, h, dh), (0, 2, 1, 3), (b * h, t, dh))
         kh = T.transpose(k, (b, t, h, dh), (0, 2, 3, 1), (b * h, dh, t))
@@ -82,14 +58,14 @@ class EncoderLayer:
         scores = T.mul(T.matmul(qh, kh), T.constant([[1.0 / np.sqrt(dh)]]))
         attn = T.softmax_rows(T.add(scores, T.constant(np.repeat(key_mask, h, axis=0))))
         merged = T.transpose(T.matmul(attn, vh), (b, h, t, dh), (0, 2, 1, 3), (b, t, d))
-        return T.add(T.matmul(merged, self.wo), self.bo)
+        return T.add(T.matmul(merged, self._p("wo")), self._p("bo"))
 
     def _ffn(self, x: T.Tensor) -> T.Tensor:
-        hidden = T.relu(T.add(T.matmul(x, self.w1), self.b1))
-        return T.add(T.matmul(hidden, self.w2), self.b2)
+        hidden = T.relu(T.add(T.matmul(x, self._p("ffn_w1")), self._p("ffn_b1")))
+        return T.add(T.matmul(hidden, self._p("ffn_w2")), self._p("ffn_b2"))
 
-    def _ln(self, x: T.Tensor, gain: T.Parameter, bias: T.Parameter) -> T.Tensor:
-        return T.add(T.mul(T.layernorm_rows(x), gain), bias)
+    def _ln(self, x: T.Tensor, site: str) -> T.Tensor:
+        return T.add(T.mul(T.layernorm_rows(x), self._p(f"{site}_g")), self._p(f"{site}_b"))
 
     def forward(self, x: T.Tensor, mask: np.ndarray, keep: np.ndarray | None = None) -> T.Tensor:
         """`x` is a (B, T, d) stack with its (B, T) masks; `keep` stacks the
@@ -97,9 +73,9 @@ class EncoderLayer:
         or is None for no dropout."""
         attn_keep, ffn_keep = (None, None) if keep is None else keep
         attn = _dropout(self._attention(x, mask), attn_keep)
-        x = self._ln(T.add(x, attn), self.ln1_g, self.ln1_b)
+        x = self._ln(T.add(x, attn), "ln1")
         ff = _dropout(self._ffn(x), ffn_keep)
-        return self._ln(T.add(x, ff), self.ln2_g, self.ln2_b)
+        return self._ln(T.add(x, ff), "ln2")
 
 
 def sinusoidal_positions(t_len: int, d_model: int) -> np.ndarray:

@@ -54,16 +54,19 @@ def _fits(value, kind) -> bool:
     """Whether a JSON value fits a field type: a finite int is a float (NaN and
     +-inf are not), a bool is not an int, a string may name an enum member, a
     tuple field takes a list."""
+    if isinstance(value, bool):
+        return kind is bool
+    if kind is float:
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    if type(kind) is type:
+        # a plain class such as int, str or dict: neither an enum nor a generic alias
+        return isinstance(value, kind)
     if typing.get_origin(kind) is tuple:
         kinds = typing.get_args(kind)
         return (isinstance(value, (list, tuple)) and len(value) == len(kinds)
                 and all(_fits(v, k) for v, k in zip(value, kinds)))
-    if isinstance(value, bool):
-        return kind is bool
     if issubclass(kind, enum.Enum):
         return isinstance(value, (str, kind))
-    if kind is float:
-        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
     return isinstance(value, kind)
 
 

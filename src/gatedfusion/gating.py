@@ -5,12 +5,12 @@ concatenated with one global context row, the same for every frame of the
 sequence. In cross-modal mode the context is the *other* modality's masked
 mean; in unimodal mode the sequence's own. The gate rescales the frame's whole
 feature row (one scalar broadcast across all d channels). Gates at padded
-positions are forced to 0 so refined padding stays zero.
+positions are forced to 0 so refined padding stays zero. The projections,
+one 2d -> 1 map plus bias per modality, are the model's `gate.*` parameters.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -23,30 +23,6 @@ class GatingMode(str, Enum):
     NONE = "none"
     UNIMODAL = "unimodal"
     CROSS_MODAL = "cross_modal"
-
-
-@dataclass
-class GatingParams:
-    """Learnable gate projections, one 2d -> 1 map per modality plus bias."""
-
-    w_a: T.Parameter
-    w_t: T.Parameter
-    b_a: T.Parameter
-    b_t: T.Parameter
-
-    @classmethod
-    def init(cls, d: int) -> "GatingParams":
-        # zero init: gates start exactly neutral (0.5) with no accidental
-        # frame preference; a single output unit has no symmetry to break
-        return cls(
-            w_a=T.Parameter("gate.w_a", np.zeros((2 * d, 1))),
-            w_t=T.Parameter("gate.w_t", np.zeros((2 * d, 1))),
-            b_a=T.Parameter("gate.b_a", np.zeros((1, 1))),
-            b_t=T.Parameter("gate.b_t", np.zeros((1, 1))),
-        )
-
-    def parameters(self) -> list[T.Parameter]:
-        return [self.w_a, self.w_t, self.b_a, self.b_t]
 
 
 def gate_sequence(features: T.Tensor, mask: np.ndarray, context: T.Tensor, w: T.Tensor,

@@ -5,6 +5,11 @@ gating (mode-dependent), sinusoidal positions, one transformer encoder per
 modality, masked mean pooling per branch, concatenation, two-layer MLP head.
 `forward` runs a padded minibatch of pairs as one op sequence on (B, T, d)
 stacks; every sample's result is independent of its batchmates and padding.
+
+One table, `_shape_tables`, declares every parameter's (name, shape, init).
+The constructor builds the flat parameter vector from it, `parameter_shapes`
+and the parameter budget read it, and `forward` reads each parameter by name
+from `FusionModel.slots`.
 """
 
 from __future__ import annotations
@@ -15,9 +20,9 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import tensor as T
-from .encoder import EncoderLayer, dropout_keep, xavier_uniform, sinusoidal_positions
+from .encoder import EncoderLayer, dropout_keep, sinusoidal_positions
 from .errors import ConfigError, ShapeError
-from .gating import GatingMode, GatingParams, gate_sequence, refine_sequence
+from .gating import GatingMode, gate_sequence, refine_sequence
 from .sequence import PaddedBatch, masked_mean_pool, pad_batch
 
 # More parameters are refused at construction: 181x the README model's 55,109,
@@ -57,10 +62,12 @@ class ModelConfig:
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         before, layer, after = _shape_tables(self)
-        parts = [*before, ("the encoder layers", (2 * self.n_layers, sum(r * c for _, (r, c) in layer))), *after]
-        counts = list(itertools.accumulate(r * c for _, (r, c) in parts))
+        sizes = [(name, r * c) for name, (r, c), _ in before]
+        sizes.append(("the encoder layers", 2 * self.n_layers * sum(r * c for _, (r, c), _ in layer)))
+        sizes += [(name, r * c) for name, (r, c), _ in after]
+        counts = list(itertools.accumulate(size for _, size in sizes))
         if counts[-1] > MAX_PARAMETERS:
-            past = next(name for (name, _), count in zip(parts, counts) if count > MAX_PARAMETERS)
+            past = next(name for (name, _), count in zip(sizes, counts) if count > MAX_PARAMETERS)
             raise ConfigError(f"{counts[-1]} parameters exceed the budget of {MAX_PARAMETERS} (model.MAX_PARAMETERS) "
                               f"from {past!r} on: d_a {self.d_a}, d_t {self.d_t}, d_model {self.d_model}, "
                               f"n_layers {self.n_layers}, ff_mult {self.ff_mult}, n_classes {self.n_classes}")
@@ -72,27 +79,50 @@ class ModelConfig:
 
 
 def _shape_tables(cfg: ModelConfig):
-    """The (name, shape) lists before the encoders, of one encoder layer (unprefixed), and after."""
+    """The (name, shape, init) rows before the encoders, of one encoder layer
+    (unprefixed), and after: the one declaration of the model's parameters.
+
+    `init` names an entry of `_INIT`: Xavier draws come from the seed's
+    generator in table order.
+    """
     d, f, c = cfg.d_model, cfg.d_model * cfg.ff_mult, cfg.n_classes
-    before = [("proj_a.w", (cfg.d_a, d)), ("proj_a.b", (1, d)), ("proj_t.w", (cfg.d_t, d)),
-              ("proj_t.b", (1, d)), ("gate.w_a", (2 * d, 1)), ("gate.w_t", (2 * d, 1)),
-              ("gate.b_a", (1, 1)), ("gate.b_t", (1, 1))]
-    layer = [("wq", (d, d)), ("wk", (d, d)), ("wv", (d, d)), ("wo", (d, d)), ("bq", (1, d)), ("bv", (1, d)),
-             ("bo", (1, d)), ("ln1_g", (1, d)), ("ln1_b", (1, d)), ("ffn_w1", (d, f)), ("ffn_b1", (1, f)),
-             ("ffn_w2", (f, d)), ("ffn_b2", (1, d)), ("ln2_g", (1, d)), ("ln2_b", (1, d))]
-    after = [("head.w1", (2 * d, d)), ("head.b1", (1, d)), ("head.w2", (d, c)), ("head.b2", (1, c))]
+    x, z, o = "xavier", "zeros", "ones"
+    # zero gate init: gates start exactly neutral (0.5) with no accidental
+    # frame preference; a single output unit has no symmetry to break
+    before = [("proj_a.w", (cfg.d_a, d), x), ("proj_a.b", (1, d), z), ("proj_t.w", (cfg.d_t, d), x),
+              ("proj_t.b", (1, d), z), ("gate.w_a", (2 * d, 1), z), ("gate.w_t", (2 * d, 1), z),
+              ("gate.b_a", (1, 1), z), ("gate.b_t", (1, 1), z)]
+    layer = [("wq", (d, d), x), ("wk", (d, d), x), ("wv", (d, d), x), ("wo", (d, d), x), ("bq", (1, d), z),
+             ("bv", (1, d), z), ("bo", (1, d), z), ("ln1_g", (1, d), o), ("ln1_b", (1, d), z),
+             ("ffn_w1", (d, f), x), ("ffn_b1", (1, f), z), ("ffn_w2", (f, d), x), ("ffn_b2", (1, d), z),
+             ("ln2_g", (1, d), o), ("ln2_b", (1, d), z)]
+    after = [("head.w1", (2 * d, d), x), ("head.b1", (1, d), z), ("head.w2", (d, c), x), ("head.b2", (1, c), z)]
     return before, layer, after
 
 
-def parameter_shapes(cfg: ModelConfig):
-    """Each parameter's (name, shape) in `FusionModel(cfg).parameters()` order,
-    allocating nothing; it repeats the constructors' layout."""
+def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
+    bound = np.sqrt(6.0 / (fan_in + fan_out))
+    return rng.uniform(-bound, bound, (fan_in, fan_out))
+
+
+_INIT = {"xavier": lambda rng, shape: xavier_uniform(rng, *shape),
+         "zeros": lambda rng, shape: np.zeros(shape),
+         "ones": lambda rng, shape: np.ones(shape)}
+
+
+def parameter_table(cfg: ModelConfig):
+    """Each parameter's (name, shape, init) in `FusionModel(cfg).parameters()` order."""
     before, layer, after = _shape_tables(cfg)
     yield from before
     for branch in ("enc_a", "enc_t"):
         for i in range(cfg.n_layers):
-            yield from ((f"{branch}.{i}.{name}", shape) for name, shape in layer)
+            yield from ((f"{branch}.{i}.{name}", shape, init) for name, shape, init in layer)
     yield from after
+
+
+def parameter_shapes(cfg: ModelConfig):
+    """Each parameter's (name, shape) in `FusionModel(cfg).parameters()` order, allocating nothing."""
+    return ((name, shape) for name, shape, _ in parameter_table(cfg))
 
 
 @dataclass
@@ -108,25 +138,12 @@ class FusionModel:
     def __init__(self, cfg: ModelConfig):
         self.cfg = cfg
         rng = np.random.default_rng(cfg.seed)
-        d = cfg.d_model
-        p = T.Parameter
-        self.proj_a_w = p("proj_a.w", xavier_uniform(rng, cfg.d_a, d))
-        self.proj_a_b = p("proj_a.b", np.zeros((1, d)))
-        self.proj_t_w = p("proj_t.w", xavier_uniform(rng, cfg.d_t, d))
-        self.proj_t_b = p("proj_t.b", np.zeros((1, d)))
-        self.gating = GatingParams.init(d)
-        self.enc_a = [EncoderLayer(f"enc_a.{i}", d, cfg.n_heads, cfg.ff_mult, rng) for i in range(cfg.n_layers)]
-        self.enc_t = [EncoderLayer(f"enc_t.{i}", d, cfg.n_heads, cfg.ff_mult, rng) for i in range(cfg.n_layers)]
-        self.head_w1 = p("head.w1", xavier_uniform(rng, 2 * d, d))
-        self.head_b1 = p("head.b1", np.zeros((1, d)))
-        self.head_w2 = p("head.w2", xavier_uniform(rng, d, cfg.n_classes))
-        self.head_b2 = p("head.b2", np.zeros((1, cfg.n_classes)))
-        params = [self.proj_a_w, self.proj_a_b, self.proj_t_w, self.proj_t_b]
-        params += self.gating.parameters()
-        for layer in self.enc_a + self.enc_t:
-            params += layer.parameters()
-        params += [self.head_w1, self.head_b1, self.head_w2, self.head_b2]
-        self._params = T.FlatParameters(params)
+        self._params = T.FlatParameters([T.Parameter(name, _INIT[init](rng, shape))
+                                         for name, shape, init in parameter_table(cfg)])
+        # every parameter by name: forward, its gates and encoder layers read them from here
+        self.slots = {p.name: p for p in self._params}
+        self.enc_a = [EncoderLayer(f"enc_a.{i}", cfg.n_heads, self.slots) for i in range(cfg.n_layers)]
+        self.enc_t = [EncoderLayer(f"enc_t.{i}", cfg.n_heads, self.slots) for i in range(cfg.n_layers)]
 
     def parameters(self) -> T.FlatParameters:
         """Every parameter, in checkpoint order, packed into one data and one grad vector."""
@@ -181,17 +198,17 @@ class FusionModel:
         keeps_a, keeps_t = self._dropout_keeps(batch_a, batch_t, dropout_rng)
         mask_a, mask_t = batch_a.masks, batch_t.masks
 
-        xa = T.add(T.matmul(T.constant(batch_a.features), self.proj_a_w), self.proj_a_b)
-        xt = T.add(T.matmul(T.constant(batch_t.features), self.proj_t_w), self.proj_t_b)
+        s = self.slots
+        xa = T.add(T.matmul(T.constant(batch_a.features), s["proj_a.w"]), s["proj_a.b"])
+        xt = T.add(T.matmul(T.constant(batch_t.features), s["proj_t.w"]), s["proj_t.b"])
 
         gates_a = gates_t = None
         mode = self.cfg.gating_mode
         if mode is not GatingMode.NONE:
-            g = self.gating
             means = masked_mean_pool(xa, mask_a), masked_mean_pool(xt, mask_t)
             ctx_a, ctx_t = means[::-1] if mode is GatingMode.CROSS_MODAL else means
-            ga = gate_sequence(xa, mask_a, ctx_a, g.w_a, g.b_a)
-            gt = gate_sequence(xt, mask_t, ctx_t, g.w_t, g.b_t)
+            ga = gate_sequence(xa, mask_a, ctx_a, s["gate.w_a"], s["gate.b_a"])
+            gt = gate_sequence(xt, mask_t, ctx_t, s["gate.w_t"], s["gate.b_t"])
             xa = refine_sequence(xa, ga)
             xt = refine_sequence(xt, gt)
             gates_a, gates_t = ga.data.copy(), gt.data.copy()
@@ -205,8 +222,8 @@ class FusionModel:
             xt = layer.forward(xt, mask_t, keep)
 
         pooled = T.concat_cols(masked_mean_pool(xa, mask_a), masked_mean_pool(xt, mask_t))
-        hidden = T.relu(T.add(T.matmul(pooled, self.head_w1), self.head_b1))
-        logits = T.add(T.matmul(hidden, self.head_w2), self.head_b2)
+        hidden = T.relu(T.add(T.matmul(pooled, s["head.w1"]), s["head.b1"]))
+        logits = T.add(T.matmul(hidden, s["head.w2"]), s["head.b2"])
         return ForwardResult(logits, gates_a, gates_t)
 
     def loss(self, seq_a: np.ndarray, seq_t: np.ndarray, label: int) -> tuple[T.Tensor, ForwardResult]:

@@ -26,7 +26,7 @@ from gatedfusion.cli import main as cli_main
 from gatedfusion.corpus_io import MANIFEST_NAME, read_corpus, write_corpus
 from gatedfusion.diagnostics import full_model_gradcheck
 from gatedfusion.errors import CorpusFormatError
-from gatedfusion.gating import GatingMode, GatingParams
+from gatedfusion.gating import GatingMode
 from gatedfusion.model import FusionModel, ModelConfig
 from gatedfusion.sequence import pad_batch
 from gatedfusion.synth import SynthSpec, bayes_oracle_accuracy, generate
@@ -87,24 +87,23 @@ class TestCriterion2GatingOracle:
         for seed in range(100):
             rng = np.random.default_rng([29, seed])
             d = int(rng.integers(2, 9))
-            params = GatingParams.init(d)
-            for p in params.parameters():
+            model = FusionModel(ModelConfig(d_a=d, d_t=d, d_model=d, n_heads=1, n_layers=1,
+                                            ff_mult=1, n_classes=2, dropout_rate=0.0))
+            params = {key: model.slots[f"gate.{key}"] for key in ("w_a", "w_t", "b_a", "b_t")}
+            for p in params.values():
                 p.data[...] = rng.normal(size=p.data.shape)
             seq_a = rng.normal(size=(int(rng.integers(1, 14)), d))
             seq_t = rng.normal(size=(int(rng.integers(1, 14)), d))
-            model = FusionModel(ModelConfig(d_a=d, d_t=d, d_model=d, n_heads=1, n_layers=1,
-                                            ff_mult=1, n_classes=2, dropout_rate=0.0))
-            for w, b in ((model.proj_a_w, model.proj_a_b), (model.proj_t_w, model.proj_t_b)):
-                w.data[...] = np.eye(d)
-                b.data[...] = 0.0
-            model.gating = params
+            for w, b in (("proj_a.w", "proj_a.b"), ("proj_t.w", "proj_t.b")):
+                model.slots[w].data[...] = np.eye(d)
+                model.slots[b].data[...] = 0.0
             for mode, ctx_a, ctx_t in ((GatingMode.CROSS_MODAL, seq_t, seq_a),
                                        (GatingMode.UNIMODAL, seq_a, seq_t)):
                 model.cfg.gating_mode = mode
                 result = model.forward(pad_batch([seq_a]), pad_batch([seq_t]))
                 for gates, seq, ctx, w, b in (
-                    (result.gates_a[0], seq_a, ctx_a, params.w_a, params.b_a),
-                    (result.gates_t[0], seq_t, ctx_t, params.w_t, params.b_t),
+                    (result.gates_a[0], seq_a, ctx_a, params["w_a"], params["b_a"]),
+                    (result.gates_t[0], seq_t, ctx_t, params["w_t"], params["b_t"]),
                 ):
                     expected = _scalar_loop(seq, ctx, w.data, b.data[0, 0])
                     worst = max(worst, float(np.abs(gates - expected).max()))

@@ -17,10 +17,8 @@ CONFIGS["cross_modal-2-layers"] = replace(tiny_config(GatingMode.CROSS_MODAL), n
 
 
 def slots(model):
-    """Every attribute of the model and of its parts, keyed by owner and name."""
-    return {(id(owner), attr): value
-            for owner in (model, model.gating, *model.enc_a, *model.enc_t)
-            for attr, value in vars(owner).items()}
+    """What the model's slots hold now, by parameter name."""
+    return dict(model.slots)
 
 
 def model_and_batch(cfg):
@@ -68,7 +66,7 @@ def test_a_forward_that_raises_restores_the_models_parameters(monkeypatch):
         # the first call is the analytic pass, the second the first parameter's probes
         calls.append(len(calls))
         if len(calls) == 2:
-            assert self.proj_a_w is not held[(id(self), "proj_a_w")]
+            assert self.slots["proj_a.w"] is not held["proj_a.w"]
             raise RuntimeError("forward failed")
         return forward(self, *args, **kwargs)
 
@@ -85,3 +83,10 @@ def test_a_parameter_the_model_does_not_hold_is_refused():
     model, batch = model_and_batch(tiny_config(GatingMode.NONE))
     with pytest.raises(ConfigError, match="'stray'"):
         grouped_probe(model, batch)(T.Parameter("stray", np.zeros((1, 2))), 1e-5)
+    # another model's parameter of the same name and shape is not this model's
+    before, held = model.parameters().data.copy(), slots(model)
+    look_alike = FusionModel(tiny_config(GatingMode.NONE)).slots["proj_a.w"]
+    with pytest.raises(ConfigError, match=r"'proj_a\.w'"):
+        grouped_probe(model, batch)(look_alike, 1e-5)
+    assert all(slots(model)[key] is value for key, value in held.items())
+    assert model.parameters().data.tobytes() == before.tobytes()

@@ -4,33 +4,48 @@ import numpy as np
 import pytest
 
 from gatedfusion import tensor as T
-from gatedfusion.encoder import EncoderLayer
 from gatedfusion.gating import GatingMode
-from gatedfusion.model import FusionModel, ModelConfig
+from gatedfusion.model import FusionModel, ModelConfig, parameter_table, xavier_uniform
 from gatedfusion.sequence import pad_batch
 from gatedfusion.trainer import batch_loss
 
 
-def numpy_layer(layer, x):
-    """One unpadded T x d sample through `layer`, one head at a time, in plain numpy."""
+def lone_layer(n_heads, rng):
+    """enc_a.0 of a one-layer d_model 8 model, its Xavier weights drawn from
+    `rng` in table order, and its parameters by unprefixed name."""
+    cfg = ModelConfig(d_a=8, d_t=8, d_model=8, n_heads=n_heads, n_layers=1, ff_mult=2, n_classes=2,
+                      dropout_rate=0.0)
+    model = FusionModel(cfg)
+    params = {}
+    for name, shape, init in parameter_table(cfg):
+        if name.startswith("enc_a.0."):
+            params[name.removeprefix("enc_a.0.")] = p = model.slots[name]
+            if init == "xavier":
+                p.data[...] = xavier_uniform(rng, *shape)
+    return model.enc_a[0], params
+
+
+def numpy_layer(p, n_heads, x):
+    """One unpadded T x d sample through a layer with parameters `p`, one head
+    at a time, in plain numpy."""
     def ln(z, gain, bias):
         return (z - z.mean(axis=1, keepdims=True)) / np.sqrt(z.var(axis=1, keepdims=True) + 1e-5) \
             * gain.data + bias.data
 
-    dh = layer.d_model // layer.n_heads
-    q = x @ layer.wq.data + layer.bq.data
-    k = x @ layer.wk.data
-    v = x @ layer.wv.data + layer.bv.data
+    dh = x.shape[1] // n_heads
+    q = x @ p["wq"].data + p["bq"].data
+    k = x @ p["wk"].data
+    v = x @ p["wv"].data + p["bv"].data
     heads = []
-    for j in range(layer.n_heads):
+    for j in range(n_heads):
         cols = slice(j * dh, (j + 1) * dh)
         scores = q[:, cols] @ k[:, cols].T * (1.0 / np.sqrt(dh))
         e = np.exp(scores - scores.max(axis=1, keepdims=True))
         heads.append(e / e.sum(axis=1, keepdims=True) @ v[:, cols])
-    attn = np.concatenate(heads, axis=1) @ layer.wo.data + layer.bo.data
-    x = ln(x + attn, layer.ln1_g, layer.ln1_b)
-    ff = np.maximum(x @ layer.w1.data + layer.b1.data, 0.0) @ layer.w2.data + layer.b2.data
-    return ln(x + ff, layer.ln2_g, layer.ln2_b)
+    attn = np.concatenate(heads, axis=1) @ p["wo"].data + p["bo"].data
+    x = ln(x + attn, p["ln1_g"], p["ln1_b"])
+    ff = np.maximum(x @ p["ffn_w1"].data + p["ffn_b1"].data, 0.0) @ p["ffn_w2"].data + p["ffn_b2"].data
+    return ln(x + ff, p["ln2_g"], p["ln2_b"])
 
 
 @pytest.mark.parametrize("n_heads", [1, 2, 4])
@@ -38,15 +53,15 @@ def test_layer_matches_per_head_numpy_loop(n_heads):
     """Each sample of a mixed-length stack gets its own per-head attention output:
     the padding rows of shorter samples never reach its valid rows."""
     rng = np.random.default_rng(n_heads)
-    layer = EncoderLayer("enc", 8, n_heads, 2, rng)
+    layer, params = lone_layer(n_heads, rng)
     # random biases and layernorm affines, so every parameter shows in the output
-    for p in layer.parameters():
+    for p in params.values():
         p.data[...] = rng.normal(size=p.data.shape)
     samples = [rng.normal(size=(t, 8)) for t in (3, 7, 1, 5)]
     batch = pad_batch(samples)
     out = layer.forward(T.constant(batch.features), batch.masks).data
     for i, x in enumerate(samples):
-        np.testing.assert_allclose(out[i, : len(x)], numpy_layer(layer, x), rtol=1e-12)
+        np.testing.assert_allclose(out[i, : len(x)], numpy_layer(params, n_heads, x), rtol=1e-12)
 
 
 def test_batch_op_count_does_not_depend_on_heads():

@@ -11,7 +11,7 @@ import pytest
 
 from gatedfusion import tensor as T
 from gatedfusion.errors import ShapeError
-from gatedfusion.gating import GatingMode, GatingParams, gate_sequence, refine_sequence
+from gatedfusion.gating import GatingMode, gate_sequence, refine_sequence
 from gatedfusion.model import FusionModel, ModelConfig
 from gatedfusion.sequence import masked_mean_pool, pad_batch
 from padding import pad_extra
@@ -29,13 +29,15 @@ def scalar_loop_gates(features, ctx_features, w, b):
     return np.array(out).reshape(-1, 1)
 
 
+def gate_params(d, draw):
+    """Stand-alone copies of the model's four `gate.*` parameters, keyed w_a,
+    w_t, b_a, b_t and each filled by `draw(shape)` in that order."""
+    shapes = {"w_a": (2 * d, 1), "w_t": (2 * d, 1), "b_a": (1, 1), "b_t": (1, 1)}
+    return {key: T.Parameter(f"gate.{key}", draw(shape)) for key, shape in shapes.items()}
+
+
 def make_params(rng, d):
-    params = GatingParams.init(d)
-    params.w_a.data[...] = rng.normal(size=params.w_a.data.shape)
-    params.w_t.data[...] = rng.normal(size=params.w_t.data.shape)
-    params.b_a.data[...] = rng.normal(size=(1, 1))
-    params.b_t.data[...] = rng.normal(size=(1, 1))
-    return params
+    return gate_params(d, lambda shape: rng.normal(size=shape))
 
 
 def random_seq(rng, t_len, d):
@@ -53,13 +55,14 @@ def model_gates(seq_a, seq_t, params, mode=GatingMode.CROSS_MODAL, pad_a=0, pad_
 
     Each sequence runs with `pad_a`/`pad_t` extra padded rows, whose gates are returned too.
     """
-    d = params.w_a.data.shape[0] // 2
+    d = params["w_a"].data.shape[0] // 2
     model = FusionModel(ModelConfig(d_a=d, d_t=d, d_model=d, n_heads=1, n_layers=1, ff_mult=1,
                                     n_classes=2, gating_mode=mode, dropout_rate=0.0))
-    for w, b in ((model.proj_a_w, model.proj_a_b), (model.proj_t_w, model.proj_t_b)):
-        w.data[...] = np.eye(d)
-        b.data[...] = 0.0
-    model.gating = params
+    for w, b in (("proj_a.w", "proj_a.b"), ("proj_t.w", "proj_t.b")):
+        model.slots[w].data[...] = np.eye(d)
+        model.slots[b].data[...] = 0.0
+    for p in params.values():
+        model.slots[p.name].data[...] = p.data
     result = model.forward(pad_extra(pad_batch([seq_a]), pad_a), pad_extra(pad_batch([seq_t]), pad_t))
     return result.gates_a[0], result.gates_t[0]
 
@@ -68,9 +71,7 @@ class TestCrossModal:
     def test_zero_weights_give_half_gates(self):
         rng = np.random.default_rng(0)
         d = 4
-        params = GatingParams.init(d)
-        for p in params.parameters():
-            p.data[...] = 0.0
+        params = gate_params(d, np.zeros)
         seq_a, seq_t = random_seq(rng, 5, d), random_seq(rng, 3, d)
         gates_a, gates_t = model_gates(seq_a, seq_t, params)
         np.testing.assert_allclose(gates_a, 0.5)
@@ -91,8 +92,8 @@ class TestCrossModal:
         params = make_params(rng, d)
         seq_a, seq_t = random_seq(rng, 2, d), random_seq(rng, 2, d)
         gates_a, gates_t = model_gates(seq_a, seq_t, params)
-        assert_gates(gates_a, scalar_loop_gates(seq_a, seq_t, params.w_a.data, params.b_a.data[0, 0]))
-        assert_gates(gates_t, scalar_loop_gates(seq_t, seq_a, params.w_t.data, params.b_t.data[0, 0]))
+        assert_gates(gates_a, scalar_loop_gates(seq_a, seq_t, params["w_a"].data, params["b_a"].data[0, 0]))
+        assert_gates(gates_t, scalar_loop_gates(seq_t, seq_a, params["w_t"].data, params["b_t"].data[0, 0]))
 
 
 class TestUnimodal:
@@ -102,14 +103,12 @@ class TestUnimodal:
         params = make_params(rng, d)
         frame = rng.normal(size=(1, d))
         gates_a, _ = model_gates(frame, random_seq(rng, 3, d), params, GatingMode.UNIMODAL)
-        z = np.concatenate([frame[0], frame[0]]) @ params.w_a.data[:, 0] + params.b_a.data[0, 0]
+        z = np.concatenate([frame[0], frame[0]]) @ params["w_a"].data[:, 0] + params["b_a"].data[0, 0]
         assert gates_a[0, 0] == pytest.approx(1.0 / (1.0 + np.exp(-z)), abs=1e-14)
 
     def test_zero_weights(self):
         rng = np.random.default_rng(5)
-        params = GatingParams.init(4)
-        for p in params.parameters():
-            p.data[...] = 0.0
+        params = gate_params(4, np.zeros)
         gates_a, gates_t = model_gates(random_seq(rng, 7, 4), random_seq(rng, 3, 4), params,
                                        GatingMode.UNIMODAL)
         np.testing.assert_allclose(gates_a, 0.5)
@@ -121,8 +120,8 @@ class TestUnimodal:
         params = make_params(rng, d)
         seq_a, seq_t = random_seq(rng, 9, d), random_seq(rng, 5, d)
         gates_a, gates_t = model_gates(seq_a, seq_t, params, GatingMode.UNIMODAL, pad_a=3, pad_t=1)
-        assert_gates(gates_a, scalar_loop_gates(seq_a, seq_a, params.w_a.data, params.b_a.data[0, 0]))
-        assert_gates(gates_t, scalar_loop_gates(seq_t, seq_t, params.w_t.data, params.b_t.data[0, 0]))
+        assert_gates(gates_a, scalar_loop_gates(seq_a, seq_a, params["w_a"].data, params["b_a"].data[0, 0]))
+        assert_gates(gates_t, scalar_loop_gates(seq_t, seq_t, params["w_t"].data, params["b_t"].data[0, 0]))
 
 
 @pytest.mark.parametrize("seed", range(100))
@@ -139,8 +138,8 @@ def test_oracle_equivalence_both_modes(seed):
     for mode, ctx_a, ctx_t in ((GatingMode.CROSS_MODAL, seq_t, seq_a),
                                (GatingMode.UNIMODAL, seq_a, seq_t)):
         gates_a, gates_t = model_gates(seq_a, seq_t, params, mode, pad_a, pad_t)
-        assert_gates(gates_a, scalar_loop_gates(seq_a, ctx_a, params.w_a.data, params.b_a.data[0, 0]))
-        assert_gates(gates_t, scalar_loop_gates(seq_t, ctx_t, params.w_t.data, params.b_t.data[0, 0]))
+        assert_gates(gates_a, scalar_loop_gates(seq_a, ctx_a, params["w_a"].data, params["b_a"].data[0, 0]))
+        assert_gates(gates_t, scalar_loop_gates(seq_t, ctx_t, params["w_t"].data, params["b_t"].data[0, 0]))
 
 
 class TestRefine:
@@ -170,11 +169,11 @@ class TestRefine:
 
         def loss_fn():
             context = masked_mean_pool(T.constant(seq_t), np.ones(3))
-            gates = gate_sequence(h_param, mask_a, context, params.w_a, params.b_a)
+            gates = gate_sequence(h_param, mask_a, context, params["w_a"], params["b_a"])
             refined = refine_sequence(h_param, gates)
             return T.sum_all(T.sigmoid(refined))
 
-        report = T.gradcheck(loss_fn, [h_param, params.w_a, params.b_a], tol=1e-4)
+        report = T.gradcheck(loss_fn, [h_param, params["w_a"], params["b_a"]], tol=1e-4)
         assert report.passed, f"{report}"
 
 
@@ -183,11 +182,11 @@ class TestStructuralInvariants:
         rng = np.random.default_rng(11)
         d = 4
         params = make_params(rng, d)
-        params.w_a.data *= 100  # drive sigmoid toward saturation
+        params["w_a"].data *= 100  # drive sigmoid toward saturation
         (seq,), (mask,) = pad_extra(pad_batch([random_seq(rng, 20, d)]), 5)
         feats = T.constant(seq)
         context = masked_mean_pool(feats, mask)
-        gates = gate_sequence(feats, mask, context, params.w_a, params.b_a)
+        gates = gate_sequence(feats, mask, context, params["w_a"], params["b_a"])
         refined = refine_sequence(feats, gates)
         assert np.all(gates.data[:20] > 0.0) and np.all(gates.data[:20] < 1.0)
         np.testing.assert_array_equal(gates.data[20:], 0.0)
@@ -217,7 +216,7 @@ class TestStructuralInvariants:
         rng = np.random.default_rng(14)
         d = 4
         params = make_params(rng, d)
-        params.w_a.data[d:, :] = 0.0  # kill the context half of the projection
+        params["w_a"].data[d:, :] = 0.0  # kill the context half of the projection
         seq_a = random_seq(rng, 6, d)
         g1, _ = model_gates(seq_a, random_seq(rng, 5, d), params)
         g2, _ = model_gates(seq_a, random_seq(rng, 8, d), params)

@@ -1,6 +1,7 @@
 """Classifier forward/train contracts, the batch loss, and checkpointing."""
 
 import gc
+import hashlib
 import itertools
 import json
 import re
@@ -9,10 +10,12 @@ import struct
 import numpy as np
 import pytest
 
+import gatedfusion
 from gatedfusion import checkpoint, trainer
 from gatedfusion import tensor as T
 from gatedfusion.analysis import collect_traces
 from gatedfusion.checkpoint import load_checkpoint, load_model, save_checkpoint, save_model
+from gatedfusion.diagnostics import tiny_config
 from gatedfusion.errors import (
     ChecksumError,
     ConfigError,
@@ -80,6 +83,64 @@ class TestConfig:
             TrainConfig(learning_rate=lr)
 
 
+class ReadNames(dict):
+    """A slots mapping that records the names read from it."""
+
+    def __init__(self, slots):
+        super().__init__(slots)
+        self.read = set()
+
+    def __getitem__(self, name):
+        self.read.add(name)
+        return super().__getitem__(name)
+
+
+class TestParameterTable:
+    # SHA-256 of each config's initial parameter vector and of its names in
+    # order: a moved table row or Xavier draw changes every checkpoint and the
+    # ablation's accuracies (two rows of one shape and init swap names, not bytes)
+    ONE_LAYER_NAMES = "87bb258fb71e2f7aafb5e29f8114667353e82f4f57bd562a3c7d9d267aea0035"
+    INITIAL_DIGESTS = {
+        "ablation": ("e5bdc2f906f6ca1728411173cc1fe58a54db2bb3330aac89ea88e5f20ac8afa8", ONE_LAYER_NAMES),
+        "readme": ("f5957cb0dbf3704ed0f1f8e55172c46039e7daf12c508c67593059637b85a0a1",
+                   "8fcfa42726bda05d1044eaeab7f56bd29e7b47317d50f0456b29489ca7933732"),
+        "tiny": ("f32bb9b7ee4dadd65fd85d68908c42936a4f94855a7f941af0c9ed757864671e", ONE_LAYER_NAMES),
+    }
+    CONFIGS = {
+        "ablation": ModelConfig(d_a=32, d_t=32, d_model=8, n_heads=2, n_layers=1, ff_mult=2, n_classes=3,
+                                dropout_rate=0.1, seed=0),
+        "readme": ModelConfig(d_a=32, d_t=32, d_model=32, n_heads=4, n_layers=2, dropout_rate=0.1, seed=0),
+        "tiny": tiny_config(GatingMode.CROSS_MODAL),
+    }
+
+    @pytest.mark.parametrize("name", list(INITIAL_DIGESTS))
+    def test_initial_parameters_are_pinned(self, name):
+        params = FusionModel(self.CONFIGS[name]).parameters()
+        names = " ".join(p.name for p in params).encode()
+        assert (hashlib.sha256(params.data.tobytes()).hexdigest(),
+                hashlib.sha256(names).hexdigest()) == self.INITIAL_DIGESTS[name]
+
+    @pytest.mark.parametrize("mode", list(GatingMode))
+    def test_forward_reads_every_declared_parameter(self, mode):
+        """A declared parameter forward never reads would train silently with a
+        zero gradient; without gating only the gate's four go unread."""
+        cfg = tiny_cfg(gating_mode=mode, n_layers=2, dropout_rate=0.1)
+        model = FusionModel(cfg)
+        model.slots = ReadNames(model.slots)
+        for layer in model.enc_a + model.enc_t:
+            layer.slots = model.slots
+        rng = np.random.default_rng(5)
+        a, t = random_pair(rng, cfg)
+        model.forward(pad_batch([a]), pad_batch([t]), dropout_rng=rng)
+        declared = {name for name, _ in parameter_shapes(cfg)}
+        unread = {"gate.w_a", "gate.w_t", "gate.b_a", "gate.b_t"} if mode is GatingMode.NONE else set()
+        assert model.slots.read == declared - unread
+
+
+def test_every_public_name_resolves():
+    assert all(hasattr(gatedfusion, name) for name in gatedfusion.__all__)
+
+
 class TestForward:
     def test_logits_shape_and_softmax(self):
         rng = np.random.default_rng(0)
@@ -125,15 +186,15 @@ class TestForward:
         rng = np.random.default_rng(4)
         cfg = tiny_cfg(gating_mode=GatingMode.CROSS_MODAL)
         gated = FusionModel(cfg)
-        for p in gated.gating.parameters():
-            p.data[...] = 0.0
+        for name in ("gate.w_a", "gate.w_t", "gate.b_a", "gate.b_t"):
+            gated.slots[name].data[...] = 0.0
         plain = FusionModel(tiny_cfg(gating_mode=GatingMode.NONE))
         for src, dst in zip(gated.parameters(), plain.parameters()):
-            if dst in plain.gating.parameters():
+            if dst.name.startswith("gate."):
                 continue
             dst.data[...] = src.data
-        for p in (plain.proj_a_w, plain.proj_a_b, plain.proj_t_w, plain.proj_t_b):
-            p.data *= 0.5
+        for name in ("proj_a.w", "proj_a.b", "proj_t.w", "proj_t.b"):
+            plain.slots[name].data *= 0.5
         a, t = random_pair(rng, cfg)
         np.testing.assert_allclose(gated.forward(pad_batch([a]), pad_batch([t])).logits.data[0],
                                    plain.forward(pad_batch([a]), pad_batch([t])).logits.data[0], atol=1e-12)
@@ -835,7 +896,7 @@ class TestCheckpoint:
     def test_save_refuses_a_non_finite_array(self, tmp_path, name):
         model = FusionModel(tiny_cfg())
         state = {k: v.copy() for k, v in make_optimizer(model, TrainConfig()).state_arrays().items()}
-        (model.head_b2.data if name == "head.b2" else state["v.gate.w_a"])[0, 0] = np.inf
+        (model.slots["head.b2"].data if name == "head.b2" else state["v.gate.w_a"])[0, 0] = np.inf
         path = tmp_path / "model.gfck"
         path.write_bytes(b"old")
         with pytest.raises(ManifestError, match=rf"array '{re.escape(name)}' holds a non-finite value"):
