@@ -1,12 +1,16 @@
 """Single-modality transformer encoder built on the tape kernel.
 
 Post-norm layers over a (B, T, d) stack: x = LN(x + MHA(x)); x = LN(x + FFN(x)).
-Attention heads ride the stack axis: B*H stacked heads share one matmul and
-softmax. Logits at invalid key positions get an additive -1e9 mask so padding
-never leaks into valid rows. Dropout applies to sublayer outputs during training
-only: the caller passes each layer its keep masks, already scaled by 1 / (1 - rate).
-A layer reads its parameters by name from the model's slots; the model's
-parameter table declares them.
+Each affine map is one `matmul` with its bias, each layernorm one
+`layernorm_rows` with its gain and bias, and attention one `tensor.attention`
+op, whose heads ride the stack axis: B*H stacked heads share one matmul and
+softmax. A layer in training thus records 14 ops: the q, k, v and output
+maps, attention, two dropouts, two residual adds, two layernorms, and the
+feedforward's two maps and relu. Logits at invalid key positions get an additive -1e9 mask so
+padding never leaks into valid rows. Dropout applies to sublayer outputs
+during training only: the caller passes each layer its keep masks, already
+scaled by 1 / (1 - rate). A layer reads its parameters by name from the
+model's slots; the model's parameter table declares them.
 """
 
 from __future__ import annotations
@@ -43,29 +47,21 @@ class EncoderLayer:
         return self.slots[f"{self.prefix}.{name}"]
 
     def _attention(self, x: T.Tensor, mask: np.ndarray) -> T.Tensor:
-        b, t, d = x.data.shape
-        h, dh = self.n_heads, d // self.n_heads
-        q = T.add(T.matmul(x, self._p("wq")), self._p("bq"))
+        q = T.matmul(x, self._p("wq"), self._p("bq"))
         # no key bias: a shared key offset cancels inside the row softmax
         k = T.matmul(x, self._p("wk"))
-        v = T.add(T.matmul(x, self._p("wv")), self._p("bv"))
-        # row i*H + j of a (B*H, T, dh) head stack is head j of sample i; kh is (B*H, dh, T)
-        qh = T.transpose(q, (b, t, h, dh), (0, 2, 1, 3), (b * h, t, dh))
-        kh = T.transpose(k, (b, t, h, dh), (0, 2, 3, 1), (b * h, dh, t))
-        vh = T.transpose(v, (b, t, h, dh), (0, 2, 1, 3), (b * h, t, dh))
-        # one 1 x T row per sample, repeated for its heads and broadcast over their query rows
+        v = T.matmul(x, self._p("wv"), self._p("bv"))
+        # one 1 x T row per sample, added to each of its heads' query rows
         key_mask = np.where(np.asarray(mask) > 0.0, 0.0, _ATTN_MASK_VALUE)[:, None, :]
-        scores = T.mul(T.matmul(qh, kh), T.constant([[1.0 / np.sqrt(dh)]]))
-        attn = T.softmax_rows(T.add(scores, T.constant(np.repeat(key_mask, h, axis=0))))
-        merged = T.transpose(T.matmul(attn, vh), (b, h, t, dh), (0, 2, 1, 3), (b, t, d))
-        return T.add(T.matmul(merged, self._p("wo")), self._p("bo"))
+        heads = T.attention(q, k, v, key_mask, self.n_heads)
+        return T.matmul(heads, self._p("wo"), self._p("bo"))
 
     def _ffn(self, x: T.Tensor) -> T.Tensor:
-        hidden = T.relu(T.add(T.matmul(x, self._p("ffn_w1")), self._p("ffn_b1")))
-        return T.add(T.matmul(hidden, self._p("ffn_w2")), self._p("ffn_b2"))
+        hidden = T.relu(T.matmul(x, self._p("ffn_w1"), self._p("ffn_b1")))
+        return T.matmul(hidden, self._p("ffn_w2"), self._p("ffn_b2"))
 
     def _ln(self, x: T.Tensor, site: str) -> T.Tensor:
-        return T.add(T.mul(T.layernorm_rows(x), self._p(f"{site}_g")), self._p(f"{site}_b"))
+        return T.layernorm_rows(x, self._p(f"{site}_g"), self._p(f"{site}_b"))
 
     def forward(self, x: T.Tensor, mask: np.ndarray, keep: np.ndarray | None = None) -> T.Tensor:
         """`x` is a (B, T, d) stack with its (B, T) masks; `keep` stacks the

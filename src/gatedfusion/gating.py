@@ -38,8 +38,7 @@ def gate_sequence(features: T.Tensor, mask: np.ndarray, context: T.Tensor, w: T.
     # one matrix, or a stack of them under the stack rule of `tensor`
     if w.data.shape[-2:] != (2 * d, 1):
         raise ShapeError(f"gate projection must be ({2 * d}, 1), got {w.data.shape}")
-    pre = T.add(T.matmul(T.concat_cols(features, context), w), b)
-    gates = T.sigmoid(pre)
+    gates = T.sigmoid(T.matmul(T.concat_cols(features, context), w, b))
     mask_col = T.constant(np.asarray(mask, dtype=np.float64)[..., None])
     return T.mul(gates, mask_col)
 

@@ -199,8 +199,8 @@ class FusionModel:
         mask_a, mask_t = batch_a.masks, batch_t.masks
 
         s = self.slots
-        xa = T.add(T.matmul(T.constant(batch_a.features), s["proj_a.w"]), s["proj_a.b"])
-        xt = T.add(T.matmul(T.constant(batch_t.features), s["proj_t.w"]), s["proj_t.b"])
+        xa = T.matmul(T.constant(batch_a.features), s["proj_a.w"], s["proj_a.b"])
+        xt = T.matmul(T.constant(batch_t.features), s["proj_t.w"], s["proj_t.b"])
 
         gates_a = gates_t = None
         mode = self.cfg.gating_mode
@@ -222,8 +222,8 @@ class FusionModel:
             xt = layer.forward(xt, mask_t, keep)
 
         pooled = T.concat_cols(masked_mean_pool(xa, mask_a), masked_mean_pool(xt, mask_t))
-        hidden = T.relu(T.add(T.matmul(pooled, s["head.w1"]), s["head.b1"]))
-        logits = T.add(T.matmul(hidden, s["head.w2"]), s["head.b2"])
+        hidden = T.relu(T.matmul(pooled, s["head.w1"], s["head.b1"]))
+        logits = T.matmul(hidden, s["head.w2"], s["head.b2"])
         return ForwardResult(logits, gates_a, gates_t)
 
     def loss(self, seq_a: np.ndarray, seq_t: np.ndarray, label: int) -> tuple[T.Tensor, ForwardResult]:

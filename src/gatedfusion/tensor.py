@@ -9,14 +9,15 @@ Recording is scoped by blocks. Inside `with tape:` every op appends its
 output and one `(operand, vjp)` pair per operand to `tape`, the innermost open
 block's tape; a vjp (vector-Jacobian product) maps the output's gradient to
 that operand's share of it. Outside any block ops record nothing and their
-outputs are constants, for a forward run only for its values. Blocks nest, and
-leaving one restores the tape of the block around it; a block left by an
-exception drops the steps it recorded. `Tape.backward(loss)` walks the record
-in exact reverse order and adds each vjp's share into its operand's `.grad`,
-calling only the vjps of operands that track a gradient; it is the one place
-that writes a gradient. A backward, returned or raised, clears the tape's
-record, so a tape serves one backward per recorded loss and can then record
-again. A `Parameter` is a tensor whose `.grad` persists, so ops take it
+outputs are constants, for a forward run only for its values; an op checks for
+an open block before it builds any vjp, so such a forward builds none. Blocks
+nest, and leaving one restores the tape of the block around it; a block left
+by an exception drops the steps it recorded. `Tape.backward(loss)` walks the
+record in exact reverse order and adds each vjp's share into its operand's
+`.grad`, calling only the vjps of operands that track a gradient; it is the
+one place that writes a gradient. A backward, returned or raised, clears the
+tape's record, so a tape serves one backward per recorded loss and can then
+record again. A `Parameter` is a tensor whose `.grad` persists, so ops take it
 as it is; `constant` makes a tensor with no gradient. A tensor's data is never
 mutated after construction.
 
@@ -29,28 +30,44 @@ one's op-output gradients, and the buffers go with the tape on return. A
 parameter's `.grad` is its own storage (for a model's parameters, a view of the
 model's flat gradient vector, see `FlatParameters`) and is never reused this way.
 
-A second operand `b` of `add`, `mul` and `matmul` follows one stack rule
-(`_groups`): it is one matrix, which serves every matrix of `a`, or a
-stack whose length K divides the length N of `a`'s stack, whose k-th matrix
-serves the k-th group of N / K consecutive matrices of `a`. K = N is the one by
-one case; K < N lets a stack of K parameter copies serve K copies of a
-minibatch, which is how the full-model gradcheck runs all of a parameter's
-probes in one forward (see `diagnostics`). A grouped operand's gradient sums
-over its group. Only K < N takes the grouped code: its (K, N / K, m, n) views
-cost about 10% of training throughput when K = N (one-fold ablation training
-on a 2-core host), so a same-length stack, as in attention and the gates, keeps
-the plain stacked code. `matmul` also takes a matrix `a` times a stack `b`.
+A second operand `b` of `add`, `mul` and `matmul`, a bias of `matmul` and
+the gain and bias of `layernorm_rows` follow one stack rule (`_groups`): each
+is one matrix, which serves every matrix of `a`, or a stack whose length K
+divides the length N of `a`'s stack, whose k-th matrix serves the k-th group of
+N / K consecutive matrices of `a`. K = N is the one by one case; K < N lets a
+stack of K parameter copies serve K copies of a minibatch, which is how the
+full-model gradcheck runs all of a parameter's probes in one forward (see
+`diagnostics`). Each such operand is grouped or not on its own, and a grouped
+operand's gradient sums over its group. Only K < N takes the grouped code: its
+(K, N / K, m, n) views cost about 10% of training throughput when K = N
+(one-fold ablation training on a 2-core host), so a same-length stack, as in
+the gates, keeps the plain stacked code. `matmul` also takes a matrix `a` times
+a stack `b`.
 
 `add(a, b)` and `mul(a, b)` broadcast `b`'s matrices against `a`'s, which are
 m x n: `b`'s may be m x n, a 1 x n row, an m x 1 column or a 1 x 1 scalar. The
 result has `a`'s shape. `matmul` runs a stack times a matrix as one GEMM over
 the stacked rows, and a stack times a grouped stack as one GEMM per group over
-the group's rows. `transpose` permutes the axes of a value viewed as another
-shape (a matrix swap, attention's head split and merge); `concat_cols`,
-`softmax_rows` and `layernorm_rows` act on the last axis. `concat_cols(a, b)`
-appends `b`'s columns to `a`'s: `b` is a stack of `a`'s length or one matrix,
-and its matrices have `a`'s rows or one row, which is repeated down every row
-of `a`. Any other pair of shapes raises `ShapeError`.
+the group's rows. `concat_cols`, `layernorm_rows` and `attention`'s softmax
+act on the last axis. `concat_cols(a, b)` appends `b`'s columns to `a`'s: `b`
+is a stack of `a`'s length or one matrix, and its matrices have `a`'s rows or
+one row, which is repeated down every row of `a`. Any other pair of shapes
+raises `ShapeError`.
+
+Three ops each do the work of a chain of simpler ones that every encoder layer
+repeats, so a step records fewer ops:
+- `matmul(a, w, bias)` is a matmul followed by `add(_, bias)`, recorded as
+  "matmul";
+- `layernorm_rows(x, gain, bias)` standardizes rows, then multiplies by `gain`
+  and adds `bias` as `mul` and `add` would, recorded as "layernorm_rows";
+- `attention(q, k, v, key_bias, n_heads)` splits heads onto the stack axis,
+  takes scaled and key-masked logits, their row softmax, the weighted values
+  and merges the heads back, recorded as "softmax_rows".
+Each runs the chain's numpy expressions in the chain's order, so its output
+and every operand's gradient equal the chain's bit for bit, and it lists its
+`(operand, vjp)` pairs in the order the chain's backward reached the
+operands. Backward work that its operands share, attention's gradient of the
+logits, is computed once per backward, by whichever of their vjps runs first.
 """
 
 from __future__ import annotations
@@ -267,38 +284,30 @@ def _by_group(x: np.ndarray, k: int) -> np.ndarray:
     return x.reshape(k, -1, *x.shape[1:])
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    sa, sb = a.data.shape, b.data.shape
-    if sa[-1] != sb[-2]:
-        raise ShapeError(f"matmul shapes incompatible: {sa} x {sb}")
-    k = _groups("matmul", sa, sb) if len(sa) == 3 else None
-    if k == 0:
-        # a stack times a matrix: one GEMM over all stacked rows
-        rows = a.data.reshape(-1, sa[2])
-        out_data = (rows @ b.data).reshape(sa[0], sa[1], sb[1])
-        vjps = ((a, lambda g: (g.reshape(-1, sb[1]) @ b.data.T).reshape(sa)),
-                (b, lambda g: rows.T @ g.reshape(-1, sb[1])))
-    elif k and k != sa[0]:
-        # a stack times a grouped stack: one GEMM per group over its stacked rows
-        rows = a.data.reshape(k, -1, sa[2])
-        out_data = (rows @ b.data).reshape(sa[0], sa[1], sb[2])
-        vjps = ((a, lambda g: (g.reshape(k, -1, sb[2]) @ _swap(b.data)).reshape(sa)),
-                (b, lambda g: _swap(rows) @ g.reshape(k, -1, sb[2])))
-    else:
-        out_data = a.data @ b.data
-        vjps = ((a, lambda g: _unbroadcast(g @ _swap(b.data), sa)),
-                (b, lambda g: _unbroadcast(_swap(a.data) @ g, sb)))
-    return _out("matmul", out_data, *vjps)
-
-
-def _check_broadcast(op: str, a: Tensor, b: Tensor) -> int:
-    """`b`'s matrix count (`_groups`), after checking its matrices broadcast
-    against `a`'s."""
-    sa, sb = a.data.shape, b.data.shape
+def _grouped(op: str, sa: tuple, sb: tuple) -> int:
+    """For a second operand of `add`'s or `mul`'s kind, of shape `sb` against
+    a first of shape `sa`: its group count K if it is a grouped stack (K < N),
+    else 0 (one matrix or a same-length stack, which broadcast plainly), after
+    checking that its matrices broadcast against `a`'s."""
     (m, n), (p, q) = sa[-2:], sb[-2:]
     if p not in (1, m) or q not in (1, n):
         raise ShapeError(f"{op} shapes incompatible: {sa} vs {sb}")
-    return _groups(op, sa, sb)
+    k = _groups(op, sa, sb)
+    return k if k != sa[0] else 0
+
+
+def _plus(x: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
+    """x + b, b's k-th matrix serving x's k-th group when `k` (`_grouped`)."""
+    if k:
+        return (_by_group(x, k) + b[:, None]).reshape(x.shape)
+    return x + b
+
+
+def _times(x: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
+    """x * b, b's k-th matrix serving x's k-th group when `k` (`_grouped`)."""
+    if k:
+        return (_by_group(x, k) * b[:, None]).reshape(x.shape)
+    return x * b
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -310,34 +319,67 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.sum(axis=axes).reshape(shape)
 
 
-def _group_grad(g: np.ndarray, k: int, sb: tuple) -> np.ndarray:
-    """The gradient of a grouped stack of shape `sb` from its share `g` of a's
-    shape: summed over each group and over `b`'s broadcast axes."""
-    return _unbroadcast(_by_group(g, k), (k, 1, *sb[1:])).reshape(sb)
+def _share(g: np.ndarray, k: int, sb: tuple) -> np.ndarray:
+    """The gradient of a second operand of shape `sb` from its share `g` of
+    `a`'s shape: summed over `b`'s broadcast axes, and over each group when
+    `k` (`_grouped`)."""
+    if k:
+        return _unbroadcast(_by_group(g, k), (k, 1, *sb[1:])).reshape(sb)
+    return _unbroadcast(g, sb)
+
+
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """a @ b, plus `bias` as `add` adds its second operand when one is given."""
+    sa, sb = a.data.shape, b.data.shape
+    if sa[-1] != sb[-2]:
+        raise ShapeError(f"matmul shapes incompatible: {sa} x {sb}")
+    k = _groups("matmul", sa, sb) if len(sa) == 3 else None
+    if k == 0:
+        # a stack times a matrix: one GEMM over all stacked rows
+        rows = a.data.reshape(-1, sa[2])
+        out_data = (rows @ b.data).reshape(sa[0], sa[1], sb[1])
+    elif k and k != sa[0]:
+        # a stack times a grouped stack: one GEMM per group over its stacked rows
+        rows = a.data.reshape(k, -1, sa[2])
+        out_data = (rows @ b.data).reshape(sa[0], sa[1], sb[2])
+    else:
+        out_data = a.data @ b.data
+    if bias is not None:
+        kb = _grouped("matmul", out_data.shape, bias.data.shape)
+        out_data = _plus(out_data, bias.data, kb)
+    if _open_tape.get() is None:
+        return Tensor(out_data)
+    if k == 0:
+        vjps = ((a, lambda g: (g.reshape(-1, sb[1]) @ b.data.T).reshape(sa)),
+                (b, lambda g: rows.T @ g.reshape(-1, sb[1])))
+    elif k and k != sa[0]:
+        vjps = ((a, lambda g: (g.reshape(k, -1, sb[2]) @ _swap(b.data)).reshape(sa)),
+                (b, lambda g: _swap(rows) @ g.reshape(k, -1, sb[2])))
+    else:
+        vjps = ((a, lambda g: _unbroadcast(g @ _swap(b.data), sa)),
+                (b, lambda g: _unbroadcast(_swap(a.data) @ g, sb)))
+    if bias is not None:
+        vjps = ((bias, lambda g: _share(g, kb, bias.data.shape)), *vjps)
+    return _out("matmul", out_data, *vjps)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    k = _check_broadcast("add", a, b)
-    if k and k != a.data.shape[0]:
-        sb = b.data.shape
-        out_data = (_by_group(a.data, k) + b.data[:, None]).reshape(a.data.shape)
-        return _out("add", out_data, (a, lambda g: g), (b, lambda g: _group_grad(g, k, sb)))
-    out_data = a.data + b.data
-    return _out("add", out_data,
-                (a, lambda g: g), (b, lambda g: _unbroadcast(g, b.data.shape)))
+    sb = b.data.shape
+    k = _grouped("add", a.data.shape, sb)
+    out_data = _plus(a.data, b.data, k)
+    if _open_tape.get() is None:
+        return Tensor(out_data)
+    return _out("add", out_data, (a, lambda g: g), (b, lambda g: _share(g, k, sb)))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    k = _check_broadcast("mul", a, b)
-    if k and k != a.data.shape[0]:
-        sb, grouped = b.data.shape, b.data[:, None]
-        out_data = (_by_group(a.data, k) * grouped).reshape(a.data.shape)
-        return _out("mul", out_data,
-                    (a, lambda g: (_by_group(g, k) * grouped).reshape(g.shape)),
-                    (b, lambda g: _group_grad(g * a.data, k, sb)))
-    out_data = a.data * b.data
+    sb = b.data.shape
+    k = _grouped("mul", a.data.shape, sb)
+    out_data = _times(a.data, b.data, k)
+    if _open_tape.get() is None:
+        return Tensor(out_data)
     return _out("mul", out_data,
-                (a, lambda g: g * b.data), (b, lambda g: _unbroadcast(g * a.data, b.data.shape)))
+                (a, lambda g: _times(g, b.data, k)), (b, lambda g: _share(g * a.data, k, sb)))
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -345,11 +387,15 @@ def sigmoid(x: Tensor) -> Tensor:
     out_data = np.where(z >= 0, 1.0 / (1.0 + np.exp(-z)), np.exp(z) / (1.0 + np.exp(z)))
     # keep the open interval (0, 1) representable in float64
     out_data = np.clip(out_data, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
+    if _open_tape.get() is None:
+        return Tensor(out_data)
     return _out("sigmoid", out_data, (x, lambda g: g * out_data * (1.0 - out_data)))
 
 
 def relu(x: Tensor) -> Tensor:
     out_data = np.maximum(x.data, 0.0)
+    if _open_tape.get() is None:
+        return Tensor(out_data)
     return _out("relu", out_data, (x, lambda g: g * (x.data > 0.0)))
 
 
@@ -360,51 +406,97 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"concat_cols shapes incompatible: {sa} vs {sb}")
     na = sa[-1]
     out_data = np.concatenate([a.data, np.broadcast_to(b.data, sa[:-1] + sb[-1:])], axis=-1)
+    if _open_tape.get() is None:
+        return Tensor(out_data)
     return _out("concat_cols", out_data,
                 (a, lambda g: g[..., :na]), (b, lambda g: _unbroadcast(g[..., na:], sb)))
 
 
-def transpose(a: Tensor, shape: tuple, axes: tuple, out_shape: tuple) -> Tensor:
-    """View `a` as `shape`, permute its axes as `np.transpose(axes)` does, and
-    view one contiguous copy of that as `out_shape`."""
-    if math.prod(shape) != a.data.size or math.prod(out_shape) != a.data.size:
-        raise ShapeError(f"transpose sizes differ: {a.data.shape} viewed as {shape} and {out_shape}")
-    if sorted(axes) != list(range(len(shape))):
-        raise ShapeError(f"transpose axes {axes} are not a permutation of {len(shape)} axes")
-    permuted = a.data.reshape(shape).transpose(axes)
-    out_data = np.ascontiguousarray(permuted).reshape(out_shape)
-    return _out("transpose", out_data, (a, lambda g: (
-        g.reshape(permuted.shape).transpose(np.argsort(axes)).reshape(a.data.shape))))
-
-
-def softmax_rows(x: Tensor) -> Tensor:
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=-1, keepdims=True)
-    return _out("softmax_rows", out_data,
-                (x, lambda g: out_data * (g - (g * out_data).sum(axis=-1, keepdims=True))))
-
-
-def layernorm_rows(x: Tensor) -> Tensor:
-    """Per-row standardization, pre-affine (apply gain/bias via mul/add)."""
+def layernorm_rows(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Per-row standardization, times `gain` and plus `bias` as `mul` and `add`
+    take their second operand."""
+    sg, sb = gain.data.shape, bias.data.shape
+    kg = _grouped("layernorm_rows", x.data.shape, sg)
+    kb = _grouped("layernorm_rows", x.data.shape, sb)
     mu = x.data.mean(axis=-1, keepdims=True)
     var = x.data.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + _LN_EPS)
-    out_data = (x.data - mu) * inv
+    normed = (x.data - mu) * inv
+    out_data = _plus(_times(normed, gain.data, kg), bias.data, kb)
+    if _open_tape.get() is None:
+        return Tensor(out_data)
 
-    def vjp(dy):
+    def vjp(g):
+        dy = _times(g, gain.data, kg)
         n = x.data.shape[-1]
         return inv * (
             dy
             - dy.mean(axis=-1, keepdims=True)
-            - out_data * (dy * out_data).sum(axis=-1, keepdims=True) / n
+            - normed * (dy * normed).sum(axis=-1, keepdims=True) / n
         )
 
-    return _out("layernorm_rows", out_data, (x, vjp))
+    return _out("layernorm_rows", out_data,
+                (bias, lambda g: _share(g, kb, sb)), (gain, lambda g: _share(g * normed, kg, sg)), (x, vjp))
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, key_bias: np.ndarray, n_heads: int) -> Tensor:
+    """Scaled dot-product attention of `n_heads` heads over (B, T, d) stacks of
+    queries, keys and values, with the (B, 1, T) `key_bias` added to every
+    head's logits; the heads' outputs side by side, (B, T, d).
+
+    Heads ride the stack axis: row i*H + j of a (B*H, T, d/H) head stack is
+    head j of sample i. The head stacks are contiguous copies, so that every
+    product is one batched GEMM.
+    """
+    b, t, d = shape = q.data.shape
+    h = n_heads
+    if k.data.shape != shape or v.data.shape != shape or d % h or np.shape(key_bias) != (b, 1, t):
+        raise ShapeError(f"attention shapes incompatible: {shape}, {k.data.shape}, {v.data.shape}, "
+                         f"key bias {np.shape(key_bias)}, {h} heads")
+    dh = d // h
+    scale = 1.0 / np.sqrt(dh)
+    qh = np.ascontiguousarray(q.data.reshape(b, t, h, dh).transpose(0, 2, 1, 3)).reshape(b * h, t, dh)
+    kh = np.ascontiguousarray(k.data.reshape(b, t, h, dh).transpose(0, 2, 3, 1)).reshape(b * h, dh, t)
+    vh = np.ascontiguousarray(v.data.reshape(b, t, h, dh).transpose(0, 2, 1, 3)).reshape(b * h, t, dh)
+    attn = qh @ kh
+    attn *= scale
+    by_sample = attn.reshape(b, h, t, t)
+    by_sample += key_bias[:, None]
+    # the row softmax, in place
+    attn -= attn.max(axis=-1, keepdims=True)
+    np.exp(attn, out=attn)
+    attn /= attn.sum(axis=-1, keepdims=True)
+    out_data = np.ascontiguousarray((attn @ vh).reshape(b, h, t, dh).transpose(0, 2, 1, 3)).reshape(shape)
+    if _open_tape.get() is None:
+        return Tensor(out_data)
+
+    shared = []
+
+    def head_grads(g):
+        """The gradients of the output head stack and of the logits, computed
+        once for the three operands."""
+        if not shared:
+            d_out = np.ascontiguousarray(g.reshape(b, t, h, dh).transpose(0, 2, 1, 3)).reshape(b * h, t, dh)
+            d_attn = d_out @ _swap(vh)
+            d_logits = attn * (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True))
+            d_logits *= scale
+            shared.extend((d_out, d_logits))
+        return shared
+
+    def merged(heads, axes):
+        """A head stack back in (B, T, d) layout, its head axes permuted by `axes`."""
+        return heads.reshape(b, h, *heads.shape[1:]).transpose(axes).reshape(shape)
+
+    return _out("softmax_rows", out_data,
+                (v, lambda g: merged(_swap(attn) @ head_grads(g)[0], (0, 2, 1, 3))),
+                (k, lambda g: merged(_swap(qh) @ head_grads(g)[1], (0, 3, 1, 2))),
+                (q, lambda g: merged(head_grads(g)[1] @ _swap(kh), (0, 2, 1, 3))))
 
 
 def sum_all(x: Tensor) -> Tensor:
     out_data = np.array([[x.data.sum()]])
+    if _open_tape.get() is None:
+        return Tensor(out_data)
     return _out("sum_all", out_data, (x, lambda g: g[0, 0]))
 
 
@@ -428,6 +520,8 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     p = e / e.sum(axis=1, keepdims=True)
     picked = np.arange(labels.size)
     out_data = (-np.log(p[picked, labels])).reshape(shape[:-1] + (1,))
+    if _open_tape.get() is None:
+        return Tensor(out_data)
 
     def vjp(g):
         d = p.copy()

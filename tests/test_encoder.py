@@ -66,18 +66,23 @@ def test_layer_matches_per_head_numpy_loop(n_heads):
 
 def test_batch_op_count_does_not_depend_on_heads():
     """Heads ride the stack axis: a 16-sample training batch of the ablation
-    model records the same ops for 1, 2 and 4 heads."""
+    model, and of its 2-layer variant, records the same ops for 1, 2 and 4
+    heads. A layer is 14 ops: its q, k, v and output maps, one attention op,
+    two dropouts, two residual adds, two layernorms and the feedforward's two
+    maps and relu."""
     rng = np.random.default_rng(0)
     batch = [(rng.normal(size=(int(rng.integers(3, 9)), 6)),
               rng.normal(size=(int(rng.integers(3, 9)), 5)), i % 3) for i in range(16)]
     counts = {}
-    for mode in (GatingMode.NONE, GatingMode.CROSS_MODAL):
-        for n_heads in (1, 2, 4):
-            model = FusionModel(ModelConfig(d_a=6, d_t=5, d_model=8, n_heads=n_heads, n_layers=1,
-                                            ff_mult=2, n_classes=3, gating_mode=mode,
-                                            dropout_rate=0.1, seed=0))
-            with T.Tape() as tape:
-                batch_loss(model, batch, dropout_rng=np.random.default_rng(1))
-            counts[mode, n_heads] = len(tape._steps)
-    assert counts == {(mode, h): n for mode, n in ((GatingMode.NONE, 79), (GatingMode.CROSS_MODAL, 93))
-                      for h in (1, 2, 4)}
+    for n_layers in (1, 2):
+        for mode in (GatingMode.NONE, GatingMode.CROSS_MODAL):
+            for n_heads in (1, 2, 4):
+                model = FusionModel(ModelConfig(d_a=6, d_t=5, d_model=8, n_heads=n_heads, n_layers=n_layers,
+                                                ff_mult=2, n_classes=3, gating_mode=mode,
+                                                dropout_rate=0.1, seed=0))
+                with T.Tape() as tape:
+                    batch_loss(model, batch, dropout_rng=np.random.default_rng(1))
+                counts[n_layers, mode, n_heads] = len(tape._steps)
+    want = {(1, GatingMode.NONE): 41, (1, GatingMode.CROSS_MODAL): 53,
+            (2, GatingMode.NONE): 69, (2, GatingMode.CROSS_MODAL): 81}
+    assert counts == {(n_layers, mode, h): n for (n_layers, mode), n in want.items() for h in (1, 2, 4)}

@@ -32,6 +32,7 @@ from gatedfusion.synth import SynthSpec, generate
 from gatedfusion.encoder import dropout_keep
 from gatedfusion.trainer import Adam, TrainConfig, batch_loss, evaluate, make_optimizer, train
 from padding import pad_extra
+from reference_ops import softmax_rows
 
 
 def tiny_cfg(**kw):
@@ -149,7 +150,7 @@ class TestForward:
         a, t = random_pair(rng, cfg)
         logits = model.forward(pad_batch([a]), pad_batch([t])).logits
         assert logits.shape == (1, 1, 3)
-        probabilities = T.softmax_rows(logits).data[0]
+        probabilities = softmax_rows(logits).data[0]
         assert np.all(np.isfinite(probabilities))
         assert probabilities.sum() == pytest.approx(1.0, abs=1e-9)
         assert np.all(probabilities >= 0)
@@ -891,6 +892,24 @@ class TestCheckpoint:
                            n_heads=n_heads)
             assert list(parameter_shapes(cfg)) == [(p.name, p.data.shape)
                                                    for p in FusionModel(cfg).parameters()]
+
+    def test_parameter_shapes_are_pinned(self):
+        """The checkpoint layout of the gradcheck's model, written out: a row
+        moved, renamed or reshaped in the parameter table shows here."""
+        assert list(parameter_shapes(tiny_config(GatingMode.CROSS_MODAL))) == [
+            ("proj_a.w", (5, 8)), ("proj_a.b", (1, 8)), ("proj_t.w", (4, 8)), ("proj_t.b", (1, 8)),
+            ("gate.w_a", (16, 1)), ("gate.w_t", (16, 1)), ("gate.b_a", (1, 1)), ("gate.b_t", (1, 1)),
+            ("enc_a.0.wq", (8, 8)), ("enc_a.0.wk", (8, 8)), ("enc_a.0.wv", (8, 8)), ("enc_a.0.wo", (8, 8)),
+            ("enc_a.0.bq", (1, 8)), ("enc_a.0.bv", (1, 8)), ("enc_a.0.bo", (1, 8)),
+            ("enc_a.0.ln1_g", (1, 8)), ("enc_a.0.ln1_b", (1, 8)), ("enc_a.0.ffn_w1", (8, 16)),
+            ("enc_a.0.ffn_b1", (1, 16)), ("enc_a.0.ffn_w2", (16, 8)), ("enc_a.0.ffn_b2", (1, 8)),
+            ("enc_a.0.ln2_g", (1, 8)), ("enc_a.0.ln2_b", (1, 8)), ("enc_t.0.wq", (8, 8)),
+            ("enc_t.0.wk", (8, 8)), ("enc_t.0.wv", (8, 8)), ("enc_t.0.wo", (8, 8)), ("enc_t.0.bq", (1, 8)),
+            ("enc_t.0.bv", (1, 8)), ("enc_t.0.bo", (1, 8)), ("enc_t.0.ln1_g", (1, 8)),
+            ("enc_t.0.ln1_b", (1, 8)), ("enc_t.0.ffn_w1", (8, 16)), ("enc_t.0.ffn_b1", (1, 16)),
+            ("enc_t.0.ffn_w2", (16, 8)), ("enc_t.0.ffn_b2", (1, 8)), ("enc_t.0.ln2_g", (1, 8)),
+            ("enc_t.0.ln2_b", (1, 8)), ("head.w1", (16, 8)), ("head.b1", (1, 8)), ("head.w2", (8, 3)),
+            ("head.b2", (1, 3))]
 
     @pytest.mark.parametrize("name", ["head.b2", "opt.v.gate.w_a"])
     def test_save_refuses_a_non_finite_array(self, tmp_path, name):

@@ -8,6 +8,7 @@ import pytest
 
 from gatedfusion import tensor as T
 from gatedfusion.errors import ConfigError, LabelError, NonFiniteError, ShapeError
+import reference_ops as R
 
 
 class StackLeaf(T.Tensor):
@@ -115,6 +116,10 @@ class TestSigmoid:
         assert T.gradcheck(loss_fn, [p], tol=1e-8).passed
 
 
+# a layernorm's gain and bias that leave its standardized rows as they are
+UNIT_AFFINE = (T.constant([[1.0]]), T.constant([[0.0]]))
+
+
 class TestElementwise:
     def test_concat_cols(self):
         out = T.concat_cols(T.constant([[1.0, 2.0]]), T.constant([[3.0]]))
@@ -141,21 +146,21 @@ class TestElementwise:
         assert T.gradcheck(loss_fn, [p], tol=1e-8).passed
 
     def test_softmax_uniform(self):
-        out = T.softmax_rows(T.constant([[0.0, 0.0]]))
+        out = R.softmax_rows(T.constant([[0.0, 0.0]]))
         np.testing.assert_allclose(out.data, [[0.5, 0.5]], atol=1e-15)
 
     def test_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(1)
-        out = T.softmax_rows(T.constant(rng.normal(scale=30, size=(11, 7))))
+        out = R.softmax_rows(T.constant(rng.normal(scale=30, size=(11, 7))))
         np.testing.assert_allclose(out.data.sum(axis=1), 1.0, atol=1e-9)
 
     def test_layernorm_constant_row_is_zero(self):
-        out = T.layernorm_rows(T.constant([[3.0, 3.0, 3.0, 3.0]]))
+        out = T.layernorm_rows(T.constant([[3.0, 3.0, 3.0, 3.0]]), *UNIT_AFFINE)
         np.testing.assert_allclose(out.data, 0.0)
 
     def test_layernorm_row_stats(self):
         rng = np.random.default_rng(2)
-        out = T.layernorm_rows(T.constant(rng.normal(size=(9, 32)))).data
+        out = T.layernorm_rows(T.constant(rng.normal(size=(9, 32))), *UNIT_AFFINE).data
         np.testing.assert_allclose(out.mean(axis=1), 0.0, atol=1e-7)
         np.testing.assert_allclose(out.var(axis=1), 1.0, atol=1e-4)
 
@@ -261,22 +266,171 @@ def test_grouped_operand_length_must_divide(k):
             op(a, T.constant(np.zeros(sb)))
 
 
+# a parameter operand's leading axes: one matrix, or a stack of N or N / 2
+# matrices against a first operand of N
+OPERAND_KINDS = {"matrix": (), "same-length stack": (N,), "grouped stack": (N // 2,)}
+
+
+def assert_fused_matches(kind, fused, composed, arrays, tracked=(0, 1, 2)):
+    """The fused op records one op of `kind`, and its output and the gradient
+    of each operand in `tracked` (the others are constants), under the loss
+    sum(out * W), equal those of the op sequence it replaces bit for bit."""
+    results = []
+    for op in (fused, composed):
+        operands = [T.Tensor(x, np.zeros_like(x)) if i in tracked else T.Tensor(x)
+                    for i, x in enumerate(arrays)]
+        with T.Tape() as tape:
+            out = op(*operands)
+            kinds = [name for name, _, _ in tape._steps]
+            w = np.random.default_rng(0).normal(size=out.data.shape)
+            loss = T.sum_all(T.mul(out, T.constant(w)))
+        tape.backward(loss)
+        results.append((out.data.tobytes(), [None if x.grad is None else x.grad.tobytes() for x in operands]))
+        if op is fused:
+            assert kinds == [kind]
+    (got, got_grads), (want, want_grads) = results
+    shapes = [x.shape for x in arrays]
+    assert got == want, f"output differs, operands {shapes}"
+    for i, (g, w) in enumerate(zip(got_grads, want_grads)):
+        assert g == w, f"gradient of operand {i} differs, operands {shapes}, tracked {tracked}"
+
+
+@pytest.mark.parametrize("bias_kind", OPERAND_KINDS)
+@pytest.mark.parametrize("w_kind", OPERAND_KINDS)
+class TestBiasMatmul:
+    """`matmul(a, w, bias)` is `add(matmul(a, w), bias)` as one op."""
+
+    def test_is_matmul_then_add_bit_for_bit(self, w_kind, bias_kind):
+        rng = np.random.default_rng(1)
+        for bias_shape in [(1, COLS), (M, COLS), (M, 1), (1, 1)]:
+            arrays = [rng.normal(size=(N, M, MID)), rng.normal(size=(*OPERAND_KINDS[w_kind], MID, COLS)),
+                      rng.normal(size=(*OPERAND_KINDS[bias_kind], *bias_shape))]
+            # every operand, then the parameters of a constant input
+            for tracked in [(0, 1, 2), (1, 2)]:
+                assert_fused_matches("matmul", T.matmul, R.bias_matmul, arrays, tracked)
+
+    def test_gradients_match_central_differences(self, w_kind, bias_kind):
+        shapes = [(N, M, MID), (*OPERAND_KINDS[w_kind], MID, COLS), (*OPERAND_KINDS[bias_kind], 1, COLS)]
+        fd_check(lambda ps: T.matmul(*ps), shapes, seed=3)
+
+
+def test_bias_matmul_of_a_matrix_first_operand():
+    """A matrix times a matrix, and a matrix times a stack, each plus a bias."""
+    rng = np.random.default_rng(2)
+    for w_shape, bias_shape in [((MID, COLS), (1, COLS)), ((N, MID, COLS), (1, COLS)),
+                                ((N, MID, COLS), (N, M, 1))]:
+        shapes = [(M, MID), w_shape, bias_shape]
+        assert_fused_matches("matmul", T.matmul, R.bias_matmul, [rng.normal(size=s) for s in shapes])
+        fd_check(lambda ps: T.matmul(*ps), shapes, seed=4)
+    with pytest.raises(ShapeError, match=re.escape(f"matmul shapes incompatible: {(N, M, COLS)} vs (4, 1, {COLS})")):
+        T.matmul(T.constant(np.zeros((N, M, MID))), T.constant(np.zeros((MID, COLS))),
+                 T.constant(np.zeros((4, 1, COLS))))
+
+
+@pytest.mark.parametrize("bias_kind", OPERAND_KINDS)
+@pytest.mark.parametrize("gain_kind", OPERAND_KINDS)
+class TestAffineLayernorm:
+    """`layernorm_rows(x, gain, bias)` is the standardized rows times `gain`
+    plus `bias` as one op. Rows are MID = 5 wide: a division by a power of two
+    would round alike however it is grouped."""
+
+    def test_is_layernorm_mul_add_bit_for_bit(self, gain_kind, bias_kind):
+        rng = np.random.default_rng(5)
+        for row in [(1, MID), (M, MID)]:
+            arrays = [rng.normal(size=(N, M, MID)), rng.normal(size=(*OPERAND_KINDS[gain_kind], *row)),
+                      rng.normal(size=(*OPERAND_KINDS[bias_kind], *row))]
+            for tracked in [(0, 1, 2), (0,), (1, 2)]:
+                assert_fused_matches("layernorm_rows", T.layernorm_rows, R.affine_layernorm, arrays, tracked)
+
+    def test_gradients_match_central_differences(self, gain_kind, bias_kind):
+        shapes = [(N, M, MID), (*OPERAND_KINDS[gain_kind], 1, MID), (*OPERAND_KINDS[bias_kind], 1, MID)]
+        fd_check(lambda ps: T.layernorm_rows(*ps), shapes, seed=6)
+
+
+def test_affine_layernorm_of_a_matrix():
+    rng = np.random.default_rng(7)
+    arrays = [rng.normal(size=(M, MID)), rng.normal(size=(1, MID)), rng.normal(size=(1, MID))]
+    assert_fused_matches("layernorm_rows", T.layernorm_rows, R.affine_layernorm, arrays)
+    fd_check(lambda ps: T.layernorm_rows(*ps), [x.shape for x in arrays], seed=8)
+    with pytest.raises(ShapeError, match=r"layernorm_rows shapes incompatible: \(3, 5\) vs \(1, 3\)"):
+        T.layernorm_rows(T.constant(arrays[0]), T.constant(np.ones((1, 3))), T.constant(arrays[2]))
+
+
+def key_bias(lengths, t):
+    """The encoder's additive key mask: 0 at each sample's valid keys, -1e9 past them."""
+    return np.where(np.arange(t) < np.asarray(lengths)[:, None], 0.0, -1e9)[:, None, :]
+
+
+@pytest.mark.parametrize("n_heads", [1, 2, 4])
+class TestAttention:
+    """`attention` is the head split, scaled and masked logits, row softmax,
+    weighted values and head merge as one op."""
+
+    def test_is_the_composed_ops_bit_for_bit(self, n_heads):
+        rng = np.random.default_rng(n_heads)
+        bias = key_bias([7, 3, 1, 6, 7], 7)
+        arrays = [rng.normal(size=(5, 7, 8)) for _ in range(3)]
+        # the shared head gradients serve whichever operands track one
+        for tracked in [(0, 1, 2), (0, 1), (0, 2), (1, 2), (0,), (1,), (2,)]:
+            assert_fused_matches("softmax_rows", lambda q, k, v: T.attention(q, k, v, bias, n_heads),
+                                 lambda q, k, v: R.attention(q, k, v, bias, n_heads), arrays, tracked)
+
+    def test_gradients_match_central_differences(self, n_heads):
+        bias = key_bias([4, 2], 4)
+        fd_check(lambda ps: T.attention(*ps, bias, n_heads), [(2, 4, 4 * n_heads)] * 3, seed=9)
+
+    def test_shape_errors(self, n_heads):
+        x = T.constant(np.zeros((2, 3, 4)))
+        for q, k, v, bias, heads in [(x, T.constant(np.zeros((2, 4, 4))), x, key_bias([3, 3], 3), n_heads),
+                                     (x, x, x, key_bias([3, 3], 4), n_heads),
+                                     (x, x, x, key_bias([3, 3, 3], 3), n_heads),
+                                     (x, x, x, key_bias([3, 3], 3), 3)]:
+            with pytest.raises(ShapeError, match="attention shapes incompatible"):
+                T.attention(q, k, v, bias, heads)
+
+
+def test_ops_outside_a_block_build_no_vjps(monkeypatch):
+    """Outside every block each op gives the value it records inside one, and
+    hands `_out` nothing."""
+    rng = np.random.default_rng(11)
+    x, ctx = rng.normal(size=(N, M, MID)), rng.normal(size=(N, 1, MID))
+    params = [make_leaf(f"p{i}", rng.normal(size=s)) for i, s in
+              enumerate([(2 * MID, COLS), (1, COLS), (N // 2, 1, COLS), (1, COLS), (COLS, 3)])]
+
+    def forward():
+        h = T.matmul(T.concat_cols(T.constant(x), T.constant(ctx)), params[0], params[1])
+        h = T.attention(h, T.relu(h), T.sigmoid(h), key_bias([M] * N, M), 2)
+        h = T.layernorm_rows(T.mul(T.add(h, T.constant(x[..., :COLS])), T.constant(x[..., :1])),
+                             params[2], params[3])
+        logits = T.matmul(T.matmul(T.constant(np.full((N, 1, M), 1.0 / M)), h), params[4])
+        return T.sum_all(T.cross_entropy(logits, [0, 1, 2, 0, 1, 2]))
+
+    with T.Tape():
+        recorded = forward().data.tobytes()
+
+    def refuse(name, *args):
+        raise AssertionError(f"{name} built its vjps outside a block")
+
+    monkeypatch.setattr(T, "_out", refuse)
+    assert forward().data.tobytes() == recorded
+
+
 class TestTranspose:
     def test_swaps_a_matrix(self):
-        out = T.transpose(T.constant([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]), (2, 3), (1, 0), (3, 2))
+        out = R.transpose(T.constant([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]), (2, 3), (1, 0), (3, 2))
         assert np.array_equal(out.data, [[1, 4], [2, 5], [3, 6]])
 
     def test_head_split_and_merge(self):
         """Row i*H + j of the split holds head j of sample i; the merge undoes the split."""
         b, t, h, dh = 3, 4, 2, 5
         x = np.random.default_rng(0).normal(size=(b, t, h * dh))
-        split = T.transpose(T.constant(x), (b, t, h, dh), (0, 2, 1, 3), (b * h, t, dh))
-        keys = T.transpose(T.constant(x), (b, t, h, dh), (0, 2, 3, 1), (b * h, dh, t))
+        split = R.transpose(T.constant(x), (b, t, h, dh), (0, 2, 1, 3), (b * h, t, dh))
+        keys = R.transpose(T.constant(x), (b, t, h, dh), (0, 2, 3, 1), (b * h, dh, t))
         for i in range(b):
             for j in range(h):
                 np.testing.assert_array_equal(split.data[i * h + j], x[i, :, j * dh:(j + 1) * dh])
                 np.testing.assert_array_equal(keys.data[i * h + j], x[i, :, j * dh:(j + 1) * dh].T)
-        merged = T.transpose(split, (b, h, t, dh), (0, 2, 1, 3), (b, t, h * dh))
+        merged = R.transpose(split, (b, h, t, dh), (0, 2, 1, 3), (b, t, h * dh))
         np.testing.assert_array_equal(merged.data, x)
         assert merged.data.flags.c_contiguous and split.data.flags.c_contiguous
 
@@ -289,7 +443,7 @@ class TestTranspose:
     ])
     def test_shape_errors(self, shape, axes, out_shape, message):
         with pytest.raises(ShapeError, match=message):
-            T.transpose(T.constant(np.zeros((2, 3))), shape, axes, out_shape)
+            R.transpose(T.constant(np.zeros((2, 3))), shape, axes, out_shape)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -304,14 +458,15 @@ def test_randomized_primitive_gradients(seed):
         fd_check(lambda ps: T.add(ps[0], ps[1]), [(m, n), b_shape], seed)
         fd_check(lambda ps: T.mul(ps[0], ps[1]), [(m, n), b_shape], seed)
     fd_check(lambda ps: T.sigmoid(ps[0]), [(m, n)], seed)
-    fd_check(lambda ps: T.softmax_rows(ps[0]), [(m, n)], seed)
+    fd_check(lambda ps: R.softmax_rows(ps[0]), [(m, n)], seed)
     # width >= 3: a 2-wide layernorm row is constant up to sign, a flat
     # direction where FD noise swamps the structurally-zero gradient
-    fd_check(lambda ps: T.layernorm_rows(ps[0]), [(m, max(n, 3))], seed)
+    w = max(n, 3)
+    fd_check(lambda ps: T.layernorm_rows(ps[0], ps[1], ps[2]), [(m, w), (1, w), (1, w)], seed)
     # b of a's rows, then one row repeated down them
     for b_shape in [(m, n), (1, n)]:
         fd_check(lambda ps: T.concat_cols(ps[0], ps[1]), [(m, k), b_shape], seed)
-    fd_check(lambda ps: T.transpose(ps[0], (m, n), (1, 0), (n, m)), [(m, n)], seed)
+    fd_check(lambda ps: R.transpose(ps[0], (m, n), (1, 0), (n, m)), [(m, n)], seed)
 
     # the same on (B, m, n) stacks
     b = int(rng.integers(1, 5))
@@ -325,20 +480,20 @@ def test_randomized_primitive_gradients(seed):
         fd_check(lambda ps: T.mul(ps[0], ps[1]), [(b, m, n), b_shape], seed)
     fd_check(lambda ps: T.sigmoid(ps[0]), [(b, m, n)], seed)
     fd_check(lambda ps: T.relu(ps[0]), [(b, m, n)], seed)
-    fd_check(lambda ps: T.softmax_rows(ps[0]), [(b, m, n)], seed)
-    fd_check(lambda ps: T.layernorm_rows(ps[0]), [(b, m, max(n, 3))], seed)
+    fd_check(lambda ps: R.softmax_rows(ps[0]), [(b, m, n)], seed)
+    fd_check(lambda ps: T.layernorm_rows(ps[0], ps[1], ps[2]), [(b, m, w), (1, w), (1, w)], seed)
     # b of the stack's rows, one row per sample, then one row for all samples
     for b_shape in [(b, m, n), (b, 1, n), (1, n)]:
         fd_check(lambda ps: T.concat_cols(ps[0], ps[1]), [(b, m, k), b_shape], seed)
-    fd_check(lambda ps: T.transpose(ps[0], (b, m, n), (0, 2, 1), (b, n, m)), [(b, m, n)], seed)
+    fd_check(lambda ps: R.transpose(ps[0], (b, m, n), (0, 2, 1), (b, n, m)), [(b, m, n)], seed)
     # attention's head split of a (b, m, k*n) stack into b*k heads of width n, the
     # split of keys straight to their transpose, and the merge back
     heads = (b, m, k, n)
-    fd_check(lambda ps: T.transpose(ps[0], heads, (0, 2, 1, 3), (b * k, m, n)),
+    fd_check(lambda ps: R.transpose(ps[0], heads, (0, 2, 1, 3), (b * k, m, n)),
              [(b, m, k * n)], seed)
-    fd_check(lambda ps: T.transpose(ps[0], heads, (0, 2, 3, 1), (b * k, n, m)),
+    fd_check(lambda ps: R.transpose(ps[0], heads, (0, 2, 3, 1), (b * k, n, m)),
              [(b, m, k * n)], seed)
-    fd_check(lambda ps: T.transpose(ps[0], (b, k, m, n), (0, 2, 1, 3), (b, m, k * n)),
+    fd_check(lambda ps: R.transpose(ps[0], (b, k, m, n), (0, 2, 1, 3), (b, m, k * n)),
              [(b * k, m, n)], seed)
     labels = rng.integers(0, n + 1, size=b)
     fd_check(lambda ps: T.cross_entropy(ps[0], labels), [(b, 1, n + 1)], seed)
@@ -352,8 +507,8 @@ def test_composition_gradients_many_seeds(seed):
 
     def op(ps):
         x = T.sigmoid(T.matmul(ps[0], ps[1]))
-        x = T.layernorm_rows(T.add(x, ps[2]))
-        return T.softmax_rows(T.mul(x, x))
+        x = T.layernorm_rows(T.add(x, ps[2]), *UNIT_AFFINE)
+        return R.softmax_rows(T.mul(x, x))
 
     fd_check(op, [(m, n), (n, n), (m, n)], seed)
 
@@ -377,7 +532,7 @@ class TestTapeSemantics:
         a, b = rng.normal(size=(4, 4)), rng.normal(size=(4, 4))
 
         def run():
-            out = T.softmax_rows(T.matmul(T.sigmoid(T.constant(a)), T.constant(b)))
+            out = R.softmax_rows(T.matmul(T.sigmoid(T.constant(a)), T.constant(b)))
             return out.data.copy()
 
         assert np.array_equal(run(), run())
