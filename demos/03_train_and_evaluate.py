@@ -46,11 +46,12 @@ def main():
         opt = make_optimizer(interrupted, half_cfg)
         train(interrupted, train_pairs, half_cfg, optimizer=opt)
         path = os.path.join(tmp, "mid.gfck")
-        save_model(interrupted, path, optimizer_state=opt.state_arrays())
+        # the checkpoint stores the parameter vector, then Adam's step count and moment rows
+        save_model(interrupted, path, opt)
 
         restored, ckpt = load_model(path)
         opt2 = make_optimizer(restored, train_cfg)
-        opt2.load_state(ckpt.optimizer_state)
+        opt2.load_state(ckpt.t, ckpt.rows)
         train(restored, train_pairs, train_cfg, start_epoch=6, optimizer=opt2)
 
         drift = max(float(np.abs(a.data - b.data).max())

@@ -266,6 +266,14 @@ def make_folds(corpus: Corpus, k: int, seed: int) -> list[np.ndarray]:
     return [np.array(sorted(f)) for f in folds]
 
 
+def check_folds(n_samples: int, k: int) -> None:
+    """Refuse a fold count `kfold` cannot run on `n_samples` samples."""
+    if k < 2:
+        raise ConfigError(f"k must be >= 2, got {k}")
+    if n_samples < 2 * k:
+        raise ConfigError(f"corpus of {n_samples} samples too small for k={k} (need >= {2 * k})")
+
+
 def kfold(
     corpus: Corpus,
     k: int,
@@ -276,11 +284,7 @@ def kfold(
 
     Gate traces of every held-out sample are collected when the model gates.
     """
-    n = len(corpus.samples)
-    if k < 2:
-        raise ConfigError(f"k must be >= 2, got {k}")
-    if n < 2 * k:
-        raise ConfigError(f"corpus of {n} samples too small for k={k} (need >= {2 * k})")
+    check_folds(len(corpus.samples), k)
     folds = make_folds(corpus, k, train_cfg.seed)
     gating = model_cfg.gating_mode is not GatingMode.NONE
     results = []

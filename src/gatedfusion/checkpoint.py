@@ -1,15 +1,22 @@
-"""Versioned binary checkpoint container.
+"""Versioned binary checkpoints, format 2: the parameter vector and the
+optimizer's state rows as they sit in memory.
 
 Layout: 4-byte magic ``GFCK``, little-endian u32 header length, a UTF-8 JSON
-header, then one contiguous blob of little-endian float64 (``<f8``) reals. The
-header echoes the model config, lists every array's name/shape in blob order,
-records the blob dtype (always ``<f8``; any other value is rejected) and its
-SHA-256. A stored NaN or infinity, an array named twice, or a blob the arrays
-do not exactly cover is rejected on load. Optimizer state rides along as extra
-``opt.*`` arrays so training can resume exactly. `save_model` writes no
-non-finite array; `load_model` checks every stored array against the header
-config's `parameter_shapes`, refusing a missing, misshapen or stray one, before
-it builds the model.
+header, then the blob: one (1 + k, n) array of little-endian float64 (``<f8``)
+reals. Row 0 is `FusionModel.parameters().data`; rows 1..k are the optimizer's
+state rows, laid out like it (k is 0 for SGD, 2 for Adam). The header's model
+config fixes the layout through `model.parameter_table`, so no name or shape
+is stored.
+
+The header holds the format version, the dtype (always ``<f8``), the model
+config, the optimizer's step count ``t`` and row count ``k``, ``meta``, the
+blob length, and one SHA-256 over the canonical config JSON followed by the
+blob. `load_model` checks the digest, then builds the config (whose parameter
+budget bounds n), then requires a blob of exactly (1 + k)·n·8 bytes, all
+before it builds the model. `save_model` writes, and `load_model` reads, no
+non-finite value. The optimizer's `load_state` checks ``t`` and the rows when a
+run resumes. A version-1 file, which listed every array by name, is an
+`UnsupportedVersionError`.
 """
 
 from __future__ import annotations
@@ -23,42 +30,51 @@ import numpy as np
 
 from .atomic import atomic_write
 from .errors import ChecksumError, ConfigError, ManifestError, UnsupportedVersionError, from_dict, need
-from .model import FusionModel, ModelConfig, parameter_shapes
+from .model import FusionModel, ModelConfig, parameter_count
 
 MAGIC = b"GFCK"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 DTYPE = "<f8"
-_OPT_PREFIX = "opt."
 
 
 @dataclass
 class Checkpoint:
-    config: dict
-    arrays: dict[str, np.ndarray]
+    """What a checkpoint holds besides the model: the optimizer's step count
+    and (k, n) state rows, as its `load_state` takes them, and `meta`."""
+
+    t: int
+    rows: np.ndarray
     meta: dict
 
-    @property
-    def optimizer_state(self) -> dict[str, np.ndarray]:
-        """The optimizer-state arrays `save_model` stored, under the optimizer's own names."""
-        return {k[len(_OPT_PREFIX):]: v for k, v in self.arrays.items() if k.startswith(_OPT_PREFIX)}
+
+def _digest(config, blob) -> str:
+    """SHA-256 of the canonical JSON of `config` followed by `blob`."""
+    digest = hashlib.sha256(json.dumps(config, sort_keys=True).encode())
+    digest.update(blob)
+    return digest.hexdigest()
 
 
-def save_checkpoint(
-    path,
-    config: dict,
-    arrays: dict[str, np.ndarray],
-    meta: dict | None = None,
-) -> None:
-    blob = b"".join(np.ascontiguousarray(a, dtype=DTYPE).tobytes() for a in arrays.values())
-    header = {
-        "format_version": FORMAT_VERSION,
-        "dtype": DTYPE,
-        "config": config,
-        "arrays": [{"name": n, "rows": a.shape[0], "cols": a.shape[1]} for n, a in arrays.items()],
-        "blob_length": len(blob),
-        "blob_sha256": hashlib.sha256(blob).hexdigest(),
-        "meta": meta or {},
-    }
+def _refuse_non_finite(stack: np.ndarray, model: FusionModel, path, outcome: str = "") -> None:
+    finite = np.isfinite(stack)
+    if not finite.all():
+        row, index = divmod(int(finite.argmin()), stack.shape[1])
+        name = model.parameters().name_at(index)
+        entry = f"parameter {name!r}" if row == 0 else f"optimizer state row {row - 1} at {name!r}"
+        raise ManifestError(f"{path}: {entry} holds a non-finite value{outcome}")
+
+
+def save_model(model: FusionModel, path, optimizer=None, meta: dict | None = None) -> None:
+    """Write `model`, with `optimizer`'s step count and state rows if one is
+    given (else t = 0 and k = 0). A non-finite value is refused before anything
+    is written; a failed write leaves the file at `path` as it was."""
+    params = model.parameters().data
+    t, rows = optimizer.state() if optimizer else (0, np.empty((0, params.size)))
+    stack = np.vstack([params, rows])
+    _refuse_non_finite(stack, model, path, "; nothing written")
+    blob = np.ascontiguousarray(stack, dtype=DTYPE).tobytes()
+    config = model.cfg.to_dict()
+    header = {"format_version": FORMAT_VERSION, "dtype": DTYPE, "config": config, "t": t, "k": len(rows),
+              "meta": meta or {}, "blob_length": len(blob), "sha256": _digest(config, blob)}
     head = json.dumps(header, sort_keys=True).encode()
     with atomic_write(path, "wb") as f:
         f.write(MAGIC)
@@ -67,7 +83,7 @@ def save_checkpoint(
         f.write(blob)
 
 
-def load_checkpoint(path) -> Checkpoint:
+def load_model(path) -> tuple[FusionModel, Checkpoint]:
     try:
         with open(path, "rb") as f:
             raw = f.read()
@@ -80,83 +96,39 @@ def load_checkpoint(path) -> Checkpoint:
     (head_len,) = struct.unpack("<I", raw[4:8])
     try:
         header = json.loads(raw[8 : 8 + head_len].decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (ValueError, RecursionError) as e:  # ValueError: bad UTF-8, bad JSON, an over-long integer
         raise ManifestError(f"{path}: corrupt checkpoint header: {e}") from e
     if not isinstance(header, dict):
         raise ManifestError(f"{path}: checkpoint header must be a JSON object")
     version = header.get("format_version")
     if version != FORMAT_VERSION:
-        raise UnsupportedVersionError(f"{path}: unsupported checkpoint version {version}")
+        raise UnsupportedVersionError(f"{path}: checkpoint format_version {version!r} is not {FORMAT_VERSION}; "
+                                      "retrain the model with `gatedfusion train`")
     dtype = header.get("dtype")
     if dtype != DTYPE:
         raise ManifestError(f"{path}: unsupported dtype {dtype!r}; checkpoints hold {DTYPE}")
     label = f"{path}: header"
-    blob_length = need(header, "blob_length", int, label)
-    declared_sha = need(header, "blob_sha256", str, label)
     config = need(header, "config", dict, label)
-    records = need(header, "arrays", list, label)
+    t, k, blob_length = (need(header, key, int, label) for key in ("t", "k", "blob_length"))
+    declared_sha = need(header, "sha256", str, label)
     meta = need(header, "meta", dict, label)
-    blob = raw[8 + head_len :]
+    blob = memoryview(raw)[8 + head_len :]
     if len(blob) != blob_length:
         raise ChecksumError(f"{path}: blob length {len(blob)} != declared {blob_length}")
-    digest = hashlib.sha256(blob).hexdigest()
-    if digest != declared_sha:
-        raise ChecksumError(f"{path}: blob checksum mismatch")
-    itemsize = np.dtype(DTYPE).itemsize
-    arrays = {}
-    offset = 0
-    for i, rec in enumerate(records):
-        rec_label = f"{path}: arrays[{i}]"
-        if not isinstance(rec, dict):
-            raise ManifestError(f"{rec_label}: record must be an object")
-        name = need(rec, "name", str, rec_label)
-        if name in arrays:
-            raise ManifestError(f"{rec_label}: array {name!r} is named twice")
-        rows = need(rec, "rows", int, rec_label)
-        cols = need(rec, "cols", int, rec_label)
-        if rows < 0 or cols < 0:
-            raise ManifestError(f"{rec_label}: negative shape ({rows}, {cols})")
-        end = offset + rows * cols * itemsize
-        if end > len(blob):
-            raise ChecksumError(f"{path}: array {name!r} exceeds blob bounds")
-        arr = np.frombuffer(blob[offset:end], dtype=DTYPE).astype(np.float64)
-        if not np.all(np.isfinite(arr)):
-            raise ManifestError(f"{path}: array {name!r} holds a non-finite value")
-        arrays[name] = arr.reshape(rows, cols)
-        offset = end
-    if offset != len(blob):
-        raise ManifestError(f"{path}: arrays cover {offset} of the blob's {len(blob)} bytes")
-    return Checkpoint(config, arrays, meta)
-
-
-def save_model(model: FusionModel, path, optimizer_state: dict[str, np.ndarray] | None = None,
-               meta: dict | None = None) -> None:
-    arrays = {p.name: p.data for p in model.parameters()}
-    if optimizer_state:
-        arrays.update({f"{_OPT_PREFIX}{k}": v for k, v in optimizer_state.items()})
-    for name, a in arrays.items():
-        if not np.all(np.isfinite(a)):
-            raise ManifestError(f"{path}: array {name!r} holds a non-finite value; nothing written")
-    save_checkpoint(path, model.cfg.to_dict(), arrays, meta)
-
-
-def load_model(path) -> tuple[FusionModel, Checkpoint]:
-    ckpt = load_checkpoint(path)
+    if _digest(config, blob) != declared_sha:
+        raise ChecksumError(f"{path}: checksum of the config and blob mismatch")
     try:
-        cfg = from_dict(ModelConfig, ckpt.config, "model config")
+        cfg = from_dict(ModelConfig, config, "model config")
     except ConfigError as e:
         raise ManifestError(f"{path}: {e}") from e
-    # the config sizes the model: check them against the stored arrays first,
-    # so a forged header cannot make FusionModel allocate without bound
-    names = set()
-    for name, shape in parameter_shapes(cfg):
-        if name not in ckpt.arrays or ckpt.arrays[name].shape != shape:
-            raise ManifestError(f"{path}: model config needs array {name!r} of shape {shape}")
-        names.add(name)
-    stray = [n for n in ckpt.arrays if n not in names and not n.startswith(_OPT_PREFIX)]
-    if stray:
-        raise ManifestError(f"{path}: array {stray[0]!r} is neither a model parameter nor optimizer state")
+    # the config sizes the model: check it against the blob first, so a forged
+    # header cannot make FusionModel allocate without bound
+    n = parameter_count(cfg)
+    if k < 0 or len(blob) != (1 + k) * n * 8:
+        raise ManifestError(f"{path}: blob of {len(blob)} bytes is not the (1 + k) x n = (1 + {k}) x {n} "
+                            f"float64 array of its header")
     model = FusionModel(cfg)
-    for p in model.parameters():
-        p.data[...] = ckpt.arrays[p.name]
-    return model, ckpt
+    stack = np.frombuffer(blob, dtype=DTYPE).reshape(1 + k, n)
+    _refuse_non_finite(stack, model, path)
+    model.parameters().data[...] = stack[0]
+    return model, Checkpoint(t, stack[1:].astype(np.float64), meta)

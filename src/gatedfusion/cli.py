@@ -17,6 +17,7 @@ import sys
 import numpy as np
 
 from .analysis import (
+    check_folds,
     collect_traces,
     gate_diagnostic_alignment,
     gate_energy_correlation,
@@ -97,7 +98,8 @@ def cmd_generate(args) -> int:
 
 
 def _configs(args, corpus) -> tuple[ModelConfig, TrainConfig]:
-    """Model and train configs: the --config file, the corpus widths, then flag overrides."""
+    """Model and train configs: the --config file, the corpus widths, then flag
+    overrides. Widths other than the corpus's are refused before --out is made."""
     cfg = _load_json(args.config) if args.config else {}
     unknown = sorted(set(cfg) - {"model", "train"})
     if unknown:
@@ -113,8 +115,11 @@ def _configs(args, corpus) -> tuple[ModelConfig, TrainConfig]:
     if args.seed is not None:
         model_dict["seed"] = args.seed
         train_dict["seed"] = args.seed
-    return (from_dict(ModelConfig, model_dict, "model config"),
-            from_dict(TrainConfig, train_dict, "train config"))
+    model_cfg = from_dict(ModelConfig, model_dict, "model config")
+    if (model_cfg.d_a, model_cfg.d_t) != (corpus.d_a, corpus.d_t):
+        raise ConfigError(f"input widths ({corpus.d_a}, {corpus.d_t}) do not match "
+                          f"configured ({model_cfg.d_a}, {model_cfg.d_t})")
+    return model_cfg, from_dict(TrainConfig, train_dict, "train config")
 
 
 def cmd_train(args) -> int:
@@ -131,7 +136,7 @@ def cmd_train(args) -> int:
             raise ConfigError(f"resume checkpoint was trained with optimizer {saved['optimizer']!r}, "
                               f"not {train_cfg.optimizer!r}")
         optimizer = make_optimizer(model, train_cfg)
-        optimizer.load_state(ckpt.optimizer_state)
+        optimizer.load_state(ckpt.t, ckpt.rows)
         start_epoch = ckpt.meta.get("epochs_done", 0)
         if type(start_epoch) is not int or not 0 <= start_epoch <= train_cfg.epochs:
             raise ManifestError(f"{args.resume}: meta.epochs_done must be an integer in "
@@ -145,7 +150,7 @@ def cmd_train(args) -> int:
     result = train(model, pairs, train_cfg, start_epoch=start_epoch, optimizer=optimizer)
 
     ckpt_path = os.path.join(args.out, "checkpoint.gfck")
-    save_model(model, ckpt_path, optimizer_state=optimizer.state_arrays(),
+    save_model(model, ckpt_path, optimizer,
                meta={"epochs_done": train_cfg.epochs, "train": train_cfg.to_dict()})
     _write_csv(
         os.path.join(args.out, "history.csv"),
@@ -173,6 +178,7 @@ def cmd_evaluate(args) -> int:
     corpus = read_corpus(args.corpus)
     if args.kfold is not None:
         model_cfg, train_cfg = _configs(args, corpus)
+        check_folds(len(corpus.samples), args.kfold)
         _make_out_dir(args.out)
         report = kfold(corpus, args.kfold, train_cfg, model_cfg)
         _write_json(os.path.join(args.out, "report.json"), report.to_dict())

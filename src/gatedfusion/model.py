@@ -7,9 +7,9 @@ modality, masked mean pooling per branch, concatenation, two-layer MLP head.
 stacks; every sample's result is independent of its batchmates and padding.
 
 One table, `_shape_tables`, declares every parameter's (name, shape, init).
-The constructor builds the flat parameter vector from it, `parameter_shapes`
+The constructor builds the flat parameter vector from it, `parameter_count`
 and the parameter budget read it, and `forward` reads each parameter by name
-from `FusionModel.slots`.
+from `FusionModel.slots`. It is also the checkpoint layout.
 """
 
 from __future__ import annotations
@@ -61,10 +61,7 @@ class ModelConfig:
             raise ConfigError(f"n_classes must be >= 2, got {self.n_classes}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
-        before, layer, after = _shape_tables(self)
-        sizes = [(name, r * c) for name, (r, c), _ in before]
-        sizes.append(("the encoder layers", 2 * self.n_layers * sum(r * c for _, (r, c), _ in layer)))
-        sizes += [(name, r * c) for name, (r, c), _ in after]
+        sizes = _group_sizes(self)
         counts = list(itertools.accumulate(size for _, size in sizes))
         if counts[-1] > MAX_PARAMETERS:
             past = next(name for (name, _), count in zip(sizes, counts) if count > MAX_PARAMETERS)
@@ -100,6 +97,20 @@ def _shape_tables(cfg: ModelConfig):
     return before, layer, after
 
 
+def _group_sizes(cfg: ModelConfig) -> list[tuple[str, int]]:
+    """(name, entry count) of each table row before and after the encoders, and
+    of the encoder layers as one group: no walk over the layers."""
+    before, layer, after = _shape_tables(cfg)
+    sizes = [(name, r * c) for name, (r, c), _ in before]
+    sizes.append(("the encoder layers", 2 * cfg.n_layers * sum(r * c for _, (r, c), _ in layer)))
+    return sizes + [(name, r * c) for name, (r, c), _ in after]
+
+
+def parameter_count(cfg: ModelConfig) -> int:
+    """The length of `FusionModel(cfg)`'s parameter vector, allocating nothing."""
+    return sum(size for _, size in _group_sizes(cfg))
+
+
 def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     bound = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, (fan_in, fan_out))
@@ -118,11 +129,6 @@ def parameter_table(cfg: ModelConfig):
         for i in range(cfg.n_layers):
             yield from ((f"{branch}.{i}.{name}", shape, init) for name, shape, init in layer)
     yield from after
-
-
-def parameter_shapes(cfg: ModelConfig):
-    """Each parameter's (name, shape) in `FusionModel(cfg).parameters()` order, allocating nothing."""
-    return ((name, shape) for name, shape, _ in parameter_table(cfg))
 
 
 @dataclass

@@ -11,13 +11,12 @@ A non-finite loss or gradient raises `NonFiniteError` before the optimizer
 steps, as does an Adam step whose second moment overflows, with parameters and
 optimizer state restored to the start of the epoch.
 
-An optimizer is `step`, `state_arrays` and `load_state`, working on a model's
-`FlatParameters`: Adam keeps its moments as the two rows of one (2, n) array
-laid out like the parameter vector. `state_arrays()` hands out per-parameter
-views of them (`m.<name>`, `v.<name>`) next to the step count `t`; `load_state`
-writes such arrays back in place after checking them, and refuses an array the
-optimizer does not keep (SGD keeps none). Checkpoints, `--resume`
-and the epoch rollback all save and restore through that pair.
+An optimizer is `step`, `state` and `load_state`, working on a model's
+`FlatParameters`. Its state is a step count `t` and a (k, n) array of rows
+laid out like the parameter vector: none for SGD, Adam's moments m and v.
+`load_state(t, rows)` checks both by one rule for either optimizer and names a
+bad entry `m.<name>` or `v.<name>`. Checkpoints, `--resume` and the epoch
+rollback all save and restore through `state()` and `load_state`.
 
 Shuffle and dropout RNGs are derived from (seed, epoch), so a run resumed at
 an epoch boundary from a float64 checkpoint (parameters + optimizer state)
@@ -27,6 +26,7 @@ reproduces an unbroken run bit for bit.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,39 +69,65 @@ class TrainConfig:
         return asdict(self)
 
 
-class SGD:
+class _Optimizer:
+    """A step count `t` and state `rows`: a (k, n) array laid out like the
+    parameter vector, one row per name in `ROWS`. Rows named in `NON_NEGATIVE`
+    hold no negative entry."""
+
+    ROWS: tuple[str, ...] = ()
+    NON_NEGATIVE: tuple[str, ...] = ()
+
     def __init__(self, params: T.FlatParameters, lr: float):
         self.params = params
         self.lr = lr
+        self.t = 0
+        self.rows = np.zeros((len(self.ROWS), params.data.size))
 
+    def state(self) -> tuple[int, np.ndarray]:
+        """The step count and the state rows, which later steps update in place."""
+        return self.t, self.rows
+
+    def load_state(self, t, rows: np.ndarray) -> None:
+        """Take step count `t` and a copy of `rows`; state that no run of this
+        optimizer could reach is refused by name, and nothing is loaded."""
+        # a float must hold t: Adam's bias correction takes b ** t
+        if isinstance(t, bool) or not isinstance(t, numbers.Integral) or not 0 <= t < 2**63:
+            raise ManifestError(f"optimizer state 't' must be an integer step count in [0, 2**63), got {t!r}")
+        if np.shape(rows) != self.rows.shape:
+            raise ManifestError(f"optimizer state of shape {np.shape(rows)} is not {type(self).__name__}'s "
+                                f"{self.rows.shape}: rows {list(self.ROWS)} over the parameter vector")
+        bad = ~np.isfinite(rows)
+        for r in map(self.ROWS.index, self.NON_NEGATIVE):
+            bad[r] |= rows[r] < 0
+        if bad.any():
+            r, index = divmod(int(bad.argmax()), rows.shape[1])
+            key = f"{self.ROWS[r]}.{self.params.name_at(index)}"
+            raise ManifestError(f"optimizer state {key!r} holds {rows[r, index]}; every entry must be finite, "
+                                f"and those of rows {list(self.NON_NEGATIVE)} >= 0")
+        self.t = int(t)
+        self.rows[...] = rows
+
+
+class SGD(_Optimizer):
     def step(self) -> None:
+        self.t += 1
         self.params.data -= self.lr * self.params.grad
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        return {}
-
-    def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        if arrays:
-            raise ManifestError(f"optimizer state {min(arrays)!r} is not SGD state; SGD keeps none")
 
 
 # moment decay rates and denominator epsilon (the defaults of Kingma & Ba)
 _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
 
-class Adam:
-    def __init__(self, params: T.FlatParameters, lr: float):
-        self.params = params
-        self.lr = lr
-        self.t = 0
-        # row 0 the first moment m, row 1 the second moment v
-        self.moments = np.zeros((2, params.data.size))
+class Adam(_Optimizer):
+    # the first moment m and the second moment v
+    ROWS = ("m", "v")
+    NON_NEGATIVE = ("v",)
 
     def step(self) -> None:
         self.t += 1
         b1, b2 = _ADAM_BETA1, _ADAM_BETA2
         g = self.params.grad
-        m, v = self.moments
+        m, v = self.rows
         m *= b1
         m += (1 - b1) * g
         v *= b2
@@ -112,40 +138,6 @@ class Adam:
         m_hat = m / (1 - b1 ** self.t)
         v_hat = v / (1 - b2 ** self.t)
         self.params.data -= self.lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        """The step count and per-parameter views of the moments, which later steps update."""
-        out = {"t": np.array([[float(self.t)]])}
-        split = self.params.split
-        for p, m, v in zip(self.params, split(self.moments[0]), split(self.moments[1])):
-            out[f"m.{p.name}"] = m
-            out[f"v.{p.name}"] = v
-        return out
-
-    def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        shapes = {"t": (1, 1)}
-        for p in self.params:
-            shapes[f"m.{p.name}"] = shapes[f"v.{p.name}"] = p.data.shape
-        stray = sorted(set(arrays) - set(shapes))
-        if stray:
-            raise ManifestError(f"optimizer state {stray[0]!r} is not Adam state")
-        for key, shape in shapes.items():
-            if key not in arrays or arrays[key].shape != shape:
-                raise ManifestError(f"optimizer state {key!r} is missing or not of shape {shape}")
-        t = arrays["t"][0, 0]
-        if not (np.isfinite(t) and t >= 0 and t == int(t)):
-            raise ManifestError(f"optimizer state 't' must be a non-negative integer step count, got {t}")
-        moments = np.stack([np.concatenate([arrays[f"{row}.{p.name}"].reshape(-1) for p in self.params])
-                            for row in "mv"])
-        bad = ~np.isfinite(moments)
-        bad[1] |= moments[1] < 0
-        if bad.any():
-            row, index = divmod(int(bad.argmax()), moments.shape[1])
-            key = f"{'mv'[row]}.{self.params.name_at(index)}"
-            raise ManifestError(f"optimizer state {key!r} holds {moments[row, index]}; "
-                                f"m must be finite, v finite and >= 0")
-        self.t = int(t)
-        self.moments[...] = moments
 
 
 def make_optimizer(model: FusionModel, cfg: TrainConfig):
@@ -213,7 +205,8 @@ def train(
     tape = T.Tape()
     for epoch in range(start_epoch, cfg.epochs):
         snapshot = params.data.copy()
-        opt_snapshot = {k: v.copy() for k, v in opt.state_arrays().items()}
+        opt_t, opt_rows = opt.state()
+        opt_rows = opt_rows.copy()
         shuffle_rng = np.random.default_rng([cfg.seed, 7, epoch])
         dropout_rng = np.random.default_rng([cfg.seed, 11, epoch])
         order = shuffle_rng.permutation(n)
@@ -233,7 +226,7 @@ def train(
                 opt.step()
         except NonFiniteError as e:
             params.data[...] = snapshot
-            opt.load_state(opt_snapshot)
+            opt.load_state(opt_t, opt_rows)
             raise NonFiniteError(
                 f"training diverged in epoch {epoch}; parameters and optimizer state "
                 f"restored to start of epoch: {e}"

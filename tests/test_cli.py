@@ -10,11 +10,12 @@ import pytest
 
 from gatedfusion import cli
 from gatedfusion import tensor as T
-from gatedfusion.checkpoint import load_checkpoint, save_checkpoint, save_model
+from gatedfusion.checkpoint import load_model, save_model
 from gatedfusion.cli import _configs, main
 from gatedfusion.corpus_io import read_corpus, write_corpus
 from gatedfusion.model import MAX_PARAMETERS, FusionModel, ModelConfig
 from gatedfusion.synth import MAX_FEATURE_VALUES
+from checkpoint_bytes import rewrite, stack
 
 
 SPEC = {"n_samples": 18, "n_classes": 2, "d_a": 4, "d_t": 4,
@@ -29,6 +30,11 @@ CONFIG = {
 def write_json(path, payload):
     with open(path, "w") as f:
         json.dump(payload, f)
+    return str(path)
+
+
+def write_bytes(path, data: bytes):
+    path.write_bytes(data)
     return str(path)
 
 
@@ -144,11 +150,13 @@ class TestTrain:
               "--out", str(tmp_path / "full")])
         main(["train", "--corpus", corpus_dir, "--config", short_cfg,
               "--out", str(tmp_path / "half")])
-        ckpt = load_checkpoint(str(tmp_path / "half" / "checkpoint.gfck"))
-        old = str(tmp_path / "old.gfck")
-        save_checkpoint(old, ckpt.config, ckpt.arrays,
-                        {**ckpt.meta, "train": {**ckpt.meta["train"], "weight_decay": 0.0,
-                                                "use_class_weights": False}})
+
+        def record_removed_keys(header):
+            header["meta"]["train"].update(weight_decay=0.0, use_class_weights=False)
+            return header
+
+        old = write_bytes(tmp_path / "old.gfck",
+                          rewrite((tmp_path / "half" / "checkpoint.gfck").read_bytes(), record_removed_keys))
         assert main(["train", "--corpus", corpus_dir, "--config", long_cfg, "--resume", old,
                      "--out", str(tmp_path / "resumed")]) == 0
         full = (tmp_path / "full" / "checkpoint.gfck").read_bytes()
@@ -190,15 +198,14 @@ class TestTrain:
 
     @staticmethod
     def half_trained_without_optimizer_state(tmp_path, corpus_dir, train_cfg):
-        """A 2-epoch checkpoint of `train_cfg`, saved again without its optimizer state."""
+        """A 2-epoch checkpoint of `train_cfg`, saved again without its optimizer
+        state rows (k = 0), its step count kept."""
         cfg = write_json(tmp_path / "half.json", {**CONFIG, "train": train_cfg})
         assert main(["train", "--corpus", corpus_dir, "--config", cfg,
                      "--out", str(tmp_path / "half")]) == 0
-        ckpt = load_checkpoint(str(tmp_path / "half" / "checkpoint.gfck"))
-        stateless = str(tmp_path / "stateless.gfck")
-        save_checkpoint(stateless, ckpt.config,
-                        {k: v for k, v in ckpt.arrays.items() if not k.startswith("opt.")}, ckpt.meta)
-        return stateless
+        raw = (tmp_path / "half" / "checkpoint.gfck").read_bytes()
+        return write_bytes(tmp_path / "stateless.gfck",
+                           rewrite(raw, lambda header: {**header, "k": 0}, blob=stack(raw)[0].tobytes()))
 
     def test_sgd_resumes_without_optimizer_state(self, tmp_path, corpus_dir):
         """SGD keeps no state, so a checkpoint without any resumes to the bytes
@@ -222,7 +229,7 @@ class TestTrain:
         capsys.readouterr()
         assert main(["train", "--corpus", corpus_dir, "--config", long_cfg, "--resume", stateless,
                      "--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith("error: optimizer state 't' is missing")
+        assert capsys.readouterr().err.startswith("error: optimizer state of shape (0, ")
         assert not out.exists()
 
     def test_resume_config_mismatch_rejected(self, tmp_path, corpus_dir, capsys):
@@ -262,9 +269,9 @@ class TestTrain:
 
     @pytest.mark.parametrize("epochs_done", ["x", -1, 3, 1.0, True])
     def test_resume_rejects_bad_epochs_done(self, tmp_path, corpus_dir, trained_dir, capsys, epochs_done):
-        ckpt = load_checkpoint(os.path.join(trained_dir, "checkpoint.gfck"))
-        bad = str(tmp_path / "bad.gfck")
-        save_checkpoint(bad, ckpt.config, ckpt.arrays, {**ckpt.meta, "epochs_done": epochs_done})
+        bad = write_bytes(tmp_path / "bad.gfck", rewrite(
+            Path(trained_dir, "checkpoint.gfck").read_bytes(),
+            lambda header: {**header, "meta": {**header["meta"], "epochs_done": epochs_done}}))
         cfg = write_json(tmp_path / "cfg.json", CONFIG)
         assert main(["train", "--corpus", corpus_dir, "--config", cfg, "--resume", bad,
                      "--out", str(tmp_path / "o")]) == 1
@@ -460,10 +467,12 @@ class TestUnusableInputsAndOutputs:
                                                ("analyze-gating", "gate.w_a")])
     def test_non_finite_checkpoint_array(self, tmp_path, corpus_dir, trained_dir, capsys,
                                          command, name):
-        ckpt = load_checkpoint(os.path.join(trained_dir, "checkpoint.gfck"))
-        ckpt.arrays[name][0, 0] = np.nan
-        bad = str(tmp_path / "bad.gfck")
-        save_checkpoint(bad, ckpt.config, ckpt.arrays, ckpt.meta)
+        raw = Path(trained_dir, "checkpoint.gfck").read_bytes()
+        model, _ = load_model(os.path.join(trained_dir, "checkpoint.gfck"))
+        model.slots[name].data[0, 0] = np.nan
+        rows = stack(raw)
+        rows[0] = model.parameters().data
+        bad = write_bytes(tmp_path / "bad.gfck", rewrite(raw, blob=rows.tobytes()))
         out = tmp_path / "o"
         assert main([command, "--corpus", corpus_dir, "--checkpoint", bad,
                      "--out", str(out)]) == 1
@@ -474,12 +483,18 @@ class TestUnusableInputsAndOutputs:
     @pytest.mark.parametrize("name, value", [("opt.v.head.b2", -1.0), ("opt.t", 1.5)])
     def test_bad_optimizer_state_refused_on_resume(self, tmp_path, corpus_dir, trained_dir, capsys,
                                                    name, value):
-        """Finite but impossible Adam state loads as a checkpoint, and `--resume`
-        refuses it by name before training."""
-        ckpt = load_checkpoint(os.path.join(trained_dir, "checkpoint.gfck"))
-        ckpt.arrays[name][0, 0] = value
-        bad = str(tmp_path / "bad.gfck")
-        save_checkpoint(bad, ckpt.config, ckpt.arrays, ckpt.meta)
+        """Impossible Adam state is refused by name before training: a second
+        moment by `--resume`'s `load_state`, a fractional step count already by
+        the header."""
+        raw = Path(trained_dir, "checkpoint.gfck").read_bytes()
+        if name == "opt.t":
+            forged = rewrite(raw, lambda header: {**header, "t": value})
+        else:
+            rows = stack(raw)
+            model, _ = load_model(os.path.join(trained_dir, "checkpoint.gfck"))
+            model.parameters().split(rows[2])[-1][0, 0] = value  # v.head.b2
+            forged = rewrite(raw, blob=rows.tobytes())
+        bad = write_bytes(tmp_path / "bad.gfck", forged)
         cfg = write_json(tmp_path / "cfg.json", CONFIG)
         assert main(["train", "--corpus", corpus_dir, "--config", cfg, "--resume", bad,
                      "--out", str(tmp_path / "o")]) == 1
@@ -487,18 +502,21 @@ class TestUnusableInputsAndOutputs:
         assert err.startswith("error:") and repr(name[len("opt."):]) in err and "diverged" not in err
 
     def test_stray_optimizer_state_refused_on_resume(self, tmp_path, corpus_dir, trained_dir, capsys):
-        """A checkpoint with an optimizer array Adam does not keep loads, and
-        `--resume` refuses it by name before --out is made."""
-        ckpt = load_checkpoint(os.path.join(trained_dir, "checkpoint.gfck"))
-        bad = str(tmp_path / "stray.gfck")
-        save_checkpoint(bad, ckpt.config, {**ckpt.arrays, "opt.junk": np.zeros((1, 1))}, ckpt.meta)
+        """A checkpoint with a state row Adam does not keep (k = 3) loads, and
+        `--resume` refuses its shape before --out is made."""
+        raw = Path(trained_dir, "checkpoint.gfck").read_bytes()
+        rows = stack(raw)
+        n = rows.shape[1]
+        bad = write_bytes(tmp_path / "stray.gfck", rewrite(raw, lambda header: {**header, "k": 3},
+                                                           blob=np.vstack([rows, np.zeros((1, n))]).tobytes()))
+        assert load_model(bad)[1].rows.shape == (3, n)
         cfg = write_json(tmp_path / "cfg.json", CONFIG)
         out = tmp_path / "o"
         capsys.readouterr()
         assert main(["train", "--corpus", corpus_dir, "--config", cfg, "--resume", bad,
                      "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "'junk'" in err and "Traceback" not in err
+        assert err.startswith("error:") and f"shape (3, {n}) is not Adam's (2, {n})" in err and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["evaluate", "analyze-gating"])
@@ -511,6 +529,22 @@ class TestUnusableInputsAndOutputs:
         assert main([command, "--corpus", corpus_dir, "--checkpoint", ckpt, "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "input widths (4, 4) do not match configured (6, 4)" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, args, message", [
+        ("evaluate", ["--kfold", "1"], "k must be >= 2, got 1"),
+        ("evaluate", ["--kfold", "10"], "corpus of 18 samples too small for k=10"),
+        ("evaluate", ["--kfold", "2", "--config", "D_A_5"], "input widths (4, 4) do not match configured (5, 4)"),
+        ("train", ["--config", "D_A_5"], "input widths (4, 4) do not match configured (5, 4)"),
+    ], ids=["kfold-1", "kfold-10", "kfold-widths", "train-widths"])
+    def test_refused_run_makes_no_out(self, tmp_path, corpus_dir, capsys, command, args, message):
+        """A fold count or configured input widths the corpus cannot serve exit 1
+        before --out is made."""
+        d_a_5 = write_json(tmp_path / "cfg.json", {**CONFIG, "model": {**CONFIG["model"], "d_a": 5}})
+        out = tmp_path / "o"
+        assert main([command, "--corpus", corpus_dir, "--out", str(out),
+                     *[d_a_5 if a == "D_A_5" else a for a in args]]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["generate", "evaluate"])

@@ -14,7 +14,7 @@ import gatedfusion
 from gatedfusion import checkpoint, trainer
 from gatedfusion import tensor as T
 from gatedfusion.analysis import collect_traces
-from gatedfusion.checkpoint import load_checkpoint, load_model, save_checkpoint, save_model
+from gatedfusion.checkpoint import load_model, save_model
 from gatedfusion.diagnostics import tiny_config
 from gatedfusion.errors import (
     ChecksumError,
@@ -26,11 +26,12 @@ from gatedfusion.errors import (
     UnsupportedVersionError,
 )
 from gatedfusion.gating import GatingMode
-from gatedfusion.model import MAX_PARAMETERS, FusionModel, ModelConfig, parameter_shapes
+from gatedfusion.model import MAX_PARAMETERS, FusionModel, ModelConfig, parameter_count, parameter_table
 from gatedfusion.sequence import pad_batch
 from gatedfusion.synth import SynthSpec, generate
 from gatedfusion.encoder import dropout_keep
 from gatedfusion.trainer import Adam, TrainConfig, batch_loss, evaluate, make_optimizer, train
+from checkpoint_bytes import digest, rewrite, split, stack
 from padding import pad_extra
 from reference_ops import softmax_rows
 
@@ -40,6 +41,11 @@ def tiny_cfg(**kw):
                 n_classes=3, gating_mode=GatingMode.CROSS_MODAL, dropout_rate=0.0, seed=7)
     base.update(kw)
     return ModelConfig(**base)
+
+
+def parameter_shapes(cfg):
+    """Each parameter's (name, shape), walked from the table row by row."""
+    return [(name, shape) for name, shape, _ in parameter_table(cfg)]
 
 
 def random_pair(rng, cfg, ta=6, tt=5):
@@ -298,11 +304,11 @@ class LoopOptimizer:
         self.v = {k: np.zeros_like(v) for k, v in arrays.items()}
 
     def step(self, grads):
+        self.t += 1
         if self.kind == "sgd":
             for name, g in grads.items():
                 self.data[name] -= self.lr * g
             return
-        self.t += 1
         b1, b2, eps = trainer._ADAM_BETA1, trainer._ADAM_BETA2, trainer._ADAM_EPS
         for name, g in grads.items():
             m = self.m[name] = b1 * self.m[name] + (1 - b1) * g
@@ -387,64 +393,81 @@ class TestTraining:
         ("t", np.zeros((1, 2))), ("m.gate.w_a", np.zeros((3, 1))),
     ])
     def test_adam_load_state_rejects_missing_or_misshapen_arrays(self, key, replacement):
+        """A step count that is missing or an array, or rows in which one
+        parameter's block is missing or misshapen (in both rows, which stay one
+        array), is refused, and nothing is loaded."""
         model = FusionModel(tiny_cfg())
-        state = dict(make_optimizer(model, TrainConfig()).state_arrays())
-        if replacement is None:
-            del state[key]
+        params = model.parameters()
+        t, rows = make_optimizer(model, TrainConfig()).state()
+        if key == "t":
+            t = replacement
         else:
-            state[key] = replacement
+            name = key.split(".", 1)[1]
+
+            def edited(row):
+                blocks = [block.reshape(-1) for p, block in zip(params, params.split(row)) if p.name != name]
+                return np.concatenate(blocks + ([] if replacement is None else [replacement.reshape(-1)]))
+
+            rows = np.stack([edited(row) for row in rows])
+        fresh = Adam(params, 1e-3)
         with pytest.raises(ManifestError):
-            Adam(model.parameters(), 1e-3).load_state(state)
+            fresh.load_state(t, rows)
+        assert fresh.t == 0 and not fresh.rows.any()
 
     @pytest.mark.parametrize("key, index, value, named", [
-        ("t", 0, 1.5, "'t'"), ("t", 0, -1.0, "'t'"), ("t", 0, np.inf, "'t'"),
+        ("t", 0, 1.5, "'t'"), ("t", 0, -1.0, "'t'"), ("t", 0, np.inf, "'t'"), ("t", 0, 2**63, "'t'"),
         ("m.proj_a.w", 0, np.nan, "'m.proj_a.w'"), ("m.head.b2", -1, -np.inf, "'m.head.b2'"),
         ("v.gate.b_t", 0, np.inf, "'v.gate.b_t'"), ("v.head.b2", -1, -1.0, "'v.head.b2'"),
         ("v.proj_a.b", -1, -1e-300, "'v.proj_a.b'"),
     ])
     def test_adam_load_state_rejects_bad_values(self, key, index, value, named):
-        """A step count that is not a non-negative integer, a non-finite moment or a
-        negative second moment is refused by name, and nothing is loaded."""
+        """A step count that is not an integer in [0, 2**63), a non-finite moment
+        or a negative second moment is refused by name, and nothing is loaded."""
         rng = np.random.default_rng(30)
         cfg = tiny_cfg()
         model = FusionModel(cfg)
         opt = make_optimizer(model, TrainConfig())
         train(model, make_training_pairs(rng, cfg, 4), TrainConfig(epochs=1, batch_size=2), optimizer=opt)
-        state = {k: v.copy() for k, v in opt.state_arrays().items()}
-        state[key].reshape(-1)[index] = value
+        t, rows = opt.state()
+        rows = rows.copy()
+        if key == "t":
+            t = value
+        else:
+            row, name = key.split(".", 1)
+            model.parameters().split(rows["mv".index(row)])[list(model.slots).index(name)].reshape(-1)[index] = value
         fresh = Adam(model.parameters(), 1e-3)
         with pytest.raises(ManifestError, match=re.escape(named)):
-            fresh.load_state(state)
-        assert fresh.t == 0 and not fresh.moments.any()
+            fresh.load_state(t, rows)
+        assert fresh.t == 0 and not fresh.rows.any()
 
     def test_load_state_refuses_state_the_optimizer_does_not_keep(self):
-        """Adam refuses a key besides t, m.<name> and v.<name>; SGD, which keeps no
-        state, refuses any array, Adam's moments included. Each names the key."""
+        """Adam refuses a row besides m and v; SGD, which keeps no rows, refuses
+        any, Adam's moments included. Each names the shape it keeps."""
         model = FusionModel(tiny_cfg())
-        adam = make_optimizer(model, TrainConfig())
-        state = {k: v.copy() for k, v in adam.state_arrays().items()}
+        n = model.parameters().data.size
+        t, rows = make_optimizer(model, TrainConfig()).state()
         fresh = Adam(model.parameters(), 1e-3)
-        with pytest.raises(ManifestError, match="'junk'"):
-            fresh.load_state({**state, "junk": np.zeros((1, 1))})
-        assert fresh.t == 0 and not fresh.moments.any()
+        with pytest.raises(ManifestError, match=re.escape(f"shape (3, {n}) is not Adam's (2, {n})")):
+            fresh.load_state(t, np.vstack([rows, np.zeros((1, n))]))
+        assert fresh.t == 0 and not fresh.rows.any()
         sgd = make_optimizer(model, TrainConfig(optimizer="sgd"))
-        with pytest.raises(ManifestError, match=re.escape(f"{min(state)!r} is not SGD state")):
-            sgd.load_state(state)
-        sgd.load_state({})
+        with pytest.raises(ManifestError, match=re.escape(f"shape (2, {n}) is not SGD's (0, {n})")):
+            sgd.load_state(t, rows)
+        sgd.load_state(4, np.zeros((0, n)))
+        assert sgd.t == 4
 
     def test_adam_load_state_takes_a_negative_first_moment(self):
         model = FusionModel(tiny_cfg())
         opt = make_optimizer(model, TrainConfig())
-        state = {k: v.copy() for k, v in opt.state_arrays().items()}
-        state["t"][0, 0] = 3.0
-        state["m.head.b2"][0, 0] = -0.5
-        opt.load_state(state)
-        assert opt.t == 3 and opt.state_arrays()["m.head.b2"][0, 0] == -0.5
+        rows = opt.state()[1].copy()
+        model.parameters().split(rows[0])[-1][0, 0] = -0.5  # m.head.b2
+        opt.load_state(3, rows)
+        assert opt.t == 3 and model.parameters().split(opt.state()[1][0])[-1][0, 0] == -0.5
 
     @pytest.mark.parametrize("kind", ["adam", "sgd"])
     def test_flat_optimizer_matches_per_parameter_loop(self, kind):
-        """Three steps, then a `state_arrays()` -> `load_state` round trip into a
-        new model and optimizer, then two more, all bit for bit."""
+        """Three steps, then a `state()` -> `load_state` round trip into a new
+        model and optimizer, then two more, all bit for bit."""
         rng = np.random.default_rng(31)
         cfg = tiny_cfg(n_layers=2)
         tc = TrainConfig(learning_rate=1e-2, optimizer=kind)
@@ -460,21 +483,22 @@ class TestTraining:
             ref.step(grads)
             for p in model.parameters():
                 np.testing.assert_array_equal(p.data, ref.data[p.name])
-            state = opt.state_arrays()
+            t, rows = opt.state()
+            assert t == ref.t
             if kind == "adam":
-                assert state["t"][0, 0] == ref.t
-                for p in model.parameters():
-                    np.testing.assert_array_equal(state[f"m.{p.name}"], ref.m[p.name])
-                    np.testing.assert_array_equal(state[f"v.{p.name}"], ref.v[p.name])
+                params = model.parameters()
+                for p, m, v in zip(params, params.split(rows[0]), params.split(rows[1])):
+                    np.testing.assert_array_equal(m, ref.m[p.name])
+                    np.testing.assert_array_equal(v, ref.v[p.name])
             else:
-                assert state == {}
+                assert rows.shape == (0, model.parameters().data.size)
 
         for _ in range(3):
             step(model, opt)
         resumed = FusionModel(cfg)
         resumed.parameters().data[...] = model.parameters().data
         opt2 = make_optimizer(resumed, tc)
-        opt2.load_state({k: v.copy() for k, v in opt.state_arrays().items()})
+        opt2.load_state(*opt.state())
         for _ in range(2):
             step(resumed, opt2)
 
@@ -530,7 +554,8 @@ class TestTraining:
         train(model, pairs, TrainConfig(learning_rate=1e-3, epochs=1, batch_size=2, seed=4),
               optimizer=opt)
         params = [p.data.copy() for p in model.parameters()]
-        state = {k: v.copy() for k, v in opt.state_arrays().items()}
+        steps, rows = opt.state()
+        rows = rows.copy()
         # a NaN entry makes the loss non-finite in every mode (a huge finite one
         # can be gated away); put it in epoch 1's last batch, after two steps
         last = int(np.random.default_rng([tc.seed, 7, 1]).permutation(len(pairs))[-1])
@@ -542,10 +567,8 @@ class TestTraining:
             train(model, pairs, tc, start_epoch=1, optimizer=opt)
         for p, saved in zip(model.parameters(), params):
             np.testing.assert_array_equal(p.data, saved)
-        after = opt.state_arrays()
-        assert after.keys() == state.keys()
-        for k in state:
-            np.testing.assert_array_equal(after[k], state[k])
+        assert opt.t == steps
+        np.testing.assert_array_equal(opt.rows, rows)
 
     @pytest.mark.parametrize("mode", [GatingMode.UNIMODAL, GatingMode.CROSS_MODAL])
     def test_non_finite_gradient_stops_training_before_the_step(self, mode):
@@ -560,16 +583,16 @@ class TestTraining:
         tc = TrainConfig(learning_rate=1e-3, epochs=1, batch_size=4)
         opt = make_optimizer(model, tc)
         params = [p.data.copy() for p in model.parameters()]
-        state = {k: v.copy() for k, v in opt.state_arrays().items()}
+        t, rows = opt.state()
+        rows = rows.copy()
         with np.errstate(all="ignore"):
             assert np.isfinite(batch_loss(model, pairs)[0].item())
             with pytest.raises(NonFiniteError, match="non-finite gradient of gate.w_a"):
                 train(model, pairs, tc, optimizer=opt)
         for p, saved in zip(model.parameters(), params):
             np.testing.assert_array_equal(p.data, saved)
-        after = opt.state_arrays()
-        for k in state:
-            np.testing.assert_array_equal(after[k], state[k])
+        assert opt.t == t
+        np.testing.assert_array_equal(opt.rows, rows)
 
     def test_second_moment_overflow_rolls_back(self):
         """An input of 1e60 keeps every gradient finite, but squaring the gate's
@@ -583,15 +606,14 @@ class TestTraining:
         tc = TrainConfig(learning_rate=1e-3, epochs=2, batch_size=2)
         opt = make_optimizer(model, tc)
         params = model.parameters().data.copy()
-        state = {k: v.copy() for k, v in opt.state_arrays().items()}
+        t, rows = opt.state()
+        rows = rows.copy()
         with np.errstate(all="ignore"), pytest.raises(
                 NonFiniteError, match="epoch 0; .*second moment of gate.w_a overflowed"):
             train(model, pairs, tc, optimizer=opt)
         np.testing.assert_array_equal(model.parameters().data, params)
-        after = opt.state_arrays()
-        assert after.keys() == state.keys()
-        for k in state:
-            np.testing.assert_array_equal(after[k], state[k])
+        assert opt.t == t
+        np.testing.assert_array_equal(opt.rows, rows)
 
     def test_evaluate_matches_one_sample_at_a_time(self):
         """Chunked evaluation gives each sample's own loss and prediction."""
@@ -780,14 +802,6 @@ class TestNoGrad:
             np.testing.assert_array_equal(p.data, q.data)
 
 
-def rewrite_header(raw: bytes, edit) -> bytes:
-    """Checkpoint bytes with the JSON header replaced by edit(header)."""
-    (hlen,) = struct.unpack("<I", raw[4:8])
-    header = edit(json.loads(raw[8 : 8 + hlen]))
-    head = json.dumps(header, sort_keys=True).encode()
-    return raw[:4] + struct.pack("<I", len(head)) + head + raw[8 + hlen:]
-
-
 def _set(section, key, value):
     def edit(header):
         (header[section] if section else header)[key] = value
@@ -802,54 +816,71 @@ def _drop(key):
     return edit
 
 
-def _drop_cols(header):
-    del header["arrays"][0]["cols"]
-    return header
-
-
-def _negative_rows(header):
-    header["arrays"][0]["rows"] = -2
-    return header
-
-
-def _rename_second_array(name):
-    def edit(header):
-        header["arrays"][1]["name"] = name
-        return header
-    return edit
-
-
-def _drop_last_array(header):
-    header["arrays"].pop()
-    return header
-
-
-def _set_first_rows(rows):
-    def edit(header):
-        header["arrays"][0]["rows"] = rows
-        return header
-    return edit
+def _with_long_t(raw):
+    """Checkpoint bytes whose header's t has more digits than Python parses."""
+    header, blob = split(raw)
+    head = json.dumps({**header, "t": "T"}, sort_keys=True).encode().replace(b'"T"', b"9" * 5000)
+    return raw[:4] + struct.pack("<I", len(head)) + head + blob
 
 
 MALFORMED_CHECKPOINTS = {
     "cut_to_6_bytes": lambda raw: raw[:6],
-    "no_blob_length": lambda raw: rewrite_header(raw, _drop("blob_length")),
-    "array_without_cols": lambda raw: rewrite_header(raw, _drop_cols),
-    "unknown_config_key": lambda raw: rewrite_header(raw, _set("config", "colour", 1)),
-    "string_d_model": lambda raw: rewrite_header(raw, _set("config", "d_model", "8")),
-    "negative_rows": lambda raw: rewrite_header(raw, _negative_rows),
-    "unknown_gating_mode": lambda raw: rewrite_header(raw, _set("config", "gating_mode", "nope")),
-    "header_is_a_list": lambda raw: rewrite_header(raw, lambda header: [header]),
-    "f4_dtype": lambda raw: rewrite_header(raw, _set(None, "dtype", "<f4")),
+    "no_blob_length": lambda raw: rewrite(raw, _drop("blob_length")),
+    "no_row_count": lambda raw: rewrite(raw, _drop("k")),
+    "fractional_t": lambda raw: rewrite(raw, _set(None, "t", 1.5)),
+    "unknown_config_key": lambda raw: rewrite(raw, _set("config", "colour", 1)),
+    "string_d_model": lambda raw: rewrite(raw, _set("config", "d_model", "8")),
+    "negative_rows": lambda raw: rewrite(raw, _set(None, "k", -2)),
+    "unknown_gating_mode": lambda raw: rewrite(raw, _set("config", "gating_mode", "nope")),
+    "header_is_a_list": lambda raw: rewrite(raw, lambda header: [header]),
+    "header_nested_past_the_recursion_limit": lambda raw: raw[:4] + struct.pack("<I", 10**5) + b"[" * 10**5,
+    "header_int_past_the_digit_limit": lambda raw: _with_long_t(raw),
+    "f4_dtype": lambda raw: rewrite(raw, _set(None, "dtype", "<f4")),
 }
+
+# blobs that are not the (1 + k) x n float64 array their signed header describes
+WRONG_LENGTHS = {
+    "blob_8_bytes_long": lambda raw: rewrite(raw, blob=split(raw)[1] + bytes(8)),
+    "blob_8_bytes_short": lambda raw: rewrite(raw, blob=split(raw)[1][:-8]),
+    "k_1": lambda raw: rewrite(raw, _set(None, "k", 1)),
+    "n_layers_2": lambda raw: rewrite(raw, _set("config", "n_layers", 2)),
+    "d_model_16": lambda raw: rewrite(raw, _set("config", "d_model", 16)),
+}
+LENGTH_REFUSAL = r"blob of \d+ bytes is not the \(1 \+ k\) x n"
+
+
+def adam_checkpoint(path, cfg):
+    """Save an untrained model of `cfg` with its Adam state (k = 2); its bytes."""
+    model = FusionModel(cfg)
+    save_model(model, path, make_optimizer(model, TrainConfig()))
+    return path.read_bytes()
 
 
 class TestCheckpoint:
+    # SHA-256 of the format-2 bytes of `diagnostics.tiny_config`'s model after
+    # three fixed Adam steps, saved with the optimizer's state: a change to the
+    # layout, the header or the optimizer's rows shows here
+    PINNED_SHA256 = "945ea5fdad46552774c976db081191854f4c34adc176f6538f2bc58fd7394b28"
+
+    def test_checkpoint_bytes_are_pinned(self, tmp_path):
+        model = FusionModel(tiny_config(GatingMode.CROSS_MODAL))
+        params = model.parameters()
+        opt = Adam(params, 1e-2)
+        for step in range(3):
+            params.grad[...] = np.random.default_rng([61, step]).normal(size=params.data.size)
+            opt.step()
+        path = tmp_path / "model.gfck"
+        save_model(model, path, opt, meta={"epochs_done": 3})
+        raw = path.read_bytes()
+        header, blob = split(raw)
+        assert (header["t"], header["k"], len(blob)) == (3, 2, 3 * params.data.size * 8)
+        assert hashlib.sha256(raw).hexdigest() == self.PINNED_SHA256
+
     @pytest.mark.parametrize("name", sorted(MALFORMED_CHECKPOINTS))
     def test_malformed_file_raises_typed_error(self, tmp_path, name):
         path = tmp_path / "model.gfck"
-        save_model(FusionModel(tiny_cfg()), path)
-        path.write_bytes(MALFORMED_CHECKPOINTS[name](path.read_bytes()))
+        raw = adam_checkpoint(path, tiny_cfg())
+        path.write_bytes(MALFORMED_CHECKPOINTS[name](raw))
         with pytest.raises(GatedFusionError):
             load_model(path)
 
@@ -857,32 +888,77 @@ class TestCheckpoint:
         path = tmp_path / "model.gfck"
         save_model(FusionModel(tiny_cfg()), path)
         edit = lambda header: _set("config", "d_model", 10**7)(_set("config", "d_a", 10**7)(header))
-        path.write_bytes(rewrite_header(path.read_bytes(), edit))
+        path.write_bytes(rewrite(path.read_bytes(), edit))
         with pytest.raises(ManifestError, match="proj_a.w"):
             load_model(path)
 
     def test_layout_checked_before_anything_is_built(self, tmp_path, monkeypatch):
-        """A header whose n_layers is raised from 1 to 3, with the last layer's
-        ffn_w1 added, is refused at the first missing array without building."""
-        model = FusionModel(tiny_cfg())
-        arrays = {p.name: p.data for p in model.parameters()}
-        arrays["enc_a.2.ffn_w1"] = np.zeros((8, 16))
+        """A signed header whose n_layers is raised from 1 to 3 is refused by the
+        blob's length, without building."""
         path = tmp_path / "model.gfck"
-        save_checkpoint(path, {**model.cfg.to_dict(), "n_layers": 3}, arrays)
+        save_model(FusionModel(tiny_cfg()), path)
+        path.write_bytes(rewrite(path.read_bytes(), _set("config", "n_layers", 3)))
 
         def refuse(cfg):
             raise AssertionError("FusionModel built before the layout was checked")
 
         monkeypatch.setattr(checkpoint, "FusionModel", refuse)
-        with pytest.raises(ManifestError, match=r"needs array 'enc_a\.1\.wq' of shape \(8, 8\)"):
+        n = parameter_count(tiny_cfg())
+        with pytest.raises(ManifestError, match=re.escape(f"blob of {n * 8} bytes is not the (1 + k) x n = "
+                                                          f"(1 + 0) x {parameter_count(tiny_cfg(n_layers=3))}")):
+            load_model(path)
+
+    @pytest.mark.parametrize("name", sorted(WRONG_LENGTHS))
+    def test_blob_length_checked_before_the_model_is_built(self, tmp_path, monkeypatch, name):
+        path = tmp_path / "model.gfck"
+        path.write_bytes(WRONG_LENGTHS[name](adam_checkpoint(path, tiny_cfg())))
+
+        def refuse(cfg):
+            raise AssertionError("FusionModel built before the blob's length was checked")
+
+        monkeypatch.setattr(checkpoint, "FusionModel", refuse)
+        with pytest.raises(ManifestError, match=LENGTH_REFUSAL):
             load_model(path)
 
     def test_arrays_beyond_the_config_rejected(self, tmp_path):
-        """A 2-layer checkpoint whose header says 1 layer would drop the second layer."""
+        """A 2-layer checkpoint whose signed header says 1 layer would drop the
+        second layer: its blob is longer than the header's layout."""
         path = tmp_path / "model.gfck"
         save_model(FusionModel(tiny_cfg(n_layers=2)), path)
-        path.write_bytes(rewrite_header(path.read_bytes(), _set("config", "n_layers", 1)))
-        with pytest.raises(ManifestError, match=r"array 'enc_a\.1\.wq' is neither a model parameter"):
+        path.write_bytes(rewrite(path.read_bytes(), _set("config", "n_layers", 1)))
+        with pytest.raises(ManifestError, match=LENGTH_REFUSAL):
+            load_model(path)
+
+    def test_swapped_widths_caught_by_the_digest(self, tmp_path):
+        """d_a and d_t swapped keep the parameter count, so the blob's length
+        still fits: the digest over the config refuses the header. Signed
+        again, the same swap loads a model for other inputs."""
+        path = tmp_path / "model.gfck"
+        raw = adam_checkpoint(path, tiny_cfg())
+
+        def swap(header):
+            header["config"]["d_a"], header["config"]["d_t"] = header["config"]["d_t"], header["config"]["d_a"]
+            return header
+
+        path.write_bytes(rewrite(raw, swap, sign=False))
+        with pytest.raises(ChecksumError, match="checksum of the config and blob mismatch"):
+            load_model(path)
+        path.write_bytes(rewrite(raw, swap))
+        assert (load_model(path)[0].cfg.d_a, load_model(path)[0].cfg.d_t) == (4, 5)
+
+    def test_version_1_file_refused(self, tmp_path):
+        """A format-1 file, which named every array in its header, is refused
+        with the advice to retrain."""
+        model = FusionModel(tiny_cfg())
+        blob = model.parameters().data.astype("<f8").tobytes()
+        header = {"format_version": 1, "dtype": "<f8", "config": model.cfg.to_dict(), "meta": {},
+                  "arrays": [{"name": p.name, "rows": p.data.shape[0], "cols": p.data.shape[1]}
+                             for p in model.parameters()],
+                  "blob_length": len(blob), "blob_sha256": hashlib.sha256(blob).hexdigest()}
+        head = json.dumps(header, sort_keys=True).encode()
+        path = tmp_path / "v1.gfck"
+        path.write_bytes(b"GFCK" + struct.pack("<I", len(head)) + head + blob)
+        with pytest.raises(UnsupportedVersionError, match="format_version 1 is not 2; retrain"):
             load_model(path)
 
     @pytest.mark.parametrize("n_layers", [1, 2, 3])
@@ -890,8 +966,9 @@ class TestCheckpoint:
         for ff_mult, n_classes, d_model, n_heads in itertools.product((1, 4), (2, 4), (4, 8), (1, 2)):
             cfg = tiny_cfg(n_layers=n_layers, ff_mult=ff_mult, n_classes=n_classes, d_model=d_model,
                            n_heads=n_heads)
-            assert list(parameter_shapes(cfg)) == [(p.name, p.data.shape)
-                                                   for p in FusionModel(cfg).parameters()]
+            params = FusionModel(cfg).parameters()
+            assert list(parameter_shapes(cfg)) == [(p.name, p.data.shape) for p in params]
+            assert parameter_count(cfg) == params.data.size
 
     def test_parameter_shapes_are_pinned(self):
         """The checkpoint layout of the gradcheck's model, written out: a row
@@ -914,33 +991,36 @@ class TestCheckpoint:
     @pytest.mark.parametrize("name", ["head.b2", "opt.v.gate.w_a"])
     def test_save_refuses_a_non_finite_array(self, tmp_path, name):
         model = FusionModel(tiny_cfg())
-        state = {k: v.copy() for k, v in make_optimizer(model, TrainConfig()).state_arrays().items()}
-        (model.slots["head.b2"].data if name == "head.b2" else state["v.gate.w_a"])[0, 0] = np.inf
+        opt = make_optimizer(model, TrainConfig())
+        if name == "head.b2":
+            model.slots["head.b2"].data[0, 0] = np.inf
+            entry = "parameter 'head.b2'"
+        else:
+            model.parameters().split(opt.rows[1])[list(model.slots).index("gate.w_a")][0, 0] = np.inf
+            entry = "optimizer state row 1 at 'gate.w_a'"
         path = tmp_path / "model.gfck"
         path.write_bytes(b"old")
-        with pytest.raises(ManifestError, match=rf"array '{re.escape(name)}' holds a non-finite value"):
-            save_model(model, path, optimizer_state=state)
+        with pytest.raises(ManifestError, match=re.escape(f"{entry} holds a non-finite value")):
+            save_model(model, path, opt)
         assert path.read_bytes() == b"old"
 
     def test_1000_header_mutations_raise_typed_errors(self, tmp_path):
-        """Criterion 10b's manifest fuzz, applied to the checkpoint header."""
+        """Criterion 10b's manifest fuzz, applied to the checkpoint header. A
+        mutated header is signed again unless the mutation hit its digest, so
+        that it reaches the field checks and not only the checksum."""
         path = tmp_path / "model.gfck"
-        save_model(FusionModel(tiny_cfg()), path)
-        pristine = path.read_bytes()
-        (hlen,) = struct.unpack("<I", pristine[4:8])
+        pristine = adam_checkpoint(path, tiny_cfg())
+        pristine_header, blob = split(pristine)
         junk = [None, True, False, -1, 0, 1, 3.5, "x", [], {}, [1], 10**15, -(10**15),
                 "offset", 2.0, float("inf")]
         rng = np.random.default_rng(53)
         typed, other = 0, []
         for _ in range(1000):
-            header = json.loads(pristine[8 : 8 + hlen])
+            header = json.loads(json.dumps(pristine_header))
             for _ in range(int(rng.integers(1, 4))):
                 target = header
                 if rng.random() >= 0.3:
-                    nested = [header.get("config")]
-                    if isinstance(header.get("arrays"), list):
-                        nested += header["arrays"]
-                    cand = nested[int(rng.integers(len(nested)))]
+                    cand = header.get("config")
                     if isinstance(cand, dict) and cand:  # prior edit may have junked it
                         target = cand
                 keys = list(target.keys())
@@ -952,7 +1032,9 @@ class TestCheckpoint:
                     target[key] = int(target[key] + rng.integers(-10**6, 10**6))
                 else:
                     target[key] = junk[int(rng.integers(len(junk)))]
-            path.write_bytes(rewrite_header(pristine, lambda _: header))
+            if header.get("sha256") == pristine_header["sha256"]:
+                header["sha256"] = digest(header.get("config"), blob)
+            path.write_bytes(rewrite(pristine, lambda _: header, sign=False))
             try:
                 load_model(path)
             except GatedFusionError:
@@ -972,7 +1054,8 @@ class TestCheckpoint:
         a, t = random_pair(rng, cfg)
         np.testing.assert_array_equal(loaded.forward(pad_batch([a]), pad_batch([t])).logits.data[0],
                                       model.forward(pad_batch([a]), pad_batch([t])).logits.data[0])
-        assert ckpt.config == cfg.to_dict()
+        assert loaded.cfg == cfg
+        assert (ckpt.t, ckpt.rows.shape, ckpt.meta) == (0, (0, model.parameters().data.size), {})
 
     def test_load_writes_parameters_in_place(self, tmp_path):
         """A loaded model's parameters stay views of its flat vectors."""
@@ -992,7 +1075,7 @@ class TestCheckpoint:
         raw = path.read_bytes()
         path.write_bytes(raw[:-16])
         with pytest.raises(ChecksumError):
-            load_checkpoint(path)
+            load_model(path)
 
     def test_flipped_byte_detected(self, tmp_path):
         model = FusionModel(tiny_cfg())
@@ -1002,45 +1085,32 @@ class TestCheckpoint:
         raw[-5] ^= 0xFF
         path.write_bytes(bytes(raw))
         with pytest.raises(ChecksumError):
-            load_checkpoint(path)
+            load_model(path)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_array_rejected(self, tmp_path, bad):
+        """A non-finite optimizer entry in a signed blob is refused on load,
+        naming its row and parameter."""
         path = tmp_path / "model.gfck"
-        save_checkpoint(path, {"x": 1}, {"w": np.zeros((2, 2)), "opt.m": np.full((1, 3), bad)})
-        with pytest.raises(ManifestError, match="'opt.m' holds a non-finite value"):
-            load_checkpoint(path)
-
-    def test_array_named_twice_rejected(self, tmp_path):
-        """A later record of the same name would silently replace the earlier array."""
-        path = tmp_path / "model.gfck"
-        save_checkpoint(path, {"x": 1}, {"w": np.zeros((1, 2)), "v": np.ones((1, 2))})
-        path.write_bytes(rewrite_header(path.read_bytes(), _rename_second_array("w")))
-        with pytest.raises(ManifestError, match=r"arrays\[1\]: array 'w' is named twice"):
-            load_checkpoint(path)
-
-    @pytest.mark.parametrize("edit, covered", [(_drop_last_array, 16), (_set_first_rows(0), 16)],
-                             ids=["last-dropped", "first-emptied"])
-    def test_arrays_must_cover_the_blob(self, tmp_path, edit, covered):
-        """Blob bytes that no array record claims are refused, not ignored."""
-        path = tmp_path / "model.gfck"
-        save_checkpoint(path, {"x": 1}, {"w": np.zeros((1, 2)), "v": np.ones((1, 2))})
-        path.write_bytes(rewrite_header(path.read_bytes(), edit))
-        with pytest.raises(ManifestError, match=rf"arrays cover {covered} of the blob's 32 bytes"):
-            load_checkpoint(path)
+        raw = adam_checkpoint(path, tiny_cfg())
+        rows = stack(raw)
+        rows[1, 0] = bad
+        path.write_bytes(rewrite(raw, blob=rows.astype("<f8").tobytes()))
+        with pytest.raises(ManifestError, match="optimizer state row 0 at 'proj_a.w' holds a non-finite value"):
+            load_model(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.gfck"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
         with pytest.raises(ManifestError):
-            load_checkpoint(path)
+            load_model(path)
 
     def test_unknown_version(self, tmp_path):
         path = tmp_path / "v.gfck"
-        save_checkpoint(path, {"x": 1}, {"w": np.zeros((1, 1))})
-        path.write_bytes(rewrite_header(path.read_bytes(), _set(None, "format_version", 99)))
+        save_model(FusionModel(tiny_cfg()), path)
+        path.write_bytes(rewrite(path.read_bytes(), _set(None, "format_version", 99)))
         with pytest.raises(UnsupportedVersionError):
-            load_checkpoint(path)
+            load_model(path)
 
     def test_resume_matches_unbroken_run(self, tmp_path):
         rng = np.random.default_rng(22)
@@ -1057,11 +1127,11 @@ class TestCheckpoint:
         opt_r = make_optimizer(resumed, half_cfg)
         train(resumed, pairs, half_cfg, optimizer=opt_r)
         path = tmp_path / "mid.gfck"
-        save_model(resumed, path, optimizer_state=opt_r.state_arrays())
+        save_model(resumed, path, opt_r)
 
         restored, ckpt = load_model(path)
         opt2 = make_optimizer(restored, full_cfg)
-        opt2.load_state(ckpt.optimizer_state)
+        opt2.load_state(ckpt.t, ckpt.rows)
         train(restored, pairs, full_cfg, start_epoch=3, optimizer=opt2)
 
         for pu, pr in zip(unbroken.parameters(), restored.parameters()):
