@@ -15,7 +15,17 @@ from gatedfusion.analysis import metrics
 from gatedfusion.checkpoint import load_model, save_model
 from gatedfusion.model import FusionModel, ModelConfig
 from gatedfusion.synth import SynthSpec, generate, model_inputs
-from gatedfusion.trainer import TrainConfig, evaluate, make_optimizer, split_pairs, train
+from gatedfusion.trainer import TrainConfig, evaluate, make_optimizer, train
+
+
+def split_pairs(pairs, val_fraction, seed):
+    """Deterministic disjoint train/validation split."""
+    rng = np.random.default_rng([seed, 13])
+    order = rng.permutation(len(pairs))
+    val_idx = set(order[: int(round(len(pairs) * val_fraction))].tolist())
+    train_pairs = [p for i, p in enumerate(pairs) if i not in val_idx]
+    val_pairs = [p for i, p in enumerate(pairs) if i in val_idx]
+    return train_pairs, val_pairs
 
 
 def main():

@@ -1,5 +1,8 @@
 """Evaluation metrics, k-fold protocol, and gate-behavior studies.
 
+`run_fold` is the fold unit: one trained model, and one inference walk of its
+held-out fold for both predictions and gate traces. `kfold` loops over it.
+
 Gate studies quantify the selective-attention claim: Pearson correlation of
 acoustic gate values against the per-frame energy side channel (expected
 negative on energy-coupled corpora), and AUROC of gate values as a detector
@@ -18,7 +21,7 @@ from .errors import ConfigError
 from .gating import GatingMode
 from .model import FusionModel, ModelConfig
 from .synth import SIDE_CHANNELS, Corpus, Sample, model_inputs
-from .trainer import TrainConfig, evaluate, eval_forwards, train
+from .trainer import TrainConfig, eval_forwards, train
 
 
 @dataclass
@@ -122,16 +125,25 @@ class GateTrace:
                                   f"for {len(gates[modality])} {modality} gates")
 
 
-def collect_traces(model: FusionModel, samples: list[Sample]) -> list[GateTrace]:
-    """Each sample's valid-position gates, from `trainer.eval_forwards`."""
-    traces = []
+def _held_out(model: FusionModel, samples: list[Sample]) -> tuple[list[int], list[GateTrace] | None]:
+    """Each sample's predicted class, and its valid-position gates (None without
+    gating), from one `trainer.eval_forwards` walk."""
+    gating = model.cfg.gating_mode is not GatingMode.NONE
+    preds, traces = [], []
     for chunk, result in eval_forwards(model, [model_inputs(s) for s in samples]):
-        if result.gates_a is None:
-            raise ConfigError("model has gating disabled; no gate traces to collect")
-        for i, (a, t, _) in enumerate(chunk):
-            traces.append(GateTrace(samples[len(traces)], result.gates_a[i, : len(a), 0],
-                                    result.gates_t[i, : len(t), 0]))
-    return traces
+        preds.extend(np.argmax(result.logits.data[:, 0], axis=1).tolist())
+        if gating:
+            for i, (a, t, _) in enumerate(chunk):
+                traces.append(GateTrace(samples[len(traces)], result.gates_a[i, : len(a), 0],
+                                        result.gates_t[i, : len(t), 0]))
+    return preds, traces if gating else None
+
+
+def collect_traces(model: FusionModel, samples: list[Sample]) -> list[GateTrace]:
+    """Each sample's valid-position gates; a model without gating is refused before any forward."""
+    if model.cfg.gating_mode is GatingMode.NONE:
+        raise ConfigError("model has gating disabled; no gate traces to collect")
+    return _held_out(model, samples)[1]
 
 
 @dataclass
@@ -228,6 +240,7 @@ def _alignment(gates: np.ndarray, flags: np.ndarray) -> tuple:
 class FoldResult:
     fold: int
     metrics: MetricsResult
+    traces: list[GateTrace] | None  # the held-out samples', in fold order; None without gating
 
 
 @dataclass
@@ -274,6 +287,20 @@ def check_folds(n_samples: int, k: int) -> None:
         raise ConfigError(f"corpus of {n_samples} samples too small for k={k} (need >= {2 * k})")
 
 
+def run_fold(corpus: Corpus, folds: list[np.ndarray], f: int, train_cfg: TrainConfig,
+             model_cfg: ModelConfig) -> FoldResult:
+    """Train a fresh model, seeded by the configs' seeds + 1000·(f + 1), on every
+    fold but `folds[f]` in corpus order, and score fold f in one held-out walk."""
+    held = set(folds[f].tolist())
+    fold_seed = 1000 * (f + 1)
+    model = FusionModel(replace(model_cfg, seed=model_cfg.seed + fold_seed))
+    train(model, [model_inputs(s) for i, s in enumerate(corpus.samples) if i not in held],
+          replace(train_cfg, seed=train_cfg.seed + fold_seed))
+    held_out = [corpus.samples[i] for i in folds[f]]
+    preds, traces = _held_out(model, held_out)
+    return FoldResult(f, metrics(preds, [s.label for s in held_out], corpus.n_classes), traces)
+
+
 def kfold(
     corpus: Corpus,
     k: int,
@@ -286,23 +313,7 @@ def kfold(
     """
     check_folds(len(corpus.samples), k)
     folds = make_folds(corpus, k, train_cfg.seed)
-    gating = model_cfg.gating_mode is not GatingMode.NONE
-    results = []
-    all_traces: list[GateTrace] = []
-    for f, held_out in enumerate(folds):
-        held = set(held_out.tolist())
-        train_samples = [s for i, s in enumerate(corpus.samples) if i not in held]
-        eval_samples = [corpus.samples[i] for i in held_out]
-        fold_model_cfg = replace(model_cfg, seed=model_cfg.seed + 1000 * (f + 1))
-        fold_train_cfg = replace(train_cfg, seed=train_cfg.seed + 1000 * (f + 1))
-        model = FusionModel(fold_model_cfg)
-        train_pairs = [model_inputs(s) for s in train_samples]
-        train(model, train_pairs, fold_train_cfg)
-        _, _, preds = evaluate(model, [model_inputs(s) for s in eval_samples])
-        labels = np.array([s.label for s in eval_samples])
-        results.append(FoldResult(f, metrics(preds, labels, corpus.n_classes)))
-        if gating:
-            all_traces.extend(collect_traces(model, eval_samples))
+    results = [run_fold(corpus, folds, f, train_cfg, model_cfg) for f in range(k)]
     accs = np.array([r.metrics.accuracy for r in results])
     f1s = np.array([r.metrics.macro_f1 for r in results])
     return KFoldReport(
@@ -310,5 +321,5 @@ def kfold(
         mean_accuracy=float(accs.mean()),
         std_accuracy=float(accs.std()),
         mean_macro_f1=float(f1s.mean()),
-        traces=all_traces if gating else None,
+        traces=None if model_cfg.gating_mode is GatingMode.NONE else [t for r in results for t in r.traces],
     )

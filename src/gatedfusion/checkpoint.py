@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atomic import atomic_write
-from .errors import ChecksumError, ConfigError, ManifestError, UnsupportedVersionError, from_dict, need
+from .errors import ChecksumError, ConfigError, ManifestError, UnsupportedVersionError, from_dict, json_object, need
 from .model import FusionModel, ModelConfig, parameter_count
 
 MAGIC = b"GFCK"
@@ -94,12 +94,7 @@ def load_model(path) -> tuple[FusionModel, Checkpoint]:
     if len(raw) < 8:
         raise ManifestError(f"{path}: checkpoint ends inside the header length")
     (head_len,) = struct.unpack("<I", raw[4:8])
-    try:
-        header = json.loads(raw[8 : 8 + head_len].decode())
-    except (ValueError, RecursionError) as e:  # ValueError: bad UTF-8, bad JSON, an over-long integer
-        raise ManifestError(f"{path}: corrupt checkpoint header: {e}") from e
-    if not isinstance(header, dict):
-        raise ManifestError(f"{path}: checkpoint header must be a JSON object")
+    header = json_object(raw[8 : 8 + head_len], f"{path}: checkpoint header", ManifestError)
     version = header.get("format_version")
     if version != FORMAT_VERSION:
         raise UnsupportedVersionError(f"{path}: checkpoint format_version {version!r} is not {FORMAT_VERSION}; "

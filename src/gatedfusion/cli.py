@@ -28,7 +28,7 @@ from .atomic import atomic_write
 from .checkpoint import load_model, save_model
 from .corpus_io import read_corpus, write_corpus
 from .diagnostics import full_model_gradcheck
-from .errors import ConfigError, GatedFusionError, ManifestError, from_dict
+from .errors import ConfigError, GatedFusionError, ManifestError, from_dict, json_object
 from .gating import GatingMode
 from .model import FusionModel, ModelConfig
 from .plots import export_trace_plot
@@ -38,15 +38,10 @@ from .trainer import TrainConfig, evaluate as eval_pairs, make_optimizer, train
 
 def _load_json(path: str) -> dict:
     try:
-        with open(path) as f:
-            data = json.load(f)
+        with open(path, "rb") as f:
+            return json_object(f.read(), f"{path}: config", ConfigError)
     except OSError as e:
         raise ConfigError(f"cannot read config file {path}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"{path}: invalid JSON: {e}") from e
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
-    return data
 
 
 def _make_out_dir(path: str) -> None:

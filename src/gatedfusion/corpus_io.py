@@ -30,7 +30,7 @@ import os
 import numpy as np
 
 from .atomic import atomic_write
-from .errors import BoundsError, ChecksumError, ManifestError, UnsupportedVersionError, need
+from .errors import BoundsError, ChecksumError, ManifestError, UnsupportedVersionError, json_object, need
 from .synth import SIDE_CHANNELS, Corpus, Sample
 
 FORMAT_VERSION = 2
@@ -192,14 +192,10 @@ def read_corpus(path: str) -> Corpus:
     manifest_path = os.path.join(path, MANIFEST_NAME)
     blob_path = os.path.join(path, BLOB_NAME)
     try:
-        with open(manifest_path) as f:
-            manifest = json.load(f)
+        with open(manifest_path, "rb") as f:
+            manifest = json_object(f.read(), f"{manifest_path}: manifest", ManifestError)
     except OSError as e:
         raise ManifestError(f"cannot read manifest at {manifest_path}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise ManifestError(f"{manifest_path}: invalid JSON: {e}") from e
-    if not isinstance(manifest, dict):
-        raise ManifestError(f"{manifest_path}: manifest must be a JSON object")
 
     version = manifest.get("format_version")
     if version != FORMAT_VERSION:

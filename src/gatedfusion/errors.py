@@ -1,7 +1,8 @@
-"""Exception hierarchy shared across the package, and the config-object builder that raises it."""
+"""Exception hierarchy shared across the package, and the JSON reader and config builder that raise it."""
 
 import dataclasses
 import enum
+import json
 import sys
 import typing
 
@@ -48,6 +49,18 @@ class BoundsError(CorpusFormatError):
 
 class ManifestError(CorpusFormatError):
     """Manifest is structurally invalid (missing/ill-typed fields)."""
+
+
+def json_object(raw: bytes, label: str, error: type[GatedFusionError]) -> dict:
+    """`raw` parsed as a UTF-8 JSON object, else `error`: also for text nested past
+    the recursion limit or holding an integer too long to parse."""
+    try:
+        data = json.loads(raw.decode())
+    except (ValueError, RecursionError) as e:  # ValueError: bad UTF-8, bad JSON, an over-long integer
+        raise error(f"{label} is not valid JSON: {e}") from e
+    if not isinstance(data, dict):
+        raise error(f"{label} must be a JSON object")
+    return data
 
 
 def _fits(value, kind) -> bool:

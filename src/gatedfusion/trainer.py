@@ -4,8 +4,8 @@
 cross-entropy of one forward of the padded minibatch; the full-model gradcheck
 checks the same function. `train` makes one tape per call and runs each
 minibatch's `batch_loss` inside a `with tape:` block, then one backward;
-validation runs outside it. `eval_forwards`, the one inference loop, runs
-forwards outside any block, so they record nothing.
+validation runs outside it. `eval_forwards` runs inference forwards in chunks
+outside any block, so they record nothing.
 
 A non-finite loss or gradient raises `NonFiniteError` before the optimizer
 steps, as does an Adam step whose second moment overflows, with parameters and
@@ -238,14 +238,3 @@ def train(
             entry["val_acc"] = val_acc
         result.history.append(entry)
     return result
-
-
-def split_pairs(pairs: list[SamplePair], val_fraction: float, seed: int) -> tuple[list[SamplePair], list[SamplePair]]:
-    """Deterministic disjoint train/validation split."""
-    rng = np.random.default_rng([seed, 13])
-    order = rng.permutation(len(pairs))
-    n_val = int(round(len(pairs) * val_fraction))
-    val_idx = set(order[:n_val].tolist())
-    train = [p for i, p in enumerate(pairs) if i not in val_idx]
-    val = [p for i, p in enumerate(pairs) if i in val_idx]
-    return train, val

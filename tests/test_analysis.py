@@ -1,6 +1,7 @@
 """Metrics against brute-force oracles; k-fold protocol; gate studies."""
 
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gatedfusion import tensor as T
 from gatedfusion.analysis import (
     GateTrace,
     auroc,
@@ -21,12 +23,13 @@ from gatedfusion.analysis import (
     make_folds,
     metrics,
     pearson,
+    run_fold,
 )
 from gatedfusion.errors import ConfigError
 from gatedfusion.gating import GatingMode
 from gatedfusion.model import FusionModel, ModelConfig
-from gatedfusion.synth import SIDE_CHANNELS, Sample, SynthSpec, generate
-from gatedfusion.trainer import TrainConfig
+from gatedfusion.synth import SIDE_CHANNELS, Sample, SynthSpec, generate, model_inputs
+from gatedfusion.trainer import EVAL_CHUNK, TrainConfig, evaluate, train
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -315,8 +318,61 @@ class TestKFold:
         assert r1.to_dict() == r2.to_dict()
 
 
-def test_collect_traces_requires_gating():
+class TestRunFold:
+    @pytest.mark.parametrize("mode", [GatingMode.NONE, GatingMode.CROSS_MODAL])
+    def test_matches_the_fold_trained_and_scored_by_hand(self, mode):
+        """Fold f trained by hand on the other folds with seeds + 1000·(f + 1),
+        then scored by `trainer.evaluate` and `collect_traces`, gives exactly
+        `run_fold`'s metrics and gate arrays."""
+        corpus = tiny_corpus(n=18)
+        mc, tc = tiny_cfgs(mode=mode, epochs=2)
+        folds, f = make_folds(corpus, 3, tc.seed), 1
+        held_out = [corpus.samples[i] for i in folds[f]]
+        rest = [s for i, s in enumerate(corpus.samples) if i not in folds[f]]
+        model = FusionModel(dataclasses.replace(mc, seed=mc.seed + 2000))
+        train(model, [model_inputs(s) for s in rest], dataclasses.replace(tc, seed=tc.seed + 2000))
+        _, _, preds = evaluate(model, [model_inputs(s) for s in held_out])
+
+        got = run_fold(corpus, folds, f, tc, mc)
+        assert got.fold == f
+        assert got.metrics.to_dict() == metrics(preds, [s.label for s in held_out], 2).to_dict()
+        if mode is GatingMode.NONE:
+            assert got.traces is None
+            return
+        want = collect_traces(model, held_out)
+        assert [t.sample for t in got.traces] == held_out == [t.sample for t in want]
+        for g, w in zip(got.traces, want):
+            assert g.gates_a.tobytes() == w.gates_a.tobytes()
+            assert g.gates_t.tobytes() == w.gates_t.tobytes()
+
+    def test_a_gated_fold_is_scored_in_one_walk(self, monkeypatch):
+        """Predictions and gate traces of the held-out fold come from the same
+        forwards: ceil(n_held / EVAL_CHUNK) of them, outside any tape."""
+        corpus = tiny_corpus(n=2 * EVAL_CHUNK + 6)
+        mc, tc = tiny_cfgs()
+        folds = make_folds(corpus, 2, tc.seed)
+        forward, untaped = FusionModel.forward, []
+
+        def counted(self, *args, **kwargs):
+            if T._open_tape.get() is None:
+                untaped.append(len(args[0].masks))
+            return forward(self, *args, **kwargs)
+
+        monkeypatch.setattr(FusionModel, "forward", counted)
+        result = run_fold(corpus, folds, 0, tc, mc)
+        n_held = len(folds[0])
+        assert n_held > EVAL_CHUNK and len(result.traces) == n_held
+        assert len(untaped) == math.ceil(n_held / EVAL_CHUNK)
+        assert sum(untaped) == n_held
+
+
+def test_collect_traces_requires_gating(monkeypatch):
+    """A model without gating is refused before any forward, even with no samples."""
     mc, _ = tiny_cfgs(mode=GatingMode.NONE)
     model = FusionModel(mc)
-    with pytest.raises(ConfigError):
-        collect_traces(model, tiny_corpus(n=2).samples)
+    calls = []
+    monkeypatch.setattr(FusionModel, "forward", lambda *args, **kwargs: calls.append(1))
+    for samples in (tiny_corpus(n=2).samples, []):
+        with pytest.raises(ConfigError, match="gating disabled"):
+            collect_traces(model, samples)
+    assert calls == []

@@ -547,6 +547,23 @@ class TestUnusableInputsAndOutputs:
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["generate", "train"])
+    @pytest.mark.parametrize("text", [b"[" * 100_000, b'{"seed": ' + b"9" * 5000 + b"}",
+                                      b"\xff" + json.dumps(SPEC).encode(), b"[]"],
+                             ids=["nested_past_the_recursion_limit", "seed_past_the_digit_limit",
+                                  "starts_with_byte_0xff", "a_list"])
+    def test_unreadable_json_file_is_typed_error(self, tmp_path, corpus_dir, capsys, command, text):
+        """A --spec or --config file that does not parse to a JSON object exits 1
+        with a typed error, not a traceback, before --out is made."""
+        path = write_bytes(tmp_path / "in.json", text)
+        out = tmp_path / "o"
+        argv = (["generate", "--spec", path] if command == "generate"
+                else ["train", "--corpus", corpus_dir, "--config", path])
+        assert main([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: config ") and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["generate", "evaluate"])
     def test_out_names_a_file(self, tmp_path, corpus_dir, capsys, command):
         afile = tmp_path / "afile"

@@ -134,6 +134,17 @@ class TestCorruption:
         with pytest.raises(ManifestError):
             read_corpus(path)
 
+    @pytest.mark.parametrize("text", [b"[" * 200_000, b'{"blob_length": ' + b"9" * 5000 + b"}",
+                                      b"\xff{}", b"[]"],
+                             ids=["nested_past_the_recursion_limit", "int_past_the_digit_limit",
+                                  "starts_with_byte_0xff", "a_list"])
+    def test_unreadable_manifest_json(self, tmp_path, text):
+        path = written(tmp_path)
+        with open(os.path.join(path, MANIFEST_NAME), "wb") as f:
+            f.write(text)
+        with pytest.raises(ManifestError, match="manifest"):
+            read_corpus(path)
+
     def test_wrong_version(self, tmp_path):
         path = written(tmp_path)
         edit_manifest(path, lambda m: m.update(format_version=1))
