@@ -8,7 +8,9 @@ acoustic gate values against the per-frame energy side channel (expected
 negative on energy-coupled corpora), and AUROC of gate values as a detector
 of the planted diagnostic frames. They read a `GateTrace`: one sample's gates
 beside the `Sample` itself, whose side channels the trace checks against its
-gate counts on construction.
+gate counts on construction. Both studies read one frame walk, `_frames`: the
+gates, frame labels and side channels of the traces that carry the channels
+the study needs, concatenated in trace order.
 """
 
 from __future__ import annotations
@@ -46,8 +48,8 @@ class MetricsResult:
         }
 
 
-def metrics(predictions, labels, n_classes: int | None = None) -> MetricsResult:
-    """Accuracy plus unweighted class-mean precision/recall/F1.
+def metrics(predictions, labels, n_classes: int) -> MetricsResult:
+    """Accuracy plus unweighted class-mean precision/recall/F1 over `n_classes` classes.
 
     A class never predicted gets precision 0 (with a warning); a class absent
     from the labels gets recall 0 likewise.
@@ -56,14 +58,11 @@ def metrics(predictions, labels, n_classes: int | None = None) -> MetricsResult:
     labs = np.asarray(labels, dtype=np.int64)
     if preds.shape != labs.shape or preds.ndim != 1 or preds.size == 0:
         raise ConfigError("predictions and labels must be equal-length non-empty 1-D vectors")
-    if n_classes is None:
-        n_classes = int(max(preds.max(), labs.max())) + 1
     for name, values in (("prediction", preds), ("label", labs)):
         if values.min() < 0 or values.max() >= n_classes:
             raise ConfigError(f"{name}s must lie in [0, {n_classes}), got {values.min()}..{values.max()}")
     confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
-    for p, l in zip(preds, labs):
-        confusion[l, p] += 1
+    np.add.at(confusion, (labs, preds), 1)
 
     warnings = []
     per_class = []
@@ -155,19 +154,21 @@ class CorrelationReport:
     per_class: dict[int, float | None]
 
 
+def _frames(traces: list[GateTrace], channels: tuple[str, ...], what: str) -> tuple[np.ndarray, ...]:
+    """One walk over the traces whose samples carry every named side channel:
+    their acoustic gates, textual gates, one label per acoustic frame, then each
+    channel's values, each concatenated in trace order. `ConfigError` naming
+    `what` when no trace qualifies."""
+    kept = [tr for tr in traces if all(getattr(tr.sample, c) is not None for c in channels)]
+    if not kept:
+        raise ConfigError(f"no traces carry {what}")
+    rows = [(tr.gates_a, tr.gates_t, np.full(len(tr.gates_a), tr.sample.label),
+             *(getattr(tr.sample, c) for c in channels)) for tr in kept]
+    return tuple(np.concatenate(column) for column in zip(*rows))
+
+
 def gate_energy_correlation(traces: list[GateTrace]) -> CorrelationReport:
-    gates, energies, labels = [], [], []
-    for tr in traces:
-        if tr.sample.energy is None:
-            continue
-        gates.append(tr.gates_a)
-        energies.append(tr.sample.energy)
-        labels.append(np.full(len(tr.gates_a), tr.sample.label))
-    if not gates:
-        raise ConfigError("no traces carry an energy side channel")
-    g = np.concatenate(gates)
-    e = np.concatenate(energies)
-    l = np.concatenate(labels)
+    g, _, l, e = _frames(traces, ("energy",), "an energy side channel")
 
     def r(x, y):
         return pearson(x, y) if x.size >= 2 else None
@@ -212,19 +213,8 @@ class AlignmentReport:
 
 
 def gate_diagnostic_alignment(traces: list[GateTrace]) -> AlignmentReport:
-    ga, fa, gt, ft = [], [], [], []
-    for tr in traces:
-        s = tr.sample
-        if s.diagnostic_flags_a is None or s.diagnostic_flags_t is None:
-            continue
-        ga.append(tr.gates_a)
-        fa.append(s.diagnostic_flags_a)
-        gt.append(tr.gates_t)
-        ft.append(s.diagnostic_flags_t)
-    if not ga:
-        raise ConfigError("no traces carry diagnostic flags")
-    return AlignmentReport(*_alignment(np.concatenate(ga), np.concatenate(fa)),
-                           *_alignment(np.concatenate(gt), np.concatenate(ft)))
+    ga, gt, _, fa, ft = _frames(traces, ("diagnostic_flags_a", "diagnostic_flags_t"), "diagnostic flags")
+    return AlignmentReport(*_alignment(ga, fa), *_alignment(gt, ft))
 
 
 def _alignment(gates: np.ndarray, flags: np.ndarray) -> tuple:

@@ -93,8 +93,9 @@ def cmd_generate(args) -> int:
 
 
 def _configs(args, corpus) -> tuple[ModelConfig, TrainConfig]:
-    """Model and train configs: the --config file, the corpus widths, then flag
-    overrides. Widths other than the corpus's are refused before --out is made."""
+    """Model and train configs: the --config file, the corpus widths and class
+    count, then flag overrides. Widths or a class count other than the corpus's
+    are refused before --out is made."""
     cfg = _load_json(args.config) if args.config else {}
     unknown = sorted(set(cfg) - {"model", "train"})
     if unknown:
@@ -114,6 +115,9 @@ def _configs(args, corpus) -> tuple[ModelConfig, TrainConfig]:
     if (model_cfg.d_a, model_cfg.d_t) != (corpus.d_a, corpus.d_t):
         raise ConfigError(f"input widths ({corpus.d_a}, {corpus.d_t}) do not match "
                           f"configured ({model_cfg.d_a}, {model_cfg.d_t})")
+    if model_cfg.n_classes != corpus.n_classes:
+        raise ConfigError(f"corpus has {corpus.n_classes} classes, "
+                          f"configured n_classes is {model_cfg.n_classes}")
     return model_cfg, from_dict(TrainConfig, train_dict, "train config")
 
 

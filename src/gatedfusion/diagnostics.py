@@ -28,7 +28,7 @@ from .model import FusionModel, ModelConfig
 from .trainer import batch_loss
 
 
-def tiny_config(gating_mode: GatingMode, seed: int = 3) -> ModelConfig:
+def tiny_config(gating_mode: GatingMode) -> ModelConfig:
     return ModelConfig(
         d_a=5,
         d_t=4,
@@ -39,12 +39,12 @@ def tiny_config(gating_mode: GatingMode, seed: int = 3) -> ModelConfig:
         n_classes=3,
         gating_mode=gating_mode,
         dropout_rate=0.0,
-        seed=seed,
+        seed=3,
     )
 
 
-def probe_batch(cfg: ModelConfig, seed: int = 11) -> list[tuple[np.ndarray, np.ndarray, int]]:
-    rng = np.random.default_rng(seed)
+def probe_batch(cfg: ModelConfig) -> list[tuple[np.ndarray, np.ndarray, int]]:
+    rng = np.random.default_rng(11)
     batch = []
     for label, (ta, tt) in zip((0, 2), ((5, 4), (3, 6))):
         batch.append((rng.normal(size=(ta, cfg.d_a)), rng.normal(size=(tt, cfg.d_t)), label))

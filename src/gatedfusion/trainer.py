@@ -25,8 +25,10 @@ reproduces an unbroken run bit for bit.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -154,18 +156,16 @@ def eval_forwards(model: FusionModel, pairs: list[SamplePair]):
 
 
 def evaluate(model: FusionModel, pairs: list[SamplePair]) -> tuple[float, float, list[int]]:
-    """Mean loss, accuracy, and predictions over a sample list (dropout off)."""
-    total, correct, preds = 0.0, 0, []
+    """Mean loss, accuracy, and predictions over a sample list (dropout off).
+    A chunk's losses are one `cross_entropy` and its predictions one argmax."""
+    losses, preds = [], []
     for chunk, result in eval_forwards(model, pairs):
-        labels = [label for _, _, label in chunk]
-        losses = T.cross_entropy(result.logits, labels).data[:, 0, 0]
-        for loss, row, label in zip(losses, result.logits.data[:, 0], labels):
-            total += float(loss)
-            pred = int(np.argmax(row))
-            preds.append(pred)
-            correct += pred == label
+        losses += T.cross_entropy(result.logits, [label for _, _, label in chunk]).data[:, 0, 0].tolist()
+        preds += np.argmax(result.logits.data[:, 0], axis=1).tolist()
     n = max(len(pairs), 1)
-    return total / n, correct / n, preds
+    correct = sum(pred == label for pred, (_, _, label) in zip(preds, pairs))
+    # left to right over the samples; Python 3.12's `sum` would compensate float rounding
+    return functools.reduce(operator.add, losses, 0.0) / n, correct / n, preds
 
 
 def batch_loss(model: FusionModel, batch: list[SamplePair], *,

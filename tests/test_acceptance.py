@@ -1,7 +1,8 @@
 """Acceptance gate: the ten release criteria, each printed pass/fail.
 
 Criteria 4-6 share one set of 5-fold ablation runs (module-scoped fixture);
-the full module is several minutes of CPU, dominated by those runs.
+the full module takes about 23 s on a 2-core host, 19 s of it setting up
+those runs.
 """
 
 import json

@@ -86,7 +86,7 @@ class TestMetrics:
 
     @pytest.mark.parametrize("preds, labels, n_classes, bad", [
         ([0, 2], [0, 1], 2, "predictions .*got 0..2"), ([0, 1], [0, -1], 2, "labels .*got -1..0"),
-        ([-1, 0], [0, 0], None, "predictions .*got -1..0"), ([0, 1], [0, 3], 3, "labels .*got 0..3"),
+        ([-1, 0], [0, 0], 2, "predictions .*got -1..0"), ([0, 1], [0, 3], 3, "labels .*got 0..3"),
     ])
     def test_class_outside_range_rejected(self, preds, labels, n_classes, bad):
         with pytest.raises(ConfigError, match=bad):
@@ -106,6 +106,8 @@ class TestMetrics:
         assert m.macro_recall == pytest.approx(rec, abs=1e-15)
         assert m.macro_f1 == pytest.approx(f1, abs=1e-15)
         assert m.confusion.sum() == n
+        assert m.confusion.tolist() == [[sum(1 for p, l in zip(preds, labels) if (l, p) == (true, pred))
+                                         for pred in range(n_classes)] for true in range(n_classes)]
 
 
 class TestPearson:
@@ -206,7 +208,7 @@ class TestTraceUtilities:
         assert report.per_class[1] == pytest.approx(1.0, abs=1e-12)
 
     def test_correlation_requires_energy(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^no traces carry an energy side channel$"):
             gate_energy_correlation([hand_trace(0, 0, np.zeros(3), np.zeros(3))])
 
     @pytest.mark.parametrize("name", list(SIDE_CHANNELS))
@@ -245,6 +247,44 @@ class TestTraceUtilities:
             rep = gate_diagnostic_alignment([tr])
         assert rep.to_dict() == {"mean_gate_diag_a": 0.5, "mean_gate_other_a": None, "auroc_a": None,
                                  "mean_gate_diag_t": None, "mean_gate_other_t": 0.5, "auroc_t": None}
+
+    def test_studies_read_only_the_traces_that_carry_their_channels(self):
+        """Over mixed traces, each study equals its formula over a hand-built
+        concatenation of exactly the traces that carry its side channels, and
+        is refused over traces that lack them."""
+        rng = np.random.default_rng(5)
+        traces = []
+        for i, (ta, tt) in enumerate([(4, 3), (5, 2), (3, 4), (6, 5), (2, 3), (4, 4)]):
+            channels = {"energy": rng.normal(size=ta),
+                        "diagnostic_flags_a": np.arange(ta) % 2, "diagnostic_flags_t": np.arange(tt) % 2}
+            if i == 1:
+                del channels["energy"]
+            if i == 3:
+                del channels["diagnostic_flags_t"]
+            traces.append(hand_trace(i, i % 3, rng.uniform(size=ta), rng.uniform(size=tt), **channels))
+
+        with_energy = [tr for i, tr in enumerate(traces) if i != 1]
+        g = np.concatenate([tr.gates_a for tr in with_energy])
+        e = np.concatenate([tr.sample.energy for tr in with_energy])
+        l = np.concatenate([[tr.sample.label] * len(tr.gates_a) for tr in with_energy])
+        corr = gate_energy_correlation(traces)
+        assert corr.overall == pearson(g, e)
+        assert corr.per_class == {c: pearson(g[l == c], e[l == c]) for c in (0, 1, 2)}
+
+        with_flags = [tr for i, tr in enumerate(traces) if i != 3]
+        want = {}
+        for side in ("a", "t"):
+            gates = np.concatenate([getattr(tr, f"gates_{side}") for tr in with_flags])
+            flags = np.concatenate([getattr(tr.sample, f"diagnostic_flags_{side}") for tr in with_flags])
+            want |= {f"mean_gate_diag_{side}": float(gates[flags == 1].mean()),
+                     f"mean_gate_other_{side}": float(gates[flags == 0].mean()),
+                     f"auroc_{side}": auroc(gates, flags)}
+        assert gate_diagnostic_alignment(traces).to_dict() == want
+
+        with pytest.raises(ConfigError, match="^no traces carry an energy side channel$"):
+            gate_energy_correlation([traces[1]])
+        with pytest.raises(ConfigError, match="^no traces carry diagnostic flags$"):
+            gate_diagnostic_alignment([traces[3]])
 
 
 def tiny_corpus(n=16, seed=0):

@@ -536,14 +536,17 @@ class TestUnusableInputsAndOutputs:
         ("evaluate", ["--kfold", "10"], "corpus of 18 samples too small for k=10"),
         ("evaluate", ["--kfold", "2", "--config", "D_A_5"], "input widths (4, 4) do not match configured (5, 4)"),
         ("train", ["--config", "D_A_5"], "input widths (4, 4) do not match configured (5, 4)"),
-    ], ids=["kfold-1", "kfold-10", "kfold-widths", "train-widths"])
+        ("evaluate", ["--kfold", "2", "--config", "N_CLASSES_3"], "corpus has 2 classes, configured n_classes is 3"),
+        ("train", ["--config", "N_CLASSES_3"], "corpus has 2 classes, configured n_classes is 3"),
+    ], ids=["kfold-1", "kfold-10", "kfold-widths", "train-widths", "kfold-classes", "train-classes"])
     def test_refused_run_makes_no_out(self, tmp_path, corpus_dir, capsys, command, args, message):
-        """A fold count or configured input widths the corpus cannot serve exit 1
-        before --out is made."""
-        d_a_5 = write_json(tmp_path / "cfg.json", {**CONFIG, "model": {**CONFIG["model"], "d_a": 5}})
+        """A fold count, or configured input widths or class count, the corpus
+        cannot serve exit 1 before --out is made."""
+        configs = {name: write_json(tmp_path / f"{name}.json", {**CONFIG, "model": {**CONFIG["model"], **model}})
+                   for name, model in (("D_A_5", {"d_a": 5}), ("N_CLASSES_3", {"n_classes": 3}))}
         out = tmp_path / "o"
         assert main([command, "--corpus", corpus_dir, "--out", str(out),
-                     *[d_a_5 if a == "D_A_5" else a for a in args]]) == 1
+                     *[configs.get(a, a) for a in args]]) == 1
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not out.exists()
 

@@ -1,8 +1,8 @@
 """The quick demos run to completion: they call the public API as users do.
 
 Demo 05 trains the three-mode ablation and is left out. Demo 01, the one that
-calls the autodiff kernel directly, takes about 9 s on a 2-core host; 02, 03
-and 04 take a few seconds together. Each runs from a temp dir. Demo 04 writes
+calls the autodiff kernel directly, takes about 0.5 s on a 2-core host; 02, 03
+and 04 take under 2 s together. Each runs from a temp dir. Demo 04 writes
 its SVG traces into `output/` beside the script, so a copy of it runs from the
 temp dir, and its traces must equal the committed `demos/output` ones byte for
 byte: that pins the whole train, gate-trace and SVG path.

@@ -616,7 +616,9 @@ class TestTraining:
         np.testing.assert_array_equal(opt.rows, rows)
 
     def test_evaluate_matches_one_sample_at_a_time(self):
-        """Chunked evaluation gives each sample's own loss and prediction."""
+        """Chunked evaluation gives each sample's own loss and prediction. The
+        loss is exactly the left-to-right sum of the chunks' per-sample
+        cross-entropies over n, and each prediction its logit row's argmax."""
         rng = np.random.default_rng(21)
         cfg = tiny_cfg()
         model = FusionModel(cfg)
@@ -626,6 +628,16 @@ class TestTraining:
         assert preds == [int(np.argmax(result.logits.data[0, 0])) for _, result in alone]
         assert acc == np.mean([p == label for p, (_, _, label) in zip(preds, pairs)])
         assert loss == pytest.approx(np.mean([x.item() for x, _ in alone]), rel=1e-12)
+
+        total, want_preds = 0.0, []
+        for chunk, result in trainer.eval_forwards(model, pairs):
+            losses = T.cross_entropy(result.logits, [label for _, _, label in chunk]).data[:, 0, 0]
+            for x, row in zip(losses, result.logits.data[:, 0]):
+                total += float(x)
+                want_preds.append(int(np.argmax(row)))
+        assert loss == total / len(pairs)
+        assert preds == want_preds and all(type(p) is int for p in preds)
+        assert acc == sum(p == label for p, (_, _, label) in zip(want_preds, pairs)) / len(pairs)
 
     def test_evaluate_returns_predictions(self):
         rng = np.random.default_rng(15)
