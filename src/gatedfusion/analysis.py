@@ -1,5 +1,9 @@
 """Evaluation metrics, k-fold protocol, and gate-behavior studies.
 
+`metrics` reads every score from one confusion matrix as a whole: its diagonal,
+column sums and row sums, and guarded divisions. Each value it reports is a
+plain Python `int` or `float`.
+
 `run_fold` is the fold unit: one trained model, and one inference walk of its
 held-out fold for both predictions and gate traces. `kfold` loops over it.
 
@@ -15,7 +19,7 @@ the study needs, concatenated in trace order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -37,15 +41,7 @@ class MetricsResult:
     warnings: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "macro_f1": self.macro_f1,
-            "macro_precision": self.macro_precision,
-            "macro_recall": self.macro_recall,
-            "per_class": self.per_class,
-            "confusion": self.confusion.tolist(),
-            "warnings": self.warnings,
-        }
+        return {**asdict(self), "confusion": self.confusion.tolist()}
 
 
 def metrics(predictions, labels, n_classes: int) -> MetricsResult:
@@ -64,31 +60,28 @@ def metrics(predictions, labels, n_classes: int) -> MetricsResult:
     confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
     np.add.at(confusion, (labs, preds), 1)
 
+    tp = np.diag(confusion)
+    predicted, actual = confusion.sum(axis=0), confusion.sum(axis=1)
+    precision = np.divide(tp, predicted, out=np.zeros(n_classes), where=predicted != 0)
+    recall = np.divide(tp, actual, out=np.zeros(n_classes), where=actual != 0)
+    both = precision + recall
+    f1 = np.divide(2 * precision * recall, both, out=np.zeros(n_classes), where=both != 0)
+
     warnings = []
-    per_class = []
     for c in range(n_classes):
-        tp = confusion[c, c]
-        predicted = confusion[:, c].sum()
-        actual = confusion[c, :].sum()
-        if predicted == 0:
+        if predicted[c] == 0:
             warnings.append(f"class {c} never predicted; precision set to 0")
-            precision = 0.0
-        else:
-            precision = tp / predicted
-        if actual == 0:
+        if actual[c] == 0:
             warnings.append(f"class {c} absent from labels; recall set to 0")
-            recall = 0.0
-        else:
-            recall = tp / actual
-        f1 = 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
-        per_class.append({"class": c, "precision": precision, "recall": recall, "f1": f1,
-                          "support": int(actual)})
+    per_class = [{"class": c, "precision": p, "recall": r, "f1": f, "support": n}
+                 for c, (p, r, f, n) in enumerate(zip(precision.tolist(), recall.tolist(),
+                                                      f1.tolist(), actual.tolist()))]
 
     return MetricsResult(
         accuracy=float((preds == labs).mean()),
-        macro_f1=float(np.mean([c["f1"] for c in per_class])),
-        macro_precision=float(np.mean([c["precision"] for c in per_class])),
-        macro_recall=float(np.mean([c["recall"] for c in per_class])),
+        macro_f1=float(f1.mean()),
+        macro_precision=float(precision.mean()),
+        macro_recall=float(recall.mean()),
         per_class=per_class,
         confusion=confusion,
         warnings=warnings,
@@ -207,8 +200,6 @@ class AlignmentReport:
     auroc_t: float | None
 
     def to_dict(self) -> dict:
-        from dataclasses import asdict
-
         return asdict(self)
 
 

@@ -154,7 +154,7 @@ def cmd_train(args) -> int:
     _write_csv(
         os.path.join(args.out, "history.csv"),
         ["epoch", "train_loss"],
-        [[h["epoch"], repr(h["train_loss"])] for h in result.history],
+        [[h["epoch"], h["train_loss"]] for h in result.history],
     )
     _write_json(os.path.join(args.out, "effective_config.json"),
                 {"model": model_cfg.to_dict(), "train": train_cfg.to_dict()})
@@ -184,9 +184,8 @@ def cmd_evaluate(args) -> int:
         _write_csv(
             os.path.join(args.out, "folds.csv"),
             ["fold", "accuracy", "macro_f1", "macro_precision", "macro_recall"],
-            [[f.fold, repr(f.metrics.accuracy), repr(f.metrics.macro_f1),
-              repr(f.metrics.macro_precision), repr(f.metrics.macro_recall)]
-             for f in report.folds],
+            [[f.fold, f.metrics.accuracy, f.metrics.macro_f1, f.metrics.macro_precision,
+              f.metrics.macro_recall] for f in report.folds],
         )
         _write_json(os.path.join(args.out, "effective_config.json"),
                     {"model": model_cfg.to_dict(), "train": train_cfg.to_dict(),
@@ -206,8 +205,7 @@ def cmd_evaluate(args) -> int:
         _write_csv(
             os.path.join(args.out, "report.csv"),
             ["class", "precision", "recall", "f1", "support"],
-            [[c["class"], repr(c["precision"]), repr(c["recall"]), repr(c["f1"]), c["support"]]
-             for c in m.per_class],
+            [[c["class"], c["precision"], c["recall"], c["f1"], c["support"]] for c in m.per_class],
         )
         print(f"accuracy {m.accuracy:.4f} macro F1 {m.macro_f1:.4f}")
     return 0
@@ -219,23 +217,21 @@ def cmd_analyze_gating(args) -> int:
     corpus = read_corpus(args.corpus)
     model, _ = load_model(args.checkpoint)
     # before --out is made: collecting rejects a model without gates or for other input
-    # widths, and the correlation a corpus without energy
+    # widths, the correlation a corpus without energy, and the alignment a corpus whose
+    # traces carry acoustic diagnostic flags but no textual ones
     traces = collect_traces(model, corpus.samples)
     corr = gate_energy_correlation(traces)
+    alignment = (gate_diagnostic_alignment(traces)
+                 if any(t.sample.diagnostic_flags_a is not None for t in traces) else None)
     _make_out_dir(args.out)
 
-    rows = [
-        [corpus.class_names[c] if c < len(corpus.class_names) else str(c),
-         "" if r is None else repr(r)]
-        for c, r in sorted(corr.per_class.items())
-    ]
-    rows.append(["overall", "" if corr.overall is None else repr(corr.overall)])
+    rows = [[corpus.class_names[c], r] for c, r in sorted(corr.per_class.items())]
+    rows.append(["overall", corr.overall])
     _write_csv(os.path.join(args.out, "gate_energy_correlation.csv"), ["class", "pearson_r"], rows)
     for name, r in rows:
-        print(f"gate-energy r [{name}]: {r or 'undefined'}")
+        print(f"gate-energy r [{name}]: {'undefined' if r is None else r}")
 
-    if any(t.sample.diagnostic_flags_a is not None for t in traces):
-        alignment = gate_diagnostic_alignment(traces)
+    if alignment is not None:
         _write_json(os.path.join(args.out, "gate_alignment.json"), alignment.to_dict())
         a, t = ("undefined" if r is None else f"{r:.4f}" for r in (alignment.auroc_a, alignment.auroc_t))
         print(f"gate-vs-diagnostic AUROC: acoustic {a} textual {t}")

@@ -34,10 +34,9 @@ from gatedfusion.trainer import EVAL_CHUNK, TrainConfig, evaluate, train
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def brute_force_metrics(preds, labels, n_classes):
-    """Straight-from-definition macro scores, no vectorization."""
-    acc = sum(p == l for p, l in zip(preds, labels)) / len(preds)
-    precs, recs, f1s = [], [], []
+def brute_force_per_class(preds, labels, n_classes):
+    """Each class's (precision, recall, F1, support) straight from the definitions."""
+    rows = []
     for c in range(n_classes):
         tp = sum(1 for p, l in zip(preds, labels) if p == c and l == c)
         fp = sum(1 for p, l in zip(preds, labels) if p == c and l != c)
@@ -45,9 +44,14 @@ def brute_force_metrics(preds, labels, n_classes):
         prec = tp / (tp + fp) if tp + fp else 0.0
         rec = tp / (tp + fn) if tp + fn else 0.0
         f1 = 2 * prec * rec / (prec + rec) if prec + rec else 0.0
-        precs.append(prec)
-        recs.append(rec)
-        f1s.append(f1)
+        rows.append((prec, rec, f1, tp + fn))
+    return rows
+
+
+def brute_force_metrics(preds, labels, n_classes):
+    """Straight-from-definition macro scores, no vectorization."""
+    acc = sum(p == l for p, l in zip(preds, labels)) / len(preds)
+    precs, recs, f1s, _ = zip(*brute_force_per_class(preds, labels, n_classes))
     return acc, sum(precs) / n_classes, sum(recs) / n_classes, sum(f1s) / n_classes
 
 
@@ -75,6 +79,16 @@ class TestMetrics:
         m = metrics([0, 1, 0], [0, 0, 0], 2)
         assert m.per_class[1]["recall"] == 0.0
         assert any("absent" in w for w in m.warnings)
+
+    def test_warnings_are_class_by_class_precision_first(self):
+        """Class 1 is never predicted, class 2 absent, class 3 both."""
+        m = metrics([0, 0, 2], [0, 1, 1], 4)
+        assert m.warnings == [
+            "class 1 never predicted; precision set to 0",
+            "class 2 absent from labels; recall set to 0",
+            "class 3 never predicted; precision set to 0",
+            "class 3 absent from labels; recall set to 0",
+        ]
 
     def test_empty_rejected(self):
         with pytest.raises(ConfigError):
@@ -108,6 +122,12 @@ class TestMetrics:
         assert m.confusion.sum() == n
         assert m.confusion.tolist() == [[sum(1 for p, l in zip(preds, labels) if (l, p) == (true, pred))
                                          for pred in range(n_classes)] for true in range(n_classes)]
+        assert [c["class"] for c in m.per_class] == list(range(n_classes))
+        for got, want in zip(m.per_class, brute_force_per_class(preds, labels, n_classes),
+                             strict=True):
+            assert (got["precision"], got["recall"], got["f1"], got["support"]) == want
+            assert [type(got[k]) for k in ("precision", "recall", "f1", "support")] == [
+                float, float, float, int]
 
 
 class TestPearson:

@@ -1,6 +1,7 @@
 """End-to-end CLI runs: every subcommand, reproducibility, error paths."""
 
 import argparse
+import csv
 import json
 import os
 from pathlib import Path
@@ -301,6 +302,13 @@ class TestEvaluate:
             report = json.load(f)
         assert set(report) >= {"accuracy", "macro_f1", "confusion", "per_class"}
         assert os.path.exists(os.path.join(out, "report.csv"))
+        with open(os.path.join(out, "report.csv"), newline="") as f:
+            header, *rows = csv.reader(f)
+        assert header == ["class", "precision", "recall", "f1", "support"]
+        assert len(rows) == len(report["per_class"])
+        for row, c in zip(rows, report["per_class"]):
+            assert [float(v) for v in row[1:4]] == [c["precision"], c["recall"], c["f1"]]
+            assert int(row[0]) == c["class"] and int(row[4]) == c["support"]
 
     def test_kfold_mode(self, tmp_path, corpus_dir, capsys):
         cfg = write_json(tmp_path / "cfg.json", CONFIG)
@@ -398,6 +406,20 @@ class TestAnalyzeGating:
         assert main(["analyze-gating", "--corpus", str(tmp_path / "corpus"), "--out", str(out),
                      "--checkpoint", os.path.join(trained_dir, "checkpoint.gfck")]) == 1
         assert capsys.readouterr().err.startswith("error: no traces carry an energy side channel")
+        assert not out.exists()
+
+    def test_corpus_without_textual_flags_is_rejected(self, tmp_path, corpus_dir, trained_dir,
+                                                      capsys):
+        """Acoustic diagnostic flags without textual ones leave no alignment to report; it
+        fails before --out is made."""
+        corpus = read_corpus(corpus_dir)
+        for s in corpus.samples:
+            s.diagnostic_flags_t = None
+        write_corpus(corpus, str(tmp_path / "corpus"))
+        out = tmp_path / "gates"
+        assert main(["analyze-gating", "--corpus", str(tmp_path / "corpus"), "--out", str(out),
+                     "--checkpoint", os.path.join(trained_dir, "checkpoint.gfck")]) == 1
+        assert capsys.readouterr().err.startswith("error: no traces carry diagnostic flags")
         assert not out.exists()
 
     @pytest.mark.filterwarnings("error")
