@@ -159,8 +159,9 @@ class FusionModel:
         self._params.grad.fill(0.0)
 
     def _dropout_keeps(self, batch_a: PaddedBatch, batch_t: PaddedBatch,
-                       rng: np.random.Generator | None) -> tuple[list, list]:
-        """Per branch and layer, the (attention, feedforward) keep masks: a (2, B, T, d) array.
+                       rng: np.random.Generator | None) -> tuple:
+        """Per branch, each layer's (attention, feedforward) keep masks as one
+        (n_layers, 2, B, T, d) array, or n_layers Nones without dropout.
 
         One draw covers the minibatch, ordered sample by sample, then branch,
         layer and site, each at the sample's valid length, so a sample's draws do
@@ -169,19 +170,16 @@ class FusionModel:
         cfg = self.cfg
         if rng is None or cfg.dropout_rate <= 0.0:
             return [None] * cfg.n_layers, [None] * cfg.n_layers
-        batches = (batch_a, batch_t)
-        valid = [b.masks.sum(axis=1).astype(int) for b in batches]
-        stacks = [np.zeros((cfg.n_layers, 2, *b.masks.shape, cfg.d_model)) for b in batches]
-        rows = sum(int(counts.sum()) for counts in valid)
-        keep = dropout_keep(rng, cfg.dropout_rate, 2 * cfg.n_layers * rows * cfg.d_model)
-        start = 0
-        for i in range(len(batch_a.masks)):
-            for stack, counts in zip(stacks, valid):
-                # valid rows lead each sample
-                block = stack[:, :, i, : counts[i]]
-                block[...] = keep[start : start + block.size].reshape(block.shape)
-                start += block.size
-        return list(stacks[0]), list(stacks[1])
+        lengths = [b.masks.shape[1] for b in (batch_a, batch_t)]
+        # the valid rows in the draw's order, this layout's C order:
+        # (B, branch, layer and site, T_max), each row d draws
+        valid = np.zeros((len(batch_a.masks), 2, 2 * cfg.n_layers, max(lengths)), dtype=bool)
+        valid[:, 0, :, : lengths[0]] = (batch_a.masks > 0)[:, None]
+        valid[:, 1, :, : lengths[1]] = (batch_t.masks > 0)[:, None]
+        keep = np.zeros((*valid.shape, cfg.d_model))
+        keep[valid] = dropout_keep(rng, cfg.dropout_rate, (int(valid.sum()), cfg.d_model))
+        return tuple(np.moveaxis(keep[:, j, :, :t], 0, 1).reshape(cfg.n_layers, 2, -1, t, cfg.d_model)
+                     for j, t in enumerate(lengths))
 
     def forward(
         self,
@@ -217,7 +215,7 @@ class FusionModel:
             gt = gate_sequence(xt, mask_t, ctx_t, s["gate.w_t"], s["gate.b_t"])
             xa = refine_sequence(xa, ga)
             xt = refine_sequence(xt, gt)
-            gates_a, gates_t = ga.data.copy(), gt.data.copy()
+            gates_a, gates_t = ga.data, gt.data
 
         if self.cfg.use_positions:
             xa = T.add(xa, T.constant(sinusoidal_positions(t_a, self.cfg.d_model)))

@@ -38,21 +38,20 @@ N / K consecutive matrices of `a`. K = N is the one by one case; K < N lets a
 stack of K parameter copies serve K copies of a minibatch, which is how the
 full-model gradcheck runs all of a parameter's probes in one forward (see
 `diagnostics`). Each such operand is grouped or not on its own, and a grouped
-operand's gradient sums over its group. Only K < N takes the grouped code: its
-(K, N / K, m, n) views cost about 10% of training throughput when K = N
-(one-fold ablation training on a 2-core host), so a same-length stack, as in
-the gates, keeps the plain stacked code. `matmul` also takes a matrix `a` times
-a stack `b`.
+operand's gradient sums over its group. For `add`, `mul` and the bias and
+gain operands only K < N takes the grouped code: its (K, N / K, m, n) views
+cost about 10% of training throughput when K = N (one-fold ablation training
+on a 2-core host), so a same-length stack, as in the gates, keeps the plain
+stacked code.
 
 `add(a, b)` and `mul(a, b)` broadcast `b`'s matrices against `a`'s, which are
 m x n: `b`'s may be m x n, a 1 x n row, an m x 1 column or a 1 x 1 scalar. The
-result has `a`'s shape. `matmul` runs a stack times a matrix as one GEMM over
-the stacked rows, and a stack times a grouped stack as one GEMM per group over
-the group's rows. `concat_cols`, `layernorm_rows` and `attention`'s softmax
-act on the last axis. `concat_cols(a, b)` appends `b`'s columns to `a`'s: `b`
-is a stack of `a`'s length or one matrix, and its matrices have `a`'s rows or
-one row, which is repeated down every row of `a`. Any other pair of shapes
-raises `ShapeError`.
+result has `a`'s shape. `matmul` runs one GEMM per matrix of `b`, over the
+rows of `a` that it serves. `concat_cols`, `layernorm_rows` and `attention`'s
+softmax act on the last axis. `concat_cols(a, b)` appends `b`'s columns to
+`a`'s: `b` is a stack of `a`'s length or one matrix, and its matrices have
+`a`'s rows or one row, which is repeated down every row of `a`. Any other pair
+of shapes raises `ShapeError`.
 
 Three ops each do the work of a chain of simpler ones that every encoder layer
 repeats, so a step records fewer ops:
@@ -329,35 +328,26 @@ def _share(g: np.ndarray, k: int, sb: tuple) -> np.ndarray:
 
 
 def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
-    """a @ b, plus `bias` as `add` adds its second operand when one is given."""
+    """a @ b, plus `bias` as `add` adds its second operand when one is given.
+
+    `a`'s rows are viewed as one block per matrix of `b` (`_groups`), and each
+    block is one GEMM: all rows against a matrix `b`, or group k's rows against
+    matrix k of a stack. A matrix `a` takes only a matrix `b`.
+    """
     sa, sb = a.data.shape, b.data.shape
     if sa[-1] != sb[-2]:
         raise ShapeError(f"matmul shapes incompatible: {sa} x {sb}")
-    k = _groups("matmul", sa, sb) if len(sa) == 3 else None
-    if k == 0:
-        # a stack times a matrix: one GEMM over all stacked rows
-        rows = a.data.reshape(-1, sa[2])
-        out_data = (rows @ b.data).reshape(sa[0], sa[1], sb[1])
-    elif k and k != sa[0]:
-        # a stack times a grouped stack: one GEMM per group over its stacked rows
-        rows = a.data.reshape(k, -1, sa[2])
-        out_data = (rows @ b.data).reshape(sa[0], sa[1], sb[2])
-    else:
-        out_data = a.data @ b.data
+    k = _groups("matmul", sa, sb)
+    lead = (k,) if k else ()
+    rows = a.data.reshape(*lead, -1, sa[-1])
+    out_data = (rows @ b.data).reshape(*sa[:-1], sb[-1])
     if bias is not None:
         kb = _grouped("matmul", out_data.shape, bias.data.shape)
         out_data = _plus(out_data, bias.data, kb)
     if _open_tape.get() is None:
         return Tensor(out_data)
-    if k == 0:
-        vjps = ((a, lambda g: (g.reshape(-1, sb[1]) @ b.data.T).reshape(sa)),
-                (b, lambda g: rows.T @ g.reshape(-1, sb[1])))
-    elif k and k != sa[0]:
-        vjps = ((a, lambda g: (g.reshape(k, -1, sb[2]) @ _swap(b.data)).reshape(sa)),
-                (b, lambda g: _swap(rows) @ g.reshape(k, -1, sb[2])))
-    else:
-        vjps = ((a, lambda g: _unbroadcast(g @ _swap(b.data), sa)),
-                (b, lambda g: _unbroadcast(_swap(a.data) @ g, sb)))
+    vjps = ((a, lambda g: (g.reshape(*lead, -1, sb[-1]) @ _swap(b.data)).reshape(sa)),
+            (b, lambda g: _swap(rows) @ g.reshape(*lead, -1, sb[-1])))
     if bias is not None:
         vjps = ((bias, lambda g: _share(g, kb, bias.data.shape)), *vjps)
     return _out("matmul", out_data, *vjps)

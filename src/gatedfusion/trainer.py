@@ -29,7 +29,7 @@ import functools
 import math
 import numbers
 import operator
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -66,8 +66,6 @@ class TrainConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def to_dict(self) -> dict:
-        from dataclasses import asdict
-
         return asdict(self)
 
 

@@ -975,11 +975,26 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("n_layers", [1, 2, 3])
     def test_parameter_shapes_match_the_model(self, n_layers):
+        """Every row's shape by formula from the config fields, with one block
+        of encoder rows per layer in each branch, and the model built to it."""
         for ff_mult, n_classes, d_model, n_heads in itertools.product((1, 4), (2, 4), (4, 8), (1, 2)):
             cfg = tiny_cfg(n_layers=n_layers, ff_mult=ff_mult, n_classes=n_classes, d_model=d_model,
                            n_heads=n_heads)
+            d, f, c = d_model, d_model * ff_mult, n_classes
+            square, row = (d, d), (1, d)
+            layer = {"wq": square, "wk": square, "wv": square, "wo": square, "bq": row, "bv": row,
+                     "bo": row, "ln1_g": row, "ln1_b": row, "ffn_w1": (d, f), "ffn_b1": (1, f),
+                     "ffn_w2": (f, d), "ffn_b2": row, "ln2_g": row, "ln2_b": row}
+            want = [("proj_a.w", (cfg.d_a, d)), ("proj_a.b", row), ("proj_t.w", (cfg.d_t, d)),
+                    ("proj_t.b", row), ("gate.w_a", (2 * d, 1)), ("gate.w_t", (2 * d, 1)),
+                    ("gate.b_a", (1, 1)), ("gate.b_t", (1, 1))]
+            for branch in ("enc_a", "enc_t"):
+                for i in range(n_layers):
+                    want += [(f"{branch}.{i}.{name}", shape) for name, shape in layer.items()]
+            want += [("head.w1", (2 * d, d)), ("head.b1", row), ("head.w2", (d, c)), ("head.b2", (1, c))]
+            assert parameter_shapes(cfg) == want
             params = FusionModel(cfg).parameters()
-            assert list(parameter_shapes(cfg)) == [(p.name, p.data.shape) for p in params]
+            assert [(p.name, p.data.shape) for p in params] == want
             assert parameter_count(cfg) == params.data.size
 
     def test_parameter_shapes_are_pinned(self):

@@ -78,13 +78,33 @@ class TestMatmul:
             T.matmul(T.constant(np.zeros((2, 2, 3))), T.constant(np.zeros((4, 3, 1))))
 
     def test_stack_is_matrices_one_by_one(self):
+        """A stack times a matrix is the 2-D product of the stacked rows, and a
+        stack times a same-length stack is a[i] @ b[i], bit for bit, in the
+        output and in both operands' tape gradients under sum(out * W)."""
         rng = np.random.default_rng(1)
         a, b, w = rng.normal(size=(3, 4, 5)), rng.normal(size=(3, 5, 2)), rng.normal(size=(5, 2))
-        by_stack = T.matmul(T.constant(a), T.constant(b)).data
-        by_matrix = T.matmul(T.constant(a), T.constant(w)).data
-        for i in range(3):
-            np.testing.assert_allclose(by_stack[i], a[i] @ b[i], rtol=1e-14)
-            np.testing.assert_allclose(by_matrix[i], a[i] @ w, rtol=1e-14)
+        loss_w = rng.normal(size=(3, 4, 2))
+        rows, g_rows = a.reshape(-1, 5), loss_w.reshape(-1, 2)
+        by_matrix = [(rows @ w).reshape(3, 4, 2), (g_rows @ w.T).reshape(a.shape), rows.T @ g_rows]
+        by_stack = [np.stack([a[i] @ b[i] for i in range(3)]),
+                    np.stack([loss_w[i] @ b[i].T for i in range(3)]),
+                    np.stack([a[i].T @ loss_w[i] for i in range(3)])]
+        for second, want in ((w, by_matrix), (b, by_stack)):
+            x, y = T.Tensor(a, np.zeros_like(a)), T.Tensor(second, np.zeros_like(second))
+            with T.Tape() as tape:
+                out = T.matmul(x, y)
+                loss = T.sum_all(T.mul(out, T.constant(loss_w)))
+            tape.backward(loss)
+            for got, expected in zip((out.data, x.grad, y.grad), want):
+                assert got.shape == expected.shape
+                assert got.tobytes() == expected.tobytes(), second.shape
+
+    def test_matrix_times_stack_is_refused(self):
+        """A matrix `a` takes only a matrix `b`, with a bias or without."""
+        a, b = T.constant(np.zeros((4, 5))), T.constant(np.zeros((3, 5, 2)))
+        for bias in (None, T.constant(np.zeros((1, 2)))):
+            with pytest.raises(ShapeError, match=re.escape("matmul shapes incompatible: (4, 5) vs (3, 5, 2)")):
+                T.matmul(a, b, bias)
 
     def test_gradients_5x7_7x3(self):
         fd_check(lambda ps: T.matmul(ps[0], ps[1]), [(5, 7), (7, 3)], seed=0, tol=1e-6)
@@ -315,13 +335,12 @@ class TestBiasMatmul:
 
 
 def test_bias_matmul_of_a_matrix_first_operand():
-    """A matrix times a matrix, and a matrix times a stack, each plus a bias."""
+    """A matrix times a matrix, plus a bias; and a bias stack whose length
+    does not divide the product's is refused."""
     rng = np.random.default_rng(2)
-    for w_shape, bias_shape in [((MID, COLS), (1, COLS)), ((N, MID, COLS), (1, COLS)),
-                                ((N, MID, COLS), (N, M, 1))]:
-        shapes = [(M, MID), w_shape, bias_shape]
-        assert_fused_matches("matmul", T.matmul, R.bias_matmul, [rng.normal(size=s) for s in shapes])
-        fd_check(lambda ps: T.matmul(*ps), shapes, seed=4)
+    shapes = [(M, MID), (MID, COLS), (1, COLS)]
+    assert_fused_matches("matmul", T.matmul, R.bias_matmul, [rng.normal(size=s) for s in shapes])
+    fd_check(lambda ps: T.matmul(*ps), shapes, seed=4)
     with pytest.raises(ShapeError, match=re.escape(f"matmul shapes incompatible: {(N, M, COLS)} vs (4, 1, {COLS})")):
         T.matmul(T.constant(np.zeros((N, M, MID))), T.constant(np.zeros((MID, COLS))),
                  T.constant(np.zeros((4, 1, COLS))))
@@ -471,9 +490,8 @@ def test_randomized_primitive_gradients(seed):
     # the same on (B, m, n) stacks
     b = int(rng.integers(1, 5))
     fd_check(lambda ps: T.matmul(ps[0], ps[1]), [(b, m, k), (b, k, n)], seed)
-    # a stack times a matrix, and a column times a stack of rows
+    # a stack times a matrix
     fd_check(lambda ps: T.matmul(ps[0], ps[1]), [(b, m, k), (k, n)], seed)
-    fd_check(lambda ps: T.matmul(ps[0], ps[1]), [(m, 1), (b, 1, n)], seed)
     # b of the stack's shape, per-sample rows and columns, then one matrix for all samples
     for b_shape in [(b, m, n), (b, 1, n), (b, m, 1), (m, n), (1, n), (m, 1), (1, 1)]:
         fd_check(lambda ps: T.add(ps[0], ps[1]), [(b, m, n), b_shape], seed)
