@@ -16,7 +16,8 @@ from .errors import (
 from .gating import GatingMode
 from .model import ForwardResult, FusionModel, ModelConfig
 from .sequence import PaddedBatch, pad_batch
-from .synth import Corpus, OracleReport, Sample, SynthSpec, bayes_oracle_accuracy, generate, model_inputs
+from .synth import (Corpus, OracleReport, Sample, SynthSpec, bayes_oracle_accuracy, bayes_predictions, generate,
+                    model_inputs)
 from .tensor import GradcheckReport, Parameter, Tape, Tensor, gradcheck
 from .trainer import TrainConfig, TrainResult, evaluate, train
 
@@ -28,7 +29,7 @@ __all__ = [
     "ForwardResult", "FusionModel", "ModelConfig",
     "PaddedBatch", "pad_batch",
     "Corpus", "OracleReport", "Sample", "SynthSpec", "bayes_oracle_accuracy",
-    "generate", "model_inputs",
+    "bayes_predictions", "generate", "model_inputs",
     "GradcheckReport", "Parameter", "Tape", "Tensor", "gradcheck",
     "TrainConfig", "TrainResult", "evaluate", "train",
 ]

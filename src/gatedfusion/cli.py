@@ -9,6 +9,7 @@ deterministic given config + seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -49,6 +50,21 @@ def _make_out_dir(path: str) -> None:
         os.makedirs(path, exist_ok=True)
     except OSError as e:
         raise ConfigError(f"cannot create output directory {path}: {e}") from e
+
+
+@contextlib.contextmanager
+def _training_out_dir(path: str):
+    """Make `path` before a long run, so that a bad path fails first; if the
+    run raises and this call made `path`, remove it while it is still empty."""
+    made = not os.path.lexists(path)
+    _make_out_dir(path)
+    try:
+        yield
+    except BaseException:
+        if made:
+            with contextlib.suppress(OSError):
+                os.rmdir(path)  # only an empty directory
+        raise
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -144,20 +160,19 @@ def cmd_train(args) -> int:
         model = FusionModel(model_cfg)
         optimizer = make_optimizer(model, train_cfg)
 
-    _make_out_dir(args.out)
     pairs = [model_inputs(s) for s in corpus.samples]
-    result = train(model, pairs, train_cfg, start_epoch=start_epoch, optimizer=optimizer)
-
     ckpt_path = os.path.join(args.out, "checkpoint.gfck")
-    save_model(model, ckpt_path, optimizer,
-               meta={"epochs_done": train_cfg.epochs, "train": train_cfg.to_dict()})
-    _write_csv(
-        os.path.join(args.out, "history.csv"),
-        ["epoch", "train_loss"],
-        [[h["epoch"], h["train_loss"]] for h in result.history],
-    )
-    _write_json(os.path.join(args.out, "effective_config.json"),
-                {"model": model_cfg.to_dict(), "train": train_cfg.to_dict()})
+    with _training_out_dir(args.out):
+        result = train(model, pairs, train_cfg, start_epoch=start_epoch, optimizer=optimizer)
+        save_model(model, ckpt_path, optimizer,
+                   meta={"epochs_done": train_cfg.epochs, "train": train_cfg.to_dict()})
+        _write_csv(
+            os.path.join(args.out, "history.csv"),
+            ["epoch", "train_loss"],
+            [[h["epoch"], h["train_loss"]] for h in result.history],
+        )
+        _write_json(os.path.join(args.out, "effective_config.json"),
+                    {"model": model_cfg.to_dict(), "train": train_cfg.to_dict()})
     print(f"trained {train_cfg.epochs - start_epoch} epochs; final train loss {result.final_train_loss:.4f}")
     print(f"checkpoint: {ckpt_path}")
     return 0
@@ -178,18 +193,18 @@ def cmd_evaluate(args) -> int:
     if args.kfold is not None:
         model_cfg, train_cfg = _configs(args, corpus)
         check_folds(len(corpus.samples), args.kfold)
-        _make_out_dir(args.out)
-        report = kfold(corpus, args.kfold, train_cfg, model_cfg)
-        _write_json(os.path.join(args.out, "report.json"), report.to_dict())
-        _write_csv(
-            os.path.join(args.out, "folds.csv"),
-            ["fold", "accuracy", "macro_f1", "macro_precision", "macro_recall"],
-            [[f.fold, f.metrics.accuracy, f.metrics.macro_f1, f.metrics.macro_precision,
-              f.metrics.macro_recall] for f in report.folds],
-        )
-        _write_json(os.path.join(args.out, "effective_config.json"),
-                    {"model": model_cfg.to_dict(), "train": train_cfg.to_dict(),
-                     "kfold": args.kfold})
+        with _training_out_dir(args.out):
+            report = kfold(corpus, args.kfold, train_cfg, model_cfg)
+            _write_json(os.path.join(args.out, "report.json"), report.to_dict())
+            _write_csv(
+                os.path.join(args.out, "folds.csv"),
+                ["fold", "accuracy", "macro_f1", "macro_precision", "macro_recall"],
+                [[f.fold, f.metrics.accuracy, f.metrics.macro_f1, f.metrics.macro_precision,
+                  f.metrics.macro_recall] for f in report.folds],
+            )
+            _write_json(os.path.join(args.out, "effective_config.json"),
+                        {"model": model_cfg.to_dict(), "train": train_cfg.to_dict(),
+                         "kfold": args.kfold})
         print(f"{args.kfold}-fold accuracy: {report.mean_accuracy:.4f} "
               f"+/- {report.std_accuracy:.4f} (macro F1 {report.mean_macro_f1:.4f})")
     else:

@@ -15,6 +15,8 @@ model's slots; the model's parameter table declares them.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import tensor as T
@@ -74,12 +76,19 @@ class EncoderLayer:
         return self._ln(T.add(x, ff), "ln2")
 
 
+@functools.lru_cache(maxsize=128)
 def sinusoidal_positions(t_len: int, d_model: int) -> np.ndarray:
-    """Standard interleaved sin/cos position table, shape T x d."""
+    """Standard interleaved sin/cos position table, shape T x d.
+
+    Every forward adds one per modality, so tables are cached per exact
+    (T, d) and shared read-only. A prefix of a longer table is not used:
+    numpy's vectorized sin and cos may round the tail elements differently.
+    """
     pos = np.arange(t_len)[:, None]
     idx = np.arange(d_model)[None, :]
     angle = pos / np.power(10000.0, (2 * (idx // 2)) / d_model)
     table = np.zeros((t_len, d_model))
     table[:, 0::2] = np.sin(angle[:, 0::2])
     table[:, 1::2] = np.cos(angle[:, 1::2])
+    table.flags.writeable = False
     return table

@@ -1,11 +1,11 @@
 """Padded minibatches of variable-length sequences, and masked pooling.
 
 A sequence is a (T, d) float array holding only its valid rows. `pad_batch`
-is the one place padding and masks are made: it stacks a minibatch into one
-`PaddedBatch`, tail-padded with zero rows, whose (B, T_max) masks are a run
-of ones followed by a run of zeros. The model runs the batch as one op
-sequence. Pooling averages over valid rows only, so appending padding never
-changes downstream results.
+is the one place model inputs are padded and masked: it scatters a
+minibatch's rows into one `PaddedBatch`, tail-padded with zero rows, whose
+(B, T_max) masks are a run of ones followed by a run of zeros. The model runs
+the batch as one op sequence. Pooling averages over valid rows only, so
+appending padding never changes downstream results.
 """
 
 from __future__ import annotations
@@ -61,10 +61,9 @@ def pad_batch(seqs: list[np.ndarray]) -> PaddedBatch:
             raise EmptySequenceError("sequence has no valid positions")
         if s.shape[1] != seqs[0].shape[1]:
             raise ShapeError(f"mixed feature widths in batch: {s.shape[1]} vs {seqs[0].shape[1]}")
-    t_max = max(len(s) for s in seqs)
-    feats = np.zeros((len(seqs), t_max, seqs[0].shape[1]))
-    masks = np.zeros((len(seqs), t_max))
-    for i, s in enumerate(seqs):
-        feats[i, : len(s)] = s
-        masks[i, : len(s)] = 1.0
-    return PaddedBatch(feats, masks)
+    lens = [len(s) for s in seqs]
+    valid = np.arange(max(lens)) < np.array(lens)[:, None]
+    feats = np.zeros((*valid.shape, seqs[0].shape[1]))
+    # one scatter: valid rows in C order are the sequences' rows, one after another
+    feats[valid] = np.concatenate(seqs)
+    return PaddedBatch(feats, valid.astype(np.float64))

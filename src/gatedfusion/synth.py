@@ -12,6 +12,12 @@ low-energy when energy_coupling > 0), per-token negative-sentiment flags
 (diagnostic tokens of non-healthy classes), and the planted diagnostic flags of
 each modality. Side channels never reach the model: `model_inputs` is the
 single assembly point.
+
+The Bayes oracle classifies by exact likelihood under the generative
+parameters, as whole arrays over samples and classes: `bayes_predictions`
+gives each given sample's class with the diagnostic positions revealed and
+with them marginalized out, and `bayes_oracle_accuracy` scores it on fresh
+samples.
 """
 
 from __future__ import annotations
@@ -204,48 +210,65 @@ class OracleReport:
     n_eval: int
 
 
-def _loglik_revealed(feats: np.ndarray, flags: np.ndarray, spec: SynthSpec, label: int) -> float:
-    mu = spec.class_mean(feats.shape[1], label)
-    diff = feats[flags == 1] - mu
-    return -0.5 * float((diff * diff).sum()) / spec.noise_sigma**2
+def _logliks(spec: SynthSpec, feats: list[np.ndarray], flags: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Revealed and marginalized log P(X | class) of one modality's samples, as
+    two (N, C) arrays, each up to a per-sample constant shared by all classes.
 
-
-def _loglik_marginalized(feats: np.ndarray, k: int, spec: SynthSpec, label: int) -> float:
-    """log P(X | class), diagnostic positions summed out.
-
-    With `contiguous_runs` positions are one run of k frames, so the marginal
-    sums the run's likelihood ratio over its T-k+1 starts. Otherwise they are a
-    uniform size-k subset: the k-th elementary symmetric polynomial of the
-    per-frame likelihood ratios, computed by a log-space DP over frames.
+    The samples are padded to (N, T_max, d) with one scatter. Revealed sums the
+    flagged rows' squared distance to each class mean. Marginalized sums the
+    diagnostic positions out of the per-frame log likelihood ratios `log_r`:
+    with `contiguous_runs` they are one run of k frames, so it adds up the
+    run's ratio over its T-k+1 starts (window sums of a cumulative sum).
+    Otherwise they are a uniform size-k subset: the k-th elementary symmetric
+    polynomial of the ratios, a log-space DP over frame indices in which a
+    sample's padded frames leave its row as it was.
     """
-    mu = spec.class_mean(feats.shape[1], label)
+    n, d = len(feats), feats[0].shape[1]
+    lens = np.array([len(f) for f in feats])
+    t_max = int(lens.max())
+    valid = np.arange(t_max) < lens[:, None]
+    x = np.zeros((n, t_max, d))
+    x[valid] = np.concatenate(feats)
+    flagged = np.zeros((n, t_max))
+    flagged[valid] = np.concatenate(flags)
+    k = flagged.sum(axis=1).astype(np.int64)
+    means = np.stack([spec.class_mean(d, c) for c in range(spec.n_classes)], axis=1)  # (d, C)
+    mean_sq = (means * means).sum(axis=0)
+    var = spec.noise_sigma**2
+    x_dot_mean = x @ means  # (N, T, C)
+    sq_dist = (x * x).sum(axis=2)[..., None] - 2.0 * x_dot_mean + mean_sq
+    revealed = -0.5 * (flagged[..., None] * sq_dist).sum(axis=1) / var
     # log ratio of diagnostic vs noise density per frame
-    log_r = (feats @ mu - 0.5 * mu @ mu) / spec.noise_sigma**2
+    log_r = (x_dot_mean - 0.5 * mean_sq) / var
     if spec.contiguous_runs:
-        return float(np.logaddexp.reduce(np.convolve(log_r, np.ones(k), mode="valid")))
-    dp = np.full(k + 1, -np.inf)
-    dp[0] = 0.0
-    for lr in log_r:
-        dp[1:] = np.logaddexp(dp[1:], dp[:-1] + lr)
-    return float(dp[k])
+        prefix = np.concatenate([np.zeros((n, 1, spec.n_classes)), np.cumsum(log_r, axis=1)], axis=1)
+        ends = np.arange(t_max) + k[:, None]  # (N, T): one past the last frame of the run starting at each frame
+        windows = np.take_along_axis(prefix, np.minimum(ends, t_max)[..., None], axis=1) - prefix[:, :-1]
+        windows[ends > lens[:, None]] = -np.inf
+        return revealed, np.logaddexp.reduce(windows, axis=1)
+    dp = np.full((n, k.max() + 1, spec.n_classes), -np.inf)
+    dp[:, 0] = 0.0
+    for t in range(t_max):
+        step = np.logaddexp(dp[:, 1:], dp[:, :-1] + log_r[:, t, None, :])
+        np.copyto(dp[:, 1:], step, where=valid[:, t, None, None])
+    return revealed, dp[np.arange(n), k]
+
+
+def bayes_predictions(spec: SynthSpec, samples: list[Sample]) -> tuple[np.ndarray, np.ndarray]:
+    """Each sample's Bayes class under `spec`'s generative parameters, as two
+    (N,) arrays: with the diagnostic positions revealed (read from the samples'
+    diagnostic flags), and with them marginalized out. Whole-array over the
+    samples and classes; ties go to the lowest class."""
+    rev_a, marg_a = _logliks(spec, [s.acoustic for s in samples], [s.diagnostic_flags_a for s in samples])
+    rev_t, marg_t = _logliks(spec, [s.textual for s in samples], [s.diagnostic_flags_t for s in samples])
+    return np.argmax(rev_a + rev_t, axis=1), np.argmax(marg_a + marg_t, axis=1)
 
 
 def bayes_oracle_accuracy(spec: SynthSpec, n_eval: int = 400) -> OracleReport:
-    """Accuracy ceiling: classify fresh samples by exact likelihood ratio."""
+    """Accuracy ceiling: classify `n_eval` fresh samples (drawn at seed + 7919)
+    by exact likelihood ratio, `bayes_predictions`, and score them."""
     eval_spec = SynthSpec(**{**spec.to_dict(), "n_samples": n_eval, "seed": spec.seed + 7919})
     corpus = generate(eval_spec)
-    correct_rev = correct_marg = 0
-    for s in corpus.samples:
-        k_a, k_t = int(s.diagnostic_flags_a.sum()), int(s.diagnostic_flags_t.sum())
-        rev = [
-            _loglik_revealed(s.acoustic, s.diagnostic_flags_a, spec, c)
-            + _loglik_revealed(s.textual, s.diagnostic_flags_t, spec, c)
-            for c in range(spec.n_classes)
-        ]
-        marg = [
-            _loglik_marginalized(s.acoustic, k_a, spec, c) + _loglik_marginalized(s.textual, k_t, spec, c)
-            for c in range(spec.n_classes)
-        ]
-        correct_rev += int(np.argmax(rev)) == s.label
-        correct_marg += int(np.argmax(marg)) == s.label
-    return OracleReport(correct_rev / n_eval, correct_marg / n_eval, n_eval)
+    revealed, marginalized = bayes_predictions(spec, corpus.samples)
+    labels = corpus.labels()
+    return OracleReport(float(np.mean(revealed == labels)), float(np.mean(marginalized == labels)), n_eval)

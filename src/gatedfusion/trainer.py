@@ -185,6 +185,9 @@ class TrainResult:
         return self.history[-1]["train_loss"] if self.history else float("nan")
 
 
+# a diverging run overflows before its loss or gradient is found non-finite;
+# the NonFiniteError below is its one report, not numpy's warnings
+@np.errstate(over="ignore", invalid="ignore")
 def train(
     model: FusionModel,
     train_pairs: list[SamplePair],

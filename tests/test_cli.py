@@ -4,6 +4,7 @@ import argparse
 import csv
 import json
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -588,6 +589,30 @@ class TestUnusableInputsAndOutputs:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: config ") and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["train"], ["evaluate", "--kfold", "2"]], ids=["train", "kfold"])
+    @pytest.mark.parametrize("out_exists", [False, True], ids=["new_out", "existing_out"])
+    def test_diverging_run_reports_once_and_leaves_no_empty_out(self, tmp_path, capsys, argv, out_exists):
+        """A run whose loss overflows exits 1 with the typed error and no numpy
+        warning. An --out it made is removed; an --out that was there stays."""
+        spec = write_json(tmp_path / "spec.json", {**SPEC, "n_samples": 24})
+        corpus = str(tmp_path / "corpus")
+        assert main(["generate", "--spec", spec, "--out", corpus]) == 0
+        cfg = write_json(tmp_path / "cfg.json", {"train": {"learning_rate": 1e300, "epochs": 3, "batch_size": 8}})
+        capsys.readouterr()
+        out = tmp_path / "o"
+        if out_exists:
+            out.mkdir()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([*argv, "--corpus", corpus, "--config", cfg, "--out", str(out)]) == 1
+        assert caught == []
+        assert capsys.readouterr().err == (
+            "error: training diverged in epoch 0; parameters and optimizer state restored to start of "
+            "epoch: non-finite loss; first non-finite intermediate: 'matmul'\n")
+        assert out.exists() == out_exists
+        if out_exists:
+            assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["generate", "evaluate"])
     def test_out_names_a_file(self, tmp_path, corpus_dir, capsys, command):

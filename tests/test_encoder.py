@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gatedfusion import tensor as T
+from gatedfusion.encoder import sinusoidal_positions
 from gatedfusion.gating import GatingMode
 from gatedfusion.model import FusionModel, ModelConfig, parameter_table, xavier_uniform
 from gatedfusion.sequence import pad_batch
@@ -86,3 +87,16 @@ def test_batch_op_count_does_not_depend_on_heads():
     want = {(1, GatingMode.NONE): 41, (1, GatingMode.CROSS_MODAL): 53,
             (2, GatingMode.NONE): 69, (2, GatingMode.CROSS_MODAL): 81}
     assert counts == {(n_layers, mode, h): n for (n_layers, mode), n in want.items() for h in (1, 2, 4)}
+
+
+@pytest.mark.parametrize("t_len, d_model", [(1, 8), (14, 8), (9, 32), (64, 6)])
+def test_position_table_is_cached_read_only_and_exact(t_len, d_model):
+    """A forward's table is the one cached per (T, d): byte for byte a fresh
+    computation, and writing into it raises."""
+    cached = sinusoidal_positions(t_len, d_model)
+    assert sinusoidal_positions(t_len, d_model) is cached
+    fresh = sinusoidal_positions.__wrapped__(t_len, d_model)
+    assert fresh is not cached
+    assert (cached.dtype, cached.shape, cached.tobytes()) == (fresh.dtype, fresh.shape, fresh.tobytes())
+    with pytest.raises(ValueError, match="read-only"):
+        cached[0, 0] = 1.0

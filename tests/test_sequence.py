@@ -15,6 +15,18 @@ def padded(feats, extra):
     return feats, mask
 
 
+def pad_loop(seqs):
+    """Reference padding: one sequence at a time into zeroed (B, T_max, d) and (B, T_max) arrays."""
+    seqs = [np.asarray(s, dtype=np.float64) for s in seqs]
+    t_max = max(len(s) for s in seqs)
+    feats = np.zeros((len(seqs), t_max, seqs[0].shape[1]))
+    masks = np.zeros((len(seqs), t_max))
+    for i, s in enumerate(seqs):
+        feats[i, : len(s)] = s
+        masks[i, : len(s)] = 1.0
+    return feats, masks
+
+
 def pool_constant(feats, mask):
     return masked_mean_pool(T.constant(feats), mask).data
 
@@ -85,3 +97,28 @@ class TestPadBatch:
     def test_rejects_zero_sequences(self):
         with pytest.raises(ShapeError):
             pad_batch([])
+
+    @pytest.mark.parametrize("case", ["mixed_lengths", "single", "float32", "int"])
+    def test_matches_per_sample_loop_bit_for_bit(self, case):
+        rng = np.random.default_rng(6)
+        seqs = {
+            "mixed_lengths": [rng.normal(size=(n, 5)) for n in (3, 9, 1, 9, 4)],
+            "single": [rng.normal(size=(7, 3))],
+            "float32": [rng.normal(size=(n, 4)).astype(np.float32) for n in (2, 6, 5)],
+            "int": [rng.integers(-50, 50, size=(n, 3)) for n in (4, 1, 3)],
+        }[case]
+        feats, masks = pad_batch(seqs)
+        ref_feats, ref_masks = pad_loop(seqs)
+        for got, want in ((feats, ref_feats), (masks, ref_masks)):
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("faults, error, message", [
+        ([np.zeros(3), np.zeros((0, 3)), np.zeros((2, 4))], ShapeError, "2-D"),
+        ([np.zeros((0, 3)), np.zeros(3), np.zeros((2, 4))], EmptySequenceError, "no valid positions"),
+        ([np.zeros((2, 4)), np.zeros(3), np.zeros((0, 3))], ShapeError, "mixed feature widths in batch: 4 vs 3"),
+    ])
+    def test_first_faulty_sequence_is_named(self, faults, error, message):
+        """Each sequence is checked in list order, so the first fault raises."""
+        with pytest.raises(error, match=message):
+            pad_batch([np.zeros((2, 3))] + faults)

@@ -1,5 +1,6 @@
 """Corpus generator invariants and the generative-parameter accuracy ceiling."""
 
+import itertools
 import math
 
 import numpy as np
@@ -10,11 +11,19 @@ from gatedfusion.errors import ConfigError
 from gatedfusion.synth import (
     MAX_FEATURE_VALUES,
     SynthSpec,
-    _loglik_marginalized,
     bayes_oracle_accuracy,
+    bayes_predictions,
     generate,
     model_inputs,
 )
+import oracle_reference
+
+
+def marginalized(spec, feats, ks):
+    """Class `1`'s marginalized log-likelihood of `feats` (one modality) with
+    `k` diagnostic frames, for each k in `ks`, from `synth._logliks`."""
+    flags = [(np.arange(len(feats)) < k).astype(np.int64) for k in ks]
+    return synth._logliks(spec, [feats] * len(ks), flags)[1][:, 1]
 
 
 def small_spec(**kw):
@@ -190,11 +199,62 @@ class TestOracle:
         for t_len in range(3, 12):
             feats = rng.normal(size=(t_len, spec.d_a))
             log_r = (feats @ mu - 0.5 * mu @ mu) / spec.noise_sigma**2
-            for k in range(1, t_len + 1):
+            ks = range(1, t_len + 1)
+            for k, value in zip(ks, marginalized(spec, feats, ks)):
                 brute = np.logaddexp.reduce([log_r[s : s + k].sum() for s in range(t_len - k + 1)])
-                assert _loglik_marginalized(feats, k, spec, 1) == pytest.approx(brute, abs=1e-10)
+                assert value == pytest.approx(brute, abs=1e-10)
+
+    def test_subset_marginal_sums_over_all_subsets(self):
+        """Without contiguous runs the marginal likelihood matches a brute-force
+        sum over every k-subset of the T frames."""
+        spec = small_spec(noise_sigma=0.8)
+        rng = np.random.default_rng(13)
+        mu = spec.class_mean(spec.d_a, 1)
+        for t_len in range(1, 10):
+            feats = rng.normal(size=(t_len, spec.d_a))
+            log_r = (feats @ mu - 0.5 * mu @ mu) / spec.noise_sigma**2
+            ks = range(1, t_len + 1)
+            for k, value in zip(ks, marginalized(spec, feats, ks)):
+                brute = np.logaddexp.reduce([log_r[list(c)].sum()
+                                             for c in itertools.combinations(range(t_len), k)])
+                assert value == pytest.approx(brute, abs=1e-10)
 
     def test_marginalized_not_better_than_revealed(self):
         report = bayes_oracle_accuracy(small_spec(), n_eval=120)
         assert report.marginalized <= report.revealed + 0.05
         assert report.revealed > 1.0 / 3.0
+
+
+class TestBayesPredictions:
+    """The whole-array oracle against the per-sample, per-class, per-frame loops
+    of `oracle_reference`."""
+
+    @pytest.mark.parametrize("spec", [
+        SynthSpec(n_samples=60),
+        small_spec(contiguous_runs=True),
+        small_spec(sparsity=1.0),
+        small_spec(sparsity=1.0, len_range_a=(1, 6), len_range_t=(1, 4)),
+        small_spec(n_classes=5, sparsity=0.35, len_range_a=(3, 20), len_range_t=(3, 20)),
+        small_spec(signal_gain=0.0),
+    ], ids=["default", "contiguous", "sparsity_1", "min_length_1", "five_classes", "no_signal"])
+    def test_matches_scalar_reference(self, spec):
+        samples = generate(spec).samples
+        revealed, marg = bayes_predictions(spec, samples)
+        ref_revealed, ref_marg = oracle_reference.predictions(spec, samples)
+        np.testing.assert_array_equal(revealed, ref_revealed)
+        np.testing.assert_array_equal(marg, ref_marg)
+        logliks = [synth._logliks(spec, [getattr(s, field) for s in samples], [getattr(s, flags) for s in samples])
+                   for field, flags in (("acoustic", "diagnostic_flags_a"), ("textual", "diagnostic_flags_t"))]
+        (rev_a, marg_a), (rev_t, marg_t) = logliks
+        for i, s in enumerate(samples):
+            ref_rev, ref_marg_i = oracle_reference.logliks(spec, s)
+            np.testing.assert_allclose(rev_a[i] + rev_t[i], ref_rev, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(marg_a[i] + marg_t[i], ref_marg_i, rtol=0, atol=1e-10)
+
+    def test_accuracy_is_the_mean_of_fresh_predictions(self):
+        spec = small_spec()
+        report = bayes_oracle_accuracy(spec, n_eval=90)
+        fresh = generate(SynthSpec(**{**spec.to_dict(), "n_samples": 90, "seed": spec.seed + 7919}))
+        revealed, marg = bayes_predictions(spec, fresh.samples)
+        labels = fresh.labels()
+        assert (report.revealed, report.marginalized) == (np.mean(revealed == labels), np.mean(marg == labels))
